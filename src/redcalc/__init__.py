@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 from .minplus import (  # noqa: F401
     UNBOUNDED,
     ConcaveCurve,
-    DelayElement,
     RateLatency,
     TokenBucket,
 )

@@ -33,20 +33,13 @@ def resolve_input(path: str):
     return path
 
 
-def _load_network(path):
+def _load(path, loader):
+    """`loader` applied to the file at `path`, bundled inputs included."""
     target = resolve_input(path)
     if hasattr(target, "open"):
         with target.open("r", encoding="utf-8") as fh:
-            return load_network(fh)
-    return load_network(target)
-
-
-def _load_scenario(path):
-    target = resolve_input(path)
-    if hasattr(target, "open"):
-        with target.open("r", encoding="utf-8") as fh:
-            return load_scenario(fh)
-    return load_scenario(target)
+            return loader(fh)
+    return loader(target)
 
 
 def _emit(text: str, out_path):
@@ -74,7 +67,7 @@ def _caps(args) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    network = _load_network(args.input)
+    network = _load(args.input, load_network)
     report = analyze(network, model=args.model, lossless=args.lossless, **_caps(args))
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
@@ -84,7 +77,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    network = _load_network(args.input)
+    network = _load(args.input, load_network)
     out = compare_models(network, lossless=args.lossless, **_caps(args))
     doc = {
         "tight": out["tight"].to_json(),
@@ -104,15 +97,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = _load(args.scenario, load_scenario)
     trace = run_scenario(scenario)
     _emit(trace.to_csv(), args.trace_out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    network = _load_network(args.network)
+    scenario = _load(args.scenario, load_scenario)
+    network = _load(args.network, load_network)
     report = analyze(network, model=args.model, lossless=args.lossless, **_caps(args))
     trace = run_scenario(scenario)
     delays = trace.delays()

@@ -71,21 +71,6 @@ class TokenBucket:
 
 
 @dataclass(frozen=True)
-class DelayElement:
-    """Pure bounded-delay element delta_D: 0 up to D, infinite after."""
-
-    delay: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "delay", parse_rational(self.delay))
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
-
-    def to_json(self) -> dict:
-        return {"delay": rational_str(self.delay)}
-
-
-@dataclass(frozen=True)
 class RateLatency:
     """Rate-latency service curve t -> rate * max(0, t - latency)."""
 
@@ -261,10 +246,7 @@ def convolve(a: ConcaveCurve, b: ConcaveCurve) -> ConcaveCurve:
 def deconvolve_delay(a: ConcaveCurve, delay) -> ConcaveCurve:
     """a deconvolved by a bounded-delay element: each burst grows by rate*J."""
     a = _coerce(a)
-    if isinstance(delay, DelayElement):
-        j = delay.delay
-    else:
-        j = parse_rational(delay)
+    j = parse_rational(delay)
     if j < 0:
         raise ValueError("jitter must be >= 0")
     return ConcaveCurve([TokenBucket(s.rate, s.burst + s.rate * j) for s in a.segments])

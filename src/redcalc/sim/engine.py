@@ -32,7 +32,7 @@ from heapq import heappop, heappush
 from typing import Optional, Union
 
 from ..minplus import ConcaveCurve, TokenBucket, parse_rational, rational_str
-from ..topology import DelayInterval
+from ..topology import DelayInterval, parse_curve
 
 GENERATED = "generated"
 BRANCH_EXIT = "branch_exit"
@@ -474,21 +474,17 @@ def run_scenario(scenario: Scenario) -> Trace:
     return Trace(scenario, events)
 
 
-def _parse_curve_json(data) -> ConcaveCurve:
-    if isinstance(data, dict) and "segments" in data:
-        return ConcaveCurve.from_json(data)
-    if isinstance(data, dict) and "rate" in data:
-        return ConcaveCurve([(data["rate"], data["burst"])])
-    raise ScenarioError("expected a curve object")
-
-
 def scenario_from_json(doc: dict) -> Scenario:
     """Build a scenario from its JSON document form."""
     try:
         flows = {}
         for fid, raw in doc.get("flows", {}).items():
             flows[fid] = FlowProfile(
-                arrival=_parse_curve_json(raw["arrival"]) if raw.get("arrival") else None,
+                arrival=(
+                    parse_curve(raw["arrival"], f"flows.{fid}.arrival")
+                    if raw.get("arrival")
+                    else None
+                ),
                 lmin=parse_rational(raw["lmin"]) if "lmin" in raw else None,
                 lmax=parse_rational(raw["lmax"]) if "lmax" in raw else None,
             )
@@ -530,7 +526,10 @@ def scenario_from_json(doc: dict) -> Scenario:
             raw = pdoc["reg"]
             reg = RegSpec(
                 raw.get("mode", MODE_PER_FLOW),
-                {fid: _parse_curve_json(c) for fid, c in raw["shaping"].items()},
+                {
+                    fid: parse_curve(c, f"pipeline.reg.shaping.{fid}")
+                    for fid, c in raw["shaping"].items()
+                },
             )
         return Scenario(
             name=doc.get("name", "scenario"),

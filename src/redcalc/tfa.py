@@ -14,6 +14,12 @@ onto a fixed grid (rounding up keeps every intermediate state a valid
 over-approximation), so the iteration either stabilizes (exact equality
 between sweeps), exceeds the burst cap (Diverged), or hits the iteration cap.
 
+The structure of each flow (diamond ancestors, anchors, the functions placed
+at each vertex) is computed once per analysis.  Every sweep records the
+per-site reports as it goes, and the report keeps those of the final sweep:
+after convergence that sweep changed nothing, so they describe the fixed
+point; a cut-off run (Diverged, IterationCap) sweeps once more first.
+
 Two models of the eliminator are supported: ``tight`` constrains the output
 by every diamond-ancestor curve, ``intuitive`` keeps the plain sum of the
 replicate curves as if nothing were dropped.
@@ -144,10 +150,13 @@ class AnalysisReport:
     iterations: int
     results: list  # FlowResult
     vertex_delays: dict  # vertex -> DelayInterval
-    pef_sites: list  # dicts, see _apply_pef
+    # site records of the final sweep, in sweep order: one dict per
+    # (placement, flow), except a PEF whose input is cut off; the keys are
+    # those of to_json
+    pef_sites: list
     pof_sites: list
     reg_sites: list
-    notes: list
+    notes: list  # cut-off notes, then the final sweep's, then overloaded ports
 
     def result_for(self, flow: str, destination: str) -> FlowResult:
         for r in self.results:
@@ -303,30 +312,41 @@ class _Analyzer:
         self.quantize = False
         self.notes = []
         self.state = AnalysisState()
-        self.pef_sites = []
-        self.pof_sites = []
-        self.reg_sites = []
         self._crossing = {v: [] for v in network.vertices}
+        self._placed = {v: [] for v in network.vertices}
+        self._function = {}  # (kind, flow, vertex) -> placement, one at most
+        for p in network.placements:
+            self._placed[p.vertex].append(p)
+            for fid in p.flows:
+                self._function[(p.kind, fid, p.vertex)] = p
         self._parents = {}
         self._topo_index = {}
-        self._eps = {}
+        self._ancestors = {}  # (flow, vertex) -> sorted diamond ancestors but itself
+        self._anchor = {}  # (flow, vertex) -> the last of those in flow order
+        self._disorder = {}  # flow -> topo indexes of EP and PEF vertices
+        self._resequence = {}  # flow -> topo indexes of POF vertices
         for fid in sorted(network.flows):
             flow = network.flows[fid]
+            order = flow.topological_order()
+            idx = {v: i for i, v in enumerate(order)}
             self._parents[fid] = flow.parents()
-            self._topo_index[fid] = {v: i for i, v in enumerate(flow.topological_order())}
-            self._eps[fid] = ep_vertices(network, fid)
-            for v in flow.vertices():
+            self._topo_index[fid] = idx
+            eps = ep_vertices(network, fid)
+            self._disorder[fid] = [
+                i for i, v in enumerate(order) if v in eps or (PEF, fid, v) in self._function
+            ]
+            self._resequence[fid] = [
+                i for i, v in enumerate(order) if (POF, fid, v) in self._function
+            ]
+            for v in order:
                 self._crossing[v].append(fid)
+                if v != flow.source:
+                    # the source is a non-EP ancestor of every other vertex
+                    ancestors = sorted(diamond_ancestors(network, fid, v) - {v})
+                    self._ancestors[(fid, v)] = ancestors
+                    self._anchor[(fid, v)] = max(ancestors, key=idx.__getitem__)
 
     # -- structural helpers --------------------------------------------------
-
-    def _anchor(self, fid: str, v: str) -> str:
-        """Nearest upstream cut point where the flow is whole and in one place."""
-        cands = diamond_ancestors(self.net, fid, v) - {v}
-        if not cands:
-            raise ValueError(f"flow {fid}: no usable reference upstream of {v}")
-        idx = self._topo_index[fid]
-        return max(cands, key=lambda a: idx[a])
 
     def _bounds(self, fid: str, a: str, v: str) -> DelayInterval:
         return path_delay_bounds(self.net.flows[fid].edges, a, v, self.state.vertex_delays)
@@ -337,26 +357,14 @@ class _Analyzer:
 
         Disorder comes from coexisting duplicates (EP vertices) or from an
         eliminator output; a later re-sequencer on the same stretch restores
-        source order.
+        source order.  A POF at the same vertex as the PEF runs after it.
         """
         idx = self._topo_index[fid]
         lo, hi = idx[a], idx[v]
-        disorder = -1
-        for w in self._eps[fid]:
-            if lo < idx[w] <= hi:
-                disorder = max(disorder, idx[w])
-        for p in self.net.placements:
-            if p.kind == PEF and fid in p.flows and p.vertex in idx:
-                if lo < idx[p.vertex] <= hi:
-                    disorder = max(disorder, idx[p.vertex])
+        disorder = max((i for i in self._disorder[fid] if lo < i <= hi), default=-1)
         if disorder < 0:
             return False
-        for p in self.net.placements:
-            if p.kind == POF and fid in p.flows and p.vertex in idx:
-                # a POF at the same vertex runs after the PEF in the pipeline
-                if disorder <= idx[p.vertex] <= hi:
-                    return False
-        return True
+        return not any(disorder <= i <= hi for i in self._resequence[fid])
 
     def _capped(self, curve):
         if curve is not None and curve.min_burst > self.burst_cap:
@@ -376,10 +384,16 @@ class _Analyzer:
 
     # -- one Gauss-Seidel sweep ----------------------------------------------
 
-    def sweep(self, order, record_sites: bool) -> bool:
+    def sweep(self, order) -> bool:
+        """One pass in `order`; the site records and the timeout notes it
+        leaves behind describe this pass only."""
+        self.pef_sites = []
+        self.pof_sites = []
+        self.reg_sites = []
+        self.sweep_notes = []
         changed = False
         for v in order:
-            changed |= self._process_vertex(v, record_sites)
+            changed |= self._process_vertex(v)
         return changed
 
     def _input_curve(self, fid: str, v: str):
@@ -396,22 +410,20 @@ class _Analyzer:
             cur = add(cur, c)
         return cur
 
-    def _process_vertex(self, v: str, record_sites: bool) -> bool:
+    def _process_vertex(self, v: str) -> bool:
         net = self.net
         post = {}
         for fid in self._crossing[v]:
             post[fid] = self._input_curve(fid, v)
 
-        for placement in net.placements_at(v):
+        for placement in self._placed[v]:
             for fid in sorted(placement.flows):
-                if fid not in post:
-                    continue
                 if placement.kind == PEF:
-                    post[fid] = self._apply_pef(fid, v, post[fid], record_sites)
+                    post[fid] = self._apply_pef(fid, v, post[fid])
                 elif placement.kind == POF:
-                    post[fid] = self._apply_pof(fid, v, placement, record_sites)
-                elif placement.kind == REG:
-                    post[fid] = self._apply_reg(fid, v, placement, record_sites)
+                    post[fid] = self._apply_pof(fid, v, placement, post[fid])
+                else:
+                    post[fid] = self._apply_reg(fid, v, placement)
 
         if any(c is None for c in post.values()):
             spec = net.vertices[v]
@@ -439,12 +451,13 @@ class _Analyzer:
 
     # -- local function transforms ---------------------------------------------
 
-    def _apply_pef(self, fid, v, alpha_in, record):
+    def _apply_pef(self, fid, v, alpha_in):
         if alpha_in is None:
             return None
-        anchor = self._anchor(fid, v)
+        anchor = self._anchor[(fid, v)]
+        rto = rbo = UNBOUNDED
         ancestors = []
-        for a in sorted(diamond_ancestors(self.net, fid, v) - {v}):
+        for a in self._ancestors[(fid, v)]:
             curve_a = self.state.curves.get((fid, a))
             if curve_a is None:
                 continue
@@ -452,45 +465,33 @@ class _Analyzer:
             if is_unbounded(bounds.hi):
                 continue
             ancestors.append((curve_a, bounds))
+            if a == anchor:
+                rto = pef_rto_bound(curve_a, bounds, self.net.flows[fid].lmin)
         tight = pef_output_curve(alpha_in, ancestors)
         out = tight if self.model == MODEL_TIGHT else alpha_in
-        if record:
-            ref_curve = self.state.curves.get((fid, anchor))
-            bounds = self._bounds(fid, anchor, v)
-            if ref_curve is not None and not is_unbounded(bounds.hi):
-                rto = pef_rto_bound(ref_curve, bounds, self.net.flows[fid].lmin)
-                rbo = rbo_from_rto(out, rto)
-            else:
-                rto = UNBOUNDED
-                rbo = UNBOUNDED
-            self.pef_sites.append(
-                {
-                    "vertex": v,
-                    "flow": fid,
-                    "reference": anchor,
-                    "tight_curve": tight,
-                    "intuitive_curve": alpha_in,
-                    "rto_bound": rto,
-                    "rbo_bound": rbo,
-                }
-            )
+        if not is_unbounded(rto):
+            rbo = rbo_from_rto(out, rto)
+        self.pef_sites.append(
+            {
+                "vertex": v,
+                "flow": fid,
+                "reference": anchor,
+                "tight_curve": tight,
+                "intuitive_curve": alpha_in,
+                "rto_bound": rto,
+                "rbo_bound": rbo,
+            }
+        )
         return out
 
-    def _pof_input_curve(self, fid, v):
-        """Curve at the re-sequencer input: post-eliminator if one sits in front."""
-        cur = self._input_curve(fid, v)
-        if cur is None:
-            return None
-        for placement in self.net.placements_at(v, PEF):
-            if fid in placement.flows:
-                cur = self._apply_pef(fid, v, cur, record=False)
-        return cur
-
-    def _apply_pof(self, fid, v, placement, record):
+    def _apply_pof(self, fid, v, placement, alpha_in):
+        """`alpha_in` is the curve at the re-sequencer input, after any
+        eliminator in front of it at v."""
         ref = placement.reference
         ref_curve = self.state.curves.get((fid, ref))
         bounds = self._bounds(fid, ref, v)
         out = None
+        rto = rbo = UNBOUNDED
         if ref_curve is not None and not is_unbounded(bounds.hi):
             if self.lossless:
                 out = pof_output_curve(ref_curve, bounds, lossless=True)
@@ -498,45 +499,39 @@ class _Analyzer:
                 out = pof_output_curve(
                     ref_curve, bounds, timeout=placement.timeout, lossless=False
                 )
-            elif record:
-                self.notes.append(
+            else:
+                self.sweep_notes.append(
                     f"re-sequencer for {fid} at {v}: lossy traffic needs a finite timeout"
                 )
-        if record:
-            if ref_curve is not None and not is_unbounded(bounds.hi):
-                rto = pef_rto_bound(ref_curve, bounds, self.net.flows[fid].lmin)
-                local = self._pof_input_curve(fid, v)
-                rbo = rbo_from_rto(local, rto) if local is not None else UNBOUNDED
-            else:
-                rto = UNBOUNDED
-                rbo = UNBOUNDED
-            self.pof_sites.append(
-                {
-                    "vertex": v,
-                    "flow": fid,
-                    "reference": ref,
-                    "timeout": placement.timeout,
-                    "required_timeout": rto,
-                    "required_buffer": rbo,
-                    "output_curve": out,
-                }
-            )
+            rto = pef_rto_bound(ref_curve, bounds, self.net.flows[fid].lmin)
+            if alpha_in is not None:
+                rbo = rbo_from_rto(alpha_in, rto)
+        self.pof_sites.append(
+            {
+                "vertex": v,
+                "flow": fid,
+                "reference": ref,
+                "timeout": placement.timeout,
+                "required_timeout": rto,
+                "required_buffer": rbo,
+                "output_curve": out,
+            }
+        )
         return self._capped(out)
 
-    def _apply_reg(self, fid, v, placement, record):
+    def _apply_reg(self, fid, v, placement):
         sigma = placement.shaping[fid]
         ref_curve = self.state.curves.get((fid, placement.reference))
         verdict, rto = self._reg_verdict(fid, v, placement, ref_curve)
-        if record:
-            self.reg_sites.append(
-                {
-                    "vertex": v,
-                    "flow": fid,
-                    "mode": placement.mode,
-                    "rto_bound": rto,
-                    "verdict": verdict,
-                }
-            )
+        self.reg_sites.append(
+            {
+                "vertex": v,
+                "flow": fid,
+                "mode": placement.mode,
+                "rto_bound": rto,
+                "verdict": verdict,
+            }
+        )
         # the regulator output conforms to sigma even when its delay does not
         # admit a bound, so the shaping curve always propagates downstream
         return self._capped(sigma)
@@ -556,12 +551,10 @@ class _Analyzer:
                 return RegulatorVerdict.unbounded(RATE_OVERLOAD), None
             return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
 
-        pofs = [p for p in self.net.placements_at(v, POF) if fid in p.flows]
-        if pofs:
+        pof = self._function.get((POF, fid, v))
+        if pof is not None:
             try:
-                eff = preof_for_free_bounds(
-                    bounds, timeout=pofs[0].timeout, lossless=self.lossless
-                )
+                eff = preof_for_free_bounds(bounds, timeout=pof.timeout, lossless=self.lossless)
             except ValueError:
                 return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
             return RegulatorVerdict.of_interval(eff), None
@@ -632,34 +625,32 @@ class _Analyzer:
         ancestor otherwise, so parallel branches are bracketed by the hull of
         their path delays instead of a per-branch sum.
         """
-        net = self.net
-        flow = net.flows[fid]
+        flow = self.net.flows[fid]
         vdel = self.state.vertex_delays
         cum = {}
-        for v in flow.topological_order():
+        for v in self._topo_index[fid]:
             if v == flow.source:
                 cum[v] = vdel[v]
                 continue
-            pofs = [p for p in net.placements_at(v, POF) if fid in p.flows]
-            regs = [p for p in net.placements_at(v, REG) if fid in p.flows]
-            if pofs:
-                anchor = pofs[0].reference
-            elif regs:
-                anchor = regs[0].reference
+            pof = self._function.get((POF, fid, v))
+            reg = self._function.get((REG, fid, v))
+            if pof is not None:
+                anchor = pof.reference
+            elif reg is not None:
+                anchor = reg.reference
             else:
-                anchor = self._anchor(fid, v)
+                anchor = self._anchor[(fid, v)]
             base = self._bounds(fid, anchor, v)
-            if pofs:
-                timeout = pofs[0].timeout
+            if pof is not None:
                 if self.lossless:
                     section = base
-                elif timeout is not None:
-                    section = DelayInterval(base.lo, base.hi + parse_rational(timeout))
+                elif pof.timeout is not None:
+                    section = DelayInterval(base.lo, base.hi + pof.timeout)
                 else:
                     section = DelayInterval(base.lo, UNBOUNDED)
-            elif regs:
+            elif reg is not None:
                 ref_curve = self.state.curves.get((fid, anchor))
-                verdict, _ = self._reg_verdict(fid, v, regs[0], ref_curve)
+                verdict, _ = self._reg_verdict(fid, v, reg, ref_curve)
                 if verdict.bounded:
                     section = verdict.delay
                 else:
@@ -706,12 +697,12 @@ def analyze(
 
     if acyclic:
         # parents settle before children, so one sweep is the fixed point
-        an.sweep(order, record_sites=False)
+        an.sweep(order)
         an.state.iterations = 1
     else:
         an.quantize = True
         for i in range(1, iter_cap + 1):
-            changed = an.sweep(order, record_sites=False)
+            changed = an.sweep(order)
             an.state.iterations = i
             if an.state.status == DIVERGED or not changed:
                 break
@@ -719,8 +710,12 @@ def analyze(
             an.state.status = ITERATION_CAP
             an.notes.append(f"no fixed point within {iter_cap} sweeps")
 
-    # one more pass over the settled state, only to collect per-site reports
-    an.sweep(order, record_sites=True)
+    # a converged sweep changed nothing, so its site records are those of the
+    # fixed point; a cut-off run sweeps once more to carry the cut-off (None)
+    # curves around the cycles before its records are read
+    if an.state.status != CONVERGED:
+        an.sweep(order)
+    an.notes += an.sweep_notes
 
     if an.state.status == CONVERGED:
         overloaded = sorted(

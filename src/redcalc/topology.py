@@ -57,11 +57,6 @@ class DelayInterval:
             return UNBOUNDED
         return self.hi - self.lo
 
-    def shift(self, amount) -> "DelayInterval":
-        amount = parse_rational(amount)
-        hi = self.hi if is_unbounded(self.hi) else self.hi + amount
-        return DelayInterval(self.lo + amount, hi)
-
     def plus(self, other: "DelayInterval") -> "DelayInterval":
         hi = (
             UNBOUNDED
@@ -95,10 +90,6 @@ class DelayInterval:
         return DelayInterval(parse_rational(lo), hi)
 
 
-# the [d, D] bounds of a section between two cut points are the same shape
-PathDelayBounds = DelayInterval
-
-
 @dataclass(frozen=True)
 class VertexSpec:
     name: str
@@ -110,7 +101,6 @@ class VertexSpec:
 class EdgeSpec:
     src: str
     dst: str
-    lossy: bool = True
 
 
 @dataclass(frozen=True)
@@ -198,19 +188,6 @@ class NetworkSpec:
     flows: dict  # id -> FlowSpec
     placements: tuple  # FunctionPlacement, pipeline order within a vertex
 
-    def placements_at(self, vertex: str, kind: Optional[str] = None) -> list:
-        out = []
-        for p in self.placements:
-            if p.vertex == vertex and (kind is None or p.kind == kind):
-                out.append(p)
-        return out
-
-    def pef_flows_at(self, vertex: str) -> set:
-        flows = set()
-        for p in self.placements_at(vertex, PEF):
-            flows |= p.flows
-        return flows
-
 
 # ---------------------------------------------------------------------------
 # graph predicates
@@ -227,9 +204,10 @@ def ep_vertices(network: NetworkSpec, flow_id: str) -> set:
     flow = network.flows[flow_id]
     parents = flow.parents()
     children = flow.children()
+    pefs = {p.vertex for p in network.placements if p.kind == PEF and flow_id in p.flows}
     ep = set()
     for v in flow.topological_order():
-        if flow_id in network.pef_flows_at(v):
+        if v in pefs:
             continue
         merged = len(parents[v]) >= 2
         inherited = any(p in ep for p in parents[v])
@@ -264,7 +242,7 @@ def diamond_ancestors(network: NetworkSpec, flow_id: str, n: str) -> set:
     return {a for a in dom.get(n, set()) if a not in ep}
 
 
-def path_delay_bounds(edges, a: str, n: str, delay_of: dict) -> PathDelayBounds:
+def path_delay_bounds(edges, a: str, n: str, delay_of: dict) -> DelayInterval:
     """[min, max] over a -> n paths of the summed delay of inner vertices.
 
     The endpoints themselves do not contribute: the bounds cover the section
@@ -361,7 +339,9 @@ def _parse_service(data, path):
     raise SpecError(path, "service must be rate-latency, curve segments, or null")
 
 
-def _parse_curve(data, path) -> ConcaveCurve:
+def parse_curve(data, path) -> ConcaveCurve:
+    """Curve from `{"segments": [...]}` or `{"rate", "burst"}`; a bad one
+    raises a SpecError that names `path`."""
     try:
         if isinstance(data, dict) and "segments" in data:
             return ConcaveCurve.from_json(data)
@@ -384,10 +364,23 @@ def load_network(source) -> NetworkSpec:
     return network_from_json(doc)
 
 
+def _entries(doc: dict, key: str):
+    """(path, object) for each entry of the list doc[key]."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise SpecError(key, "expected a list")
+    for i, item in enumerate(items):
+        path = f"{key}[{i}]"
+        if not isinstance(item, dict):
+            raise SpecError(path, "expected an object")
+        yield path, item
+
+
 def network_from_json(doc: dict) -> NetworkSpec:
+    if not isinstance(doc, dict):
+        raise SpecError("$", "a network document must be a JSON object")
     vertices = {}
-    for i, v in enumerate(doc.get("vertices", [])):
-        path = f"vertices[{i}]"
+    for path, v in _entries(doc, "vertices"):
         name = v.get("name")
         if not name:
             raise SpecError(path, "vertex needs a name")
@@ -405,8 +398,7 @@ def network_from_json(doc: dict) -> NetworkSpec:
 
     edges = []
     edge_set = set()
-    for i, e in enumerate(doc.get("edges", [])):
-        path = f"edges[{i}]"
+    for path, e in _entries(doc, "edges"):
         src, dst = e.get("from"), e.get("to")
         if src not in vertices:
             raise SpecError(path, f"unknown vertex {src!r}")
@@ -415,11 +407,10 @@ def network_from_json(doc: dict) -> NetworkSpec:
         if (src, dst) in edge_set:
             raise SpecError(path, f"duplicate edge {src}->{dst}")
         edge_set.add((src, dst))
-        edges.append(EdgeSpec(src, dst, bool(e.get("lossy", True))))
+        edges.append(EdgeSpec(src, dst))
 
     flows = {}
-    for i, f in enumerate(doc.get("flows", [])):
-        path = f"flows[{i}]"
+    for path, f in _entries(doc, "flows"):
         fid = f.get("id")
         if not fid:
             raise SpecError(path, "flow needs an id")
@@ -436,13 +427,15 @@ def network_from_json(doc: dict) -> NetworkSpec:
                 raise SpecError(f"{path}.destinations", f"unknown vertex {d!r}")
         fedges = []
         for j, pair in enumerate(f.get("edges", [])):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise SpecError(f"{path}.edges[{j}]", "expected a [from, to] pair")
             u, v = pair
             if (u, v) not in edge_set:
                 raise SpecError(
                     f"{path}.edges[{j}]", f"edge {u}->{v} not in the network"
                 )
             fedges.append((u, v))
-        arrival = _parse_curve(f.get("arrival"), f"{path}.arrival")
+        arrival = parse_curve(f.get("arrival"), f"{path}.arrival")
         try:
             lmin = parse_rational(f.get("lmin", 1))
             lmax = parse_rational(f.get("lmax", lmin))
@@ -458,14 +451,16 @@ def network_from_json(doc: dict) -> NetworkSpec:
                 raise SpecError(
                     f"{path}.deadlines", f"{dest} is not a destination of {fid}"
                 )
-            deadlines[dest] = parse_rational(value)
+            try:
+                deadlines[dest] = parse_rational(value)
+            except (ValueError, TypeError) as exc:
+                raise SpecError(f"{path}.deadlines.{dest}", str(exc)) from exc
         flows[fid] = FlowSpec(
             fid, source_v, dests, tuple(fedges), arrival, lmin, lmax, deadlines
         )
 
     placements = []
-    for i, p in enumerate(doc.get("placements", [])):
-        path = f"placements[{i}]"
+    for path, p in _entries(doc, "placements"):
         kind = p.get("kind")
         if kind not in _KIND_RANK:
             raise SpecError(f"{path}.kind", f"unknown function kind {kind!r}")
@@ -499,7 +494,7 @@ def network_from_json(doc: dict) -> NetworkSpec:
                     raise SpecError(
                         f"{path}.shaping", f"missing shaping curve for flow {fid}"
                     )
-                shaping[fid] = _parse_curve(raw[fid], f"{path}.shaping.{fid}")
+                shaping[fid] = parse_curve(raw[fid], f"{path}.shaping.{fid}")
         try:
             placements.append(
                 FunctionPlacement(

@@ -141,6 +141,35 @@ def rev_flow(fid, rate, burst):
     }
 
 
+def ring_sites_network(timeout=None):
+    """The contractive ring plus a flow f3 that replicates at s1 onto the
+    ring (u, w) and onto the pure delay x, and merges at t1 behind a PEF
+    and a POF; f2 is shaped at t2.  Every function kind sits on the cyclic
+    path, and the POF has no timeout unless one is given."""
+    doc = ring_network([fwd_flow("f1", 1, 1), rev_flow("f2", 1, 1)], 4)
+    doc["vertices"].append({"name": "x", "tech": ["1", "2"]})
+    doc["edges"] += [{"from": "s1", "to": "x"}, {"from": "x", "to": "t1"}]
+    f3 = fwd_flow("f3", "1/2", 1)
+    f3["edges"] += [["s1", "x"], ["x", "t1"]]
+    doc["flows"].append(f3)
+    pof = {"kind": "pof", "vertex": "t1", "flows": ["f3"], "reference": "s1"}
+    if timeout is not None:
+        pof["timeout"] = timeout
+    doc["placements"] = [
+        {"kind": "pef", "vertex": "t1", "flows": ["f3"]},
+        pof,
+        {
+            "kind": "reg",
+            "vertex": "t2",
+            "flows": ["f2"],
+            "reference": "w",
+            "mode": "per-flow",
+            "shaping": {"f2": gamma(1, 4)},
+        },
+    ]
+    return doc
+
+
 def random_pef_network(rng):
     """Random feed-forward net: a replicated flow f through a 2-3 branch
     diamond with an eliminator at M, then a served tail shared with a

@@ -131,7 +131,48 @@ class TestVerify:
         assert "not in the network" in capsys.readouterr().err
 
 
+def _two_vertex_net(**flow):
+    return {
+        "vertices": [{"name": "A"}, {"name": "B"}],
+        "edges": [{"from": "A", "to": "B"}],
+        "flows": [
+            {
+                "id": "f",
+                "source": "A",
+                "destinations": ["B"],
+                "edges": [["A", "B"]],
+                "arrival": {"rate": "1", "burst": "1"},
+                **flow,
+            }
+        ],
+    }
+
+
+MALFORMED = {
+    "top-level list": ([], "$"),
+    "top-level string": ("net", "$"),
+    "vertices not a list": ({"vertices": {"name": "A"}}, "vertices"),
+    "vertex not an object": ({"vertices": [1]}, "vertices[0]"),
+    "edge not an object": ({"vertices": [{"name": "A"}], "edges": ["A"]}, "edges[0]"),
+    "flow not an object": ({"flows": [None]}, "flows[0]"),
+    "placement not an object": ({"placements": ["pef"]}, "placements[0]"),
+    "flow edge not a pair": (_two_vertex_net(edges=[["A", "B", "C"]]), "flows[0].edges[0]"),
+    "flow edge a string": (_two_vertex_net(edges=["AB"]), "flows[0].edges[0]"),
+    "bad deadline literal": (_two_vertex_net(deadlines={"B": "soon"}), "flows[0].deadlines.B"),
+}
+
+
 class TestInputErrors:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_document_names_the_path(self, case, tmp_path, capsys):
+        doc, path = MALFORMED[case]
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(doc))
+        assert main(["analyze", "--in", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
     def test_diagnostic_names_the_json_path(self, tmp_path, capsys):
         target = tmp_path / "bad.json"
         target.write_text(

@@ -6,7 +6,6 @@ import pytest
 from redcalc.minplus import (
     UNBOUNDED,
     ConcaveCurve,
-    DelayElement,
     RateLatency,
     TokenBucket,
     add,
@@ -58,8 +57,6 @@ class TestCurveModel:
             tb(1, -2)
         with pytest.raises(ValueError):
             RateLatency(0, 0)
-        with pytest.raises(ValueError):
-            DelayElement(-1)
 
     def test_value_at_zero_is_zero(self):
         assert TOY_PEF_OUT.eval(0) == 0
@@ -126,7 +123,6 @@ class TestAlgebraExamples:
 
     def test_deconvolve_delay(self):
         assert deconvolve_delay(TOY_PEF_OUT, 2) == curve((2, 8), (1, 10))
-        assert deconvolve_delay(curve((1, 1)), DelayElement(7)) == curve((1, 8))
 
     def test_deconvolve_rejects_negative(self):
         with pytest.raises(ValueError):

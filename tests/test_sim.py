@@ -34,7 +34,7 @@ from redcalc.sim import (
     toy_scenario,
 )
 from redcalc.sim.engine import scenario_to_json
-from redcalc.topology import DelayInterval
+from redcalc.topology import DelayInterval, SpecError
 
 from oracles import compliance_violations
 
@@ -366,6 +366,20 @@ class TestSerialization:
         assert [
             (e.time, e.kind, e.flow, e.unit, e.size, e.branch) for e in t1.events
         ] == [(e.time, e.kind, e.flow, e.unit, e.size, e.branch) for e in t2.events]
+
+    @pytest.mark.parametrize(
+        "where, path",
+        [("arrival", "flows.lossy.arrival"), ("shaping", "pipeline.reg.shaping.lossy")],
+    )
+    def test_bad_curve_names_its_path(self, where, path):
+        doc = scenario_to_json(toy_scenario("lossy"))
+        bad = {"rate": "fast", "burst": "1"}
+        if where == "arrival":
+            doc["flows"] = {"lossy": {"arrival": bad}}
+        else:
+            doc["pipeline"]["reg"] = {"mode": "per-flow", "shaping": {"lossy": bad}}
+        with pytest.raises(SpecError, match=rf"^{path}: bad curve"):
+            load_scenario(doc)
 
     def test_trace_csv_shape(self):
         trace = run_scenario(toy_scenario("rto"))

@@ -24,6 +24,7 @@ from netfixtures import (
     random_pef_network,
     rev_flow,
     ring_network,
+    ring_sites_network,
     shared_tail_network,
     toy_network,
     toy_pof_pfr_placements,
@@ -368,6 +369,24 @@ class TestSweepBehavior:
         assert rep.status == DIVERGED
         assert any("burst cap" in n for n in rep.notes)
         assert rep.result_for("f1", "t1").verdict == "unbounded"
+
+    def test_sites_come_from_the_final_sweep_only(self):
+        doc = ring_sites_network()
+        rep = analyze(net(doc), MODEL_TIGHT, lossless=False)
+        assert rep.status == CONVERGED and rep.iterations > 1
+        placed = sorted(
+            (f"{p['kind']}_sites", p["vertex"], fid)
+            for p in doc["placements"]
+            for fid in p["flows"]
+        )
+        recorded = sorted(
+            (sites, s["vertex"], s["flow"])
+            for sites in ("pef_sites", "pof_sites", "reg_sites")
+            for s in getattr(rep, sites)
+        )
+        assert recorded == placed
+        timeout_notes = [n for n in rep.notes if "needs a finite timeout" in n]
+        assert timeout_notes == ["re-sequencer for f3 at t1: lossy traffic needs a finite timeout"]
 
     def test_overloaded_port_diverges(self):
         doc = shared_tail_network("3/2")  # below even the eliminator-aware rate 2

@@ -27,7 +27,6 @@ class TestDelayInterval:
         b = DelayInterval(3, 4)
         assert a.plus(b) == DelayInterval(4, 6)
         assert a.hull(b) == DelayInterval(1, 4)
-        assert a.shift(5) == DelayInterval(6, 7)
         assert a.width == 1
 
     def test_json_round_trip(self):
