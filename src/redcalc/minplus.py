@@ -9,6 +9,13 @@ of this model.
 Unbounded results (a horizontal deviation against an overloaded server, the
 pseudo-inverse of a capped curve) are returned as the `UNBOUNDED` sentinel,
 which compares correctly against any Fraction.
+
+The public constructors (`TokenBucket`, `ConcaveCurve`) parse and normalize
+their input.  The operations build their results from `Fraction`s they
+already hold, so they skip the parsing (`_bucket`) and, where the result is
+canonical by construction, the normalization (`ConcaveCurve._canonical`):
+`add` sums any number of curves in one merge of their breakpoints, and its
+pieces come out canonical.
 """
 
 from __future__ import annotations
@@ -24,17 +31,23 @@ Rational = Union[int, str, Fraction]
 
 
 def is_unbounded(x) -> bool:
-    return x == UNBOUNDED
+    # only a float can be infinite; a Fraction or an int never is
+    return type(x) is float and x == UNBOUNDED
 
 
 def parse_rational(value) -> Fraction:
     """Accept int, Fraction, 'p/q' or decimal strings, and exact floats."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational value")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError("non-finite float is not a rational value")
@@ -68,6 +81,18 @@ class TokenBucket:
 
     def to_json(self) -> dict:
         return {"rate": rational_str(self.rate), "burst": rational_str(self.burst)}
+
+
+def _bucket(rate: Fraction, burst: Fraction) -> TokenBucket:
+    """TokenBucket from two Fractions, without parsing them again."""
+    if rate < 0:
+        raise ValueError("token bucket rate must be >= 0")
+    if burst < 0:
+        raise ValueError("token bucket burst must be >= 0")
+    bucket = object.__new__(TokenBucket)
+    object.__setattr__(bucket, "rate", rate)
+    object.__setattr__(bucket, "burst", burst)
+    return bucket
 
 
 @dataclass(frozen=True)
@@ -116,6 +141,13 @@ class ConcaveCurve:
         if not segs:
             raise ValueError("a concave curve needs at least one segment")
         object.__setattr__(self, "segments", _normalize(segs))
+
+    @classmethod
+    def _canonical(cls, segments: tuple) -> "ConcaveCurve":
+        """Curve over a tuple of TokenBuckets already in canonical form."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "segments", segments)
+        return curve
 
     def __setattr__(self, name, value):
         raise AttributeError("ConcaveCurve is immutable")
@@ -177,6 +209,8 @@ def _cross_point(hi: TokenBucket, lo: TokenBucket) -> Fraction:
 
 
 def _normalize(segs: list) -> tuple:
+    if len(segs) == 1:
+        return (segs[0],)
     # keep the smallest burst per rate
     best = {}
     for s in segs:
@@ -210,37 +244,47 @@ def _coerce(curve) -> ConcaveCurve:
     raise TypeError(f"expected a curve, got {type(curve).__name__}")
 
 
-def add(a: ConcaveCurve, b: ConcaveCurve) -> ConcaveCurve:
-    """Pointwise sum; segment pairs are matched on the active intervals."""
-    a, b = _coerce(a), _coerce(b)
-    pieces = []
-    xs = sorted(set(a.breakpoints()) | set(b.breakpoints()))
-    actives_a = _active_sequence(a, xs)
-    actives_b = _active_sequence(b, xs)
-    for sa, sb in zip(actives_a, actives_b):
-        pieces.append(TokenBucket(sa.rate + sb.rate, sa.burst + sb.burst))
-    return ConcaveCurve(pieces)
+def add(a: ConcaveCurve, b: ConcaveCurve, *more: ConcaveCurve) -> ConcaveCurve:
+    """Pointwise sum of two or more curves, in one merge of their breakpoints.
+
+    From t = 0+ each operand is on its lowest-burst segment and moves to its
+    next lower rate at each of its breakpoints.  Walking the breakpoints of
+    all operands in ascending order, the sum on each interval between two of
+    them is the sum of the active segments.  These pieces have strictly
+    falling rates and strictly rising bursts, and each is the sum on an open
+    interval, so the result is canonical and needs no normalization pass.
+    Summing is exact, so the order of the operands does not matter.
+    """
+    operands = [_coerce(c).segments for c in (a, b, *more)]
+    active = [len(segs) - 1 for segs in operands]  # index of the active segment
+    # (abscissa, operand) of every breakpoint, ascending
+    crossings = sorted(
+        (_cross_point(segs[i], segs[i - 1]), k)
+        for k, segs in enumerate(operands)
+        for i in range(len(segs) - 1, 0, -1)
+    )
+    pieces = [_sum_active(operands, active)]  # rate descending
+    for j, (x, k) in enumerate(crossings):
+        active[k] -= 1
+        if j + 1 == len(crossings) or crossings[j + 1][0] != x:
+            pieces.append(_sum_active(operands, active))
+    pieces.reverse()
+    return ConcaveCurve._canonical(tuple(pieces))
 
 
-def _active_sequence(curve: ConcaveCurve, xs: list) -> list:
-    """Active segment of `curve` on each interval of the partition by xs."""
-    out = []
-    bounds = [Fraction(0)] + list(xs) + [xs[-1] + 1 if xs else Fraction(1)]
-    for i in range(len(bounds) - 1):
-        mid_lo, mid_hi = bounds[i], bounds[i + 1]
-        mid = (mid_lo + mid_hi) / 2
-        val = curve.envelope(mid)
-        for s in curve.segments:
-            if s.rate * mid + s.burst == val:
-                out.append(s)
-                break
-    return out
+def _sum_active(operands: list, active: list) -> TokenBucket:
+    segs = [ops[i] for ops, i in zip(operands, active)]
+    first, rest = segs[0], segs[1:]
+    return _bucket(
+        sum((s.rate for s in rest), first.rate),
+        sum((s.burst for s in rest), first.burst),
+    )
 
 
 def convolve(a: ConcaveCurve, b: ConcaveCurve) -> ConcaveCurve:
     """Min-plus convolution; for concave curves through 0 this is the min."""
     a, b = _coerce(a), _coerce(b)
-    return ConcaveCurve(list(a.segments) + list(b.segments))
+    return ConcaveCurve._canonical(_normalize(a.segments + b.segments))
 
 
 def deconvolve_delay(a: ConcaveCurve, delay) -> ConcaveCurve:
@@ -249,7 +293,21 @@ def deconvolve_delay(a: ConcaveCurve, delay) -> ConcaveCurve:
     j = parse_rational(delay)
     if j < 0:
         raise ValueError("jitter must be >= 0")
-    return ConcaveCurve([TokenBucket(s.rate, s.burst + s.rate * j) for s in a.segments])
+    if j == 0:
+        return a
+    return ConcaveCurve._canonical(
+        _normalize([_bucket(s.rate, s.burst + s.rate * j) for s in a.segments])
+    )
+
+
+def round_bursts_up(curve: ConcaveCurve, quantum: Fraction) -> ConcaveCurve:
+    """`curve` with every burst rounded up to a multiple of `quantum`, so
+    the result bounds `curve` from above."""
+    return ConcaveCurve._canonical(
+        _normalize(
+            [_bucket(s.rate, -((-s.burst) // quantum) * quantum) for s in curve.segments]
+        )
+    )
 
 
 def lower_pseudo_inverse(a: ConcaveCurve, y):

@@ -63,17 +63,12 @@ def pef_output_curve_parallel(alpha: ConcaveCurve, branches) -> ConcaveCurve:
     """
     if not branches:
         raise ValueError("need at least one branch")
-    total = None
-    spread_hi = None
-    spread_lo = None
-    for bounds in branches:
-        if is_unbounded(bounds.hi):
-            raise ValueError("cannot propagate a curve through an unbounded delay")
-        shifted = deconvolve_delay(alpha, bounds.width)
-        total = shifted if total is None else add(total, shifted)
-        spread_hi = bounds.hi if spread_hi is None else max(spread_hi, bounds.hi)
-        spread_lo = bounds.lo if spread_lo is None else min(spread_lo, bounds.lo)
-    return convolve(total, deconvolve_delay(alpha, spread_hi - spread_lo))
+    if any(is_unbounded(bounds.hi) for bounds in branches):
+        raise ValueError("cannot propagate a curve through an unbounded delay")
+    shifted = [deconvolve_delay(alpha, bounds.width) for bounds in branches]
+    total = shifted[0] if len(shifted) == 1 else add(*shifted)
+    spread = max(b.hi for b in branches) - min(b.lo for b in branches)
+    return convolve(total, deconvolve_delay(alpha, spread))
 
 
 def pef_rto_bound(alpha_ref: ConcaveCurve, bounds: DelayInterval, lmin):

@@ -32,7 +32,7 @@ from heapq import heappop, heappush
 from typing import Optional, Union
 
 from ..minplus import ConcaveCurve, TokenBucket, parse_rational, rational_str
-from ..topology import DelayInterval, parse_curve
+from ..topology import DelayInterval, SpecError, parse_curve
 
 GENERATED = "generated"
 BRANCH_EXIT = "branch_exit"
@@ -474,74 +474,139 @@ def run_scenario(scenario: Scenario) -> Trace:
     return Trace(scenario, events)
 
 
-def scenario_from_json(doc: dict) -> Scenario:
-    """Build a scenario from its JSON document form."""
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, path: str):
+    """`value`, once checked to be a JSON object, list or string."""
+    if not isinstance(value, kind):
+        raise SpecError(path, f"expected {_KIND_NAMES[kind]}")
+    return value
+
+
+def _required(obj: dict, key: str, path: str):
+    if key not in obj:
+        raise SpecError(path, "required key is missing")
+    return obj[key]
+
+
+def _rational(value, path: str) -> Fraction:
     try:
-        flows = {}
-        for fid, raw in doc.get("flows", {}).items():
-            flows[fid] = FlowProfile(
-                arrival=(
-                    parse_curve(raw["arrival"], f"flows.{fid}.arrival")
-                    if raw.get("arrival")
-                    else None
-                ),
-                lmin=parse_rational(raw["lmin"]) if "lmin" in raw else None,
-                lmax=parse_rational(raw["lmax"]) if "lmax" in raw else None,
-            )
-        sources = [
-            SourceUnit(s["flow"], str(s["unit"]), s["time"], s["size"])
-            for s in doc["sources"]
-        ]
-        paths = []
-        for p in doc["paths"]:
-            schedule = {}
-            for key, action in p.get("schedule", {}).items():
-                fid, _, unit = key.partition("/")
-                schedule[(fid, unit)] = DROP if action == DROP else parse_rational(action["delay"])
-            default = p.get("default")
-            if isinstance(default, dict):
-                default = parse_rational(default["delay"])
-            elif default is not None and default != DROP:
-                raise ScenarioError(f"path {p['name']}: bad default action")
-            paths.append(
-                PathSpec(
-                    p["name"],
-                    DelayInterval.from_json(p["bounds"]),
-                    schedule,
-                    default,
-                    lossy=p.get("lossy", True),
-                    fifo=p.get("fifo", True),
-                )
-            )
-        pdoc = doc.get("pipeline", {})
-        pof = None
-        if pdoc.get("pof") is not None:
-            raw = pdoc["pof"]
-            pof = PofSpec(
-                timeout=raw.get("timeout"),
-                flows=frozenset(raw["flows"]) if raw.get("flows") else None,
-            )
-        reg = None
-        if pdoc.get("reg") is not None:
-            raw = pdoc["reg"]
-            reg = RegSpec(
-                raw.get("mode", MODE_PER_FLOW),
-                {
-                    fid: parse_curve(c, f"pipeline.reg.shaping.{fid}")
-                    for fid, c in raw["shaping"].items()
-                },
-            )
-        return Scenario(
-            name=doc.get("name", "scenario"),
-            sources=sources,
-            paths=paths,
-            pipeline=Pipeline(pef=pdoc.get("pef", True), pof=pof, reg=reg),
-            flows=flows,
-            allow_zero_size=bool(doc.get("allow_zero_size", False)),
-            meta=doc.get("meta", {}),
+        return parse_rational(value)
+    except (ValueError, TypeError) as exc:
+        raise SpecError(path, str(exc)) from exc
+
+
+def _action(value, path: str):
+    """A branch action: "drop" or {"delay": d}."""
+    if value == DROP:
+        return DROP
+    if not isinstance(value, dict):
+        raise SpecError(path, 'expected "drop" or a {"delay": ...} object')
+    return _rational(_required(value, "delay", f"{path}.delay"), f"{path}.delay")
+
+
+def scenario_from_json(doc) -> Scenario:
+    """Build a scenario from its JSON document form.
+
+    A malformed document raises a SpecError that names the JSON path of the
+    fault; a well-formed scenario that contradicts itself raises a
+    ScenarioError.
+    """
+    if not isinstance(doc, dict):
+        raise SpecError("$", "a scenario document must be a JSON object")
+    flows = {}
+    for fid, raw in _typed(doc.get("flows", {}), dict, "flows").items():
+        path = f"flows.{fid}"
+        _typed(raw, dict, path)
+        flows[fid] = FlowProfile(
+            arrival=(
+                parse_curve(raw["arrival"], f"{path}.arrival")
+                if raw.get("arrival")
+                else None
+            ),
+            lmin=_rational(raw["lmin"], f"{path}.lmin") if "lmin" in raw else None,
+            lmax=_rational(raw["lmax"], f"{path}.lmax") if "lmax" in raw else None,
         )
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"bad scenario document: {exc}") from exc
+    sources = []
+    entries = _typed(_required(doc, "sources", "sources"), list, "sources")
+    for i, raw in enumerate(entries):
+        path = f"sources[{i}]"
+        _typed(raw, dict, path)
+        sources.append(
+            SourceUnit(
+                _typed(_required(raw, "flow", f"{path}.flow"), str, f"{path}.flow"),
+                str(_required(raw, "unit", f"{path}.unit")),
+                _rational(_required(raw, "time", f"{path}.time"), f"{path}.time"),
+                _rational(_required(raw, "size", f"{path}.size"), f"{path}.size"),
+            )
+        )
+    paths = []
+    entries = _typed(_required(doc, "paths", "paths"), list, "paths")
+    for i, raw in enumerate(entries):
+        path = f"paths[{i}]"
+        _typed(raw, dict, path)
+        name = _typed(_required(raw, "name", f"{path}.name"), str, f"{path}.name")
+        bounds = _required(raw, "bounds", f"{path}.bounds")
+        try:
+            bounds = DelayInterval.from_json(bounds)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SpecError(f"{path}.bounds", f"bad delay interval: {exc}") from exc
+        schedule = {}
+        actions = _typed(raw.get("schedule", {}), dict, f"{path}.schedule")
+        for key, action in actions.items():
+            fid, _, unit = key.partition("/")
+            schedule[(fid, unit)] = _action(action, f"{path}.schedule.{key}")
+        default = raw.get("default")
+        if default is not None:
+            default = _action(default, f"{path}.default")
+        paths.append(
+            PathSpec(
+                name,
+                bounds,
+                schedule,
+                default,
+                lossy=raw.get("lossy", True),
+                fifo=raw.get("fifo", True),
+            )
+        )
+    pdoc = _typed(doc.get("pipeline", {}), dict, "pipeline")
+    pof = None
+    if pdoc.get("pof") is not None:
+        raw = _typed(pdoc["pof"], dict, "pipeline.pof")
+        timeout = raw.get("timeout")
+        if timeout is not None:
+            timeout = _rational(timeout, "pipeline.pof.timeout")
+            if timeout < 0:
+                raise SpecError("pipeline.pof.timeout", "timeout must be >= 0")
+        pof_flows = raw.get("flows")
+        if pof_flows:
+            pof_flows = frozenset(
+                _typed(fid, str, f"pipeline.pof.flows[{i}]")
+                for i, fid in enumerate(_typed(pof_flows, list, "pipeline.pof.flows"))
+            )
+        pof = PofSpec(timeout=timeout, flows=pof_flows or None)
+    reg = None
+    if pdoc.get("reg") is not None:
+        raw = _typed(pdoc["reg"], dict, "pipeline.reg")
+        shaping = _required(raw, "shaping", "pipeline.reg.shaping")
+        curves = {
+            fid: parse_curve(c, f"pipeline.reg.shaping.{fid}")
+            for fid, c in _typed(shaping, dict, "pipeline.reg.shaping").items()
+        }
+        try:
+            reg = RegSpec(raw.get("mode", MODE_PER_FLOW), curves)
+        except ScenarioError as exc:
+            raise SpecError("pipeline.reg.mode", str(exc)) from exc
+    return Scenario(
+        name=doc.get("name", "scenario"),
+        sources=sources,
+        paths=paths,
+        pipeline=Pipeline(pef=pdoc.get("pef", True), pof=pof, reg=reg),
+        flows=flows,
+        allow_zero_size=bool(doc.get("allow_zero_size", False)),
+        meta=doc.get("meta", {}),
+    )
 
 
 def scenario_to_json(scenario: Scenario) -> dict:

@@ -41,6 +41,7 @@ from .minplus import (
     is_unbounded,
     parse_rational,
     rational_str,
+    round_bursts_up,
 )
 from .redundancy import (
     lossy_jitter_output_curve,
@@ -303,6 +304,13 @@ def _sweep_order(network: NetworkSpec):
     return order, acyclic
 
 
+def _total(curves: list):
+    """Sum of the curves in one `add`; None for no curve."""
+    if len(curves) < 2:
+        return curves[0] if curves else None
+    return add(*curves)
+
+
 class _Analyzer:
     def __init__(self, network, model, lossless, burst_cap):
         self.net = network
@@ -377,10 +385,7 @@ class _Analyzer:
     def _round_up(self, curve):
         if curve is None or not self.quantize:
             return curve
-        q = BURST_QUANTUM
-        return ConcaveCurve(
-            [(s.rate, -((-s.burst) // q) * q) for s in curve.segments]
-        )
+        return round_bursts_up(curve, BURST_QUANTUM)
 
     # -- one Gauss-Seidel sweep ----------------------------------------------
 
@@ -405,10 +410,7 @@ class _Analyzer:
         parts = [self.state.curves.get((fid, p)) for p in self._parents[fid][v]]
         if any(c is None for c in parts):
             return None
-        cur = parts[0]
-        for c in parts[1:]:
-            cur = add(cur, c)
-        return cur
+        return _total(parts)
 
     def _process_vertex(self, v: str) -> bool:
         net = self.net
@@ -431,10 +433,7 @@ class _Analyzer:
                 spec.tech.lo, UNBOUNDED
             )
         else:
-            agg = None
-            for c in post.values():
-                agg = c if agg is None else add(agg, c)
-            vdel = vertex_delay(net.vertices[v], agg)
+            vdel = vertex_delay(net.vertices[v], _total(list(post.values())))
 
         changed = self.state.vertex_delays.get(v) != vdel
         self.state.vertex_delays[v] = vdel

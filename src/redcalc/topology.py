@@ -12,6 +12,7 @@ placed.  Vertices holding duplicates of the same data unit without a PEF are
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -248,44 +249,54 @@ def path_delay_bounds(edges, a: str, n: str, delay_of: dict) -> DelayInterval:
     The endpoints themselves do not contribute: the bounds cover the section
     between the output of `a` and the input of `n`'s local functions.
     `delay_of` maps each inner vertex to its DelayInterval.
+
+    The plan of a section (its vertices in topological order, each with its
+    parents on the section) depends on the edges only, so it is built once
+    and cached; the delays are read from `delay_of` on every call.
     """
     if a == n:
         return DelayInterval(0, 0)
-    children = {}
-    parents = {}
-    verts = set()
-    for u, v in edges:
-        children.setdefault(u, []).append(v)
-        parents.setdefault(v, []).append(u)
-        verts.add(u)
-        verts.add(v)
-    fwd = _reach(children, a)
-    back = _reach(parents, n)
-    live = fwd & back
-    if n not in fwd:
-        raise ValueError(f"no path from {a} to {n}")
-    order = _topo(children, live)
-    lo = {a: Fraction(0)}
-    hi = {a: Fraction(0)}
-    for v in order:
-        if v == a:
-            continue
+    zero = Fraction(0)
+    lo = {a: zero}
+    hi = {a: zero}
+    for v, parents in _section_plan(tuple(edges), a, n):
         best_lo, best_hi = None, None
-        for p in parents.get(v, ()):  # only live parents carry values
-            if p not in lo:
-                continue
-            cost = delay_of[p] if p != a else DelayInterval(0, 0)
-            cand_lo = lo[p] + cost.lo
-            cand_hi = (
-                UNBOUNDED
-                if is_unbounded(hi[p]) or is_unbounded(cost.hi)
-                else hi[p] + cost.hi
-            )
+        for p in parents:
+            if p == a:
+                cand_lo, cand_hi = zero, zero
+            else:
+                cost = delay_of[p]
+                cand_lo = lo[p] + cost.lo
+                cand_hi = (
+                    UNBOUNDED
+                    if is_unbounded(hi[p]) or is_unbounded(cost.hi)
+                    else hi[p] + cost.hi
+                )
             best_lo = cand_lo if best_lo is None else min(best_lo, cand_lo)
             best_hi = cand_hi if best_hi is None else max(best_hi, cand_hi)
         lo[v] = best_lo
         hi[v] = best_hi
     return DelayInterval(lo[n], hi[n])
+
+
+@functools.lru_cache(maxsize=4096)
+def _section_plan(edges: tuple, a: str, n: str) -> tuple:
+    """(vertex, its parents on the section) for every vertex on some a -> n
+    path but a, in topological order."""
+    children = {}
+    parents = {}
+    for u, v in edges:
+        children.setdefault(u, []).append(v)
+        parents.setdefault(v, []).append(u)
+    fwd = _reach(children, a)
+    if n not in fwd:
+        raise ValueError(f"no path from {a} to {n}")
+    live = fwd & _reach(parents, n)
+    return tuple(
+        (v, tuple(p for p in parents[v] if p in live))
+        for v in _topo(children, live)
+        if v != a
+    )
 
 
 def _reach(adj: dict, start: str) -> set:

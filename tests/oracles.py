@@ -6,6 +6,7 @@ over dense candidate grids, dominators by full path enumeration, and trace
 compliance by checking every pair of observation instants.
 """
 
+import itertools
 from fractions import Fraction
 
 from redcalc.minplus import UNBOUNDED, ConcaveCurve
@@ -15,6 +16,21 @@ def curve_value(curve: ConcaveCurve, t: Fraction) -> Fraction:
     if t == 0:
         return Fraction(0)
     return min(s.rate * t + s.burst for s in curve.segments)
+
+
+def sum_by_segment_products(*curves: ConcaveCurve) -> ConcaveCurve:
+    """Pointwise sum of concave curves, built through the public constructor.
+
+    A sum of minima is the minimum of all the sums that take one term from
+    each minimum, so the sum is the curve of every (summed rate, summed
+    burst) over one segment per operand, normalized.
+    """
+    return ConcaveCurve(
+        [
+            (sum(s.rate for s in combo), sum(s.burst for s in combo))
+            for combo in itertools.product(*(c.segments for c in curves))
+        ]
+    )
 
 
 def convolution_value(a: ConcaveCurve, b: ConcaveCurve, t: Fraction, grid: int = 64):

@@ -1,6 +1,8 @@
 """CLI surface: exit codes, output formats, and the bundled corpus."""
 
+import copy
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -162,7 +164,81 @@ MALFORMED = {
 }
 
 
+def _toy_scenario(edit=None):
+    """scn-toy-pfr.json, changed in place by `edit`."""
+    with bundled_dir().joinpath("scn-toy-pfr.json").open() as fh:
+        doc = json.load(fh)
+    if edit is not None:
+        edit(doc)
+    return doc
+
+
+MALFORMED_SCENARIOS = {
+    "top-level list": ([], "$"),
+    "flow profile not an object": (
+        {"flows": {"f": 3}, "sources": [], "paths": []}, "flows.f"
+    ),
+    "flows not an object": (_toy_scenario(lambda d: d.update(flows=["f"])), "flows"),
+    "sources not a list": (_toy_scenario(lambda d: d.update(sources={})), "sources"),
+    "paths not a list": (_toy_scenario(lambda d: d.update(paths="short")), "paths"),
+    "missing sources": (_toy_scenario(lambda d: d.pop("sources")), "sources"),
+    "missing paths": (_toy_scenario(lambda d: d.pop("paths")), "paths"),
+    "missing path bounds": (
+        _toy_scenario(lambda d: d["paths"][0].pop("bounds")), "paths[0].bounds"
+    ),
+    "source not an object": (
+        _toy_scenario(lambda d: d["sources"].__setitem__(0, 1)), "sources[0]"
+    ),
+    "missing source time": (
+        _toy_scenario(lambda d: d["sources"][1].pop("time")), "sources[1].time"
+    ),
+    "bad schedule action": (
+        _toy_scenario(lambda d: d["paths"][0]["schedule"].__setitem__("f/7", "wait")),
+        "paths[0].schedule.f/7",
+    ),
+    "bad delay literal": (
+        _toy_scenario(lambda d: d["paths"][1]["schedule"]["f/1"].update(delay="1/0")),
+        "paths[1].schedule.f/1.delay",
+    ),
+    "resequenced flow not a string": (
+        _toy_scenario(lambda d: d["pipeline"].update(pof={"flows": ["f", {}]})),
+        "pipeline.pof.flows[1]",
+    ),
+    "bad regulator mode": (
+        _toy_scenario(lambda d: d["pipeline"]["reg"].update(mode="fifo")),
+        "pipeline.reg.mode",
+    ),
+}
+
+
+def _random_entry(doc, rng):
+    """(container, key) of an entry drawn from the first few items of every
+    object and list in `doc`."""
+    entries = []
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node)[:6] if isinstance(node, dict) else range(min(len(node), 6))
+        for key in keys:
+            entries.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return rng.choice(entries)
+
+
 class TestInputErrors:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+    def test_malformed_scenario_names_the_path(self, case, tmp_path, capsys):
+        doc, path = MALFORMED_SCENARIOS[case]
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(doc))
+        argv = ["verify", "--scenario", str(target),
+                "--network", bundled("net-toy-pef-pfr.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_document_names_the_path(self, case, tmp_path, capsys):
         doc, path = MALFORMED[case]
@@ -172,6 +248,33 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
+
+    def test_corrupted_scenarios_never_escape_the_exit_codes(self, tmp_path, capsys):
+        """Seeded corruptions of every bundled scenario: one entry replaced
+        by a value of the wrong kind, or one key removed.  `simulate` either
+        runs or exits 1 with a diagnostic; no exception leaves `main`."""
+        junk = [None, -1, 1.5, "x", "1/0", [], {}, [1], {"a": 1}, True, {"delay": "x"}]
+        rng = random.Random(0x5CE)
+        target = tmp_path / "bad.json"
+        for name in bundled_names():
+            if not name.startswith("scn-"):
+                continue
+            with bundled_dir().joinpath(name).open() as fh:
+                base = json.load(fh)
+            for _ in range(25):
+                doc = copy.deepcopy(base)
+                parent, key = _random_entry(doc, rng)
+                if isinstance(parent, dict) and rng.random() < 0.3:
+                    del parent[key]
+                else:
+                    parent[key] = copy.deepcopy(rng.choice(junk))
+                target.write_text(json.dumps(doc))
+                code = main(["simulate", "--scenario", str(target),
+                             "--trace-out", str(tmp_path / "trace.csv")])
+                err = capsys.readouterr().err
+                assert code in (0, 1), (name, doc)
+                if code == 1:
+                    assert err.startswith("error: "), (name, err)
 
     def test_diagnostic_names_the_json_path(self, tmp_path, capsys):
         target = tmp_path / "bad.json"

@@ -25,6 +25,23 @@ def _growing_ring():
     return ring_network([fwd_flow("f1", 2, 1), rev_flow("f2", 2, 1)], 4)
 
 
+def _two_segment_ring():
+    """The ring with every function kind, each flow's arrival a minimum of
+    two token buckets, so merges, port aggregates and jitter spreads carry
+    multi-segment curves round the cycle."""
+    doc = ring_sites_network()
+    arrivals = {
+        "f1": [("2", "1"), ("1/2", "3")],
+        "f2": [("3/2", "1"), ("1/3", "2")],
+        "f3": [("1", "1/2"), ("1/4", "2")],
+    }
+    for flow in doc["flows"]:
+        flow["arrival"] = {
+            "segments": [{"rate": r, "burst": b} for r, b in arrivals[flow["id"]]]
+        }
+    return doc
+
+
 # case -> (network document, analyze flags)
 RINGS = {
     "ring-converged": (_contractive_ring, []),
@@ -35,9 +52,12 @@ RINGS = {
     "ring-sites-timeout": (lambda: ring_sites_network("3"), []),
     "ring-sites-iter-cap-3": (ring_sites_network, ["--iter-cap", "3"]),
     "ring-sites-burst-cap-3": (ring_sites_network, ["--burst-cap", "3"]),
+    "ring-two-segment": (_two_segment_ring, []),
+    "ring-two-segment-lossless": (_two_segment_ring, ["--lossless"]),
 }
 
-# (exit code, SHA-256 of stdout), recorded before the single-pass analyzer
+# (exit code, SHA-256 of stdout), recorded before the single-pass analyzer;
+# the two-segment cases before the merge-based `add`
 GOLDEN = {
     "compare:net-ir-instability.json:lossy": (
         2,
@@ -118,6 +138,14 @@ GOLDEN = {
     "analyze:ring-sites-timeout": (
         0,
         "f60fca09e94a6a8b2c453385c959105c7921b214df4f51689978ce8ebd772bab",
+    ),
+    "analyze:ring-two-segment": (
+        2,
+        "06f333e290a10ed94d550570b9fe1f3fb9b601877a5d3cdef9437b75f31a71af",
+    ),
+    "analyze:ring-two-segment-lossless": (
+        0,
+        "c08dfef646c4d96afa5604269ee124416bb662b7e215322c5cf5cfd6f1466bc1",
     ),
 }
 

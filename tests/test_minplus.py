@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,12 @@ from redcalc.minplus import (
     rational_str,
     v_dev,
 )
-from oracles import convolution_value, curve_value, rate_latency_delay
+from oracles import (
+    convolution_value,
+    curve_value,
+    rate_latency_delay,
+    sum_by_segment_products,
+)
 
 
 def tb(r, b):
@@ -102,11 +108,41 @@ class TestCurveModel:
         assert c.segments[0].burst == Fraction(1, 4)
 
     def test_parse_rational(self):
-        assert parse_rational("7/2") == Fraction(7, 2)
-        assert parse_rational("1.5") == Fraction(3, 2)
-        assert parse_rational(4) == 4
+        for value, expected in [
+            ("7/2", Fraction(7, 2)),
+            ("1.5", Fraction(3, 2)),
+            (4, Fraction(4)),
+            (1.5, Fraction(3, 2)),
+        ]:
+            got = parse_rational(value)
+            assert type(got) is Fraction and got == expected
+        x = Fraction(3, 7)
+        assert parse_rational(x) is x
         assert rational_str(Fraction(7, 2)) == "7/2"
         assert rational_str(UNBOUNDED) == "unbounded"
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (True, TypeError),
+            (float("nan"), ValueError),
+            (float("inf"), ValueError),
+            ("1/0", ValueError),
+            ([1], TypeError),
+        ],
+    )
+    def test_parse_rational_rejects(self, value, error):
+        with pytest.raises(error):
+            parse_rational(value)
+
+    def test_is_unbounded(self):
+        other_inf = float("inf")
+        assert other_inf is not UNBOUNDED
+        assert is_unbounded(math.inf)
+        assert is_unbounded(other_inf)
+        assert not is_unbounded(Fraction(10**30))
+        assert not is_unbounded(10**400)
+        assert not is_unbounded(0)
 
 
 class TestAlgebraExamples:
@@ -199,6 +235,24 @@ class TestAlgebraProperties:
             a, b, c = (random_curve(rng) for _ in range(3))
             assert add(a, b) == add(b, a)
             assert add(add(a, b), c) == add(a, add(b, c))
+
+    def test_add_matches_segment_product_oracle(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            a, b, c = (random_curve(rng) for _ in range(3))
+            got = add(a, b, c)
+            assert got.segments == sum_by_segment_products(a, b, c).segments
+            assert got.segments == add(add(a, b), c).segments
+            for s in got.segments:
+                assert type(s.rate) is Fraction and type(s.burst) is Fraction
+
+    def test_add_is_independent_of_operand_order(self):
+        rng = random.Random(48)
+        for _ in range(100):
+            curves = [random_curve(rng) for _ in range(rng.randint(2, 5))]
+            shuffled = curves[:]
+            rng.shuffle(shuffled)
+            assert add(*curves) == add(*shuffled) == sum_by_segment_products(*curves)
 
     def test_add_evaluates_pointwise(self):
         rng = random.Random(45)

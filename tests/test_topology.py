@@ -260,6 +260,19 @@ class TestPathDelayBounds:
         with pytest.raises(ValueError):
             path_delay_bounds([("a", "b")], "b", "a", self.DELAYS)
 
+    def test_unreachable_raises_on_every_call(self):
+        edges = (("a", "v1"), ("v1", "n"))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no path"):
+                path_delay_bounds(edges, "n", "a", self.DELAYS)
+
+    def test_delays_are_read_on_every_call(self):
+        edges = (("a", "v1"), ("a", "v2"), ("v1", "n"), ("v2", "n"))
+        other = {"v1": DelayInterval(5, 6), "v2": DelayInterval(7, 8)}
+        for _ in range(2):
+            assert path_delay_bounds(edges, "a", "n", self.DELAYS) == DelayInterval(1, 4)
+            assert path_delay_bounds(edges, "a", "n", other) == DelayInterval(5, 8)
+
     def test_random_dags_match_path_enumeration(self):
         rng = random.Random(0xB0B)
         for _ in range(40):
