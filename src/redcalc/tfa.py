@@ -28,7 +28,7 @@ replicate curves as if nothing were dropped.
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -105,16 +105,6 @@ def vertex_delay(vertex, aggregate: Optional[ConcaveCurve]) -> DelayInterval:
     if is_unbounded(dev):
         return DelayInterval(tech.lo, UNBOUNDED)
     return DelayInterval(tech.lo, tech.lo + dev)
-
-
-@dataclass
-class AnalysisState:
-    """Mutable per-run state: one curve per (flow, vertex), one delay per vertex."""
-
-    curves: dict = field(default_factory=dict)  # (flow, vertex) -> curve | None
-    vertex_delays: dict = field(default_factory=dict)  # vertex -> DelayInterval
-    iterations: int = 0
-    status: str = CONVERGED
 
 
 @dataclass
@@ -319,7 +309,10 @@ class _Analyzer:
         self.burst_cap = burst_cap
         self.quantize = False
         self.notes = []
-        self.state = AnalysisState()
+        self.curves = {}  # (flow, vertex) -> curve | None
+        self.vertex_delays = {}  # vertex -> DelayInterval
+        self.iterations = 0
+        self.status = CONVERGED
         self._crossing = {v: [] for v in network.vertices}
         self._placed = {v: [] for v in network.vertices}
         self._function = {}  # (kind, flow, vertex) -> placement, one at most
@@ -327,7 +320,6 @@ class _Analyzer:
             self._placed[p.vertex].append(p)
             for fid in p.flows:
                 self._function[(p.kind, fid, p.vertex)] = p
-        self._parents = {}
         self._topo_index = {}
         self._ancestors = {}  # (flow, vertex) -> sorted diamond ancestors but itself
         self._anchor = {}  # (flow, vertex) -> the last of those in flow order
@@ -335,11 +327,11 @@ class _Analyzer:
         self._resequence = {}  # flow -> topo indexes of POF vertices
         for fid in sorted(network.flows):
             flow = network.flows[fid]
-            order = flow.topological_order()
+            order = flow.order
             idx = {v: i for i, v in enumerate(order)}
-            self._parents[fid] = flow.parents()
             self._topo_index[fid] = idx
             eps = ep_vertices(network, fid)
+            dominators = diamond_ancestors(network, fid)
             self._disorder[fid] = [
                 i for i, v in enumerate(order) if v in eps or (PEF, fid, v) in self._function
             ]
@@ -350,14 +342,14 @@ class _Analyzer:
                 self._crossing[v].append(fid)
                 if v != flow.source:
                     # the source is a non-EP ancestor of every other vertex
-                    ancestors = sorted(diamond_ancestors(network, fid, v) - {v})
+                    ancestors = sorted(dominators[v] - {v})
                     self._ancestors[(fid, v)] = ancestors
                     self._anchor[(fid, v)] = max(ancestors, key=idx.__getitem__)
 
     # -- structural helpers --------------------------------------------------
 
     def _bounds(self, fid: str, a: str, v: str) -> DelayInterval:
-        return path_delay_bounds(self.net.flows[fid].edges, a, v, self.state.vertex_delays)
+        return path_delay_bounds(self.net.flows[fid].edges, a, v, self.vertex_delays)
 
     def _reordering_inside(self, fid: str, a: str, v: str) -> bool:
         """Can units of the flow reach v's regulator out of source order,
@@ -376,8 +368,8 @@ class _Analyzer:
 
     def _capped(self, curve):
         if curve is not None and curve.min_burst > self.burst_cap:
-            if self.state.status == CONVERGED:
-                self.state.status = DIVERGED
+            if self.status == CONVERGED:
+                self.status = DIVERGED
                 self.notes.append("burst cap exceeded during iteration")
             return None
         return curve
@@ -407,7 +399,7 @@ class _Analyzer:
         flow = self.net.flows[fid]
         if v == flow.source:
             return flow.arrival
-        parts = [self.state.curves.get((fid, p)) for p in self._parents[fid][v]]
+        parts = [self.curves.get((fid, p)) for p in flow.parents[v]]
         if any(c is None for c in parts):
             return None
         return _total(parts)
@@ -435,17 +427,17 @@ class _Analyzer:
         else:
             vdel = vertex_delay(net.vertices[v], _total(list(post.values())))
 
-        changed = self.state.vertex_delays.get(v) != vdel
-        self.state.vertex_delays[v] = vdel
+        changed = self.vertex_delays.get(v) != vdel
+        self.vertex_delays[v] = vdel
 
         for fid, cur in post.items():
             if cur is None or is_unbounded(vdel.hi):
                 out = None
             else:
                 out = self._capped(self._round_up(lossy_jitter_output_curve(cur, vdel)))
-            if self.state.curves.get((fid, v)) != out:
+            if self.curves.get((fid, v)) != out:
                 changed = True
-            self.state.curves[(fid, v)] = out
+            self.curves[(fid, v)] = out
         return changed
 
     # -- local function transforms ---------------------------------------------
@@ -457,7 +449,7 @@ class _Analyzer:
         rto = rbo = UNBOUNDED
         ancestors = []
         for a in self._ancestors[(fid, v)]:
-            curve_a = self.state.curves.get((fid, a))
+            curve_a = self.curves.get((fid, a))
             if curve_a is None:
                 continue
             bounds = self._bounds(fid, a, v)
@@ -487,7 +479,7 @@ class _Analyzer:
         """`alpha_in` is the curve at the re-sequencer input, after any
         eliminator in front of it at v."""
         ref = placement.reference
-        ref_curve = self.state.curves.get((fid, ref))
+        ref_curve = self.curves.get((fid, ref))
         bounds = self._bounds(fid, ref, v)
         out = None
         rto = rbo = UNBOUNDED
@@ -520,7 +512,7 @@ class _Analyzer:
 
     def _apply_reg(self, fid, v, placement):
         sigma = placement.shaping[fid]
-        ref_curve = self.state.curves.get((fid, placement.reference))
+        ref_curve = self.curves.get((fid, placement.reference))
         verdict, rto = self._reg_verdict(fid, v, placement, ref_curve)
         self.reg_sites.append(
             {
@@ -576,14 +568,14 @@ class _Analyzer:
         branch_lists = []
         for g in reordered:
             branches = []
-            for parent in sorted(self._parents[g][v]):
+            for parent in sorted(self.net.flows[g].parents[v]):
                 leg = path_delay_bounds(
                     self.net.flows[g].edges,
                     placement.reference,
                     parent,
-                    self.state.vertex_delays,
+                    self.vertex_delays,
                 )
-                branches.append(leg.plus(self.state.vertex_delays[parent]))
+                branches.append(leg.plus(self.vertex_delays[parent]))
             branch_lists.append(sorted((b.lo, b.hi) for b in branches))
         if any(bl != branch_lists[0] for bl in branch_lists[1:]):
             return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
@@ -625,9 +617,9 @@ class _Analyzer:
         their path delays instead of a per-branch sum.
         """
         flow = self.net.flows[fid]
-        vdel = self.state.vertex_delays
+        vdel = self.vertex_delays
         cum = {}
-        for v in self._topo_index[fid]:
+        for v in flow.order:
             if v == flow.source:
                 cum[v] = vdel[v]
                 continue
@@ -648,7 +640,7 @@ class _Analyzer:
                 else:
                     section = DelayInterval(base.lo, UNBOUNDED)
             elif reg is not None:
-                ref_curve = self.state.curves.get((fid, anchor))
+                ref_curve = self.curves.get((fid, anchor))
                 verdict, _ = self._reg_verdict(fid, v, reg, ref_curve)
                 if verdict.bounded:
                     section = verdict.delay
@@ -687,51 +679,51 @@ def analyze(
 
     # optimistic start: plain source curves everywhere, ports at zero queueing
     for v, spec in network.vertices.items():
-        an.state.vertex_delays[v] = (
+        an.vertex_delays[v] = (
             spec.tech if spec.service is None else DelayInterval(spec.tech.lo, spec.tech.lo)
         )
     for fid, flow in network.flows.items():
-        for v in flow.vertices():
-            an.state.curves[(fid, v)] = flow.arrival
+        for v in flow.vertices:
+            an.curves[(fid, v)] = flow.arrival
 
     if acyclic:
         # parents settle before children, so one sweep is the fixed point
         an.sweep(order)
-        an.state.iterations = 1
+        an.iterations = 1
     else:
         an.quantize = True
         for i in range(1, iter_cap + 1):
             changed = an.sweep(order)
-            an.state.iterations = i
-            if an.state.status == DIVERGED or not changed:
+            an.iterations = i
+            if an.status == DIVERGED or not changed:
                 break
         else:
-            an.state.status = ITERATION_CAP
+            an.status = ITERATION_CAP
             an.notes.append(f"no fixed point within {iter_cap} sweeps")
 
     # a converged sweep changed nothing, so its site records are those of the
     # fixed point; a cut-off run sweeps once more to carry the cut-off (None)
     # curves around the cycles before its records are read
-    if an.state.status != CONVERGED:
+    if an.status != CONVERGED:
         an.sweep(order)
     an.notes += an.sweep_notes
 
-    if an.state.status == CONVERGED:
+    if an.status == CONVERGED:
         overloaded = sorted(
-            v for v, d in an.state.vertex_delays.items() if is_unbounded(d.hi)
+            v for v, d in an.vertex_delays.items() if is_unbounded(d.hi)
         )
         if overloaded:
-            an.state.status = DIVERGED
+            an.status = DIVERGED
             for v in overloaded:
                 an.notes.append(f"aggregate exceeds the service rate at {v}")
 
     return AnalysisReport(
         model=model,
         lossless=lossless,
-        status=an.state.status,
-        iterations=an.state.iterations,
+        status=an.status,
+        iterations=an.iterations,
         results=an.compose(),
-        vertex_delays=dict(an.state.vertex_delays),
+        vertex_delays=dict(an.vertex_delays),
         pef_sites=an.pef_sites,
         pof_sites=an.pof_sites,
         reg_sites=an.reg_sites,

@@ -99,12 +99,6 @@ class VertexSpec:
 
 
 @dataclass(frozen=True)
-class EdgeSpec:
-    src: str
-    dst: str
-
-
-@dataclass(frozen=True)
 class FlowSpec:
     id: str
     source: str
@@ -115,40 +109,35 @@ class FlowSpec:
     lmax: Fraction
     deadlines: dict  # destination -> Fraction
 
-    def vertices(self) -> set:
+    # the flow DAG, derived from `edges` on first use and kept
+
+    @functools.cached_property
+    def vertices(self) -> frozenset:
         vs = {self.source, *self.destinations}
         for u, v in self.edges:
             vs.add(u)
             vs.add(v)
-        return vs
+        return frozenset(vs)
 
+    @functools.cached_property
     def parents(self) -> dict:
-        out = {v: [] for v in self.vertices()}
+        out = {v: [] for v in self.vertices}
         for u, v in self.edges:
             out[v].append(u)
         return out
 
+    @functools.cached_property
     def children(self) -> dict:
-        out = {v: [] for v in self.vertices()}
+        out = {v: [] for v in self.vertices}
         for u, v in self.edges:
             out[u].append(v)
         return out
 
-    def topological_order(self) -> list:
-        children = self.children()
-        indeg = {v: 0 for v in self.vertices()}
-        for u, v in self.edges:
-            indeg[v] += 1
-        frontier = sorted(v for v, d in indeg.items() if d == 0)
-        order = []
-        while frontier:
-            v = frontier.pop()
-            order.append(v)
-            for w in sorted(children[v], reverse=True):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    frontier.append(w)
-        if len(order) != len(self.vertices()):
+    @functools.cached_property
+    def order(self) -> list:
+        """The vertices in topological order; a cycle raises SpecError."""
+        order = _topo(self.children, self.vertices)
+        if len(order) != len(self.vertices):
             raise SpecError(f"flows[{self.id}].edges", "flow graph has a cycle")
         return order
 
@@ -185,7 +174,6 @@ class FunctionPlacement:
 @dataclass(frozen=True)
 class NetworkSpec:
     vertices: dict  # name -> VertexSpec
-    edges: tuple  # EdgeSpec
     flows: dict  # id -> FlowSpec
     placements: tuple  # FunctionPlacement, pipeline order within a vertex
 
@@ -203,18 +191,15 @@ def ep_vertices(network: NetworkSpec, flow_id: str) -> set:
     not diverge again before being eliminated.
     """
     flow = network.flows[flow_id]
-    parents = flow.parents()
-    children = flow.children()
     pefs = {p.vertex for p in network.placements if p.kind == PEF and flow_id in p.flows}
     ep = set()
-    for v in flow.topological_order():
+    for v in flow.order:
         if v in pefs:
             continue
-        merged = len(parents[v]) >= 2
-        inherited = any(p in ep for p in parents[v])
-        if merged or inherited:
+        parents = flow.parents[v]
+        if len(parents) >= 2 or any(p in ep for p in parents):
             ep.add(v)
-            if len(children[v]) > 1:
+            if len(flow.children[v]) > 1:
                 raise SpecError(
                     f"flows[{flow_id}]",
                     f"vertex {v} re-splits the flow while duplicates are "
@@ -223,24 +208,23 @@ def ep_vertices(network: NetworkSpec, flow_id: str) -> set:
     return ep
 
 
-def diamond_ancestors(network: NetworkSpec, flow_id: str, n: str) -> set:
-    """Non-EP vertices lying on every source -> n path of the flow DAG."""
+def diamond_ancestors(network: NetworkSpec, flow_id: str) -> dict:
+    """Each vertex n of the flow -> the non-EP vertices lying on every
+    source -> n path of the flow DAG (n itself unless it is EP).
+
+    One pass in topological order: the vertices on every path to n are n
+    and those on every path to each of its parents.
+    """
     flow = network.flows[flow_id]
-    if n not in flow.vertices():
-        raise SpecError(f"flows[{flow_id}]", f"vertex {n} not on the flow")
-    parents = flow.parents()
-    dom = {}
-    for v in flow.topological_order():
-        ps = [p for p in parents[v] if p in dom]
-        if v == flow.source:
-            dom[v] = {v}
-        elif ps:
-            common = set(dom[ps[0]])
-            for p in ps[1:]:
-                common &= dom[p]
-            dom[v] = common | {v}
     ep = ep_vertices(network, flow_id)
-    return {a for a in dom.get(n, set()) if a not in ep}
+    ancestors = {}
+    for v in flow.order:
+        parents = flow.parents[v]
+        common = set.intersection(*(ancestors[p] for p in parents)) if parents else set()
+        if v not in ep:
+            common.add(v)
+        ancestors[v] = common
+    return ancestors
 
 
 def path_delay_bounds(edges, a: str, n: str, delay_of: dict) -> DelayInterval:
@@ -311,8 +295,10 @@ def _reach(adj: dict, start: str) -> set:
     return seen
 
 
-def _topo(children: dict, live: set) -> list:
-    indeg = {v: 0 for v in live}
+def _topo(children: dict, live) -> list:
+    """The `live` vertices in topological order along `children`; shorter
+    than `live` when they hold a cycle."""
+    indeg = dict.fromkeys(live, 0)
     for u in live:
         for w in children.get(u, ()):
             if w in live:
@@ -407,7 +393,6 @@ def network_from_json(doc: dict) -> NetworkSpec:
             raise SpecError(f"{path}.tech", str(exc)) from exc
         vertices[name] = VertexSpec(name, service, tech_iv)
 
-    edges = []
     edge_set = set()
     for path, e in _entries(doc, "edges"):
         src, dst = e.get("from"), e.get("to")
@@ -418,7 +403,6 @@ def network_from_json(doc: dict) -> NetworkSpec:
         if (src, dst) in edge_set:
             raise SpecError(path, f"duplicate edge {src}->{dst}")
         edge_set.add((src, dst))
-        edges.append(EdgeSpec(src, dst))
 
     flows = {}
     for path, f in _entries(doc, "flows"):
@@ -515,22 +499,24 @@ def network_from_json(doc: dict) -> NetworkSpec:
         except ValueError as exc:
             raise SpecError(path, str(exc)) from exc
 
-    network = NetworkSpec(vertices, tuple(edges), flows, tuple(placements))
+    network = NetworkSpec(vertices, flows, tuple(placements))
     _validate_semantics(network)
     return network
 
 
 def _validate_semantics(network: NetworkSpec) -> None:
+    ep = {}
+    ancestors = {}
     for fid, flow in network.flows.items():
-        order = flow.topological_order()  # raises on cycles
-        children = flow.children()
-        reachable = _reach(children, flow.source)
-        for v in flow.vertices():
+        flow.order  # raises on cycles
+        reachable = _reach(flow.children, flow.source)
+        for v in flow.vertices:
             if v not in reachable:
                 raise SpecError(
                     f"flows[{fid}]", f"vertex {v} is not reachable from the source"
                 )
-        ep_vertices(network, fid)  # raises on re-splits before elimination
+        ep[fid] = ep_vertices(network, fid)  # raises on re-splits before elimination
+        ancestors[fid] = diamond_ancestors(network, fid)
 
     by_vertex = {}
     for i, p in enumerate(network.placements):
@@ -558,32 +544,28 @@ def _validate_semantics(network: NetworkSpec) -> None:
 
     for i, p in enumerate(network.placements):
         for fid in sorted(p.flows):
-            flow = network.flows.get(fid)
-            if p.vertex not in flow.vertices():
+            flow = network.flows[fid]
+            if p.vertex not in flow.vertices:
                 raise SpecError(
                     f"placements[{i}]", f"flow {fid} does not cross {p.vertex}"
                 )
             if p.kind == PEF:
-                parents = flow.parents()[p.vertex]
-                ep = ep_vertices(network, fid)
-                if len(parents) < 2 and not any(q in ep for q in parents):
+                parents = flow.parents[p.vertex]
+                if len(parents) < 2 and not any(q in ep[fid] for q in parents):
                     raise SpecError(
                         f"placements[{i}]",
                         f"PEF for flow {fid} at {p.vertex} has no duplicates to "
                         "eliminate (vertex is not a merge nor downstream of one)",
                     )
-            else:
-                ep = ep_vertices(network, fid)
-                if p.vertex in ep:
-                    raise SpecError(
-                        f"placements[{i}]",
-                        f"{p.kind} for flow {fid} cannot sit at the "
-                        f"elimination-pending vertex {p.vertex}",
-                    )
-                ancestors = diamond_ancestors(network, fid, p.vertex)
-                if p.reference not in ancestors or p.reference == p.vertex:
-                    raise SpecError(
-                        f"placements[{i}].reference",
-                        f"{p.reference} is not a diamond ancestor of {p.vertex} "
-                        f"for flow {fid}",
-                    )
+            elif p.vertex in ep[fid]:
+                raise SpecError(
+                    f"placements[{i}]",
+                    f"{p.kind} for flow {fid} cannot sit at the "
+                    f"elimination-pending vertex {p.vertex}",
+                )
+            elif p.reference not in ancestors[fid][p.vertex] or p.reference == p.vertex:
+                raise SpecError(
+                    f"placements[{i}].reference",
+                    f"{p.reference} is not a diamond ancestor of {p.vertex} "
+                    f"for flow {fid}",
+                )

@@ -165,16 +165,16 @@ class TestPredicates:
 
     def test_diamond_ancestors_skip_ep_merge(self):
         net = load_network(diamond_network(pef_at="G"))
-        assert diamond_ancestors(net, "f", "F") == {"A", "B"}
-        assert diamond_ancestors(net, "f", "G") == {"A", "B", "G"}
+        assert diamond_ancestors(net, "f")["F"] == {"A", "B"}
+        assert diamond_ancestors(net, "f")["G"] == {"A", "B", "G"}
 
     def test_diamond_ancestors_of_source(self):
         net = load_network(toy_network())
-        assert diamond_ancestors(net, "f", "B") == {"B"}
+        assert diamond_ancestors(net, "f")["B"] == {"B"}
 
     def test_toy_merge_sees_replication_point(self):
         net = load_network(toy_network())
-        anc = diamond_ancestors(net, "f", "F")
+        anc = diamond_ancestors(net, "f")["F"]
         assert "B" in anc
         assert "C" not in anc and "D" not in anc
 
@@ -192,7 +192,7 @@ class TestPredicates:
                 i, j = sorted(rng.sample(range(n), 2))
                 if (names[i], names[j]) not in edges:
                     edges.append((names[i], names[j]))
-            target = names[rng.randrange(1, n)]
+            destination = names[rng.randrange(1, n)]
             doc = {
                 "vertices": [{"name": v} for v in names],
                 "edges": [{"from": u, "to": v} for u, v in edges],
@@ -200,7 +200,7 @@ class TestPredicates:
                     {
                         "id": "f",
                         "source": names[0],
-                        "destinations": [target],
+                        "destinations": [destination],
                         "edges": [[u, v] for u, v in edges],
                         "arrival": gamma(1, 1),
                         "lmin": 1,
@@ -213,14 +213,17 @@ class TestPredicates:
                 net = load_network(doc)
             except SpecError:
                 continue  # random graph re-splits duplicates; not a valid flow
-            doms = dominators_by_paths(edges, names[0], target)
-            # without any PEF, a vertex holds duplicates iff >= 2 paths reach it
-            expected = {
-                a
-                for a in doms
-                if len(all_paths(edges, names[0], a)) == 1
-            }
-            assert diamond_ancestors(net, "f", target) == expected
+            ancestors = diamond_ancestors(net, "f")
+            assert set(ancestors) == set(names)
+            for target in names:
+                doms = dominators_by_paths(edges, names[0], target)
+                # without any PEF, a vertex holds duplicates iff >= 2 paths reach it
+                expected = {
+                    a
+                    for a in doms
+                    if len(all_paths(edges, names[0], a)) == 1
+                }
+                assert ancestors[target] == expected, target
 
 
 class TestPathDelayBounds:
