@@ -323,6 +323,8 @@ def _topo(children: dict, live) -> list:
 def _parse_service(data, path):
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise SpecError(path, "service must be rate-latency, curve segments, or null")
     if "segments" in data:
         try:
             return ConcaveCurve.from_json(data)
@@ -373,14 +375,30 @@ def _entries(doc: dict, key: str):
         yield path, item
 
 
+def _known(value, names, path, what="vertex"):
+    """`value` if it is a string in `names`; a SpecError naming `path`
+    otherwise (a JSON list or object is never a name)."""
+    if not isinstance(value, str) or value not in names:
+        raise SpecError(path, f"unknown {what} {value!r}")
+    return value
+
+
+def _list(entry: dict, key: str, path: str) -> list:
+    """entry[key], a list when present; [] when absent."""
+    items = entry.get(key, [])
+    if not isinstance(items, list):
+        raise SpecError(f"{path}.{key}", "expected a list")
+    return items
+
+
 def network_from_json(doc: dict) -> NetworkSpec:
     if not isinstance(doc, dict):
         raise SpecError("$", "a network document must be a JSON object")
     vertices = {}
     for path, v in _entries(doc, "vertices"):
         name = v.get("name")
-        if not name:
-            raise SpecError(path, "vertex needs a name")
+        if not name or not isinstance(name, str):
+            raise SpecError(f"{path}.name", "vertex needs a name (a non-empty string)")
         if name in vertices:
             raise SpecError(path, f"duplicate vertex {name}")
         service = _parse_service(v.get("service"), f"{path}.service")
@@ -395,11 +413,8 @@ def network_from_json(doc: dict) -> NetworkSpec:
 
     edge_set = set()
     for path, e in _entries(doc, "edges"):
-        src, dst = e.get("from"), e.get("to")
-        if src not in vertices:
-            raise SpecError(path, f"unknown vertex {src!r}")
-        if dst not in vertices:
-            raise SpecError(path, f"unknown vertex {dst!r}")
+        src = _known(e.get("from"), vertices, f"{path}.from")
+        dst = _known(e.get("to"), vertices, f"{path}.to")
         if (src, dst) in edge_set:
             raise SpecError(path, f"duplicate edge {src}->{dst}")
         edge_set.add((src, dst))
@@ -407,23 +422,27 @@ def network_from_json(doc: dict) -> NetworkSpec:
     flows = {}
     for path, f in _entries(doc, "flows"):
         fid = f.get("id")
-        if not fid:
-            raise SpecError(path, "flow needs an id")
+        if not fid or not isinstance(fid, str):
+            raise SpecError(f"{path}.id", "flow needs an id (a non-empty string)")
         if fid in flows:
             raise SpecError(path, f"duplicate flow {fid}")
-        source_v = f.get("source")
-        if source_v not in vertices:
-            raise SpecError(f"{path}.source", f"unknown vertex {source_v!r}")
-        dests = tuple(f.get("destinations", []))
+        source_v = _known(f.get("source"), vertices, f"{path}.source")
+        dests = tuple(
+            _known(d, vertices, f"{path}.destinations[{k}]")
+            for k, d in enumerate(_list(f, "destinations", path))
+        )
         if not dests:
             raise SpecError(f"{path}.destinations", "flow needs destinations")
-        for d in dests:
-            if d not in vertices:
-                raise SpecError(f"{path}.destinations", f"unknown vertex {d!r}")
         fedges = []
-        for j, pair in enumerate(f.get("edges", [])):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise SpecError(f"{path}.edges[{j}]", "expected a [from, to] pair")
+        for j, pair in enumerate(_list(f, "edges", path)):
+            if (
+                not isinstance(pair, (list, tuple))
+                or len(pair) != 2
+                or not all(isinstance(x, str) for x in pair)
+            ):
+                raise SpecError(
+                    f"{path}.edges[{j}]", "expected a [from, to] pair of vertex names"
+                )
             u, v = pair
             if (u, v) not in edge_set:
                 raise SpecError(
@@ -440,8 +459,11 @@ def network_from_json(doc: dict) -> NetworkSpec:
             raise SpecError(f"{path}.lmin", "minimum data unit size must be > 0")
         if lmax < lmin:
             raise SpecError(f"{path}.lmax", "lmax must be >= lmin")
+        raw = f.get("deadlines")
+        if raw is not None and not isinstance(raw, dict):
+            raise SpecError(f"{path}.deadlines", "expected an object")
         deadlines = {}
-        for dest, value in (f.get("deadlines") or {}).items():
+        for dest, value in (raw or {}).items():
             if dest not in dests:
                 raise SpecError(
                     f"{path}.deadlines", f"{dest} is not a destination of {fid}"
@@ -456,27 +478,20 @@ def network_from_json(doc: dict) -> NetworkSpec:
 
     placements = []
     for path, p in _entries(doc, "placements"):
-        kind = p.get("kind")
-        if kind not in _KIND_RANK:
-            raise SpecError(f"{path}.kind", f"unknown function kind {kind!r}")
-        vertex = p.get("vertex")
-        if vertex not in vertices:
-            raise SpecError(f"{path}.vertex", f"unknown vertex {vertex!r}")
-        pflows = frozenset(p.get("flows", []))
+        kind = _known(p.get("kind"), _KIND_RANK, f"{path}.kind", "function kind")
+        vertex = _known(p.get("vertex"), vertices, f"{path}.vertex")
+        pflows = frozenset(
+            _known(fid, flows, f"{path}.flows[{k}]", "flow")
+            for k, fid in enumerate(_list(p, "flows", path))
+        )
         if not pflows:
             raise SpecError(f"{path}.flows", "placement needs at least one flow")
-        for fid in pflows:
-            if fid not in flows:
-                raise SpecError(f"{path}.flows", f"unknown flow {fid!r}")
         reference = p.get("reference")
         timeout = p.get("timeout")
         mode = p.get("mode")
         shaping = None
         if kind in (POF, REG):
-            if reference not in vertices:
-                raise SpecError(
-                    f"{path}.reference", f"unknown reference vertex {reference!r}"
-                )
+            _known(reference, vertices, f"{path}.reference", "reference vertex")
         if kind == REG:
             if mode not in (REG_PER_FLOW, REG_INTERLEAVED):
                 raise SpecError(
@@ -484,7 +499,9 @@ def network_from_json(doc: dict) -> NetworkSpec:
                 )
             shaping = {}
             raw = p.get("shaping") or {}
-            for fid in pflows:
+            if not isinstance(raw, dict):
+                raise SpecError(f"{path}.shaping", "expected an object")
+            for fid in sorted(pflows):
                 if fid not in raw:
                     raise SpecError(
                         f"{path}.shaping", f"missing shaping curve for flow {fid}"
@@ -496,8 +513,8 @@ def network_from_json(doc: dict) -> NetworkSpec:
                     kind, vertex, pflows, reference, timeout, mode, shaping
                 )
             )
-        except ValueError as exc:
-            raise SpecError(path, str(exc)) from exc
+        except (ValueError, TypeError) as exc:
+            raise SpecError(f"{path}.timeout", str(exc)) from exc
 
     network = NetworkSpec(vertices, flows, tuple(placements))
     _validate_semantics(network)

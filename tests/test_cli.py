@@ -150,6 +150,10 @@ def _two_vertex_net(**flow):
     }
 
 
+def _with_placement(**placement):
+    return {**_two_vertex_net(), "placements": [placement]}
+
+
 MALFORMED = {
     "top-level list": ([], "$"),
     "top-level string": ("net", "$"),
@@ -161,6 +165,30 @@ MALFORMED = {
     "flow edge not a pair": (_two_vertex_net(edges=[["A", "B", "C"]]), "flows[0].edges[0]"),
     "flow edge a string": (_two_vertex_net(edges=["AB"]), "flows[0].edges[0]"),
     "bad deadline literal": (_two_vertex_net(deadlines={"B": "soon"}), "flows[0].deadlines.B"),
+    "deadlines a string": (_two_vertex_net(deadlines="soon"), "flows[0].deadlines"),
+    "destinations a boolean": (_two_vertex_net(destinations=True), "flows[0].destinations"),
+    "destination an object": (
+        _two_vertex_net(destinations=[{"name": "B"}]), "flows[0].destinations[0]"
+    ),
+    "service an integer": ({"vertices": [{"name": "A", "service": 5}]}, "vertices[0].service"),
+    "vertex name a list": ({"vertices": [{"name": ["A"]}]}, "vertices[0].name"),
+    "flow id a list": (_two_vertex_net(id=["f"]), "flows[0].id"),
+    "flow source a list": (_two_vertex_net(source=["A"]), "flows[0].source"),
+    "edge from a list": (
+        {"vertices": [{"name": "A"}, {"name": "B"}], "edges": [{"from": ["A"], "to": "B"}]},
+        "edges[0].from",
+    ),
+    "placement kind a list": (
+        _with_placement(kind=["pef"], vertex="B", flows=["f"]), "placements[0].kind"
+    ),
+    "placement vertex a list": (
+        _with_placement(kind="pef", vertex=["B"], flows=["f"]), "placements[0].vertex"
+    ),
+    "flow edges an integer": (_two_vertex_net(edges=5), "flows[0].edges"),
+    "list inside a flow edge": (_two_vertex_net(edges=[["A", ["B"]]]), "flows[0].edges[0]"),
+    "list inside placement flows": (
+        _with_placement(kind="pef", vertex="B", flows=[["f"]]), "placements[0].flows[0]"
+    ),
 }
 
 
@@ -273,6 +301,30 @@ class TestInputErrors:
                              "--trace-out", str(tmp_path / "trace.csv")])
                 err = capsys.readouterr().err
                 assert code in (0, 1), (name, doc)
+                if code == 1:
+                    assert err.startswith("error: "), (name, err)
+
+    def test_corrupted_networks_never_escape_the_exit_codes(self, tmp_path, capsys):
+        """Seeded corruptions of every bundled network: one entry replaced by
+        a value of the wrong kind.  `analyze` runs (exit 0 or 2) or exits 1
+        with a diagnostic; no exception leaves `main`."""
+        junk = [None, -1, 1.5, "x", "1/0", [], {}, [1], ["B"], {"a": 1}, True,
+                {"rate": "1", "burst": "x"}]
+        rng = random.Random(0x4E7)
+        target = tmp_path / "bad.json"
+        for name in bundled_names():
+            if not name.startswith("net-"):
+                continue
+            with bundled_dir().joinpath(name).open() as fh:
+                base = json.load(fh)
+            for _ in range(25):
+                doc = copy.deepcopy(base)
+                parent, key = _random_entry(doc, rng)
+                parent[key] = copy.deepcopy(rng.choice(junk))
+                target.write_text(json.dumps(doc))
+                code = main(["analyze", "--in", str(target)])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (name, doc)
                 if code == 1:
                     assert err.startswith("error: "), (name, err)
 
