@@ -109,7 +109,8 @@ class FlowSpec:
     lmax: Fraction
     deadlines: dict  # destination -> Fraction
 
-    # the flow DAG, derived from `edges` on first use and kept
+    # the flow DAG, derived from `edges` on first use and kept; every caller
+    # shares the same value, so the adjacency lists are tuples
 
     @functools.cached_property
     def vertices(self) -> frozenset:
@@ -124,22 +125,22 @@ class FlowSpec:
         out = {v: [] for v in self.vertices}
         for u, v in self.edges:
             out[v].append(u)
-        return out
+        return {v: tuple(vs) for v, vs in out.items()}
 
     @functools.cached_property
     def children(self) -> dict:
         out = {v: [] for v in self.vertices}
         for u, v in self.edges:
             out[u].append(v)
-        return out
+        return {v: tuple(vs) for v, vs in out.items()}
 
     @functools.cached_property
-    def order(self) -> list:
+    def order(self) -> tuple:
         """The vertices in topological order; a cycle raises SpecError."""
         order = _topo(self.children, self.vertices)
         if len(order) != len(self.vertices):
             raise SpecError(f"flows[{self.id}].edges", "flow graph has a cycle")
-        return order
+        return tuple(order)
 
 
 PEF = "pef"
