@@ -1,20 +1,28 @@
-"""Byte-identity of CLI reports: SHA-256 of stdout and the exit code.
+"""Byte-identity of CLI reports and simulator traces: SHA-256 digests.
 
 The digests pin every field of the reports, site records and notes
 included, on the bundled corpus (all feed-forward) and on ring fixtures
-that take the cyclic fixed-point path, converged or cut off.  A change that
-is meant to alter a report must update its digest here.
+that take the cyclic fixed-point path, converged or cut off.  The simulator
+is pinned through the `simulate` CSV of every bundled scenario, the `verify`
+report of every bundled pair, and the trace CSV of the toy runs and of an
+adversarial interleaved-regulator run on mixed denominators.  A change that
+is meant to alter an output must update its digest here.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from redcalc.cli import bundled_names, main
+from redcalc.cli import bundled_dir, bundled_names, main
+from redcalc.sim import gen_adversarial_ir, run_scenario, toy_scenario
+from redcalc.sim.generators import TOY_VARIANTS
 from netfixtures import fwd_flow, rev_flow, ring_network, ring_sites_network
 
 NETWORKS = [n for n in bundled_names() if n.startswith("net-")]
+SCENARIOS = [n for n in bundled_names() if n.startswith("scn-")]
+PAIRS = json.loads(bundled_dir().joinpath("pairs.json").read_text())
 
 
 def _contractive_ring():
@@ -57,7 +65,8 @@ RINGS = {
 }
 
 # (exit code, SHA-256 of stdout), recorded before the single-pass analyzer;
-# the two-segment cases before the merge-based `add`
+# the two-segment cases before the merge-based `add`; the simulate and
+# verify cases before the integer time base of the simulator
 GOLDEN = {
     "compare:net-ir-instability.json:lossy": (
         2,
@@ -147,7 +156,87 @@ GOLDEN = {
         0,
         "c08dfef646c4d96afa5604269ee124416bb662b7e215322c5cf5cfd6f1466bc1",
     ),
+    "simulate:scn-adversarial-ir.json": (
+        0,
+        "178d0df9bc8f8963a700a5466b183339c1f92d6e7e27fbc547683f148b7039a5",
+    ),
+    "simulate:scn-tightness-case1.json": (
+        0,
+        "8ee9a5f5dbc2bf170b5a138d2bb8654fb4a8c4c0f73c331db2dbeab735bbc29c",
+    ),
+    "simulate:scn-tightness-case2.json": (
+        0,
+        "3bc952ac1eb3e133e55b853ce219cfe3f38f21c06a63a5aa22823a550b1b5d32",
+    ),
+    "simulate:scn-toy-double-rate.json": (
+        0,
+        "b4a769251181b17b2eb704353e8f27c4a3b61c40298ac1ee3783f089a03c3e34",
+    ),
+    "simulate:scn-toy-lossy.json": (
+        0,
+        "0b5a0b622ee0c095985979cfa85f4c382a0d2ae20d1852a933ecfd7a7a527b0d",
+    ),
+    "simulate:scn-toy-pfr.json": (
+        0,
+        "12c5fcaca6e5f3c126e34c27a9d941094c01c146f9180087b60ef52ba2f74bf0",
+    ),
+    "simulate:scn-toy-pof-pfr.json": (
+        0,
+        "c91e717bdcd6b92a2c20e303f56d8efa3b9a311ea7fad87fac5c902d308a3ac4",
+    ),
+    "simulate:scn-toy-rto.json": (
+        0,
+        "b84f64edb83748c86c26c682ee207e9dd8779fe42aa55cb427c761a60ae68482",
+    ),
+    "verify:scn-adversarial-ir.json": (
+        0,
+        "7306a203278b8ca8348622e34b9515d3ac2a7b51bdd3bed4f3cd1295945238bc",
+    ),
+    "verify:scn-tightness-case1.json": (
+        0,
+        "c0dd718ee607db586a5d083b16c3e1d22f5fff29d67565974e23ee45a2e2e8f9",
+    ),
+    "verify:scn-tightness-case2.json": (
+        0,
+        "fd1f2330c034bf17addc9465be4ff62bb53ddf646771ee48a24b0c44a90e8de8",
+    ),
+    "verify:scn-toy-double-rate.json": (
+        0,
+        "90f84dfc4f04865501b87556e6a8ddc8a76f01c0fdf6c5a4f5d31fe30ff001f2",
+    ),
+    "verify:scn-toy-lossy.json": (
+        0,
+        "621c5bea0950eadad9e732ad1e3307a34e60c1e65a3939697e0064d49f9e4036",
+    ),
+    "verify:scn-toy-pfr.json": (
+        0,
+        "617ffd70a41f3c7db961e1abec959759ccc1e26f424de1d17936150d0b9fd67f",
+    ),
+    "verify:scn-toy-pof-pfr.json": (
+        0,
+        "e657bf5022d1d2aa4cc041c094b1f6594e3c83047f592730bfa51afadb45d808",
+    ),
+    "verify:scn-toy-rto.json": (
+        0,
+        "4fc0f1eef77516bc8357c4d6c42d2644ea998b4c98c0917a1d4d158c9b08e25b",
+    ),
 }
+
+# SHA-256 of `Trace.to_csv()`, recorded before the integer time base
+TRACES = {
+    "toy:double-rate": "b4a769251181b17b2eb704353e8f27c4a3b61c40298ac1ee3783f089a03c3e34",
+    "toy:rto": "b84f64edb83748c86c26c682ee207e9dd8779fe42aa55cb427c761a60ae68482",
+    "toy:pof": "d0e54b8dbf47c6538d1c7622cfb213ae766482fba083ce56e526d75ae0e9731b",
+    "toy:pfr": "12c5fcaca6e5f3c126e34c27a9d941094c01c146f9180087b60ef52ba2f74bf0",
+    "toy:pof-pfr": "c91e717bdcd6b92a2c20e303f56d8efa3b9a311ea7fad87fac5c902d308a3ac4",
+    "toy:lossy": "0b5a0b622ee0c095985979cfa85f4c382a0d2ae20d1852a933ecfd7a7a527b0d",
+    "toy:pof@5/2": "0f7b38db698ca76337b56002ae07f46f34a9e34fd4b1ad34efb5066f99b97af3",
+    "toy:pof-pfr@13/3": "9c18e3c7e729eb32007cc6a1e78c86c2ac52d504cfb734a3e5e50bb495d4aeb9",
+    "toy:lossy@13/3": "711b89ae7f7a30e530f77fffc1bcb6a67d22a07ae6e5b55df2ca439088f94440",
+    "adversarial-ir": "6b15c6a86be8578ccc60afeef9b88fcde91b60ef3a43de71c30a1b539b2b3aa4",
+}
+# the toy runs again with a fractional re-sequencer timeout
+TIMED_TOYS = {"pof": Fraction(5, 2), "pof-pfr": Fraction(13, 3), "lossy": Fraction(13, 3)}
 
 
 def _run(argv, capsys):
@@ -171,3 +260,39 @@ def test_analyze_ring(case, tmp_path, capsys):
     target.write_text(json.dumps(make()))
     got = _run(["analyze", "--in", str(target), *flags], capsys)
     assert got == GOLDEN[f"analyze:{case}"]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_simulate_bundled(name, capsys):
+    got = _run(["simulate", "--scenario", f"bundled:{name}"], capsys)
+    assert got == GOLDEN[f"simulate:{name}"]
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=[p["scenario"] for p in PAIRS])
+def test_verify_bundled_pair(pair, capsys):
+    argv = ["verify", "--scenario", f"bundled:{pair['scenario']}",
+            "--network", f"bundled:{pair['network']}", "--model", pair["model"]]
+    if pair["lossless"]:
+        argv.append("--lossless")
+    assert _run(argv, capsys) == GOLDEN[f"verify:{pair['scenario']}"]
+
+
+def _csv_digest(scenario):
+    return hashlib.sha256(run_scenario(scenario).to_csv().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("variant", TOY_VARIANTS)
+def test_toy_trace(variant):
+    assert _csv_digest(toy_scenario(variant)) == TRACES[f"toy:{variant}"]
+
+
+@pytest.mark.parametrize("variant", sorted(TIMED_TOYS))
+def test_toy_trace_with_fractional_timeout(variant):
+    timeout = TIMED_TOYS[variant]
+    got = _csv_digest(toy_scenario(variant, timeout=timeout))
+    assert got == TRACES[f"toy:{variant}@{timeout}"]
+
+
+def test_adversarial_ir_trace_on_mixed_denominators():
+    sc = gen_adversarial_ir(1, 1, 0, 1, 6, 7, q=13, periods=60, x1=Fraction(123, 997))
+    assert _csv_digest(sc) == TRACES["adversarial-ir"]
