@@ -3,8 +3,19 @@
 A scenario fixes everything: the source emissions, the per-path fate of every
 replicate (a concrete delay inside the declared bounds, or a drop), and the
 function pipeline at the merge point.  The engine replays that trajectory with
-exact rational timestamps and emits a trace with one event per stage crossing,
-so measurements (delays, reordering, compliance) are exact too.
+exact timestamps and emits a trace with one event per stage crossing, so
+measurements (delays, reordering, compliance) are exact too.
+
+Time base: every source time, branch delay and re-sequencer timeout is a
+rational, so each is an integer number of ticks of 1/grid, where grid is the
+least common multiple of their denominators.  The stages add, compare and
+sort those integers, and Fractions appear only where a value leaves the
+engine: the `time` of each `TraceEvent` and what `Trace` returns.  The
+regulators run on the same ticks.  A token bucket refilling at rate r
+releases at last + (size - level) / r, which looks as if it left every fixed
+grid, but held as the instant the bucket was last empty it needs only sums
+of arrival instants, burst / r and size / r.  Those terms are on the grid
+once it also covers their denominators (see `_reg_grid`).
 
 Stage semantics:
 
@@ -25,13 +36,15 @@ Stage semantics:
 
 import csv
 import io
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Optional, Union
 
-from ..minplus import ConcaveCurve, TokenBucket, parse_rational, rational_str
+from ..minplus import ConcaveCurve, TokenBucket, is_unbounded, parse_rational, rational_str
 from ..topology import DelayInterval, SpecError, parse_curve
 
 GENERATED = "generated"
@@ -151,7 +164,7 @@ class Scenario:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     time: Fraction
     kind: str
@@ -167,7 +180,11 @@ class Trace:
 
     def __init__(self, scenario: Scenario, events: list):
         self.scenario = scenario
-        self.events = sorted(events, key=lambda e: (e.time, e.seq))
+        # order by (time, seq), with times as integers over their common denominator
+        grid = math.lcm(*{e.time.denominator for e in events})
+        self.events = sorted(
+            events, key=lambda e: (e.time.numerator * (grid // e.time.denominator), e.seq)
+        )
 
     def of_kind(self, kind: str) -> list:
         return [e for e in self.events if e.kind == kind]
@@ -194,23 +211,30 @@ class Trace:
 
     def exit_times(self) -> dict:
         """(flow, unit) -> instant the unit left the last stage of its pipeline."""
-        out = {}
-        per_kind = {}
+        final = {}  # flow -> kind of the last stage of its pipeline
+        left = {}
+        generated = []
         for e in self.events:
             if e.kind == GENERATED:
+                generated.append((e.flow, e.unit))
                 continue
-            per_kind.setdefault(e.kind, {})[(e.flow, e.unit)] = e.time
-        for e in self.of_kind(GENERATED):
-            key = (e.flow, e.unit)
-            kind = self.final_kind(e.flow)
-            if key in per_kind.get(kind, {}):
-                out[key] = per_kind[kind][key]
-        return out
+            kind = final.get(e.flow)
+            if kind is None:
+                kind = final[e.flow] = self.final_kind(e.flow)
+            if e.kind == kind:
+                left[(e.flow, e.unit)] = e.time
+        return {key: left[key] for key in generated if key in left}
 
     def delays(self) -> dict:
         """(flow, unit) -> end-to-end delay, for units that made it through."""
         gen = self.times(GENERATED)
-        return {k: t - gen[k] for k, t in self.exit_times().items()}
+        done = self.exit_times()
+        grid = math.lcm(*{t.denominator for t in gen.values()}, *{t.denominator for t in done.values()})
+
+        def ticks(t):
+            return t.numerator * (grid // t.denominator)
+
+        return {key: Fraction(ticks(t) - ticks(gen[key]), grid) for key, t in done.items()}
 
     def lost_units(self) -> list:
         gen = self.times(GENERATED)
@@ -250,69 +274,116 @@ def _validate_sources(scenario: Scenario):
             raise ScenarioError(f"unit {u.flow}/{u.unit}: size above flow maximum")
 
 
-def _branch_stage(scenario: Scenario, order: dict):
-    """Apply each path's schedule; returns per-path exit lists and events."""
+def _is_drop(action) -> bool:
+    return isinstance(action, str) and action == DROP
+
+
+def _delay_grid(path: PathSpec) -> int:
+    """Least common multiple of the denominators of the delays `path` may
+    apply.  A literal that does not parse is left out: it fails where it is
+    used, in unit order."""
+    dens = set()
+    for action in (*path.schedule.values(), path.default):
+        if action is None or _is_drop(action):
+            continue
+        try:
+            dens.add(parse_rational(action).denominator)
+        except (TypeError, ValueError):
+            continue
+    return math.lcm(*dens)
+
+
+def _tick_bounds(bounds: DelayInterval, grid: int):
+    """[lo, hi] in ticks of 1/grid, rounded inwards; hi is None if unbounded."""
+    lo = -(-bounds.lo.numerator * grid // bounds.lo.denominator)
+    if is_unbounded(bounds.hi):
+        return lo, None
+    return lo, bounds.hi.numerator * grid // bounds.hi.denominator
+
+
+def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int, seq):
+    """Apply each path's schedule; returns the sorted arrivals and the events.
+
+    `units` are the scenario's sources, `ticks` their emission ticks and
+    `rank` their places in emission order.  An arrival is (exit tick, path
+    index, rank, branch event)."""
     events = []
-    arrivals = []  # (time, path_index, source_order, unit)
-    for pidx, path in enumerate(scenario.paths):
-        forwarded = []
-        for u in scenario.sources:
+    arrivals = []
+    for pidx, path in enumerate(paths):
+        lo, hi = _tick_bounds(path.bounds, grid)
+        exit_by_rank = [None] * len(units)
+        for j, u in enumerate(units):
             action = path.action_for(u.key)
-            if action == DROP:
+            if _is_drop(action):
                 if not path.lossy:
                     raise ScenarioError(f"path {path.name}: drop on a lossless path")
                 continue
             delay = parse_rational(action)
-            if not path.bounds.contains(delay):
+            d = delay.numerator * (grid // delay.denominator)
+            if d < lo or (hi is not None and d > hi):
                 raise ScenarioError(
                     f"path {path.name}: delay {rational_str(delay)} for "
                     f"{u.flow}/{u.unit} outside declared bounds"
                 )
-            exit_t = u.time + delay
-            forwarded.append((order[u.key], exit_t, u))
-            arrivals.append((exit_t, pidx, order[u.key], u))
-            events.append(TraceEvent(exit_t, BRANCH_EXIT, u.flow, u.unit, u.size, path.name))
+            exit_t = ticks[j] + d
+            ev = TraceEvent(
+                Fraction(exit_t, grid), BRANCH_EXIT, u.flow, u.unit, u.size, path.name, next(seq)
+            )
+            events.append(ev)
+            exit_by_rank[rank[j]] = exit_t
+            arrivals.append((exit_t, pidx, rank[j], ev))
         if path.fifo:
-            forwarded.sort(key=lambda item: item[0])
             last = None
-            for _, exit_t, u in forwarded:
+            for exit_t in exit_by_rank:
+                if exit_t is None:
+                    continue
                 if last is not None and exit_t < last:
                     raise ScenarioError(f"path {path.name}: schedule violates FIFO order")
                 last = exit_t
-    arrivals.sort(key=lambda item: (item[0], item[1], item[2]))
+    arrivals.sort()  # (path, rank) is unique, so events are never compared
     return arrivals, events
 
 
-def _pef_stage(arrivals: list):
-    """First replicate wins; later copies of the same unit are discarded."""
+def _pef_stage(arrivals: list, seq):
+    """First replicate wins; later copies of the same unit are discarded.
+
+    Returns (tick, rank) in exit order and the PEF events."""
     out = []
+    events = []
     seen = set()
-    for exit_t, _pidx, src_order, u in arrivals:
-        if u.key in seen:
+    for exit_t, _pidx, rank, ev in arrivals:
+        if rank in seen:
             continue
-        seen.add(u.key)
-        out.append((exit_t, src_order, u))
-    return out
+        seen.add(rank)
+        out.append((exit_t, rank))
+        events.append(TraceEvent(ev.time, PEF_EXIT, ev.flow, ev.unit, ev.size, None, next(seq)))
+    return out, events
 
 
-def _pof_stage(inputs: list, spec: PofSpec, order: dict, scenario: Scenario):
-    """Re-sequence to source order with optional per-unit timeout."""
+def _pof_stage(inputs: list, spec: PofSpec, sources: list, timeout, grid: int, seq):
+    """Re-sequence to source order with optional per-unit timeout.
+
+    `inputs` are (tick, rank) in arrival order and `timeout` is in ticks or
+    None.  Returns (tick, release index, rank) sorted by tick and index, and
+    the POF events."""
     def member(u):
         return spec.flows is None or u.flow in spec.flows
 
-    ranked = sorted((u for u in scenario.sources if member(u)), key=lambda u: order[u.key])
-    rank_of = {u.key: i for i, u in enumerate(ranked)}
+    place = {}  # rank -> place among the re-sequenced units, in source order
+    for rank, u in enumerate(sources):
+        if member(u):
+            place[rank] = len(place)
 
-    queue = [(t, i, rank_of[u.key], u) for i, (t, _o, u) in enumerate(inputs) if member(u)]
-    bypass = [(t, src, u) for t, src, u in inputs if not member(u)]
+    queue = [(t, place[rank], rank) for t, rank in inputs if rank in place]
+    bypass = [(t, rank) for t, rank in inputs if rank not in place]
 
-    released = []  # (time, release_index, unit)
-    buffer = {}  # rank -> unit
-    deadlines = []  # heap of (deadline, rank)
+    released = []  # (tick, release index, rank)
+    buffer = {}  # place -> rank
+    deadlines = []  # heap of (deadline tick, place)
     expected = 0
 
-    def release(unit, now):
-        released.append((now, len(released), unit))
+    def release(rank, now):
+        released.append((now, len(released), rank))
 
     def drain(now):
         nonlocal expected
@@ -325,107 +396,139 @@ def _pof_stage(inputs: list, spec: PofSpec, order: dict, scenario: Scenario):
         next_arrival = queue[i][0] if i < len(queue) else None
         fire = None
         while deadlines:
-            dl, rank = deadlines[0]
-            if rank < expected or rank not in buffer:
+            dl, pos = deadlines[0]
+            if pos < expected or pos not in buffer:
                 heappop(deadlines)
                 continue
-            fire = (dl, rank)
+            fire = (dl, pos)
             break
         if fire is not None and (next_arrival is None or fire[0] < next_arrival):
-            now, rank = fire
+            now, pos = fire
             heappop(deadlines)
-            for r in sorted(k for k in buffer if k < rank):
-                release(buffer.pop(r), now)
-            release(buffer.pop(rank), now)
-            expected = rank + 1
+            for p in sorted(k for k in buffer if k < pos):
+                release(buffer.pop(p), now)
+            release(buffer.pop(pos), now)
+            expected = pos + 1
             drain(now)
             continue
         if i >= len(queue):
             raise ScenarioError(
                 "units stuck in the re-sequencer: missing predecessor and no timeout"
             )
-        now, _iseq, rank, u = queue[i]
+        now, pos, rank = queue[i]
         i += 1
-        if rank < expected:
-            release(u, now)  # slot already passed over, forward as-is
+        if pos < expected:
+            release(rank, now)  # slot already passed over, forward as-is
             continue
-        buffer[rank] = u
-        if spec.timeout is not None:
-            heappush(deadlines, (now + spec.timeout, rank))
+        buffer[pos] = rank
+        if timeout is not None:
+            heappush(deadlines, (now + timeout, pos))
         drain(now)
 
-    out = [(t, idx, u) for t, idx, u in released]
-    merged = out + [(t, len(released) + k, u) for k, (t, _src, u) in enumerate(sorted(bypass, key=lambda b: (b[0], b[1])))]
-    merged.sort(key=lambda item: (item[0], item[1]))
-    events = [TraceEvent(t, POF_EXIT, u.flow, u.unit, u.size) for t, _idx, u in out]
-    return merged, events
+    events = []
+    for t, _idx, rank in released:
+        u = sources[rank]
+        events.append(
+            TraceEvent(Fraction(t, grid), POF_EXIT, u.flow, u.unit, u.size, None, next(seq))
+        )
+    bypass.sort()
+    n = len(released)
+    released.extend((t, n + k, rank) for k, (t, rank) in enumerate(bypass))
+    released.sort()
+    return released, events
+
+
+def _reg_grid(spec: RegSpec, units: list) -> int:
+    """A denominator for the regulator's instants: every burst / rate and
+    size / rate of its positive-rate buckets is an integer over it."""
+    rates = [seg.rate for sigma in spec.shaping.values() for seg in sigma.segments if seg.rate]
+    dens = {u.size.denominator for u in units if u.flow in spec.shaping}
+    dens.update(seg.burst.denominator for sigma in spec.shaping.values() for seg in sigma.segments)
+    return math.lcm(*dens) * math.lcm(*(r.numerator for r in rates))
 
 
 class _BucketState:
-    __slots__ = ("curve", "levels", "last")
+    """One flow's positive-rate token buckets, each held as the tick it was
+    last empty.
 
-    def __init__(self, curve: ConcaveCurve, start: Fraction):
-        self.curve = curve
-        self.levels = [seg.burst for seg in curve.segments]
-        self.last = start
+    A bucket of rate r and burst b that was empty at instant e holds
+    min(b, r * (t - e)) at any later t, so `size` is there from e + size / r
+    on, and taking it leaves the bucket as if empty at
+    max(t - b / r, e) + size / r.  Every instant is then a sum of source and
+    arrival instants and b / r and size / r terms, so it stays on the grid
+    of `_reg_grid`.  Rate-0 buckets never refill; `_reg_stage` checks them."""
 
-    def _level_at(self, idx, t):
-        seg = self.curve.segments[idx]
-        return min(seg.burst, self.levels[idx] + seg.rate * (t - self.last))
+    __slots__ = ("rates", "spans", "marks")
 
-    def ready_time(self, size: Fraction, not_before: Fraction) -> Fraction:
+    def __init__(self, curve: ConcaveCurve, start: int, grid: int):
+        segments = [seg for seg in curve.segments if seg.rate]
+        # size / r is size.numerator * scale // (size.denominator * r.numerator) ticks
+        self.rates = [(seg.rate.denominator * grid, seg.rate.numerator) for seg in segments]
+        self.spans = [
+            seg.burst.numerator * seg.rate.denominator * grid
+            // (seg.burst.denominator * seg.rate.numerator)
+            for seg in segments
+        ]
+        self.marks = [start - span for span in self.spans]
+
+    def release(self, size: Fraction, not_before: int) -> int:
+        """Take `size` from every bucket at the earliest tick >= not_before
+        where each holds that much, and return that tick."""
+        num, den = size.numerator, size.denominator
+        marks = self.marks
+        fills = []
         t = not_before
-        for idx, seg in enumerate(self.curve.segments):
-            if self._level_at(idx, t) >= size:
-                continue
-            if seg.rate == 0:
-                raise ScenarioError("regulator starves: bucket can never refill enough")
-            need = self.last + (size - self.levels[idx]) / seg.rate
-            t = max(t, need)
+        for (scale, rn), mark in zip(self.rates, marks):
+            fill = num * scale // (den * rn)
+            fills.append(fill)
+            t = max(t, mark + fill)
+        for i, (span, fill) in enumerate(zip(self.spans, fills)):
+            marks[i] = max(t - span, marks[i]) + fill
         return t
 
-    def consume(self, size: Fraction, t: Fraction):
-        self.levels = [self._level_at(i, t) - size for i in range(len(self.levels))]
-        self.last = t
 
+def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int, seq):
+    """Token-bucket release of queued units; returns the REG events.
 
-def _reg_stage(inputs: list, spec: RegSpec, start: Fraction):
-    """Token-bucket release of queued units; returns exits and events."""
-    shaped = [(t, seq, u) for t, seq, u in inputs if u.flow in spec.shaping]
-    states = {}
-    for fid, sigma in spec.shaping.items():
-        states[fid] = _BucketState(sigma, start)
-    for t, _seq, u in shaped:
-        sigma = spec.shaping[u.flow]
-        if u.size > min(seg.burst for seg in sigma.segments):
+    `inputs` are (tick, index, rank) in arrival order."""
+    shaped = [item for item in inputs if sources[item[2]].flow in spec.shaping]
+    caps = {fid: min(seg.burst for seg in sigma.segments) for fid, sigma in spec.shaping.items()}
+    for _t, _idx, rank in shaped:
+        u = sources[rank]
+        if u.size > caps[u.flow]:
             raise ScenarioError(
                 f"unit {u.flow}/{u.unit}: larger than its shaping burst, can never release"
             )
+    # a rate-0 bucket never delays a release; it starves once the flow's
+    # released total exceeds its burst
+    for fid, sigma in spec.shaping.items():
+        for seg in sigma.segments:
+            if seg.rate:
+                continue
+            total = sum(sources[rank].size for _t, _idx, rank in shaped if sources[rank].flow == fid)
+            if total > seg.burst:
+                raise ScenarioError("regulator starves: bucket can never refill enough")
 
-    exits = []
-    if spec.mode == MODE_PER_FLOW:
-        by_flow = {}
-        for t, seq, u in shaped:
-            by_flow.setdefault(u.flow, []).append((t, seq, u))
-        for fid, items in by_flow.items():
-            state = states[fid]
-            prev = None
-            for t, seq, u in items:
-                avail = t if prev is None else max(t, prev)
-                rel = state.ready_time(u.size, avail)
-                state.consume(u.size, rel)
-                exits.append((rel, seq, u))
-                prev = rel
-    else:
+    states = {fid: _BucketState(sigma, start, grid) for fid, sigma in spec.shaping.items()}
+    # per-flow mode keeps one queue per flow, interleaved mode a single one
+    queues = {}
+    for item in shaped:
+        queue = sources[item[2]].flow if spec.mode == MODE_PER_FLOW else None
+        queues.setdefault(queue, []).append(item)
+    exits = []  # (release tick, index, rank)
+    for items in queues.values():
         prev = None
-        for t, seq, u in shaped:
-            avail = t if prev is None else max(t, prev)
-            rel = states[u.flow].ready_time(u.size, avail)
-            states[u.flow].consume(u.size, rel)
-            exits.append((rel, seq, u))
-            prev = rel
-    exits.sort(key=lambda item: (item[0], item[1]))
-    events = [TraceEvent(t, REG_EXIT, u.flow, u.unit, u.size) for t, _seq, u in exits]
+        for t, idx, rank in items:
+            u = sources[rank]
+            prev = states[u.flow].release(u.size, t if prev is None else max(t, prev))
+            exits.append((prev, idx, rank))
+    exits.sort()
+    events = []
+    for t, _idx, rank in exits:
+        u = sources[rank]
+        events.append(
+            TraceEvent(Fraction(t, grid), REG_EXIT, u.flow, u.unit, u.size, None, next(seq))
+        )
     return events
 
 
@@ -434,42 +537,55 @@ def run_scenario(scenario: Scenario) -> Trace:
     _validate_sources(scenario)
     if not scenario.paths:
         raise ScenarioError("scenario needs at least one path")
-    sources = sorted(scenario.sources, key=lambda u: u.time)
-    order = {u.key: i for i, u in enumerate(sources)}
-
-    seq = 0
-
-    def stamp(ev: TraceEvent) -> TraceEvent:
-        nonlocal seq
-        seq += 1
-        return TraceEvent(ev.time, ev.kind, ev.flow, ev.unit, ev.size, ev.branch, seq)
-
-    events = [stamp(TraceEvent(u.time, GENERATED, u.flow, u.unit, u.size)) for u in sources]
-
-    arrivals, branch_events = _branch_stage(scenario, order)
-    events.extend(stamp(e) for e in branch_events)
-
+    units = scenario.sources
     pipe = scenario.pipeline
+    timeout = pipe.pof.timeout if pipe.pof is not None else None
+
+    # one grid of 1/grid time units holds every source time, delay and
+    # timeout, and every instant the regulators produce
+    grid = math.lcm(
+        *{u.time.denominator for u in units},
+        *(_delay_grid(path) for path in scenario.paths),
+        1 if timeout is None else timeout.denominator,
+        1 if pipe.reg is None else _reg_grid(pipe.reg, units),
+    )
+    ticks = [u.time.numerator * (grid // u.time.denominator) for u in units]
+    by_rank = sorted(range(len(units)), key=ticks.__getitem__)
+    rank = [0] * len(units)
+    for r, j in enumerate(by_rank):
+        rank[j] = r
+    sources = [units[j] for j in by_rank]
+    start = ticks[by_rank[0]] if units else 0
+    del by_rank
+
+    seq = itertools.count(1)
+    events = [
+        TraceEvent(u.time, GENERATED, u.flow, u.unit, u.size, None, next(seq)) for u in sources
+    ]
+    arrivals, branch_events = _branch_stage(scenario.paths, units, ticks, rank, grid, seq)
+    del ticks, rank
+    events.extend(branch_events)
+
     if pipe.pef:
-        merged = _pef_stage(arrivals)
-        events.extend(stamp(TraceEvent(t, PEF_EXIT, u.flow, u.unit, u.size)) for t, _o, u in merged)
+        merged, pef_events = _pef_stage(arrivals, seq)
+        events.extend(pef_events)
     else:
-        forwarded_twice = len(arrivals) != len({u.key for _t, _p, _o, u in arrivals})
+        forwarded_twice = len(arrivals) != len({r for _t, _p, r, _ev in arrivals})
         if forwarded_twice and (pipe.pof or pipe.reg):
             raise ScenarioError("duplicate replicates reach the pipeline but no eliminator is placed")
-        merged = [(t, src, u) for t, _p, src, u in arrivals]
+        merged = [(t, r) for t, _p, r, _ev in arrivals]
+    del arrivals
 
     if pipe.pof is not None:
-        merged, pof_events = _pof_stage(
-            [(t, o, u) for t, o, u in merged], pipe.pof, order, scenario
-        )
-        events.extend(stamp(e) for e in pof_events)
+        if timeout is not None:
+            timeout = timeout.numerator * (grid // timeout.denominator)
+        merged, pof_events = _pof_stage(merged, pipe.pof, sources, timeout, grid, seq)
+        events.extend(pof_events)
     else:
-        merged = [(t, idx, u) for idx, (t, _o, u) in enumerate(merged)]
+        merged = [(t, idx, r) for idx, (t, r) in enumerate(merged)]
 
     if pipe.reg is not None:
-        start = min((u.time for u in sources), default=Fraction(0))
-        events.extend(stamp(e) for e in _reg_stage(merged, pipe.reg, start))
+        events.extend(_reg_stage(merged, pipe.reg, sources, start, grid, seq))
 
     return Trace(scenario, events)
 

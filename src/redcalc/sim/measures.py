@@ -1,9 +1,21 @@
-"""Exact trajectory measurements: curve compliance, reordering, FIFO checks."""
+"""Exact trajectory measurements: curve compliance, reordering, FIFO checks.
 
+Each measure puts its times (and sizes) on one integer grid, the least
+common multiple of their denominators, and works on those integers; results
+are converted back to Fractions, so they are exact and equal to what
+Fraction arithmetic would give.
+"""
+
+import math
 from fractions import Fraction
 from typing import Optional
 
 from ..minplus import ConcaveCurve, parse_rational
+
+
+def _grid(values) -> int:
+    """Least common multiple of the denominators of `values` (1 if none)."""
+    return math.lcm(*{v.denominator for v in values})
 
 
 def check_compliance(events, curve: ConcaveCurve) -> Optional[dict]:
@@ -14,49 +26,41 @@ def check_compliance(events, curve: ConcaveCurve) -> Optional[dict]:
     curve.envelope(t - s).  Returns None if every window complies, otherwise
     a dict naming the first offending window end.
     """
-    pts = sorted((parse_rational(t), parse_rational(sz)) for t, sz in events)
+    pts = [(parse_rational(t), parse_rational(sz)) for t, sz in events]
     if not pts:
         return None
-    prefix = [Fraction(0)]
+    tden = _grid(t for t, _sz in pts)
+    sden = _grid(sz for _t, sz in pts)
+    pts = sorted(
+        (t.numerator * (tden // t.denominator), sz.numerator * (sden // sz.denominator))
+        for t, sz in pts
+    )
+    prefix = [0]
     for _, sz in pts:
         prefix.append(prefix[-1] + sz)
     for seg in curve.segments:
-        # need (C_j - r*t_j) - min_{i<=j} (C_{i-1} - r*t_i) <= b for all j
+        # need (C_j - r*t_j) - min_{i<=j} (C_{i-1} - r*t_i) <= b for all j,
+        # scaled by tden * rate.denominator * sden so every term is an integer
+        size_w = tden * seg.rate.denominator
+        time_w = seg.rate.numerator * sden
+        # the excess is an integer, so comparing it with floor(b * scale) is exact
+        cap = seg.burst.numerator * (size_w * sden) // seg.burst.denominator
         best = None
         best_idx = 0
         for j, (t_j, _sz) in enumerate(pts):
-            v = prefix[j] - seg.rate * t_j
+            v = prefix[j] * size_w - time_w * t_j
             if best is None or v < best:
                 best, best_idx = v, j
-            excess = (prefix[j + 1] - seg.rate * t_j) - best
-            if excess > seg.burst:
-                s_t = pts[best_idx][0]
+            if prefix[j + 1] * size_w - time_w * t_j - best > cap:
+                start = Fraction(pts[best_idx][0], tden)
+                end = Fraction(t_j, tden)
                 return {
-                    "window_start": s_t,
-                    "window_end": t_j,
-                    "observed": prefix[j + 1] - prefix[best_idx],
-                    "allowed": curve.envelope(t_j - s_t),
+                    "window_start": start,
+                    "window_end": end,
+                    "observed": Fraction(prefix[j + 1] - prefix[best_idx], sden),
+                    "allowed": curve.envelope(end - start),
                 }
     return None
-
-
-class _Fenwick:
-    def __init__(self, n: int):
-        self.tree = [Fraction(0)] * (n + 1)
-
-    def add(self, i: int, value: Fraction):
-        i += 1
-        while i < len(self.tree):
-            self.tree[i] += value
-            i += i & (-i)
-
-    def prefix(self, i: int) -> Fraction:
-        # sum of positions [0, i)
-        total = Fraction(0)
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
 
 
 def measure_reordering(units) -> tuple:
@@ -74,32 +78,51 @@ def measure_reordering(units) -> tuple:
     )
     if len(items) < 2:
         return Fraction(0), Fraction(0)
+    tden = _grid(t for _r, t, _sz in items)
+    sden = _grid(sz for _r, _t, sz in items)
+    times = [t.numerator * (tden // t.denominator) for _r, t, _sz in items]
+    sizes = [sz.numerator * (sden // sz.denominator) for _r, _t, sz in items]
+    del items
 
-    times = [t for _r, t, _sz in items]
-    rto = Fraction(0)
+    rto = 0
     suffix_min = times[-1]
-    for k in range(len(items) - 2, -1, -1):
+    for k in range(len(times) - 2, -1, -1):
         rto = max(rto, times[k] - suffix_min)
         suffix_min = min(suffix_min, times[k])
 
-    order = {t: i for i, t in enumerate(sorted(set(times)))}
-    tree = _Fenwick(len(order))
-    rbo = Fraction(0)
-    for rank in range(len(items) - 1, -1, -1):
-        _r, t, sz = items[rank]
-        rbo = max(rbo, tree.prefix(order[t]))  # strictly earlier arrivals only
-        tree.add(order[t], sz)
-    return rto, rbo
+    # Fenwick tree over arrival instants: tree[i] sums the sizes of the
+    # later-ranked units seen so far in a range of instants ending at i - 1
+    slot = {t: i for i, t in enumerate(sorted(set(times)))}
+    tree = [0] * (len(slot) + 1)
+    rbo = 0
+    for rank in range(len(times) - 1, -1, -1):
+        i = slot[times[rank]]
+        total = 0  # strictly earlier arrivals only: instants [0, i)
+        j = i
+        while j > 0:
+            total += tree[j]
+            j -= j & -j
+        rbo = max(rbo, total)
+        j = i + 1
+        while j < len(tree):
+            tree[j] += sizes[rank]
+            j += j & -j
+    return Fraction(rto, tden), Fraction(rbo, sden)
 
 
 def is_fifo_per_flow(trace, kind: str) -> bool:
     """True when, within each flow, units cross ``kind`` in source order."""
-    order = {}
-    for i, u in enumerate(sorted(trace.scenario.sources, key=lambda s: s.time)):
-        order[u.key] = i
+    sources = trace.scenario.sources
+    sgrid = _grid(u.time for u in sources)
+    ranked = sorted(sources, key=lambda u: u.time.numerator * (sgrid // u.time.denominator))
+    order = {u.key: i for i, u in enumerate(ranked)}
+    events = trace.of_kind(kind)
+    egrid = _grid(e.time for e in events)
     stamped = {}
-    for e in trace.of_kind(kind):
-        stamped.setdefault(e.flow, []).append((order[(e.flow, e.unit)], e.time))
+    for e in events:
+        stamped.setdefault(e.flow, []).append(
+            (order[(e.flow, e.unit)], e.time.numerator * (egrid // e.time.denominator))
+        )
     for seq in stamped.values():
         seq.sort()
         last = None

@@ -13,6 +13,7 @@ placed.  Vertices holding duplicates of the same data unit without a PEF are
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,10 +137,10 @@ class FlowSpec:
 
     @functools.cached_property
     def order(self) -> tuple:
-        """The vertices in topological order; a cycle raises SpecError."""
+        """The vertices in topological order; a cycle raises ValueError."""
         order = _topo(self.children, self.vertices)
         if len(order) != len(self.vertices):
-            raise SpecError(f"flows[{self.id}].edges", "flow graph has a cycle")
+            raise ValueError("flow graph has a cycle")
         return tuple(order)
 
 
@@ -188,8 +189,8 @@ def ep_vertices(network: NetworkSpec, flow_id: str) -> set:
 
     A vertex with two or more parents in the flow DAG and no PEF for the
     flow is elimination-pending, and so is any child of an EP vertex that
-    has no PEF.  An EP vertex must not re-split the flow: duplicates may
-    not diverge again before being eliminated.
+    has no PEF.  (The loader rejects an EP vertex that re-splits the flow:
+    duplicates may not diverge again before being eliminated.)
     """
     flow = network.flows[flow_id]
     pefs = {p.vertex for p in network.placements if p.kind == PEF and flow_id in p.flows}
@@ -200,12 +201,6 @@ def ep_vertices(network: NetworkSpec, flow_id: str) -> set:
         parents = flow.parents[v]
         if len(parents) >= 2 or any(p in ep for p in parents):
             ep.add(v)
-            if len(flow.children[v]) > 1:
-                raise SpecError(
-                    f"flows[{flow_id}]",
-                    f"vertex {v} re-splits the flow while duplicates are "
-                    "still pending elimination",
-                )
     return ep
 
 
@@ -525,15 +520,24 @@ def network_from_json(doc: dict) -> NetworkSpec:
 def _validate_semantics(network: NetworkSpec) -> None:
     ep = {}
     ancestors = {}
-    for fid, flow in network.flows.items():
-        flow.order  # raises on cycles
+    for index, (fid, flow) in enumerate(network.flows.items()):
+        path = f"flows[{index}]"  # flows keep their document order
+        try:
+            order = flow.order
+        except ValueError as exc:
+            raise SpecError(f"{path}.edges", str(exc)) from None
         reachable = _reach(flow.children, flow.source)
-        for v in flow.vertices:
+        for v in itertools.chain(*flow.edges, flow.destinations):  # in document order
             if v not in reachable:
+                raise SpecError(path, f"vertex {v} is not reachable from the source")
+        ep[fid] = ep_vertices(network, fid)
+        for v in order:
+            if v in ep[fid] and len(flow.children[v]) > 1:
                 raise SpecError(
-                    f"flows[{fid}]", f"vertex {v} is not reachable from the source"
+                    path,
+                    f"vertex {v} re-splits the flow while duplicates are "
+                    "still pending elimination",
                 )
-        ep[fid] = ep_vertices(network, fid)  # raises on re-splits before elimination
         ancestors[fid] = diamond_ancestors(network, fid)
 
     by_vertex = {}

@@ -3,7 +3,7 @@
 These deliberately avoid the library's own algorithms: convolution is
 evaluated as an infimum over explicit split points, deviations as maxima
 over dense candidate grids, dominators by full path enumeration, and trace
-compliance by checking every pair of observation instants.
+compliance and reordering by checking every pair of units.
 """
 
 import itertools
@@ -109,3 +109,24 @@ def compliance_violations(events, curve: ConcaveCurve):
             if total > curve.envelope(window):
                 bad.append((i, j))
     return bad
+
+
+def reordering_by_pairs(units):
+    """(RTO, RBO) of `units` = [(rank, time, size), ...], straight from the
+    definitions over every pair of units.  Quadratic on purpose.
+
+    The reordering time offset is the largest t_i - t_j over pairs where
+    unit j has a later rank than unit i yet arrived earlier; the reordering
+    byte offset is the largest total size of later-ranked units that
+    arrived strictly before some unit.  Both are 0 without reordering.
+    """
+    rto = Fraction(0)
+    rbo = Fraction(0)
+    for rank_i, t_i, _size_i in units:
+        ahead = Fraction(0)
+        for rank_j, t_j, size_j in units:
+            if rank_j > rank_i and t_j < t_i:
+                rto = max(rto, Fraction(t_i) - Fraction(t_j))
+                ahead += size_j
+        rbo = max(rbo, ahead)
+    return rto, rbo

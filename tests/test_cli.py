@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import random
 import subprocess
 import sys
@@ -154,6 +155,23 @@ def _with_placement(**placement):
     return {**_two_vertex_net(), "placements": [placement]}
 
 
+def _second_flow_net(edges, destinations):
+    """A chain A -> B with flow `f` on it, then flow `g` (flows[1]) on the
+    network edges `edges`, sent from A to `destinations`."""
+    names = sorted({"A", "B", *(v for e in edges for v in e)})
+    doc = _two_vertex_net()
+    doc["vertices"] = [{"name": v} for v in names]
+    doc["edges"] = [{"from": u, "to": v} for u, v in sorted({("A", "B"), *map(tuple, edges)})]
+    doc["flows"].append(
+        {**doc["flows"][0], "id": "g", "edges": edges, "destinations": destinations}
+    )
+    return doc
+
+
+# flow g has edges in its own graph that the source A does not reach
+UNREACHABLE = [["A", "B"], ["E", "F"], ["D", "E"], ["C", "D"]]
+
+
 MALFORMED = {
     "top-level list": ([], "$"),
     "top-level string": ("net", "$"),
@@ -188,6 +206,19 @@ MALFORMED = {
     "list inside a flow edge": (_two_vertex_net(edges=[["A", ["B"]]]), "flows[0].edges[0]"),
     "list inside placement flows": (
         _with_placement(kind="pef", vertex="B", flows=[["f"]]), "placements[0].flows[0]"
+    ),
+    "flow graph with a cycle": (
+        _second_flow_net([["A", "B"], ["B", "C"], ["C", "B"]], ["C"]), "flows[1].edges"
+    ),
+    "vertex not reachable from the source": (
+        _second_flow_net(UNREACHABLE, ["B"]), "flows[1]"
+    ),
+    "merge re-splits the flow": (
+        _second_flow_net(
+            [["A", "B"], ["A", "C"], ["B", "D"], ["C", "D"], ["D", "E"], ["D", "F"]],
+            ["E", "F"],
+        ),
+        "flows[1]",
     ),
 }
 
@@ -327,6 +358,22 @@ class TestInputErrors:
                 assert code in (0, 1, 2), (name, doc)
                 if code == 1:
                     assert err.startswith("error: "), (name, err)
+
+    def test_unreachable_vertex_is_named_in_edge_order(self, tmp_path):
+        # the vertex named must not depend on set iteration order
+        target = tmp_path / "unreachable.json"
+        target.write_text(json.dumps(_second_flow_net(UNREACHABLE, ["B"])))
+        errors = set()
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "redcalc.cli", "analyze", "--in", str(target)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 1
+            errors.add(proc.stderr)
+        assert errors == {"error: flows[1]: vertex E is not reachable from the source\n"}
 
     def test_diagnostic_names_the_json_path(self, tmp_path, capsys):
         target = tmp_path / "bad.json"

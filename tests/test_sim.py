@@ -36,7 +36,7 @@ from redcalc.sim import (
 from redcalc.sim.engine import scenario_to_json
 from redcalc.topology import DelayInterval, SpecError
 
-from oracles import compliance_violations
+from oracles import compliance_violations, reordering_by_pairs
 
 F = Fraction
 TOY_PEF_OUT = ConcaveCurve([(2, 4), (1, 8)])
@@ -239,6 +239,25 @@ class TestMeasures:
         assert report["observed"] == 4 and report["allowed"] == F(5, 2)
         assert compliance_violations(events, curve)
 
+    @staticmethod
+    def _matches_compliance_oracle(events, curve):
+        # sorted as check_compliance sorts them, so window indices line up
+        events = sorted(events)
+        got = check_compliance(events, curve)
+        oracle = compliance_violations(events, curve)
+        assert (got is None) == (oracle == [])
+        if got is None:
+            return
+        assert all(isinstance(v, Fraction) for v in got.values())
+        assert any(
+            events[i][0] == got["window_start"]
+            and events[j][0] == got["window_end"]
+            and sum(sz for _t, sz in events[i : j + 1]) == got["observed"]
+            for i, j in oracle
+        )
+        assert got["allowed"] == curve.envelope(got["window_end"] - got["window_start"])
+        assert got["observed"] > got["allowed"]
+
     def test_compliance_matches_oracle_randomized(self):
         rng = random.Random(4242)
         for _ in range(150):
@@ -253,9 +272,45 @@ class TestMeasures:
             for _ in range(rng.randint(1, 12)):
                 t += F(rng.randint(0, 5), 2)
                 events.append((t, F(rng.randint(0, 4))))
-            got = check_compliance(events, curve)
-            oracle = compliance_violations(events, curve)
-            assert (got is None) == (oracle == [])
+            self._matches_compliance_oracle(events, curve)
+
+        # fractional rates, bursts, times and sizes over mixed denominators,
+        # with zero sizes and equal instants
+        dens = (1, 2, 3, 7)
+        rng = random.Random(777)
+        for _ in range(300):
+            curve = ConcaveCurve(
+                [
+                    (F(rng.randint(1, 9), rng.choice(dens)), F(rng.randint(1, 12), rng.choice(dens)))
+                    for _ in range(rng.randint(1, 3))
+                ]
+            )
+            events = []
+            t = F(rng.randint(0, 6), rng.choice(dens))
+            for _ in range(rng.randint(1, 12)):
+                t += rng.choice((F(0), F(rng.randint(1, 9), rng.choice(dens))))
+                size = rng.choice((F(0), F(rng.randint(1, 9), rng.choice(dens))))
+                events.append((t, size))
+            self._matches_compliance_oracle(events, curve)
+
+    def test_reordering_matches_oracle_randomized(self):
+        dens = (1, 2, 3, 5, 7)
+        rng = random.Random(2024)
+        assert measure_reordering([]) == reordering_by_pairs([]) == (0, 0)
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            ranks = rng.sample(range(3 * n), n)
+            # a small pool of instants, so that some units arrive together
+            instants = [F(rng.randint(0, 30), rng.choice(dens)) for _ in range(rng.randint(1, n))]
+            units = [
+                (r, rng.choice(instants), F(rng.randint(0, 9), rng.choice(dens)))
+                for r in ranks
+            ]
+            got = measure_reordering(units)
+            assert got == reordering_by_pairs(units)
+            assert all(isinstance(v, Fraction) for v in got)
+            if n == 1:
+                assert got == (0, 0)
 
 
 class TestTightnessGenerator:
