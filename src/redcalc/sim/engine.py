@@ -229,7 +229,7 @@ class Trace:
         """(flow, unit) -> end-to-end delay, for units that made it through."""
         gen = self.times(GENERATED)
         done = self.exit_times()
-        grid = math.lcm(*{t.denominator for t in gen.values()}, *{t.denominator for t in done.values()})
+        grid = math.lcm(*{t.denominator for t in (*gen.values(), *done.values())})
 
         def ticks(t):
             return t.numerator * (grid // t.denominator)
@@ -505,8 +505,8 @@ def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int
         for seg in sigma.segments:
             if seg.rate:
                 continue
-            total = sum(sources[rank].size for _t, _idx, rank in shaped if sources[rank].flow == fid)
-            if total > seg.burst:
+            flow_units = (sources[rank] for _t, _idx, rank in shaped)
+            if sum(u.size for u in flow_units if u.flow == fid) > seg.burst:
                 raise ScenarioError("regulator starves: bucket can never refill enough")
 
     states = {fid: _BucketState(sigma, start, grid) for fid, sigma in spec.shaping.items()}

@@ -16,8 +16,19 @@ from fractions import Fraction
 import pytest
 
 from redcalc.cli import bundled_dir, bundled_names, main
-from redcalc.sim import gen_adversarial_ir, run_scenario, toy_scenario
+from redcalc.minplus import ConcaveCurve
+from redcalc.sim import (
+    PathSpec,
+    Pipeline,
+    RegSpec,
+    Scenario,
+    SourceUnit,
+    gen_adversarial_ir,
+    run_scenario,
+    toy_scenario,
+)
 from redcalc.sim.generators import TOY_VARIANTS
+from redcalc.topology import DelayInterval
 from netfixtures import fwd_flow, rev_flow, ring_network, ring_sites_network
 
 NETWORKS = [n for n in bundled_names() if n.startswith("net-")]
@@ -234,6 +245,8 @@ TRACES = {
     "toy:pof-pfr@13/3": "9c18e3c7e729eb32007cc6a1e78c86c2ac52d504cfb734a3e5e50bb495d4aeb9",
     "toy:lossy@13/3": "711b89ae7f7a30e530f77fffc1bcb6a67d22a07ae6e5b55df2ca439088f94440",
     "adversarial-ir": "6b15c6a86be8578ccc60afeef9b88fcde91b60ef3a43de71c30a1b539b2b3aa4",
+    "shaped:per-flow": "b8d9f1ee112f8eba39161037f5f9f2a8bd54b35362674c4de9537d8924abda86",
+    "shaped:interleaved": "6a41cc68e9ab7a3c3c5c35e7c153996f9cd4dd346d9c0453dfb7beaba96eaa05",
 }
 # the toy runs again with a fractional re-sequencer timeout
 TIMED_TOYS = {"pof": Fraction(5, 2), "pof-pfr": Fraction(13, 3), "lossy": Fraction(13, 3)}
@@ -291,6 +304,29 @@ def test_toy_trace_with_fractional_timeout(variant):
     timeout = TIMED_TOYS[variant]
     got = _csv_digest(toy_scenario(variant, timeout=timeout))
     assert got == TRACES[f"toy:{variant}@{timeout}"]
+
+
+def _shaped_scenario(mode):
+    """Two flows on one reordering path into a regulator with fractional
+    rates, bursts and sizes; g's curve has a rate-0 segment that caps its
+    total volume without starving it."""
+    F = Fraction
+    units = [SourceUnit("f", str(k), F(k, 3), F(2 + k % 3, 4)) for k in range(12)]
+    units += [SourceUnit("g", str(k), F(k, 2), F(1 + k % 2, 3)) for k in range(10)]
+    schedule = {u.key: F(k % 4, 5) for k, u in enumerate(units)}
+    shaping = {
+        "f": ConcaveCurve([(F(1, 2), F(5, 2)), (F(3, 2), F(3, 2))]),
+        "g": ConcaveCurve([(0, 40), (F(2, 7), F(4, 3))]),
+    }
+    path = PathSpec("p", DelayInterval(0, 1), schedule, fifo=False)
+    return Scenario(
+        f"shaped-{mode}", units, [path], Pipeline(pef=False, reg=RegSpec(mode, shaping))
+    )
+
+
+@pytest.mark.parametrize("mode", ["per-flow", "interleaved"])
+def test_regulator_trace_on_fractional_curves(mode):
+    assert _csv_digest(_shaped_scenario(mode)) == TRACES[f"shaped:{mode}"]
 
 
 def test_adversarial_ir_trace_on_mixed_denominators():

@@ -117,6 +117,17 @@ class TestEngineValidation:
         with pytest.raises(ScenarioError, match="shaping burst"):
             run_scenario(sc)
 
+    def test_rate_zero_bucket_starves(self):
+        # a rate-0 bucket never refills: 2 + 2 exceeds its burst of 3
+        units = [SourceUnit("f", "1", 0, 2), SourceUnit("f", "2", 1, 2)]
+        path = PathSpec("p", DelayInterval(0, 1), {}, default=F(0))
+        curve = ConcaveCurve([(0, 3), (1, 2)])
+        sc = one_flow(units, [path], Pipeline(reg=RegSpec("per-flow", {"f": curve})))
+        with pytest.raises(ScenarioError, match="starves"):
+            run_scenario(sc)
+        sc.sources = units[:1]
+        assert unit_delays(run_scenario(sc)) == {1: 0}
+
 
 class TestToyRuns:
     def test_double_rate_output(self):
@@ -281,7 +292,10 @@ class TestMeasures:
         for _ in range(300):
             curve = ConcaveCurve(
                 [
-                    (F(rng.randint(1, 9), rng.choice(dens)), F(rng.randint(1, 12), rng.choice(dens)))
+                    (
+                        F(rng.randint(1, 9), rng.choice(dens)),
+                        F(rng.randint(1, 12), rng.choice(dens)),
+                    )
                     for _ in range(rng.randint(1, 3))
                 ]
             )
