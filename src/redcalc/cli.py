@@ -11,8 +11,8 @@ import json
 import sys
 from importlib import resources
 
-from .minplus import is_unbounded, parse_rational, rational_str
-from .sim import ScenarioError, load_scenario, run_scenario
+from .minplus import is_unbounded, parse_rational, to_jsonable
+from .sim import load_scenario, run_scenario
 from .tfa import CONVERGED, MODEL_INTUITIVE, MODEL_TIGHT, analyze, compare_models
 from .topology import SpecError, load_network
 
@@ -52,6 +52,10 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
+def _emit_json(doc, out_path):
+    _emit(json.dumps(to_jsonable(doc), indent=2), out_path)
+
+
 def _report_exit(report) -> int:
     if report.status != CONVERGED or report.any_violation():
         return 2
@@ -72,7 +76,7 @@ def cmd_analyze(args) -> int:
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
     else:
-        _emit(json.dumps(report.to_json(), indent=2), args.out)
+        _emit_json(report, args.out)
     return _report_exit(report)
 
 
@@ -80,19 +84,14 @@ def cmd_compare(args) -> int:
     network = _load(args.input, load_network)
     out = compare_models(network, lossless=args.lossless, **_caps(args))
     doc = {
-        "tight": out["tight"].to_json(),
-        "intuitive": out["intuitive"].to_json(),
+        "tight": out["tight"],
+        "intuitive": out["intuitive"],
         "pairs": [
-            {
-                "flow": fid,
-                "destination": dest,
-                "tight": t.to_json(),
-                "intuitive": i.to_json(),
-            }
+            {"flow": fid, "destination": dest, "tight": t, "intuitive": i}
             for (fid, dest), (t, i) in sorted(out["pairs"].items())
         ],
     }
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit_json(doc, args.out)
     return max(_report_exit(out["tight"]), _report_exit(out["intuitive"]))
 
 
@@ -139,11 +138,8 @@ def cmd_verify(args) -> int:
         rows.append(
             {
                 "flow": fid,
-                "observed": {
-                    "min": rational_str(observed_lo),
-                    "max": rational_str(observed_hi),
-                },
-                "bound": interval.to_json(),
+                "observed": {"min": observed_lo, "max": observed_hi},
+                "bound": interval,
                 "ok": ok,
                 "notes": notes,
             }
@@ -156,7 +152,7 @@ def cmd_verify(args) -> int:
         "flows": rows,
         "sound": ok_all,
     }
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit_json(doc, args.out)
     return 0 if ok_all else 2
 
 
@@ -219,10 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # SpecError, ScenarioError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -56,9 +56,31 @@ def parse_rational(value) -> Fraction:
 
 
 def rational_str(x) -> str:
+    if type(x) is Fraction:
+        return str(x)
     if is_unbounded(x):
         return "unbounded"
     return str(Fraction(x))
+
+
+def to_jsonable(value):
+    """`value` ready for `json.dumps`: a Fraction as its rational string,
+    UNBOUNDED as "unbounded", an object through its own `to_json()`, dicts,
+    lists and tuples entry by entry; None, bools, ints and strings as they
+    are."""
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind is dict:
+        return {k: to_jsonable(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [to_jsonable(v) for v in value]
+    if value is None or kind is str or kind is int or kind is bool:
+        return value
+    if is_unbounded(value):
+        return "unbounded"
+    to_json = getattr(value, "to_json", None)
+    return value if to_json is None else to_json()
 
 
 @dataclass(frozen=True)

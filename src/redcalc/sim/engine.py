@@ -37,15 +37,32 @@ Stage semantics:
 import csv
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Optional, Union
 
-from ..minplus import ConcaveCurve, TokenBucket, is_unbounded, parse_rational, rational_str
-from ..topology import DelayInterval, SpecError, parse_curve
+from ..minplus import (
+    ConcaveCurve,
+    TokenBucket,
+    is_unbounded,
+    parse_rational,
+    rational_str,
+    to_jsonable,
+)
+from ..topology import (
+    REG_INTERLEAVED,
+    REG_PER_FLOW,
+    DelayInterval,
+    SpecError,
+    _parsed,
+    _rational,
+    _read_document,
+    _required,
+    _typed,
+    parse_curve,
+)
 
 GENERATED = "generated"
 BRANCH_EXIT = "branch_exit"
@@ -54,9 +71,6 @@ POF_EXIT = "pof_exit"
 REG_EXIT = "reg_exit"
 
 DROP = "drop"
-
-MODE_PER_FLOW = "per-flow"
-MODE_INTERLEAVED = "interleaved"
 
 
 class ScenarioError(ValueError):
@@ -127,7 +141,7 @@ class RegSpec:
     shaping: dict  # flow id -> ConcaveCurve
 
     def __post_init__(self):
-        if self.mode not in (MODE_PER_FLOW, MODE_INTERLEAVED):
+        if self.mode not in (REG_PER_FLOW, REG_INTERLEAVED):
             raise ScenarioError(f"unknown regulator mode {self.mode!r}")
         curves = {}
         for fid, sigma in self.shaping.items():
@@ -151,6 +165,11 @@ class FlowProfile:
     arrival: Optional[ConcaveCurve] = None
     lmin: Optional[Fraction] = None
     lmax: Optional[Fraction] = None
+
+    def __post_init__(self):
+        for name in ("lmin", "lmax"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, parse_rational(getattr(self, name)))
 
 
 @dataclass
@@ -513,7 +532,7 @@ def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int
     # per-flow mode keeps one queue per flow, interleaved mode a single one
     queues = {}
     for item in shaped:
-        queue = sources[item[2]].flow if spec.mode == MODE_PER_FLOW else None
+        queue = sources[item[2]].flow if spec.mode == REG_PER_FLOW else None
         queues.setdefault(queue, []).append(item)
     exits = []  # (release tick, index, rank)
     for items in queues.values():
@@ -590,29 +609,6 @@ def run_scenario(scenario: Scenario) -> Trace:
     return Trace(scenario, events)
 
 
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
-
-
-def _typed(value, kind: type, path: str):
-    """`value`, once checked to be a JSON object, list or string."""
-    if not isinstance(value, kind):
-        raise SpecError(path, f"expected {_KIND_NAMES[kind]}")
-    return value
-
-
-def _required(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SpecError(path, "required key is missing")
-    return obj[key]
-
-
-def _rational(value, path: str) -> Fraction:
-    try:
-        return parse_rational(value)
-    except (ValueError, TypeError) as exc:
-        raise SpecError(path, str(exc)) from exc
-
-
 def _action(value, path: str):
     """A branch action: "drop" or {"delay": d}."""
     if value == DROP:
@@ -652,7 +648,7 @@ def scenario_from_json(doc) -> Scenario:
         sources.append(
             SourceUnit(
                 _typed(_required(raw, "flow", f"{path}.flow"), str, f"{path}.flow"),
-                str(_required(raw, "unit", f"{path}.unit")),
+                _typed(_required(raw, "unit", f"{path}.unit"), str, f"{path}.unit"),
                 _rational(_required(raw, "time", f"{path}.time"), f"{path}.time"),
                 _rational(_required(raw, "size", f"{path}.size"), f"{path}.size"),
             )
@@ -663,11 +659,12 @@ def scenario_from_json(doc) -> Scenario:
         path = f"paths[{i}]"
         _typed(raw, dict, path)
         name = _typed(_required(raw, "name", f"{path}.name"), str, f"{path}.name")
-        bounds = _required(raw, "bounds", f"{path}.bounds")
-        try:
-            bounds = DelayInterval.from_json(bounds)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SpecError(f"{path}.bounds", f"bad delay interval: {exc}") from exc
+        bounds = _parsed(
+            DelayInterval.from_json,
+            _required(raw, "bounds", f"{path}.bounds"),
+            f"{path}.bounds",
+            "bad delay interval: ",
+        )
         schedule = {}
         actions = _typed(raw.get("schedule", {}), dict, f"{path}.schedule")
         for key, action in actions.items():
@@ -682,8 +679,8 @@ def scenario_from_json(doc) -> Scenario:
                 bounds,
                 schedule,
                 default,
-                lossy=raw.get("lossy", True),
-                fifo=raw.get("fifo", True),
+                lossy=_typed(raw.get("lossy", True), bool, f"{path}.lossy"),
+                fifo=_typed(raw.get("fifo", True), bool, f"{path}.fifo"),
             )
         )
     pdoc = _typed(doc.get("pipeline", {}), dict, "pipeline")
@@ -710,104 +707,66 @@ def scenario_from_json(doc) -> Scenario:
             fid: parse_curve(c, f"pipeline.reg.shaping.{fid}")
             for fid, c in _typed(shaping, dict, "pipeline.reg.shaping").items()
         }
-        try:
-            reg = RegSpec(raw.get("mode", MODE_PER_FLOW), curves)
-        except ScenarioError as exc:
-            raise SpecError("pipeline.reg.mode", str(exc)) from exc
+        reg = _parsed(
+            lambda mode: RegSpec(mode, curves), raw.get("mode", REG_PER_FLOW), "pipeline.reg.mode"
+        )
     return Scenario(
         name=doc.get("name", "scenario"),
         sources=sources,
         paths=paths,
-        pipeline=Pipeline(pef=pdoc.get("pef", True), pof=pof, reg=reg),
+        pipeline=Pipeline(
+            pef=_typed(pdoc.get("pef", True), bool, "pipeline.pef"), pof=pof, reg=reg
+        ),
         flows=flows,
-        allow_zero_size=bool(doc.get("allow_zero_size", False)),
+        allow_zero_size=_typed(doc.get("allow_zero_size", False), bool, "allow_zero_size"),
         meta=doc.get("meta", {}),
     )
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
-    flows = {}
-    for fid, prof in scenario.flows.items():
-        raw = {}
-        if prof.arrival is not None:
-            raw["arrival"] = prof.arrival.to_json()
-        if prof.lmin is not None:
-            raw["lmin"] = rational_str(prof.lmin)
-        if prof.lmax is not None:
-            raw["lmax"] = rational_str(prof.lmax)
-        flows[fid] = raw
-    paths = []
-    for p in scenario.paths:
-        schedule = {}
-        for (fid, unit), action in p.schedule.items():
-            schedule[f"{fid}/{unit}"] = (
-                DROP if action == DROP else {"delay": rational_str(action)}
-            )
-        default = p.default
-        if default is not None and default != DROP:
-            default = {"delay": rational_str(default)}
-        paths.append(
-            {
-                "name": p.name,
-                "bounds": p.bounds.to_json(),
-                "schedule": schedule,
-                "default": default,
-                "lossy": p.lossy,
-                "fifo": p.fifo,
-            }
-        )
-    pipe = {"pef": scenario.pipeline.pef}
-    if scenario.pipeline.pof is not None:
-        pof = scenario.pipeline.pof
-        pipe["pof"] = {
-            "timeout": rational_str(pof.timeout) if pof.timeout is not None else None,
-            "flows": sorted(pof.flows) if pof.flows is not None else None,
+    pipe = scenario.pipeline
+    pof = pipe.pof
+    return to_jsonable(
+        {
+            "name": scenario.name,
+            "flows": {
+                fid: {key: v for key, v in vars(prof).items() if v is not None}
+                for fid, prof in scenario.flows.items()
+            },
+            "sources": [vars(u) for u in scenario.sources],
+            "paths": [
+                {
+                    "name": p.name,
+                    "bounds": p.bounds,
+                    "schedule": {
+                        f"{fid}/{unit}": _action_json(action)
+                        for (fid, unit), action in p.schedule.items()
+                    },
+                    "default": None if p.default is None else _action_json(p.default),
+                    "lossy": p.lossy,
+                    "fifo": p.fifo,
+                }
+                for p in scenario.paths
+            ],
+            "pipeline": {
+                "pef": pipe.pef,
+                "pof": None if pof is None else {
+                    "timeout": pof.timeout,
+                    "flows": None if pof.flows is None else sorted(pof.flows),
+                },
+                "reg": None if pipe.reg is None else vars(pipe.reg),
+            },
+            "allow_zero_size": scenario.allow_zero_size,
+            "meta": scenario.meta,
         }
-    else:
-        pipe["pof"] = None
-    if scenario.pipeline.reg is not None:
-        reg = scenario.pipeline.reg
-        pipe["reg"] = {
-            "mode": reg.mode,
-            "shaping": {fid: c.to_json() for fid, c in reg.shaping.items()},
-        }
-    else:
-        pipe["reg"] = None
-    return {
-        "name": scenario.name,
-        "flows": flows,
-        "sources": [
-            {
-                "flow": u.flow,
-                "unit": u.unit,
-                "time": rational_str(u.time),
-                "size": rational_str(u.size),
-            }
-            for u in scenario.sources
-        ],
-        "paths": paths,
-        "pipeline": pipe,
-        "allow_zero_size": scenario.allow_zero_size,
-        "meta": _plain(scenario.meta),
-    }
+    )
 
 
-def _plain(value):
-    # generator metadata carries exact rationals; keep them as strings
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+def _action_json(action):
+    """A branch action in its document form: "drop" or {"delay": d}."""
+    return DROP if _is_drop(action) else {"delay": parse_rational(action)}
 
 
 def load_scenario(source) -> Scenario:
     """Scenario from a dict, an open file, or a filesystem path."""
-    if isinstance(source, dict):
-        return scenario_from_json(source)
-    if hasattr(source, "read"):
-        return scenario_from_json(json.load(source))
-    with open(source, "r", encoding="utf-8") as fh:
-        return scenario_from_json(json.load(fh))
+    return _read_document(source, scenario_from_json)

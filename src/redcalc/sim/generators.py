@@ -18,11 +18,9 @@ from fractions import Fraction
 
 from ..minplus import ConcaveCurve, parse_rational
 from ..regulators import ir_q_min
-from ..topology import DelayInterval
+from ..topology import REG_INTERLEAVED, REG_PER_FLOW, DelayInterval
 from .engine import (
     DROP,
-    MODE_INTERLEAVED,
-    MODE_PER_FLOW,
     FlowProfile,
     PathSpec,
     Pipeline,
@@ -75,7 +73,7 @@ def toy_scenario(variant: str, timeout=None) -> Scenario:
     else:
         short = dict(short_fast)
         long = dict(long_all_7)
-        reg = RegSpec(MODE_PER_FLOW, {"f": ConcaveCurve([(1, 1)])})
+        reg = RegSpec(REG_PER_FLOW, {"f": ConcaveCurve([(1, 1)])})
         if variant == "pof-pfr":
             pof = PofSpec(timeout=timeout)
         elif variant == "lossy":
@@ -296,7 +294,7 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
         ],
         pipeline=Pipeline(
             pef=True,
-            reg=RegSpec(MODE_INTERLEAVED, {f"f{i}": curve for i in range(1, q + 1)}),
+            reg=RegSpec(REG_INTERLEAVED, {f"f{i}": curve for i in range(1, q + 1)}),
         ),
         flows=flows,
         meta={

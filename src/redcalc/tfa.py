@@ -42,6 +42,7 @@ from .minplus import (
     parse_rational,
     rational_str,
     round_bursts_up,
+    to_jsonable,
 )
 from .redundancy import (
     lossy_jitter_output_curve,
@@ -116,21 +117,7 @@ class FlowResult:
     verdict: str  # met | violated | unbounded | ok
 
     def to_json(self) -> dict:
-        return {
-            "flow": self.flow,
-            "destination": self.destination,
-            "interval": self.interval.to_json(),
-            "deadline": rational_str(self.deadline) if self.deadline is not None else None,
-            "verdict": self.verdict,
-        }
-
-
-def _curve_json(curve):
-    return curve.to_json() if curve is not None else None
-
-
-def _opt_rational_str(x):
-    return rational_str(x) if x is not None else None
+        return to_jsonable(vars(self))  # the fields, in declaration order
 
 
 @dataclass
@@ -142,8 +129,8 @@ class AnalysisReport:
     results: list  # FlowResult
     vertex_delays: dict  # vertex -> DelayInterval
     # site records of the final sweep, in sweep order: one dict per
-    # (placement, flow), except a PEF whose input is cut off; the keys are
-    # those of to_json
+    # (placement, flow), except a PEF whose input is cut off; to_json writes
+    # them as they are, key by key
     pef_sites: list
     pof_sites: list
     reg_sites: list
@@ -165,49 +152,10 @@ class AnalysisReport:
         return any(r.verdict in ("violated", "unbounded") for r in self.results)
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "lossless": self.lossless,
-            "status": self.status,
-            "iterations": self.iterations,
-            "results": [r.to_json() for r in self.results],
-            "vertex_delays": {v: d.to_json() for v, d in sorted(self.vertex_delays.items())},
-            "pef_sites": [
-                {
-                    "vertex": s["vertex"],
-                    "flow": s["flow"],
-                    "reference": s["reference"],
-                    "tight_curve": _curve_json(s["tight_curve"]),
-                    "intuitive_curve": _curve_json(s["intuitive_curve"]),
-                    "rto_bound": rational_str(s["rto_bound"]),
-                    "rbo_bound": rational_str(s["rbo_bound"]),
-                }
-                for s in self.pef_sites
-            ],
-            "pof_sites": [
-                {
-                    "vertex": s["vertex"],
-                    "flow": s["flow"],
-                    "reference": s["reference"],
-                    "timeout": _opt_rational_str(s["timeout"]),
-                    "required_timeout": rational_str(s["required_timeout"]),
-                    "required_buffer": rational_str(s["required_buffer"]),
-                    "output_curve": _curve_json(s["output_curve"]),
-                }
-                for s in self.pof_sites
-            ],
-            "reg_sites": [
-                {
-                    "vertex": s["vertex"],
-                    "flow": s["flow"],
-                    "mode": s["mode"],
-                    "rto_bound": _opt_rational_str(s["rto_bound"]),
-                    "verdict": s["verdict"].to_json(),
-                }
-                for s in self.reg_sites
-            ],
-            "notes": list(self.notes),
-        }
+        # the fields in declaration order, the port delays sorted by vertex
+        return to_jsonable(
+            {**vars(self), "vertex_delays": dict(sorted(self.vertex_delays.items()))}
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -294,6 +242,23 @@ def _sweep_order(network: NetworkSpec):
     return order, acyclic
 
 
+def _reordering_inside(idx: dict, disorder: list, resequence: list, a: str, v: str) -> bool:
+    """Can units of a flow reach v's regulator out of source order,
+    considering only the section after a's output?
+
+    `idx` is the topological index of each vertex of the flow, `disorder`
+    and `resequence` the indexes of its EP and PEF vertices and of its POF
+    vertices.  Disorder comes from coexisting duplicates (EP vertices) or
+    from an eliminator output; a later re-sequencer on the same stretch
+    restores source order.  A POF at the same vertex as the PEF runs after it.
+    """
+    lo, hi = idx[a], idx[v]
+    last = max((i for i in disorder if lo < i <= hi), default=-1)
+    if last < 0:
+        return False
+    return not any(last <= i <= hi for i in resequence)
+
+
 def _total(curves: list):
     """Sum of the curves in one `add`; None for no curve."""
     if len(curves) < 2:
@@ -314,30 +279,28 @@ class _Analyzer:
         self.iterations = 0
         self.status = CONVERGED
         self._crossing = {v: [] for v in network.vertices}
-        self._placed = {v: [] for v in network.vertices}
+        self._placed = {v: [] for v in network.vertices}  # (placement, its flows sorted)
         self._function = {}  # (kind, flow, vertex) -> placement, one at most
         for p in network.placements:
-            self._placed[p.vertex].append(p)
+            self._placed[p.vertex].append((p, sorted(p.flows)))
             for fid in p.flows:
                 self._function[(p.kind, fid, p.vertex)] = p
-        self._topo_index = {}
         self._ancestors = {}  # (flow, vertex) -> sorted diamond ancestors but itself
         self._anchor = {}  # (flow, vertex) -> the last of those in flow order
-        self._disorder = {}  # flow -> topo indexes of EP and PEF vertices
-        self._resequence = {}  # flow -> topo indexes of POF vertices
+        # flow -> (topo index of each vertex, indexes of its EP and PEF
+        # vertices, indexes of its POF vertices): _reordering_inside's input
+        order_of = {}
         for fid in sorted(network.flows):
             flow = network.flows[fid]
             order = flow.order
             idx = {v: i for i, v in enumerate(order)}
-            self._topo_index[fid] = idx
             eps = ep_vertices(network, fid)
             dominators = diamond_ancestors(network, fid)
-            self._disorder[fid] = [
-                i for i, v in enumerate(order) if v in eps or (PEF, fid, v) in self._function
-            ]
-            self._resequence[fid] = [
-                i for i, v in enumerate(order) if (POF, fid, v) in self._function
-            ]
+            order_of[fid] = (
+                idx,
+                [i for i, v in enumerate(order) if v in eps or (PEF, fid, v) in self._function],
+                [i for i, v in enumerate(order) if (POF, fid, v) in self._function],
+            )
             for v in order:
                 self._crossing[v].append(fid)
                 if v != flow.source:
@@ -345,26 +308,23 @@ class _Analyzer:
                     ancestors = sorted(dominators[v] - {v})
                     self._ancestors[(fid, v)] = ancestors
                     self._anchor[(fid, v)] = max(ancestors, key=idx.__getitem__)
+        # (flow, vertex of its REG) -> the flows of that regulator, sorted,
+        # whose units can reach it out of source order
+        self._reordered = {}
+        for p in network.placements:
+            if p.kind == REG:
+                reordered = [
+                    g
+                    for g in sorted(p.flows)
+                    if _reordering_inside(*order_of[g], p.reference, p.vertex)
+                ]
+                for g in p.flows:
+                    self._reordered[(g, p.vertex)] = reordered
 
     # -- structural helpers --------------------------------------------------
 
     def _bounds(self, fid: str, a: str, v: str) -> DelayInterval:
         return path_delay_bounds(self.net.flows[fid].edges, a, v, self.vertex_delays)
-
-    def _reordering_inside(self, fid: str, a: str, v: str) -> bool:
-        """Can units of the flow reach v's regulator out of source order,
-        considering only the section after a's output?
-
-        Disorder comes from coexisting duplicates (EP vertices) or from an
-        eliminator output; a later re-sequencer on the same stretch restores
-        source order.  A POF at the same vertex as the PEF runs after it.
-        """
-        idx = self._topo_index[fid]
-        lo, hi = idx[a], idx[v]
-        disorder = max((i for i in self._disorder[fid] if lo < i <= hi), default=-1)
-        if disorder < 0:
-            return False
-        return not any(disorder <= i <= hi for i in self._resequence[fid])
 
     def _capped(self, curve):
         if curve is not None and curve.min_burst > self.burst_cap:
@@ -410,8 +370,8 @@ class _Analyzer:
         for fid in self._crossing[v]:
             post[fid] = self._input_curve(fid, v)
 
-        for placement in self._placed[v]:
-            for fid in sorted(placement.flows):
+        for placement, flows in self._placed[v]:
+            for fid in flows:
                 if placement.kind == PEF:
                     post[fid] = self._apply_pef(fid, v, post[fid])
                 elif placement.kind == POF:
@@ -550,7 +510,8 @@ class _Analyzer:
                 return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
             return RegulatorVerdict.of_interval(eff), None
 
-        if not self._reordering_inside(fid, ref, v):
+        reordered = self._reordered[(fid, v)]
+        if fid not in reordered:
             # FIFO section in front: the regulator never delays the worst unit
             return RegulatorVerdict.of_interval(bounds), None
 
@@ -560,9 +521,7 @@ class _Analyzer:
             return RegulatorVerdict.of_interval(pfr_after_pef_bounds(sigma, bounds)), rto
 
         # interleaved: one queue, so stability depends on every flow sharing it
-        shared = sorted(placement.flows)
-        reordered = [g for g in shared if self._reordering_inside(g, placement.reference, v)]
-        if len(reordered) == 1 and len(shared) == 1:
+        if len(reordered) == 1 and len(placement.flows) == 1:
             rto = pfr_after_pef_rto(pef_rto, bounds)
             return RegulatorVerdict.of_interval(pfr_after_pef_bounds(sigma, bounds)), rto
         branch_lists = []
@@ -679,9 +638,7 @@ def analyze(
 
     # optimistic start: plain source curves everywhere, ports at zero queueing
     for v, spec in network.vertices.items():
-        an.vertex_delays[v] = (
-            spec.tech if spec.service is None else DelayInterval(spec.tech.lo, spec.tech.lo)
-        )
+        an.vertex_delays[v] = vertex_delay(spec, None)
     for fid, flow in network.flows.items():
         for v in flow.vertices:
             an.curves[(fid, v)] = flow.arrival

@@ -29,14 +29,6 @@ from .minplus import (
 )
 
 
-class SpecError(ValueError):
-    """Validation failure; `path` points into the offending JSON document."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
 @dataclass(frozen=True)
 class DelayInterval:
     """Closed delay interval [lo, hi]; hi may be UNBOUNDED."""
@@ -74,10 +66,6 @@ class DelayInterval:
             else max(self.hi, other.hi)
         )
         return DelayInterval(min(self.lo, other.lo), hi)
-
-    def contains(self, value) -> bool:
-        value = parse_rational(value)
-        return self.lo <= value and (is_unbounded(self.hi) or value <= self.hi)
 
     def to_json(self) -> dict:
         return {"lo": rational_str(self.lo), "hi": rational_str(self.hi)}
@@ -313,62 +301,57 @@ def _topo(children: dict, live) -> list:
 
 
 # ---------------------------------------------------------------------------
-# JSON loading and validation
+# JSON loading and validation.  The readers here are shared with the scenario
+# loader (`sim.engine`): every fault they report is a SpecError that names
+# its JSON path.
 
 
-def _parse_service(data, path):
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        raise SpecError(path, "service must be rate-latency, curve segments, or null")
-    if "segments" in data:
-        try:
-            return ConcaveCurve.from_json(data)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SpecError(path, f"bad curve: {exc}") from exc
-    if "rate" in data and "latency" in data:
-        try:
-            return RateLatency(data["rate"], data["latency"])
-        except (ValueError, TypeError) as exc:
-            raise SpecError(path, f"bad rate-latency service: {exc}") from exc
-    raise SpecError(path, "service must be rate-latency, curve segments, or null")
+class SpecError(ValueError):
+    """Validation failure; `path` points into the offending JSON document."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
 
 
-def parse_curve(data, path) -> ConcaveCurve:
-    """Curve from `{"segments": [...]}` or `{"rate", "burst"}`; a bad one
-    raises a SpecError that names `path`."""
-    try:
-        if isinstance(data, dict) and "segments" in data:
-            return ConcaveCurve.from_json(data)
-        if isinstance(data, dict) and "rate" in data:
-            return ConcaveCurve([(data["rate"], data["burst"])])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SpecError(path, f"bad curve: {exc}") from exc
-    raise SpecError(path, "expected a curve object")
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
-def load_network(source) -> NetworkSpec:
-    """Parse and validate one JSON document (path, file object, or dict)."""
+def _read_document(source, parse):
+    """`parse` applied to one JSON document: a dict, an open file, or a
+    filesystem path."""
     if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
-    return network_from_json(doc)
+        return parse(source)
+    if hasattr(source, "read"):
+        return parse(json.load(source))
+    with open(source, encoding="utf-8") as fh:
+        return parse(json.load(fh))
 
 
-def _entries(doc: dict, key: str):
-    """(path, object) for each entry of the list doc[key]."""
-    items = doc.get(key, [])
-    if not isinstance(items, list):
-        raise SpecError(key, "expected a list")
-    for i, item in enumerate(items):
-        path = f"{key}[{i}]"
-        if not isinstance(item, dict):
-            raise SpecError(path, "expected an object")
-        yield path, item
+def _parsed(parse, data, path: str, what: str = ""):
+    """`parse(data)`; a ValueError, KeyError or TypeError it raises becomes a
+    SpecError that names `path`, its message after the prefix `what`."""
+    try:
+        return parse(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SpecError(path, f"{what}{exc}") from exc
+
+
+def _rational(value, path: str) -> Fraction:
+    return _parsed(parse_rational, value, path)
+
+
+def _typed(value, kind: type, path: str):
+    """`value`, once checked to be a JSON object, list, string or boolean."""
+    if not isinstance(value, kind):
+        raise SpecError(path, f"expected {_KIND_NAMES[kind]}")
+    return value
+
+
+def _required(obj: dict, key: str, path: str):
+    if key not in obj:
+        raise SpecError(path, "required key is missing")
+    return obj[key]
 
 
 def _known(value, names, path, what="vertex"):
@@ -379,12 +362,50 @@ def _known(value, names, path, what="vertex"):
     return value
 
 
+def _curve(data: dict) -> ConcaveCurve:
+    if "segments" in data:
+        return ConcaveCurve.from_json(data)
+    return ConcaveCurve([(data["rate"], data["burst"])])
+
+
+def parse_curve(data, path) -> ConcaveCurve:
+    """Curve from `{"segments": [...]}` or `{"rate", "burst"}`; a bad one
+    raises a SpecError that names `path`."""
+    if not isinstance(data, dict) or ("segments" not in data and "rate" not in data):
+        raise SpecError(path, "expected a curve object")
+    return _parsed(_curve, data, path, "bad curve: ")
+
+
+def _parse_service(data, path):
+    if data is None:
+        return None
+    if isinstance(data, dict) and "segments" in data:
+        return parse_curve(data, path)
+    if isinstance(data, dict) and "rate" in data and "latency" in data:
+        return _parsed(
+            lambda d: RateLatency(d["rate"], d["latency"]),
+            data,
+            path,
+            "bad rate-latency service: ",
+        )
+    raise SpecError(path, "service must be rate-latency, curve segments, or null")
+
+
+def load_network(source) -> NetworkSpec:
+    """Parse and validate one JSON document (path, file object, or dict)."""
+    return _read_document(source, network_from_json)
+
+
+def _entries(doc: dict, key: str):
+    """(path, object) for each entry of the list doc[key]."""
+    for i, item in enumerate(_typed(doc.get(key, []), list, key)):
+        path = f"{key}[{i}]"
+        yield path, _typed(item, dict, path)
+
+
 def _list(entry: dict, key: str, path: str) -> list:
     """entry[key], a list when present; [] when absent."""
-    items = entry.get(key, [])
-    if not isinstance(items, list):
-        raise SpecError(f"{path}.{key}", "expected a list")
-    return items
+    return _typed(entry.get(key, []), list, f"{path}.{key}")
 
 
 def network_from_json(doc: dict) -> NetworkSpec:
@@ -399,12 +420,11 @@ def network_from_json(doc: dict) -> NetworkSpec:
             raise SpecError(path, f"duplicate vertex {name}")
         service = _parse_service(v.get("service"), f"{path}.service")
         tech = v.get("tech")
-        try:
-            tech_iv = (
-                DelayInterval(0, 0) if tech is None else DelayInterval.from_json(tech)
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SpecError(f"{path}.tech", str(exc)) from exc
+        tech_iv = (
+            DelayInterval(0, 0)
+            if tech is None
+            else _parsed(DelayInterval.from_json, tech, f"{path}.tech")
+        )
         vertices[name] = VertexSpec(name, service, tech_iv)
 
     edge_set = set()
@@ -446,11 +466,8 @@ def network_from_json(doc: dict) -> NetworkSpec:
                 )
             fedges.append((u, v))
         arrival = parse_curve(f.get("arrival"), f"{path}.arrival")
-        try:
-            lmin = parse_rational(f.get("lmin", 1))
-            lmax = parse_rational(f.get("lmax", lmin))
-        except (ValueError, TypeError) as exc:
-            raise SpecError(f"{path}.lmin", str(exc)) from exc
+        lmin = _rational(f.get("lmin", 1), f"{path}.lmin")
+        lmax = _rational(f.get("lmax", lmin), f"{path}.lmax")
         if lmin <= 0:
             raise SpecError(f"{path}.lmin", "minimum data unit size must be > 0")
         if lmax < lmin:
@@ -464,10 +481,7 @@ def network_from_json(doc: dict) -> NetworkSpec:
                 raise SpecError(
                     f"{path}.deadlines", f"{dest} is not a destination of {fid}"
                 )
-            try:
-                deadlines[dest] = parse_rational(value)
-            except (ValueError, TypeError) as exc:
-                raise SpecError(f"{path}.deadlines.{dest}", str(exc)) from exc
+            deadlines[dest] = _rational(value, f"{path}.deadlines.{dest}")
         flows[fid] = FlowSpec(
             fid, source_v, dests, tuple(fedges), arrival, lmin, lmax, deadlines
         )
@@ -494,23 +508,20 @@ def network_from_json(doc: dict) -> NetworkSpec:
                     f"{path}.mode", "regulator mode must be per-flow or interleaved"
                 )
             shaping = {}
-            raw = p.get("shaping") or {}
-            if not isinstance(raw, dict):
-                raise SpecError(f"{path}.shaping", "expected an object")
+            raw = _typed(p.get("shaping") or {}, dict, f"{path}.shaping")
             for fid in sorted(pflows):
                 if fid not in raw:
                     raise SpecError(
                         f"{path}.shaping", f"missing shaping curve for flow {fid}"
                     )
                 shaping[fid] = parse_curve(raw[fid], f"{path}.shaping.{fid}")
-        try:
-            placements.append(
-                FunctionPlacement(
-                    kind, vertex, pflows, reference, timeout, mode, shaping
-                )
+        placements.append(
+            _parsed(
+                lambda t: FunctionPlacement(kind, vertex, pflows, reference, t, mode, shaping),
+                timeout,
+                f"{path}.timeout",
             )
-        except (ValueError, TypeError) as exc:
-            raise SpecError(f"{path}.timeout", str(exc)) from exc
+        )
 
     network = NetworkSpec(vertices, flows, tuple(placements))
     _validate_semantics(network)
@@ -522,10 +533,7 @@ def _validate_semantics(network: NetworkSpec) -> None:
     ancestors = {}
     for index, (fid, flow) in enumerate(network.flows.items()):
         path = f"flows[{index}]"  # flows keep their document order
-        try:
-            order = flow.order
-        except ValueError as exc:
-            raise SpecError(f"{path}.edges", str(exc)) from None
+        order = _parsed(lambda f: f.order, flow, f"{path}.edges")
         reachable = _reach(flow.children, flow.source)
         for v in itertools.chain(*flow.edges, flow.destinations):  # in document order
             if v not in reachable:

@@ -183,6 +183,7 @@ MALFORMED = {
     "flow edge not a pair": (_two_vertex_net(edges=[["A", "B", "C"]]), "flows[0].edges[0]"),
     "flow edge a string": (_two_vertex_net(edges=["AB"]), "flows[0].edges[0]"),
     "bad deadline literal": (_two_vertex_net(deadlines={"B": "soon"}), "flows[0].deadlines.B"),
+    "bad lmax literal": (_two_vertex_net(lmin="1", lmax="x"), "flows[0].lmax"),
     "deadlines a string": (_two_vertex_net(deadlines="soon"), "flows[0].deadlines"),
     "destinations a boolean": (_two_vertex_net(destinations=True), "flows[0].destinations"),
     "destination an object": (
@@ -266,6 +267,25 @@ MALFORMED_SCENARIOS = {
     "bad regulator mode": (
         _toy_scenario(lambda d: d["pipeline"]["reg"].update(mode="fifo")),
         "pipeline.reg.mode",
+    ),
+    "zero-size flag a string": (
+        _toy_scenario(lambda d: d.update(allow_zero_size="false")), "allow_zero_size"
+    ),
+    "eliminator flag a string": (
+        _toy_scenario(lambda d: d["pipeline"].update(pef="no")), "pipeline.pef"
+    ),
+    "lossy flag a number": (
+        _toy_scenario(lambda d: d["paths"][0].update(lossy=1)), "paths[0].lossy"
+    ),
+    "fifo flag a string": (
+        _toy_scenario(lambda d: d["paths"][1].update(fifo="yes")), "paths[1].fifo"
+    ),
+    "unit id an object": (
+        _toy_scenario(lambda d: d["sources"][0].update(unit={"id": "1"})), "sources[0].unit"
+    ),
+    "unit id a number": (
+        _toy_scenario(lambda d: d["sources"][2].update(unit=int(d["sources"][2]["unit"]))),
+        "sources[2].unit",
     ),
 }
 
