@@ -11,7 +11,7 @@ import json
 import sys
 from importlib import resources
 
-from .minplus import is_unbounded, parse_rational, to_jsonable
+from .minplus import is_unbounded, to_jsonable
 from .sim import load_scenario, run_scenario
 from .tfa import CONVERGED, MODEL_INTUITIVE, MODEL_TIGHT, analyze, compare_models
 from .topology import SpecError, load_network
@@ -63,11 +63,7 @@ def _report_exit(report) -> int:
 
 
 def _caps(args) -> dict:
-    cap = args.burst_cap
-    return {
-        "iter_cap": args.iter_cap,
-        "burst_cap": parse_rational(cap) if isinstance(cap, str) else cap,
-    }
+    return {"iter_cap": args.iter_cap, "burst_cap": args.burst_cap}
 
 
 def cmd_analyze(args) -> int:

@@ -45,7 +45,6 @@ from typing import Optional, Union
 
 from ..minplus import (
     ConcaveCurve,
-    TokenBucket,
     is_unbounded,
     parse_rational,
     rational_str,
@@ -143,14 +142,10 @@ class RegSpec:
     def __post_init__(self):
         if self.mode not in (REG_PER_FLOW, REG_INTERLEAVED):
             raise ScenarioError(f"unknown regulator mode {self.mode!r}")
-        curves = {}
         for fid, sigma in self.shaping.items():
-            if isinstance(sigma, TokenBucket):
-                sigma = sigma.as_curve()
             if not isinstance(sigma, ConcaveCurve):
                 raise ScenarioError(f"regulator shaping for {fid} must be a curve")
-            curves[fid] = sigma
-        object.__setattr__(self, "shaping", curves)
+        object.__setattr__(self, "shaping", dict(self.shaping))
 
 
 @dataclass(frozen=True)
@@ -653,6 +648,7 @@ def scenario_from_json(doc) -> Scenario:
                 _rational(_required(raw, "size", f"{path}.size"), f"{path}.size"),
             )
         )
+    units = {u.key for u in sources}
     paths = []
     entries = _typed(_required(doc, "paths", "paths"), list, "paths")
     for i, raw in enumerate(entries):
@@ -668,7 +664,9 @@ def scenario_from_json(doc) -> Scenario:
         schedule = {}
         actions = _typed(raw.get("schedule", {}), dict, f"{path}.schedule")
         for key, action in actions.items():
-            fid, _, unit = key.partition("/")
+            fid, slash, unit = key.partition("/")
+            if not slash or (fid, unit) not in units:
+                raise SpecError(f"{path}.schedule.{key}", "names no source unit (flow/unit)")
             schedule[(fid, unit)] = _action(action, f"{path}.schedule.{key}")
         default = raw.get("default")
         if default is not None:
@@ -711,7 +709,7 @@ def scenario_from_json(doc) -> Scenario:
             lambda mode: RegSpec(mode, curves), raw.get("mode", REG_PER_FLOW), "pipeline.reg.mode"
         )
     return Scenario(
-        name=doc.get("name", "scenario"),
+        name=_typed(doc.get("name", "scenario"), str, "name"),
         sources=sources,
         paths=paths,
         pipeline=Pipeline(
@@ -719,7 +717,7 @@ def scenario_from_json(doc) -> Scenario:
         ),
         flows=flows,
         allow_zero_size=_typed(doc.get("allow_zero_size", False), bool, "allow_zero_size"),
-        meta=doc.get("meta", {}),
+        meta=_typed(doc.get("meta", {}), dict, "meta"),
     )
 
 

@@ -93,10 +93,6 @@ def toy_scenario(variant: str, timeout=None) -> Scenario:
     )
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return math.ceil(x)
-
-
 def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scenario:
     """Worst-burst schedule for an eliminator fed by two lossy branches.
 
@@ -124,9 +120,9 @@ def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scen
     step = b / r
     if d2 - D1 >= step:
         case = 1
-        chi1 = max(1, _ceil_frac(r * (D1 - d1) / b))
-        chi2 = max(1, _ceil_frac(r * (D2 - d2) / b))
-        psi = _ceil_frac((r * (d2 - D1) - b) / b)
+        chi1 = max(1, math.ceil(r * (D1 - d1) / b))
+        chi2 = max(1, math.ceil(r * (D2 - d2) / b))
+        psi = math.ceil((r * (d2 - D1) - b) / b)
 
         emit("i2", Fraction(0), b, 1, D2)
         for k in range(1, chi2):
@@ -158,7 +154,7 @@ def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scen
             # exactly r*(d2 - D1) spans that hole without leaving the envelope
             leg2 = r * (D2 - d2)
             if leg2 > 0:
-                k2 = _ceil_frac(leg2 / b)
+                k2 = math.ceil(leg2 / b)
                 for k in range(1, k2 + 1):
                     off = k * step if k < k2 else D2 - d2
                     size = b if k < k2 else leg2 - (k2 - 1) * b
@@ -166,7 +162,7 @@ def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scen
             emit("bridge", D2 - D1, r * (d2 - D1), 0, D1)
             leg1 = r * (D1 - d1)
             if leg1 > 0:
-                k1 = _ceil_frac(leg1 / b)
+                k1 = math.ceil(leg1 / b)
                 for k in range(1, k1 + 1):
                     off = (D2 - D1) + k * step if k < k1 else D2 - d1
                     size = b if k < k1 else leg1 - (k1 - 1) * b
@@ -174,7 +170,7 @@ def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scen
         else:
             extra = r * (D2 - d1)
             if extra > 0:
-                kk = _ceil_frac(extra / b)
+                kk = math.ceil(extra / b)
                 for k in range(1, kk + 1):
                     off = k * step if k < kk else D2 - d1
                     size = b if k < kk else extra - (kk - 1) * b

@@ -27,7 +27,7 @@ replicate curves as if nothing were dropped.
 
 import csv
 import io
-import os
+from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -67,6 +67,7 @@ from .topology import (
     REG_PER_FLOW,
     DelayInterval,
     NetworkSpec,
+    _section_plan,
     diamond_ancestors,
     ep_vertices,
     path_delay_bounds,
@@ -79,7 +80,6 @@ CONVERGED = "Converged"
 DIVERGED = "Diverged"
 ITERATION_CAP = "IterationCap"
 
-ITER_CAP_ENV = "REDCALC_ITER_CAP"
 DEFAULT_ITER_CAP = 1000
 DEFAULT_BURST_CAP = Fraction(10**9)
 
@@ -176,87 +176,51 @@ class AnalysisReport:
         return buf.getvalue()
 
 
-def _union_graph(network: NetworkSpec) -> dict:
+def _sweep_order(network: NetworkSpec):
+    """Vertices in SCC-condensation topological order, plus an acyclic flag.
+
+    Kosaraju on the union of the flow graphs: one depth-first search, roots
+    and children in sorted order, records the finishing order; then each
+    vertex, taken in reverse finishing order, gathers its component from the
+    unplaced vertices that reach it.  Members of a component are sorted.
+    """
     children = {v: set() for v in network.vertices}
+    parents = {v: set() for v in network.vertices}
     for f in network.flows.values():
         for u, v in f.edges:
             children[u].add(v)
-    return children
-
-
-def _sweep_order(network: NetworkSpec):
-    """Vertices in SCC-condensation topological order, plus an acyclic flag."""
-    children = _union_graph(network)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
-
-    def strongconnect(root):
-        # iterative Tarjan, the union graph can be deep
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(sorted(children[root])))]
+            parents[v].add(u)
+    finished = []
+    seen = set()
+    for root in sorted(network.vertices):
+        if root in seen:
+            continue
+        seen.add(root)
+        work = [(root, iter(sorted(children[root])))]  # iterative: the graph can be deep
         while work:
             node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(children[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(comp)
-
-    for v in sorted(network.vertices):
-        if v not in index:
-            strongconnect(v)
-    comps.reverse()  # Tarjan emits components in reverse topological order
-    order = [v for comp in comps for v in sorted(comp)]
-    acyclic = all(len(c) == 1 for c in comps) and all(
-        v not in children[v] for v in network.vertices
-    )
+            w = next((w for w in it if w not in seen), None)
+            if w is None:
+                work.pop()
+                finished.append(node)
+            else:
+                seen.add(w)
+                work.append((w, iter(sorted(children[w]))))
+    order = []
+    acyclic = True
+    placed = set()
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp = [root]
+        for v in comp:  # grows while it is walked
+            for u in parents[v] - placed:
+                placed.add(u)
+                comp.append(u)
+        order += sorted(comp)
+        acyclic &= len(comp) == 1  # no self-loop: the loader rejects cyclic flows
     return order, acyclic
-
-
-def _reordering_inside(idx: dict, disorder: list, resequence: list, a: str, v: str) -> bool:
-    """Can units of a flow reach v's regulator out of source order,
-    considering only the section after a's output?
-
-    `idx` is the topological index of each vertex of the flow, `disorder`
-    and `resequence` the indexes of its EP and PEF vertices and of its POF
-    vertices.  Disorder comes from coexisting duplicates (EP vertices) or
-    from an eliminator output; a later re-sequencer on the same stretch
-    restores source order.  A POF at the same vertex as the PEF runs after it.
-    """
-    lo, hi = idx[a], idx[v]
-    last = max((i for i in disorder if lo < i <= hi), default=-1)
-    if last < 0:
-        return False
-    return not any(last <= i <= hi for i in resequence)
 
 
 def _total(curves: list):
@@ -287,27 +251,28 @@ class _Analyzer:
                 self._function[(p.kind, fid, p.vertex)] = p
         self._ancestors = {}  # (flow, vertex) -> sorted diamond ancestors but itself
         self._anchor = {}  # (flow, vertex) -> the last of those in flow order
-        # flow -> (topo index of each vertex, indexes of its EP and PEF
-        # vertices, indexes of its POF vertices): _reordering_inside's input
-        order_of = {}
+        eps = {}
         for fid in sorted(network.flows):
             flow = network.flows[fid]
-            order = flow.order
-            idx = {v: i for i, v in enumerate(order)}
-            eps = ep_vertices(network, fid)
+            idx = {v: i for i, v in enumerate(flow.order)}
+            eps[fid] = ep_vertices(network, fid)
             dominators = diamond_ancestors(network, fid)
-            order_of[fid] = (
-                idx,
-                [i for i, v in enumerate(order) if v in eps or (PEF, fid, v) in self._function],
-                [i for i, v in enumerate(order) if (POF, fid, v) in self._function],
-            )
-            for v in order:
+            for v in flow.order:
                 self._crossing[v].append(fid)
                 if v != flow.source:
                     # the source is a non-EP ancestor of every other vertex
                     ancestors = sorted(dominators[v] - {v})
                     self._ancestors[(fid, v)] = ancestors
                     self._anchor[(fid, v)] = max(ancestors, key=idx.__getitem__)
+        # flow -> (vertex, wait) for each of its re-sequencers in lossy mode:
+        # a unit may wait there up to the timeout, in every section that
+        # crosses the vertex, not only in the re-sequencer's own
+        self._pof_waits = {}
+        for p in network.placements:
+            if p.kind == POF and not lossless:
+                wait = DelayInterval(0, UNBOUNDED if p.timeout is None else p.timeout)
+                for fid in p.flows:
+                    self._pof_waits.setdefault(fid, []).append((p.vertex, wait))
         # (flow, vertex of its REG) -> the flows of that regulator, sorted,
         # whose units can reach it out of source order
         self._reordered = {}
@@ -316,15 +281,43 @@ class _Analyzer:
                 reordered = [
                     g
                     for g in sorted(p.flows)
-                    if _reordering_inside(*order_of[g], p.reference, p.vertex)
+                    if self._disordered_at(g, eps[g], p.reference, p.vertex)
                 ]
                 for g in p.flows:
                     self._reordered[(g, p.vertex)] = reordered
 
+    def _disordered_at(self, fid, eps, a, v) -> bool:
+        """Can units of the flow reach v's regulator out of source order,
+        on the paths from a's output to v?
+
+        Walking those paths downstream, a vertex lets units out of order
+        when it holds coexisting duplicates (EP), hosts an eliminator of the
+        flow, or has a parent on the paths that lets them out of order; a
+        re-sequencer of the flow there restores source order.  At v the
+        eliminator and the re-sequencer run before the regulator.
+        """
+        disordered = set()
+        for x, parents in _section_plan(self.net.flows[fid].edges, a, v):
+            if (POF, fid, x) not in self._function and (
+                x in eps or (PEF, fid, x) in self._function or not disordered.isdisjoint(parents)
+            ):
+                disordered.add(x)
+        return v in disordered
+
     # -- structural helpers --------------------------------------------------
 
+    def _delays(self, fid: str):
+        """Port delays as the units of the flow see them: the lossy
+        re-sequencers' waits added at their vertices."""
+        waits = self._pof_waits.get(fid)
+        if waits is None:
+            return self.vertex_delays
+        return ChainMap(
+            {x: self.vertex_delays[x].plus(wait) for x, wait in waits}, self.vertex_delays
+        )
+
     def _bounds(self, fid: str, a: str, v: str) -> DelayInterval:
-        return path_delay_bounds(self.net.flows[fid].edges, a, v, self.vertex_delays)
+        return path_delay_bounds(self.net.flows[fid].edges, a, v, self._delays(fid))
 
     def _capped(self, curve):
         if curve is not None and curve.min_burst > self.burst_cap:
@@ -515,26 +508,18 @@ class _Analyzer:
             # FIFO section in front: the regulator never delays the worst unit
             return RegulatorVerdict.of_interval(bounds), None
 
-        pef_rto = pef_rto_bound(ref_curve, bounds, flow.lmin)
-        if placement.mode == REG_PER_FLOW:
-            rto = pfr_after_pef_rto(pef_rto, bounds)
+        if placement.mode == REG_PER_FLOW or len(placement.flows) == 1:
+            rto = pfr_after_pef_rto(pef_rto_bound(ref_curve, bounds, flow.lmin), bounds)
             return RegulatorVerdict.of_interval(pfr_after_pef_bounds(sigma, bounds)), rto
 
         # interleaved: one queue, so stability depends on every flow sharing it
-        if len(reordered) == 1 and len(placement.flows) == 1:
-            rto = pfr_after_pef_rto(pef_rto, bounds)
-            return RegulatorVerdict.of_interval(pfr_after_pef_bounds(sigma, bounds)), rto
         branch_lists = []
         for g in reordered:
             branches = []
+            delays = self._delays(g)
             for parent in sorted(self.net.flows[g].parents[v]):
-                leg = path_delay_bounds(
-                    self.net.flows[g].edges,
-                    placement.reference,
-                    parent,
-                    self.vertex_delays,
-                )
-                branches.append(leg.plus(self.vertex_delays[parent]))
+                leg = path_delay_bounds(self.net.flows[g].edges, ref, parent, delays)
+                branches.append(leg.plus(delays[parent]))
             branch_lists.append(sorted((b.lo, b.hi) for b in branches))
         if any(bl != branch_lists[0] for bl in branch_lists[1:]):
             return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
@@ -623,14 +608,12 @@ def analyze(
     `lossless` asserts that no data unit is ever lost on the analyzed paths,
     which sharpens the re-sequencer transforms; without it a re-sequencer
     needs a configured timeout for the flow to keep a bounded delay.
-    The sweep count is capped by `iter_cap` (default from the REDCALC_ITER_CAP
-    environment variable, falling back to 1000) and growing states are cut
-    off once a curve's burst exceeds `burst_cap`.
+    The sweep count is capped by `iter_cap` (default 1000) and growing
+    states are cut off once a curve's burst exceeds `burst_cap`.
     """
     if model not in (MODEL_TIGHT, MODEL_INTUITIVE):
         raise ValueError(f"unknown analysis model {model!r}")
-    if iter_cap is None:
-        iter_cap = int(os.environ.get(ITER_CAP_ENV, DEFAULT_ITER_CAP))
+    iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
     burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
 
     an = _Analyzer(network, model, lossless, burst_cap)

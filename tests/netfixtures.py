@@ -325,3 +325,88 @@ def diamond_network(pef_at):
         ],
         "placements": [{"kind": "pef", "vertex": pef_at, "flows": ["f"]}],
     }
+
+
+def _pfr(vertex, reference):
+    """A per-flow regulator for f at `vertex`, shaping to rate 1 burst 1."""
+    return {
+        "kind": "reg",
+        "vertex": vertex,
+        "flows": ["f"],
+        "reference": reference,
+        "mode": "per-flow",
+        "shaping": {"f": gamma(1, 1)},
+    }
+
+
+def _replicated_network(source, tail, destinations, placements, tech=None):
+    """One flow f (rate 1, burst 1, unit size 1): `source` replicates onto B1
+    (delay [0, 1]) and B2 ([6, 7]), which merge at M; `tail` holds the other
+    (from, to) edges.  Every other vertex is a pure delay element, of zero
+    delay unless `tech` gives its interval."""
+    tech = {"B1": ["0", "1"], "B2": ["6", "7"], **(tech or {})}
+    edges = [(source, "B1"), (source, "B2"), ("B1", "M"), ("B2", "M"), *tail]
+    names = list(dict.fromkeys(v for e in edges for v in e))
+    return {
+        "vertices": [{"name": v, **({"tech": tech[v]} if v in tech else {})} for v in names],
+        "edges": [{"from": u, "to": v} for u, v in edges],
+        "flows": [
+            {
+                "id": "f",
+                "source": source,
+                "destinations": list(destinations),
+                "edges": [list(e) for e in edges],
+                "arrival": gamma(1, 1),
+                "lmin": 1,
+                "lmax": 1,
+            }
+        ],
+        "placements": placements,
+    }
+
+
+def off_path_pof_network():
+    """A -> B1/B2 -> M with a PEF at M; M feeds a re-sequencer at Q
+    (reference A, timeout 10) and a per-flow regulator at V (reference A).
+    The re-sequencer sits on a sibling branch, so units reach V out of
+    order all the same."""
+    return _replicated_network(
+        "A",
+        [("M", "Q"), ("M", "V")],
+        ["Q", "V"],
+        [
+            {"kind": "pef", "vertex": "M", "flows": ["f"]},
+            {"kind": "pof", "vertex": "Q", "flows": ["f"], "reference": "A", "timeout": "10"},
+            _pfr("V", "A"),
+        ],
+    )
+
+
+def sibling_pef_network():
+    """S -> B1/B2 -> M with a PEF at M, and S -> X (delay [0, 1]) -> V with a
+    per-flow regulator at V (reference S).  The eliminator sits on a sibling
+    branch, so the section S -> V is FIFO."""
+    return _replicated_network(
+        "S",
+        [("S", "X"), ("X", "V")],
+        ["M", "V"],
+        [{"kind": "pef", "vertex": "M", "flows": ["f"]}, _pfr("V", "S")],
+        tech={"X": ["0", "1"]},
+    )
+
+
+def lossy_pof_network(destinations=("V",)):
+    """A -> B1/B2 -> M -> V with a PEF and a re-sequencer at M (reference A,
+    timeout 6) and a per-flow regulator at V (reference A).  Without
+    `--lossless` a unit may wait out the timeout at M, inside the
+    regulator's section."""
+    return _replicated_network(
+        "A",
+        [("M", "V")],
+        destinations,
+        [
+            {"kind": "pef", "vertex": "M", "flows": ["f"]},
+            {"kind": "pof", "vertex": "M", "flows": ["f"], "reference": "A", "timeout": "6"},
+            _pfr("V", "A"),
+        ],
+    )

@@ -2,14 +2,17 @@
 
 These deliberately avoid the library's own algorithms: convolution is
 evaluated as an infimum over explicit split points, deviations as maxima
-over dense candidate grids, dominators by full path enumeration, and trace
-compliance and reordering by checking every pair of units.
+over dense candidate grids, dominators by full path enumeration, trace
+compliance and reordering by checking every pair of units, and the
+regulators' ordering question by following every path.  The analyzer's
+SCC sweep order (Kosaraju) is checked against Tarjan's algorithm.
 """
 
 import itertools
 from fractions import Fraction
 
 from redcalc.minplus import UNBOUNDED, ConcaveCurve
+from redcalc.topology import NetworkSpec
 
 
 def curve_value(curve: ConcaveCurve, t: Fraction) -> Fraction:
@@ -130,3 +133,89 @@ def reordering_by_pairs(units):
                 ahead += size_j
         rbo = max(rbo, ahead)
     return rto, rbo
+
+
+def disordered_by_paths(edges, a, v, disorder, restore):
+    """Can units reach v out of source order, on some a -> v path?
+
+    Along one path, units leave a vertex of `disorder` (EP, or hosting an
+    eliminator) out of order, and a vertex of `restore` (a re-sequencer,
+    which runs after any eliminator at the same vertex) puts them back in
+    order; a's own output counts as ordered.  Every path is enumerated.
+    """
+    for path in all_paths(edges, a, v):
+        ordered = True
+        for x in path[1:]:
+            if x in restore:
+                ordered = True
+            elif x in disorder:
+                ordered = False
+        if not ordered:
+            return True
+    return False
+
+
+def _union_graph(network: NetworkSpec) -> dict:
+    children = {v: set() for v in network.vertices}
+    for f in network.flows.values():
+        for u, v in f.edges:
+            children[u].add(v)
+    return children
+
+
+def tarjan_sweep_order(network: NetworkSpec):
+    """Vertices in SCC-condensation topological order, plus an acyclic flag."""
+    children = _union_graph(network)
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    comps = []
+    counter = [0]
+
+    def strongconnect(root):
+        # iterative Tarjan, the union graph can be deep
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(sorted(children[root])))]
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(children[w]))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                comps.append(comp)
+
+    for v in sorted(network.vertices):
+        if v not in index:
+            strongconnect(v)
+    comps.reverse()  # Tarjan emits components in reverse topological order
+    order = [v for comp in comps for v in sorted(comp)]
+    acyclic = all(len(c) == 1 for c in comps) and all(
+        v not in children[v] for v in network.vertices
+    )
+    return order, acyclic

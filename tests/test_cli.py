@@ -14,6 +14,7 @@ from redcalc.cli import bundled_dir, bundled_names, main
 from redcalc.minplus import parse_rational
 from redcalc.sim import load_scenario, run_scenario
 from redcalc.topology import load_network
+from netfixtures import lossy_pof_network, off_path_pof_network
 
 
 def bundled(name: str) -> str:
@@ -124,6 +125,26 @@ class TestVerify:
         for row in doc["flows"]:
             assert row["bound"]["hi"] == "unbounded"
             assert any("divergence" in n for n in row["notes"])
+
+    @pytest.mark.parametrize(
+        "network, scenario, flags, bound",
+        [
+            (off_path_pof_network, "scn-toy-pfr.json", ["--lossless"], "14"),
+            (lossy_pof_network, "scn-toy-lossy.json", [], "13"),
+        ],
+        ids=["off-path-pof", "lossy-pof"],
+    )
+    def test_bounds_past_an_eliminator_hold(
+        self, network, scenario, flags, bound, tmp_path, capsys
+    ):
+        # the bundled trajectories, replayed in front of the regulator at V
+        target = tmp_path / "net.json"
+        target.write_text(json.dumps(network()))
+        argv = ["verify", "--scenario", bundled(scenario), "--network", str(target)]
+        assert main(argv + flags) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sound"] is True
+        assert doc["flows"][0]["bound"]["hi"] == bound
 
     def test_flow_mismatch_is_input_error(self, capsys):
         code = main(
@@ -283,6 +304,16 @@ MALFORMED_SCENARIOS = {
     "unit id an object": (
         _toy_scenario(lambda d: d["sources"][0].update(unit={"id": "1"})), "sources[0].unit"
     ),
+    "schedule key without a slash": (
+        _toy_scenario(lambda d: d["paths"][0]["schedule"].__setitem__("f7x", {"delay": "0"})),
+        "paths[0].schedule.f7x",
+    ),
+    "schedule key naming no unit": (
+        _toy_scenario(lambda d: d["paths"][1]["schedule"].__setitem__("f/999", "drop")),
+        "paths[1].schedule.f/999",
+    ),
+    "name an object": (_toy_scenario(lambda d: d.update(name={"a": [1, 2]})), "name"),
+    "meta a list": (_toy_scenario(lambda d: d.update(meta=["toy"])), "meta"),
     "unit id a number": (
         _toy_scenario(lambda d: d["sources"][2].update(unit=int(d["sources"][2]["unit"]))),
         "sources[2].unit",

@@ -1,34 +1,48 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from redcalc.minplus import UNBOUNDED, ConcaveCurve, RateLatency, curve_leq, is_unbounded
 from redcalc.tfa import (
     CONVERGED,
+    DEFAULT_BURST_CAP,
     DIVERGED,
     ITERATION_CAP,
     MODEL_INTUITIVE,
     MODEL_TIGHT,
+    _Analyzer,
+    _sweep_order,
     analyze,
     compare_models,
     vertex_delay,
 )
-from redcalc.topology import DelayInterval, VertexSpec, network_from_json
+from redcalc.topology import (
+    DelayInterval,
+    SpecError,
+    VertexSpec,
+    ep_vertices,
+    network_from_json,
+)
 from netfixtures import (
     PEF_AT_F,
     PEF_PFR_AT_F,
     fwd_flow,
     gamma,
+    lossy_pof_network,
+    off_path_pof_network,
     random_pef_network,
     rev_flow,
     ring_network,
     ring_sites_network,
     shared_tail_network,
+    sibling_pef_network,
     toy_network,
     toy_pof_pfr_placements,
 )
+from oracles import disordered_by_paths, tarjan_sweep_order
 
 TOY_PEF_OUT = ConcaveCurve([(2, 4), (1, 8)])
 
@@ -316,6 +330,123 @@ class TestRegulatorDispatch:
         assert not verdict.bounded
         assert verdict.reason == "RATE_OVERLOAD" and verdict.proven
 
+    def test_resequencer_on_a_sibling_branch_keeps_the_penalty(self):
+        # the POF at Q never sees the units that reach V out of order
+        rep = analyze(net(off_path_pof_network()), MODEL_TIGHT, lossless=True)
+        assert rep.result_for("f", "V").interval == DelayInterval(0, 14)
+        assert rep.result_for("f", "Q").interval == DelayInterval(0, 7)
+
+    def test_eliminator_on_a_sibling_branch_adds_no_penalty(self):
+        rep = analyze(net(sibling_pef_network()), MODEL_TIGHT)
+        assert rep.result_for("f", "V").interval == DelayInterval(0, 1)
+        assert rep.site("reg_sites", "V", "f")["rto_bound"] is None
+
+    def test_lossy_resequencer_wait_counts_inside_a_section(self):
+        lossy = analyze(net(lossy_pof_network()), MODEL_TIGHT)
+        assert lossy.result_for("f", "V").interval == DelayInterval(0, 13)
+        assert lossy.site("reg_sites", "V", "f")["verdict"].delay == DelayInterval(0, 13)
+        lossless = analyze(net(lossy_pof_network()), MODEL_TIGHT, lossless=True)
+        assert lossless.result_for("f", "V").interval == DelayInterval(0, 7)
+
+    def test_resequencer_without_timeout_unbounds_the_sections_across_it(self):
+        doc = lossy_pof_network()
+        del doc["placements"][1]["timeout"]
+        rep = analyze(net(doc), MODEL_TIGHT)
+        assert is_unbounded(rep.result_for("f", "V").interval.hi)
+
+
+def _random_reordering_case(rng):
+    """A random single-flow DAG with eliminators, re-sequencers and one
+    regulator at random places, as a network document; the loader may
+    still reject it."""
+    n = rng.randint(4, 8)
+    names = [f"v{i}" for i in range(n)]
+    edges = set()
+    for i in range(1, n):
+        for p in rng.sample(range(i), min(i, rng.choice([1, 2, 2]))):
+            edges.add((names[p], names[i]))
+    edges = sorted(edges)
+    merges = sorted({v for _, v in edges if sum(1 for _, w in edges if w == v) > 1})
+    pefs = [v for v in merges if rng.random() < 0.7]
+    pofs = [v for v in names[1:] if rng.random() < 0.15]
+    reg_at = rng.choice(names[1:])
+    sinks = [v for v in names if not any(u == v for u, _ in edges)]
+    placements = [{"kind": "pef", "vertex": v, "flows": ["f"]} for v in pefs]
+    placements += [
+        {"kind": "pof", "vertex": v, "flows": ["f"], "reference": names[0], "timeout": "1"}
+        for v in pofs
+    ]
+    placements.append(
+        {
+            "kind": "reg",
+            "vertex": reg_at,
+            "flows": ["f"],
+            "reference": rng.choice([names[0], *names[: names.index(reg_at)]]),
+            "mode": "per-flow",
+            "shaping": {"f": gamma(1, 1)},
+        }
+    )
+    placements.sort(key=lambda p: (p["vertex"], ["pef", "pof", "reg"].index(p["kind"])))
+    return {
+        "vertices": [{"name": v} for v in names],
+        "edges": [{"from": u, "to": v} for u, v in edges],
+        "flows": [
+            {
+                "id": "f",
+                "source": names[0],
+                "destinations": sorted({*sinks, reg_at}),
+                "edges": [list(e) for e in edges],
+                "arrival": gamma(1, 1),
+            }
+        ],
+        "placements": placements,
+    }
+
+
+class TestStructureWalks:
+    def test_sweep_order_matches_tarjan(self):
+        # union graphs with cycles, isolated vertices and disconnected parts;
+        # no self-loops, which the loader rejects with their cyclic flow
+        rng = random.Random(0x5CC)
+        cyclic = 0
+        for _ in range(500):
+            names = [f"v{i:02d}" for i in range(rng.randint(1, 14))]
+            p = rng.choice([0.05, 0.12, 0.25])
+            flows = {}
+            for u in names:
+                for v in names:
+                    if u != v and rng.random() < p:
+                        flows.setdefault(rng.randint(0, 2), []).append((u, v))
+            network = SimpleNamespace(
+                vertices=dict.fromkeys(names),
+                flows={k: SimpleNamespace(edges=e) for k, e in flows.items()},
+            )
+            order, acyclic = _sweep_order(network)
+            assert (order, acyclic) == tarjan_sweep_order(network)
+            cyclic += not acyclic
+        assert 100 < cyclic < 450
+
+    def test_regulator_reordering_matches_path_enumeration(self):
+        rng = random.Random(0x2E0)
+        checked = reordered = 0
+        while checked < 200:
+            try:
+                network = net(_random_reordering_case(rng))
+            except SpecError:
+                continue
+            (reg,) = [p for p in network.placements if p.kind == "reg"]
+            (flow,) = network.flows.values()
+            disorder = ep_vertices(network, "f") | {
+                p.vertex for p in network.placements if p.kind == "pef"
+            }
+            restore = {p.vertex for p in network.placements if p.kind == "pof"}
+            expected = disordered_by_paths(flow.edges, reg.reference, reg.vertex, disorder, restore)
+            an = _Analyzer(network, MODEL_TIGHT, False, DEFAULT_BURST_CAP)
+            assert (an._reordered[("f", reg.vertex)] == ["f"]) == expected, network
+            checked += 1
+            reordered += expected
+        assert 30 < reordered < 170
+
 
 class TestSweepBehavior:
     def test_feed_forward_settles_in_one_sweep(self):
@@ -356,12 +487,6 @@ class TestSweepBehavior:
         assert rep.status == ITERATION_CAP
         assert rep.iterations == 2
         assert any("fixed point" in n for n in rep.notes)
-
-    def test_iteration_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REDCALC_ITER_CAP", "2")
-        doc = ring_network([fwd_flow("f1", 2, 1), rev_flow("f2", 2, 1)], 4)
-        rep = analyze(net(doc), MODEL_TIGHT, lossless=True)
-        assert rep.status == ITERATION_CAP and rep.iterations == 2
 
     def test_burst_cap_reports_divergence(self):
         doc = ring_network([fwd_flow("f1", 2, 1), rev_flow("f2", 2, 1)], 4)
