@@ -98,9 +98,6 @@ class TokenBucket:
         if self.burst < 0:
             raise ValueError("token bucket burst must be >= 0")
 
-    def as_curve(self) -> "ConcaveCurve":
-        return ConcaveCurve([self])
-
     def to_json(self) -> dict:
         return {"rate": rational_str(self.rate), "burst": rational_str(self.burst)}
 
@@ -261,8 +258,6 @@ def _normalize(segs: list) -> tuple:
 def _coerce(curve) -> ConcaveCurve:
     if isinstance(curve, ConcaveCurve):
         return curve
-    if isinstance(curve, TokenBucket):
-        return curve.as_curve()
     raise TypeError(f"expected a curve, got {type(curve).__name__}")
 
 

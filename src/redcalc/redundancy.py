@@ -8,8 +8,7 @@ burstier and re-ordered.  This module computes:
 
 - output arrival curves (jitter shift, elimination-aware tightening,
   identical-branch closed form),
-- reordering offsets in time (RTO) and bytes (RBO),
-- the output curve of a re-sequencing function (POF).
+- reordering offsets in time (RTO) and bytes (RBO).
 """
 
 from __future__ import annotations
@@ -100,25 +99,3 @@ def rbo_from_rto(alpha_local: ConcaveCurve, rto):
     if rto < 0:
         raise ValueError("reordering time offset must be >= 0")
     return alpha_local.eval(rto)
-
-
-def pof_output_curve(
-    alpha_ref: ConcaveCurve,
-    bounds: DelayInterval,
-    timeout=None,
-    lossless: bool = True,
-) -> ConcaveCurve:
-    """Output curve of a re-sequencing function fed by the PEF.
-
-    Lossless input: the POF restores the reference order, so the output is
-    the reference curve spread by the section jitter.  If every replicate of
-    a unit can be lost the timeout adds to the effective jitter.
-    """
-    if is_unbounded(bounds.hi):
-        raise ValueError("cannot propagate a curve through an unbounded delay")
-    if lossless:
-        return deconvolve_delay(alpha_ref, bounds.width)
-    if timeout is None:
-        raise ValueError("a lossy re-sequencing analysis needs a finite timeout")
-    timeout = parse_rational(timeout)
-    return deconvolve_delay(alpha_ref, bounds.width + timeout)

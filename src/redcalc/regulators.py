@@ -123,19 +123,16 @@ def ir_after_pef_verdict(
     minimum data unit size, branch_bounds are the per-branch [d, D] of the
     shared section, bounds its overall envelope.
 
-    A single flow degenerates to the per-flow case.  With q >= 2 flows the
-    verdict is never Bounded: when the adversarial construction applies
-    (homogeneous token-bucket shaping, two distinct branches, unequal
-    delays, bursts that fit a real packet, q at least the threshold) the
-    instability is proven; anything else is conservatively unbounded.
+    The verdict for q >= 2 flows is never Bounded: when the adversarial
+    construction applies (homogeneous token-bucket shaping, two distinct
+    branches, unequal delays, bursts that fit a real packet, q at least the
+    threshold) the instability is proven; anything else is conservatively
+    unbounded.
     """
-    if not shaping:
-        raise ValueError("regulator needs at least one flow")
     branch_bounds = list(branch_bounds)
     q = len(shaping)
-    if q == 1:
-        (sigma,) = shaping.values()
-        return RegulatorVerdict.of_interval(pfr_after_pef_bounds(sigma, bounds))
+    if q < 2:
+        raise ValueError("an interleaved regulator needs two or more flows")
 
     sigmas = list(shaping.values())
     homogeneous = all(s == sigmas[0] for s in sigmas[1:])
@@ -172,18 +169,12 @@ def ir_after_pef_verdict(
     )
 
 
-def preof_for_free_bounds(
-    bounds: DelayInterval, timeout=None, lossless: bool = True
-) -> DelayInterval:
-    """Through-delay of section + re-sequencer + regulator.
+def preof_for_free_bounds(bounds: DelayInterval, wait: DelayInterval) -> DelayInterval:
+    """Through-delay of section + re-sequencer + regulator, for a section
+    delay in `bounds` and a re-sequencer wait in `wait`.
 
     With re-sequencing in front, the regulator never delays the worst-case
-    unit: lossless traffic keeps [d, D]; if all replicates of a unit can be
-    lost, successors may additionally wait for the re-sequencer timeout."""
-    if is_unbounded(bounds.hi):
-        raise ValueError("section delay must be bounded")
-    if lossless:
-        return bounds
-    if timeout is None:
-        raise ValueError("a lossy re-sequencing analysis needs a finite timeout")
-    return DelayInterval(bounds.lo, bounds.hi + parse_rational(timeout))
+    unit (shaping for free): the through-delay is the section's plus the
+    re-sequencer's own wait, which is zero for lossless traffic and up to
+    the timeout if every replicate of a unit can be lost."""
+    return bounds.plus(wait)

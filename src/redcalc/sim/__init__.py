@@ -19,7 +19,6 @@ from .engine import (  # noqa: F401
     load_scenario,
     run_scenario,
     scenario_from_json,
-    scenario_to_json,
 )
 from .measures import (  # noqa: F401
     check_compliance,

@@ -48,7 +48,6 @@ from ..minplus import (
     is_unbounded,
     parse_rational,
     rational_str,
-    to_jsonable,
 )
 from ..topology import (
     REG_INTERLEAVED,
@@ -719,50 +718,6 @@ def scenario_from_json(doc) -> Scenario:
         allow_zero_size=_typed(doc.get("allow_zero_size", False), bool, "allow_zero_size"),
         meta=_typed(doc.get("meta", {}), dict, "meta"),
     )
-
-
-def scenario_to_json(scenario: Scenario) -> dict:
-    pipe = scenario.pipeline
-    pof = pipe.pof
-    return to_jsonable(
-        {
-            "name": scenario.name,
-            "flows": {
-                fid: {key: v for key, v in vars(prof).items() if v is not None}
-                for fid, prof in scenario.flows.items()
-            },
-            "sources": [vars(u) for u in scenario.sources],
-            "paths": [
-                {
-                    "name": p.name,
-                    "bounds": p.bounds,
-                    "schedule": {
-                        f"{fid}/{unit}": _action_json(action)
-                        for (fid, unit), action in p.schedule.items()
-                    },
-                    "default": None if p.default is None else _action_json(p.default),
-                    "lossy": p.lossy,
-                    "fifo": p.fifo,
-                }
-                for p in scenario.paths
-            ],
-            "pipeline": {
-                "pef": pipe.pef,
-                "pof": None if pof is None else {
-                    "timeout": pof.timeout,
-                    "flows": None if pof.flows is None else sorted(pof.flows),
-                },
-                "reg": None if pipe.reg is None else vars(pipe.reg),
-            },
-            "allow_zero_size": scenario.allow_zero_size,
-            "meta": scenario.meta,
-        }
-    )
-
-
-def _action_json(action):
-    """A branch action in its document form: "drop" or {"delay": d}."""
-    return DROP if _is_drop(action) else {"delay": parse_rational(action)}
 
 
 def load_scenario(source) -> Scenario:

@@ -48,7 +48,6 @@ from .redundancy import (
     lossy_jitter_output_curve,
     pef_output_curve,
     pef_rto_bound,
-    pof_output_curve,
     rbo_from_rto,
 )
 from .regulators import (
@@ -82,6 +81,8 @@ ITERATION_CAP = "IterationCap"
 
 DEFAULT_ITER_CAP = 1000
 DEFAULT_BURST_CAP = Fraction(10**9)
+
+NO_DELAY = DelayInterval(0, 0)
 
 # burst grid for cyclic iteration; feed-forward sweeps stay exact
 BURST_QUANTUM = Fraction(1, 2**20)
@@ -234,7 +235,6 @@ class _Analyzer:
     def __init__(self, network, model, lossless, burst_cap):
         self.net = network
         self.model = model
-        self.lossless = lossless
         self.burst_cap = burst_cap
         self.quantize = False
         self.notes = []
@@ -264,27 +264,32 @@ class _Analyzer:
                     ancestors = sorted(dominators[v] - {v})
                     self._ancestors[(fid, v)] = ancestors
                     self._anchor[(fid, v)] = max(ancestors, key=idx.__getitem__)
-        # flow -> (vertex, wait) for each of its re-sequencers in lossy mode:
-        # a unit may wait there up to the timeout, in every section that
-        # crosses the vertex, not only in the re-sequencer's own
+        # (flow, vertex of its POF) -> how long a unit may wait in that
+        # re-sequencer: nothing for lossless traffic, up to the timeout for
+        # lossy traffic, without bound if there is no timeout.  A wait that
+        # can hold a unit also counts in every other section of the flow that
+        # crosses the vertex: _pof_waits maps the flow to those (vertex, wait)
+        self._wait = {}
         self._pof_waits = {}
         for p in network.placements:
-            if p.kind == POF and not lossless:
-                wait = DelayInterval(0, UNBOUNDED if p.timeout is None else p.timeout)
+            if p.kind == POF:
+                wait = NO_DELAY if lossless else DelayInterval(
+                    0, UNBOUNDED if p.timeout is None else p.timeout
+                )
                 for fid in p.flows:
-                    self._pof_waits.setdefault(fid, []).append((p.vertex, wait))
-        # (flow, vertex of its REG) -> the flows of that regulator, sorted,
-        # whose units can reach it out of source order
-        self._reordered = {}
+                    self._wait[(fid, p.vertex)] = wait
+                    if wait.hi:
+                        self._pof_waits.setdefault(fid, []).append((p.vertex, wait))
+        # (flow, vertex of its REG) -> can the units entering that regulator's
+        # queue be out of source order: the flow's own units in a per-flow
+        # queue, those of any of its flows in a shared (interleaved) one
+        self._out_of_order = {}
         for p in network.placements:
             if p.kind == REG:
-                reordered = [
-                    g
-                    for g in sorted(p.flows)
-                    if self._disordered_at(g, eps[g], p.reference, p.vertex)
-                ]
+                own = {g: self._disordered_at(g, eps[g], p.reference, p.vertex) for g in p.flows}
+                shared = p.mode != REG_PER_FLOW and any(own.values())
                 for g in p.flows:
-                    self._reordered[(g, p.vertex)] = reordered
+                    self._out_of_order[(g, p.vertex)] = own[g] or shared
 
     def _disordered_at(self, fid, eps, a, v) -> bool:
         """Can units of the flow reach v's regulator out of source order,
@@ -437,16 +442,15 @@ class _Analyzer:
         out = None
         rto = rbo = UNBOUNDED
         if ref_curve is not None and not is_unbounded(bounds.hi):
-            if self.lossless:
-                out = pof_output_curve(ref_curve, bounds, lossless=True)
-            elif placement.timeout is not None:
-                out = pof_output_curve(
-                    ref_curve, bounds, timeout=placement.timeout, lossless=False
-                )
-            else:
+            # the re-sequencer restores the reference order, so its output is
+            # the reference curve spread by the section and its own wait
+            section = bounds.plus(self._wait[(fid, v)])
+            if is_unbounded(section.hi):
                 self.sweep_notes.append(
                     f"re-sequencer for {fid} at {v}: lossy traffic needs a finite timeout"
                 )
+            else:
+                out = lossy_jitter_output_curve(ref_curve, section)
             rto = pef_rto_bound(ref_curve, bounds, self.net.flows[fid].lmin)
             if alpha_in is not None:
                 rbo = rbo_from_rto(alpha_in, rto)
@@ -495,38 +499,40 @@ class _Analyzer:
                 return RegulatorVerdict.unbounded(RATE_OVERLOAD), None
             return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
 
-        pof = self._function.get((POF, fid, v))
-        if pof is not None:
-            try:
-                eff = preof_for_free_bounds(bounds, timeout=pof.timeout, lossless=self.lossless)
-            except ValueError:
+        if not self._out_of_order[(fid, v)]:
+            # FIFO into the queue, or re-sequenced at v: the regulator never
+            # delays the worst unit beyond the re-sequencer's own wait
+            eff = preof_for_free_bounds(bounds, self._wait.get((fid, v), NO_DELAY))
+            if is_unbounded(eff.hi):
                 return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
             return RegulatorVerdict.of_interval(eff), None
-
-        reordered = self._reordered[(fid, v)]
-        if fid not in reordered:
-            # FIFO section in front: the regulator never delays the worst unit
-            return RegulatorVerdict.of_interval(bounds), None
 
         if placement.mode == REG_PER_FLOW or len(placement.flows) == 1:
             rto = pfr_after_pef_rto(pef_rto_bound(ref_curve, bounds, flow.lmin), bounds)
             return RegulatorVerdict.of_interval(pfr_after_pef_bounds(sigma, bounds)), rto
 
         # interleaved: one queue, so stability depends on every flow sharing it
+        flows = sorted(placement.flows)
+        if any((g, v) in self._wait for g in flows):
+            # a re-sequenced flow enters in order, outside the construction
+            # that proves the queue unstable
+            return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
         branch_lists = []
-        for g in reordered:
+        for g in flows:
             branches = []
-            delays = self._delays(g)
+            edges, delays = self.net.flows[g].edges, self._delays(g)
             for parent in sorted(self.net.flows[g].parents[v]):
-                leg = path_delay_bounds(self.net.flows[g].edges, ref, parent, delays)
-                branches.append(leg.plus(delays[parent]))
-            branch_lists.append(sorted((b.lo, b.hi) for b in branches))
+                leg = NO_DELAY  # the section starts at the reference's output
+                if parent != ref:
+                    leg = path_delay_bounds(edges, ref, parent, delays).plus(delays[parent])
+                branches.append((leg.lo, leg.hi))
+            branch_lists.append(sorted(branches))
         if any(bl != branch_lists[0] for bl in branch_lists[1:]):
             return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
         verdict = ir_after_pef_verdict(
-            {g: placement.shaping[g] for g in reordered},
+            {g: placement.shaping[g] for g in flows},
             [DelayInterval(lo, hi) for lo, hi in branch_lists[0]],
-            {g: self.net.flows[g].lmin for g in reordered},
+            {g: self.net.flows[g].lmin for g in flows},
             bounds,
         )
         return verdict, None
@@ -569,29 +575,18 @@ class _Analyzer:
                 continue
             pof = self._function.get((POF, fid, v))
             reg = self._function.get((REG, fid, v))
-            if pof is not None:
-                anchor = pof.reference
-            elif reg is not None:
-                anchor = reg.reference
-            else:
-                anchor = self._anchor[(fid, v)]
+            cut = pof or reg  # a re-sequencer's reference comes first
+            anchor = self._anchor[(fid, v)] if cut is None else cut.reference
             base = self._bounds(fid, anchor, v)
-            if pof is not None:
-                if self.lossless:
-                    section = base
-                elif pof.timeout is not None:
-                    section = DelayInterval(base.lo, base.hi + pof.timeout)
-                else:
+            section = base if pof is None else base.plus(self._wait[(fid, v)])
+            if reg is not None:
+                # behind a re-sequencer the regulator is free when it admits
+                # a bound at all
+                verdict, _ = self._reg_verdict(fid, v, reg, self.curves.get((fid, reg.reference)))
+                if not verdict.bounded:
                     section = DelayInterval(base.lo, UNBOUNDED)
-            elif reg is not None:
-                ref_curve = self.curves.get((fid, anchor))
-                verdict, _ = self._reg_verdict(fid, v, reg, ref_curve)
-                if verdict.bounded:
+                elif pof is None:
                     section = verdict.delay
-                else:
-                    section = DelayInterval(base.lo, UNBOUNDED)
-            else:
-                section = base
             cum[v] = cum[anchor].plus(section).plus(vdel[v])
         return cum
 

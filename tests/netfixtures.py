@@ -410,3 +410,69 @@ def lossy_pof_network(destinations=("V",)):
             _pfr("V", "A"),
         ],
     )
+
+
+def mixed_interleaved_network(resequenced=False):
+    """The toy diamond plus a flow g on the fast branch only (B -> C -> F).
+    f is eliminated at F, and one interleaved regulator there (reference B)
+    shapes both flows to rate 1 burst 1: g reaches it in source order, but
+    shares its queue with the reordered f.  With `resequenced`, a
+    re-sequencer for g (reference B) runs at F first."""
+    pof = [{"kind": "pof", "vertex": "F", "flows": ["g"], "reference": "B"}]
+    doc = toy_network(
+        [
+            {"kind": "pef", "vertex": "F", "flows": ["f"]},
+            *(pof if resequenced else []),
+            {
+                "kind": "reg",
+                "vertex": "F",
+                "flows": ["f", "g"],
+                "reference": "B",
+                "mode": "interleaved",
+                "shaping": {"f": gamma(1, 1), "g": gamma(1, 1)},
+            },
+        ]
+    )
+    g = copy.deepcopy(doc["flows"][0])
+    g.update(id="g", edges=[["B", "C"], ["C", "F"]])
+    doc["flows"].append(g)
+    return doc
+
+
+def reference_parent_network(source_tech=("0", "0"), q=13):
+    """S -> F and S -> D (delay [6, 7]) -> F for q flows of rate 1, burst 1
+    and unit size 1, each eliminated at F and all shaped there by one
+    interleaved regulator with reference S.  The section starts at S's
+    output, so S's own delay `source_tech` lies outside it."""
+    ids = [f"f{i}" for i in range(1, q + 1)]
+    return {
+        "vertices": [
+            {"name": "S", "tech": list(source_tech)},
+            {"name": "D", "tech": ["6", "7"]},
+            {"name": "F"},
+        ],
+        "edges": [{"from": "S", "to": "F"}, {"from": "S", "to": "D"}, {"from": "D", "to": "F"}],
+        "flows": [
+            {
+                "id": fid,
+                "source": "S",
+                "destinations": ["F"],
+                "edges": [["S", "F"], ["S", "D"], ["D", "F"]],
+                "arrival": gamma(1, 1),
+                "lmin": 1,
+                "lmax": 1,
+            }
+            for fid in ids
+        ],
+        "placements": [
+            {"kind": "pef", "vertex": "F", "flows": ids},
+            {
+                "kind": "reg",
+                "vertex": "F",
+                "flows": ids,
+                "reference": "S",
+                "mode": "interleaved",
+                "shaping": {fid: gamma(1, 1) for fid in ids},
+            },
+        ],
+    }

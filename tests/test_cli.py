@@ -14,7 +14,7 @@ from redcalc.cli import bundled_dir, bundled_names, main
 from redcalc.minplus import parse_rational
 from redcalc.sim import load_scenario, run_scenario
 from redcalc.topology import load_network
-from netfixtures import lossy_pof_network, off_path_pof_network
+from netfixtures import lossy_pof_network, mixed_interleaved_network, off_path_pof_network
 
 
 def bundled(name: str) -> str:
@@ -145,6 +145,33 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["sound"] is True
         assert doc["flows"][0]["bound"]["hi"] == bound
+
+    @pytest.mark.parametrize("resequenced", [False, True], ids=["fifo-g", "resequenced-g"])
+    def test_in_order_flow_behind_a_reordered_queue(self, resequenced, tmp_path, capsys):
+        # f's scn-toy-double-rate trajectory, plus one unit of g that reaches
+        # the shared regulator in order at 27/2 and leaves it at 19
+        network = mixed_interleaved_network(resequenced)
+        with bundled_dir().joinpath("scn-toy-double-rate.json").open() as fh:
+            scenario = json.load(fh)
+        scenario["flows"]["g"] = scenario["flows"]["f"]
+        scenario["sources"].append({"flow": "g", "unit": "1", "time": "25/2", "size": "1"})
+        fast, slow = scenario["paths"]
+        fast["schedule"]["g/1"] = {"delay": "1"}
+        slow["schedule"]["g/1"] = "drop"
+        shaping = {fid: {"segments": [{"rate": "1", "burst": "1"}]} for fid in "fg"}
+        scenario["pipeline"]["reg"] = {"mode": "interleaved", "shaping": shaping}
+        if resequenced:
+            scenario["pipeline"]["pof"] = {"flows": ["g"]}
+        (tmp_path / "net.json").write_text(json.dumps(network))
+        (tmp_path / "scn.json").write_text(json.dumps(scenario))
+        argv = ["verify", "--scenario", str(tmp_path / "scn.json"),
+                "--network", str(tmp_path / "net.json")]
+        # lossless, so that g's re-sequencer (no timeout) adds no wait of its own
+        assert main(argv + ["--lossless"] * resequenced) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sound"] is True
+        g = doc["flows"][1]
+        assert (g["flow"], g["observed"]["max"], g["bound"]["hi"]) == ("g", "13/2", "unbounded")
 
     def test_flow_mismatch_is_input_error(self, capsys):
         code = main(

@@ -1,15 +1,12 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from redcalc.minplus import ConcaveCurve, curve_leq, deconvolve_delay, is_unbounded
 from redcalc.redundancy import (
     lossy_jitter_output_curve,
     pef_output_curve,
     pef_output_curve_parallel,
     pef_rto_bound,
-    pof_output_curve,
     rbo_from_rto,
 )
 from redcalc.topology import DelayInterval
@@ -151,16 +148,3 @@ class TestReorderingBounds:
     def test_rbo_unbounded_rto(self):
         assert is_unbounded(rbo_from_rto(curve((1, 3)), float("inf")))
         assert rbo_from_rto(curve((0, 3)), float("inf")) == 3
-
-
-class TestResequencerCurve:
-    def test_lossless(self):
-        assert pof_output_curve(TOY_REF, TOY_SECTION, lossless=True) == curve((1, 8))
-
-    def test_lossy_adds_timeout(self):
-        got = pof_output_curve(TOY_REF, TOY_SECTION, timeout=6, lossless=False)
-        assert got == curve((1, 14))
-
-    def test_lossy_requires_timeout(self):
-        with pytest.raises(ValueError):
-            pof_output_curve(TOY_REF, TOY_SECTION, lossless=False)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from redcalc.minplus import ConcaveCurve
+from redcalc.minplus import UNBOUNDED, ConcaveCurve, is_unbounded
 from redcalc.regulators import (
     IR_AFTER_PEF_NO_POF,
     UNPROVEN_CONFIGURATION,
@@ -71,13 +71,6 @@ class TestInterleavedThreshold:
 
 
 class TestInterleavedVerdict:
-    def test_single_flow_dispatches_to_per_flow(self):
-        verdict = ir_after_pef_verdict(
-            {"f": TOY_SIGMA}, TOY_BRANCHES, {"f": 1}, TOY_SECTION
-        )
-        assert verdict.bounded
-        assert verdict.delay == DelayInterval(0, 14)
-
     def test_enough_flows_proven_unstable(self):
         shaping = {f"f{i}": TOY_SIGMA for i in range(13)}
         lmin = {f: 1 for f in shaping}
@@ -132,12 +125,13 @@ class TestInterleavedVerdict:
 
 class TestWithResequencer:
     def test_lossless_is_transparent(self):
-        assert preof_for_free_bounds(TOY_SECTION, lossless=True) == TOY_SECTION
+        assert preof_for_free_bounds(TOY_SECTION, DelayInterval(0, 0)) == TOY_SECTION
 
     def test_lossy_adds_timeout(self):
-        got = preof_for_free_bounds(TOY_SECTION, timeout=6, lossless=False)
+        got = preof_for_free_bounds(TOY_SECTION, DelayInterval(0, 6))
         assert got == DelayInterval(0, 13)
 
     def test_lossy_needs_timeout(self):
-        with pytest.raises(ValueError):
-            preof_for_free_bounds(TOY_SECTION, lossless=False)
+        # without a timeout a lost unit holds its successors without bound
+        got = preof_for_free_bounds(TOY_SECTION, DelayInterval(0, UNBOUNDED))
+        assert got.lo == 0 and is_unbounded(got.hi)

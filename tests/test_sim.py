@@ -6,11 +6,13 @@ at the eliminator, in-order release (with flush-before on timeout) at the
 re-sequencer, and token-bucket release at the regulators.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from redcalc.cli import bundled_dir
 from redcalc.minplus import ConcaveCurve
 from redcalc.sim import (
     DROP,
@@ -33,7 +35,6 @@ from redcalc.sim import (
     run_scenario,
     toy_scenario,
 )
-from redcalc.sim.engine import scenario_to_json
 from redcalc.topology import DelayInterval, SpecError
 
 from oracles import compliance_violations, reordering_by_pairs
@@ -427,21 +428,22 @@ class TestAdversarialGenerator:
 
 class TestSerialization:
     def test_scenario_json_round_trip(self):
-        sc = toy_scenario("lossy")
-        doc = scenario_to_json(sc)
-        back = load_scenario(doc)
-        t1 = run_scenario(sc)
-        t2 = run_scenario(back)
-        assert [
-            (e.time, e.kind, e.flow, e.unit, e.size, e.branch) for e in t1.events
-        ] == [(e.time, e.kind, e.flow, e.unit, e.size, e.branch) for e in t2.events]
+        # each bundled toy document replays its generator's scenario
+        def events(sc):
+            trace = run_scenario(sc)
+            return [(e.time, e.kind, e.flow, e.unit, e.size, e.branch) for e in trace.events]
+
+        for variant in ("double-rate", "rto", "pfr", "pof-pfr", "lossy"):
+            doc = load_scenario(bundled_dir().joinpath(f"scn-toy-{variant}.json"))
+            assert events(doc) == events(toy_scenario(variant)), variant
 
     @pytest.mark.parametrize(
         "where, path",
         [("arrival", "flows.lossy.arrival"), ("shaping", "pipeline.reg.shaping.lossy")],
     )
     def test_bad_curve_names_its_path(self, where, path):
-        doc = scenario_to_json(toy_scenario("lossy"))
+        with bundled_dir().joinpath("scn-toy-lossy.json").open() as fh:
+            doc = json.load(fh)
         bad = {"rate": "fast", "burst": "1"}
         if where == "arrival":
             doc["flows"] = {"lossy": {"arrival": bad}}

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from fractions import Fraction
@@ -32,8 +33,10 @@ from netfixtures import (
     fwd_flow,
     gamma,
     lossy_pof_network,
+    mixed_interleaved_network,
     off_path_pof_network,
     random_pef_network,
+    reference_parent_network,
     rev_flow,
     ring_network,
     ring_sites_network,
@@ -117,12 +120,15 @@ class TestToyAnalysis:
         site = rep.site("pof_sites", "F", "f")
         assert site["required_timeout"] == 6
         assert site["required_buffer"] == 14
+        assert site["output_curve"] == ConcaveCurve([(1, 8)])
 
     def test_resequencer_lossy_pays_the_timeout(self):
         rep = analyze(
             net(toy_network(toy_pof_pfr_placements(timeout=6))), MODEL_TIGHT, lossless=False
         )
         assert rep.result_for("f", "F").interval == DelayInterval(0, 13)
+        # the reference curve spread by the section jitter plus the timeout
+        assert rep.site("pof_sites", "F", "f")["output_curve"] == ConcaveCurve([(1, 14)])
 
     def test_resequencer_lossy_without_timeout_is_unbounded(self):
         rep = analyze(net(toy_network(toy_pof_pfr_placements())), MODEL_TIGHT, lossless=False)
@@ -130,6 +136,10 @@ class TestToyAnalysis:
         assert is_unbounded(r.interval.hi)
         assert r.verdict == "unbounded"
         assert any("timeout" in n for n in rep.notes)
+        assert rep.site("pof_sites", "F", "f")["output_curve"] is None
+        verdict = rep.site("reg_sites", "F", "f")["verdict"]
+        assert not verdict.bounded and not verdict.proven
+        assert verdict.reason == "UNPROVEN_CONFIGURATION"
 
     def test_deadline_verdicts(self):
         rep = analyze(
@@ -296,6 +306,34 @@ class TestRegulatorDispatch:
         assert site["verdict"].delay == DelayInterval(0, 7)
         assert all(r.interval == DelayInterval(0, 7) for r in rep.results)
 
+    def test_single_flow_interleaved_is_per_flow(self):
+        # alone in its queue, the flow pays the per-flow penalty
+        placements = copy.deepcopy(PEF_PFR_AT_F)
+        placements[1]["mode"] = "interleaved"
+        rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
+        assert rep.result_for("f", "F").interval == DelayInterval(0, 14)
+        assert rep.site("reg_sites", "F", "f")["verdict"].delay == DelayInterval(0, 14)
+
+    @pytest.mark.parametrize("resequenced", [False, True], ids=["fifo-g", "resequenced-g"])
+    def test_in_order_flow_sharing_a_reordered_queue_is_unproven(self, resequenced):
+        # g reaches the regulator in order, re-sequenced or not, but waits
+        # behind f's reordered units in the one queue: no flow keeps a bound
+        network = net(mixed_interleaved_network(resequenced))
+        rep = analyze(network, MODEL_TIGHT, lossless=resequenced)
+        for fid in ("f", "g"):
+            verdict = rep.site("reg_sites", "F", fid)["verdict"]
+            assert not verdict.bounded and not verdict.proven
+            assert verdict.reason == "UNPROVEN_CONFIGURATION"
+            assert is_unbounded(rep.result_for(fid, "F").interval.hi)
+
+    @pytest.mark.parametrize("source_tech", [("0", "0"), ("3", "3")])
+    def test_branch_from_the_reference_starts_at_its_output(self, source_tech):
+        # the S -> F leg is [0, 0] whatever S's own delay: same threshold
+        rep = analyze(net(reference_parent_network(source_tech)), MODEL_TIGHT, lossless=True)
+        verdict = rep.site("reg_sites", "F", "f1")["verdict"]
+        assert verdict.reason == "IR_AFTER_PEF_NO_POF"
+        assert verdict.q_min == 15 and not verdict.proven
+
     def test_shaping_below_the_reference_curve(self):
         placements = [
             {"kind": "pef", "vertex": "F", "flows": ["f"]},
@@ -330,6 +368,13 @@ class TestRegulatorDispatch:
         assert not verdict.bounded
         assert verdict.reason == "RATE_OVERLOAD" and verdict.proven
 
+    def test_resequencer_in_front_keeps_the_regulator_rate_deficit(self):
+        placements = toy_pof_pfr_placements()
+        placements[2]["shaping"] = {"f": gamma("1/2", 1)}
+        rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
+        assert rep.site("reg_sites", "F", "f")["verdict"].reason == "RATE_OVERLOAD"
+        assert is_unbounded(rep.result_for("f", "F").interval.hi)
+
     def test_resequencer_on_a_sibling_branch_keeps_the_penalty(self):
         # the POF at Q never sees the units that reach V out of order
         rep = analyze(net(off_path_pof_network()), MODEL_TIGHT, lossless=True)
@@ -355,50 +400,59 @@ class TestRegulatorDispatch:
         assert is_unbounded(rep.result_for("f", "V").interval.hi)
 
 
-def _random_reordering_case(rng):
-    """A random single-flow DAG with eliminators, re-sequencers and one
-    regulator at random places, as a network document; the loader may
-    still reject it."""
+def _random_reordering_case(rng, fids=("f",)):
+    """Random DAGs of the flows `fids` over one vertex order, with
+    eliminators and re-sequencers at random places and one regulator for
+    all of them (interleaved if they are two or more), as a network
+    document; the loader may still reject it."""
     n = rng.randint(4, 8)
     names = [f"v{i}" for i in range(n)]
-    edges = set()
-    for i in range(1, n):
-        for p in rng.sample(range(i), min(i, rng.choice([1, 2, 2]))):
-            edges.add((names[p], names[i]))
-    edges = sorted(edges)
-    merges = sorted({v for _, v in edges if sum(1 for _, w in edges if w == v) > 1})
-    pefs = [v for v in merges if rng.random() < 0.7]
-    pofs = [v for v in names[1:] if rng.random() < 0.15]
     reg_at = rng.choice(names[1:])
-    sinks = [v for v in names if not any(u == v for u, _ in edges)]
-    placements = [{"kind": "pef", "vertex": v, "flows": ["f"]} for v in pefs]
-    placements += [
-        {"kind": "pof", "vertex": v, "flows": ["f"], "reference": names[0], "timeout": "1"}
-        for v in pofs
-    ]
-    placements.append(
-        {
-            "kind": "reg",
-            "vertex": reg_at,
-            "flows": ["f"],
-            "reference": rng.choice([names[0], *names[: names.index(reg_at)]]),
-            "mode": "per-flow",
-            "shaping": {"f": gamma(1, 1)},
-        }
-    )
-    placements.sort(key=lambda p: (p["vertex"], ["pef", "pof", "reg"].index(p["kind"])))
-    return {
-        "vertices": [{"name": v} for v in names],
-        "edges": [{"from": u, "to": v} for u, v in edges],
-        "flows": [
+    reference = rng.choice([names[0], *names[: names.index(reg_at)]])
+    placed = {(reg_at, "reg"): list(fids)}  # (vertex, kind) -> its flows
+    edges = set()
+    flows = []
+    for fid in fids:
+        fedges = set()
+        for i in range(1, n):
+            for p in rng.sample(range(i), min(i, rng.choice([1, 2, 2]))):
+                fedges.add((names[p], names[i]))
+        fedges = sorted(fedges)
+        merges = sorted({v for _, v in fedges if sum(1 for _, w in fedges if w == v) > 1})
+        for kind, vertices, odds in (("pef", merges, 0.7), ("pof", names[1:], 0.15)):
+            for v in vertices:
+                if rng.random() < odds:
+                    placed.setdefault((v, kind), []).append(fid)
+        sinks = [v for v in names if not any(u == v for u, _ in fedges)]
+        flows.append(
             {
-                "id": "f",
+                "id": fid,
                 "source": names[0],
                 "destinations": sorted({*sinks, reg_at}),
-                "edges": [list(e) for e in edges],
+                "edges": [list(e) for e in fedges],
                 "arrival": gamma(1, 1),
             }
-        ],
+        )
+        edges.update(fedges)
+    extra = {
+        "pef": {},
+        "pof": {"reference": names[0], "timeout": "1"},
+        "reg": {
+            "reference": reference,
+            "mode": "per-flow" if len(fids) == 1 else "interleaved",
+            "shaping": {fid: gamma(1, 1) for fid in fids},
+        },
+    }
+    placements = [
+        {"kind": kind, "vertex": v, "flows": pflows, **extra[kind]}
+        for (v, kind), pflows in sorted(
+            placed.items(), key=lambda item: (item[0][0], ["pef", "pof", "reg"].index(item[0][1]))
+        )
+    ]
+    return {
+        "vertices": [{"name": v} for v in names],
+        "edges": [{"from": u, "to": v} for u, v in sorted(edges)],
+        "flows": flows,
         "placements": placements,
     }
 
@@ -426,26 +480,45 @@ class TestStructureWalks:
             cyclic += not acyclic
         assert 100 < cyclic < 450
 
-    def test_regulator_reordering_matches_path_enumeration(self):
+    @staticmethod
+    def _check_reordering_flags(fids):
+        """Checks the regulator's ordering flags on 200 random networks
+        against path enumeration; returns how many of them were out of order."""
         rng = random.Random(0x2E0)
         checked = reordered = 0
         while checked < 200:
             try:
-                network = net(_random_reordering_case(rng))
+                network = net(_random_reordering_case(rng, fids))
             except SpecError:
                 continue
             (reg,) = [p for p in network.placements if p.kind == "reg"]
-            (flow,) = network.flows.values()
-            disorder = ep_vertices(network, "f") | {
-                p.vertex for p in network.placements if p.kind == "pef"
-            }
-            restore = {p.vertex for p in network.placements if p.kind == "pof"}
-            expected = disordered_by_paths(flow.edges, reg.reference, reg.vertex, disorder, restore)
+
+            def sites(kind, fid):
+                return {p.vertex for p in network.placements if p.kind == kind and fid in p.flows}
+
+            # a shared queue is out of order when the units of any flow are
+            expected = any(
+                disordered_by_paths(
+                    network.flows[fid].edges,
+                    reg.reference,
+                    reg.vertex,
+                    ep_vertices(network, fid) | sites("pef", fid),
+                    sites("pof", fid),
+                )
+                for fid in fids
+            )
             an = _Analyzer(network, MODEL_TIGHT, False, DEFAULT_BURST_CAP)
-            assert (an._reordered[("f", reg.vertex)] == ["f"]) == expected, network
+            flags = [an._out_of_order[(fid, reg.vertex)] for fid in fids]
+            assert flags == [expected] * len(fids), network
             checked += 1
             reordered += expected
-        assert 30 < reordered < 170
+        return reordered
+
+    def test_regulator_reordering_matches_path_enumeration(self):
+        assert 30 < self._check_reordering_flags(("f",)) < 170
+
+    def test_shared_queue_reordering_matches_path_enumeration(self):
+        assert 30 < self._check_reordering_flags(("f", "g")) < 170
 
 
 class TestSweepBehavior:
