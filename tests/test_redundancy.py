@@ -1,7 +1,15 @@
 import random
 from fractions import Fraction
 
-from redcalc.minplus import ConcaveCurve, curve_leq, deconvolve_delay, is_unbounded
+import pytest
+
+from redcalc.minplus import (
+    UNBOUNDED,
+    ConcaveCurve,
+    curve_leq,
+    deconvolve_delay,
+    is_unbounded,
+)
 from redcalc.redundancy import (
     lossy_jitter_output_curve,
     pef_output_curve,
@@ -148,3 +156,21 @@ class TestReorderingBounds:
     def test_rbo_unbounded_rto(self):
         assert is_unbounded(rbo_from_rto(curve((1, 3)), float("inf")))
         assert rbo_from_rto(curve((0, 3)), float("inf")) == 3
+
+
+class TestResequencerCurve:
+    # a re-sequencer's output is the reference curve spread by the section
+    # widened by its own wait: [0, 0] lossless, [0, timeout] lossy, and
+    # unbounded for lossy traffic without a timeout
+    def test_lossless(self):
+        section = TOY_SECTION.plus(DelayInterval(0, 0))
+        assert lossy_jitter_output_curve(TOY_REF, section) == curve((1, 8))
+
+    def test_lossy_adds_timeout(self):
+        section = TOY_SECTION.plus(DelayInterval(0, 6))
+        assert lossy_jitter_output_curve(TOY_REF, section) == curve((1, 14))
+
+    def test_lossy_requires_timeout(self):
+        section = TOY_SECTION.plus(DelayInterval(0, UNBOUNDED))
+        with pytest.raises(ValueError):
+            lossy_jitter_output_curve(TOY_REF, section)
