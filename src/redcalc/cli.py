@@ -7,6 +7,7 @@ with ``bundled:`` resolve into the corpus shipped inside the package.
 """
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -164,7 +165,7 @@ def _add_analysis_flags(p):
         action="store_true",
         help="assume no data unit is ever lost on the analyzed paths",
     )
-    p.add_argument("--iter-cap", type=int, default=None, help="fixed-point sweep cap")
+    p.add_argument("--iter-cap", type=int, default=None, help="fixed-point passes per cyclic SCC")
     p.add_argument("--burst-cap", default=None, help="burst divergence cap (rational)")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -206,9 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # SpecError, ScenarioError, JSONDecodeError

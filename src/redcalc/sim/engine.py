@@ -272,10 +272,14 @@ class Trace:
 
 def _validate_sources(scenario: Scenario):
     seen = set()
+    sized = set()  # (flow, size) pairs checked so far; a failed check raises at once
     for u in scenario.sources:
         if u.key in seen:
             raise ScenarioError(f"duplicate source unit {u.flow}/{u.unit}")
         seen.add(u.key)
+        if (u.flow, u.size) in sized:
+            continue
+        sized.add((u.flow, u.size))
         prof = scenario.flows.get(u.flow)
         if u.size == 0 and not scenario.allow_zero_size:
             raise ScenarioError(f"unit {u.flow}/{u.unit}: zero size not allowed here")

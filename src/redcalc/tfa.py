@@ -7,18 +7,22 @@ curve spread by the port jitter, and the redundancy functions transform curves
 and accumulated delay intervals at the vertices that host elimination,
 re-sequencing, or shaping.
 
-On feed-forward networks one sweep in topological order reaches the fixed
-point.  With cyclic dependencies the sweep is iterated; to keep exact
-arithmetic from chasing a geometric limit forever, burst terms are rounded up
-onto a fixed grid (rounding up keeps every intermediate state a valid
-over-approximation), so the iteration either stabilizes (exact equality
-between sweeps), exceeds the burst cap (Diverged), or hits the iteration cap.
+The vertices are taken one strongly connected component (SCC) of the union
+graph at a time, in topological order.  A vertex on no cycle is processed
+once, after its inputs have settled.  A cyclic component is swept in sorted
+order until a pass changes nothing; as in Bourdoncle's chaotic iteration, a
+pass processes only the dirty members, those that read an output changed
+since their last processing.  Exact arithmetic could chase a geometric limit
+forever, so a network with a cycle rounds burst terms up onto a fixed grid
+(rounding up keeps every state a valid over-approximation), and a component
+either stabilizes (exact equality between passes), exceeds the burst cap
+(Diverged), or runs `iter_cap` passes (IterationCap).  A cut-off component
+gets one more pass; the components after it are still processed.
 
 The structure of each flow (diamond ancestors, anchors, the functions placed
-at each vertex) is computed once per analysis.  Every sweep records the
-per-site reports as it goes, and the report keeps those of the final sweep:
-after convergence that sweep changed nothing, so they describe the fixed
-point; a cut-off run (Diverged, IterationCap) sweeps once more first.
+at each vertex, the readers of each vertex) is computed once per analysis.
+Each vertex keeps the site reports and timeout notes of its last processing;
+after convergence they describe the fixed point.
 
 Two models of the eliminator are supported: ``tight`` constrains the output
 by every diamond-ancestor curve, ``intuitive`` keeps the plain sum of the
@@ -129,13 +133,13 @@ class AnalysisReport:
     iterations: int
     results: list  # FlowResult
     vertex_delays: dict  # vertex -> DelayInterval
-    # site records of the final sweep, in sweep order: one dict per
-    # (placement, flow), except a PEF whose input is cut off; to_json writes
-    # them as they are, key by key
+    # site records of each vertex's last processing, in sweep order: one dict
+    # per (placement, flow), except a PEF whose input is cut off; to_json
+    # writes them as they are, key by key
     pef_sites: list
     pof_sites: list
     reg_sites: list
-    notes: list  # cut-off notes, then the final sweep's, then overloaded ports
+    notes: list  # cut-off notes, then the vertices' timeout notes, then overloaded ports
 
     def result_for(self, flow: str, destination: str) -> FlowResult:
         for r in self.results:
@@ -163,27 +167,21 @@ class AnalysisReport:
         w = csv.writer(buf)
         w.writerow(["flow", "destination", "model", "lower", "upper", "deadline", "verdict"])
         for r in self.results:
-            w.writerow(
-                [
-                    r.flow,
-                    r.destination,
-                    self.model,
-                    rational_str(r.interval.lo),
-                    rational_str(r.interval.hi),
-                    rational_str(r.deadline) if r.deadline is not None else "",
-                    r.verdict,
-                ]
-            )
+            lo, hi = rational_str(r.interval.lo), rational_str(r.interval.hi)
+            deadline = rational_str(r.deadline) if r.deadline is not None else ""
+            w.writerow([r.flow, r.destination, self.model, lo, hi, deadline, r.verdict])
         return buf.getvalue()
 
 
-def _sweep_order(network: NetworkSpec):
-    """Vertices in SCC-condensation topological order, plus an acyclic flag.
+def _sweep_order(network: NetworkSpec) -> list:
+    """The SCCs of the union of the flow graphs, each sorted, in topological
+    order of the condensation.
 
-    Kosaraju on the union of the flow graphs: one depth-first search, roots
-    and children in sorted order, records the finishing order; then each
-    vertex, taken in reverse finishing order, gathers its component from the
-    unplaced vertices that reach it.  Members of a component are sorted.
+    Kosaraju: one depth-first search, roots and children in sorted order,
+    records the finishing order; then each vertex, taken in reverse finishing
+    order, gathers its component from the unplaced vertices that reach it.
+    The loader rejects cyclic flows, so no vertex is its own parent, and a
+    component is cyclic exactly when it has two members or more.
     """
     children = {v: set() for v in network.vertices}
     parents = {v: set() for v in network.vertices}
@@ -207,8 +205,7 @@ def _sweep_order(network: NetworkSpec):
             else:
                 seen.add(w)
                 work.append((w, iter(sorted(children[w]))))
-    order = []
-    acyclic = True
+    components = []
     placed = set()
     for root in reversed(finished):
         if root in placed:
@@ -219,9 +216,8 @@ def _sweep_order(network: NetworkSpec):
             for u in parents[v] - placed:
                 placed.add(u)
                 comp.append(u)
-        order += sorted(comp)
-        acyclic &= len(comp) == 1  # no self-loop: the loader rejects cyclic flows
-    return order, acyclic
+        components.append(sorted(comp))
+    return components
 
 
 def _total(curves: list):
@@ -235,11 +231,19 @@ class _Analyzer:
     def __init__(self, network, model, lossless, burst_cap):
         self.net = network
         self.model = model
+        self.lossless = lossless
         self.burst_cap = burst_cap
-        self.quantize = False
-        self.notes = []
-        self.curves = {}  # (flow, vertex) -> curve | None
-        self.vertex_delays = {}  # vertex -> DelayInterval
+        self.components = _sweep_order(network)
+        # a cycle puts every burst on the grid; feed-forward analysis stays exact
+        self.quantize = any(len(comp) > 1 for comp in self.components)
+        self.notes = []  # cut-off notes
+        # optimistic start: plain source curves everywhere, ports at zero queueing
+        self.curves = {  # (flow, vertex) -> curve | None
+            (fid, v): flow.arrival for fid, flow in network.flows.items() for v in flow.vertices
+        }
+        self.vertex_delays = {v: vertex_delay(spec, None) for v, spec in network.vertices.items()}
+        # vertex -> site records and timeout notes of its last processing, by kind
+        self.records = {}
         self.iterations = 0
         self.status = CONVERGED
         self._crossing = {v: [] for v in network.vertices}
@@ -290,6 +294,12 @@ class _Analyzer:
                 shared = p.mode != REG_PER_FLOW and any(own.values())
                 for g in p.flows:
                     self._out_of_order[(g, p.vertex)] = own[g] or shared
+        # vertex of a cyclic component -> the members that read its outputs
+        self._readers = {v: set() for comp in self.components if len(comp) > 1 for v in comp}
+        for comp in self.components:
+            for v in comp if len(comp) > 1 else ():
+                for x in self._inputs(v).intersection(comp):
+                    self._readers[x].add(v)
 
     def _disordered_at(self, fid, eps, a, v) -> bool:
         """Can units of the flow reach v's regulator out of source order,
@@ -308,6 +318,24 @@ class _Analyzer:
             ):
                 disordered.add(x)
         return v in disordered
+
+    def _inputs(self, v) -> set:
+        """The other vertices whose outputs processing v reads: the flow
+        parents, and the reference points of v's functions (the diamond
+        ancestors for an eliminator) with the sections from them to v.  The
+        legs an interleaved regulator reads lie on its flows' sections."""
+        flows = self.net.flows
+        reads = set()
+        for fid in self._crossing[v]:
+            reads.update(flows[fid].parents[v])
+        for placement, pflows in self._placed[v]:
+            for fid in pflows:
+                refs = self._ancestors[(fid, v)] if placement.kind == PEF else [placement.reference]
+                for a in refs:
+                    reads.add(a)
+                    reads.update(x for x, _ in _section_plan(flows[fid].edges, a, v))
+        reads.discard(v)
+        return reads
 
     # -- structural helpers --------------------------------------------------
 
@@ -337,19 +365,43 @@ class _Analyzer:
             return curve
         return round_bursts_up(curve, BURST_QUANTUM)
 
-    # -- one Gauss-Seidel sweep ----------------------------------------------
+    # -- chaotic iteration over one cyclic component -------------------------
 
-    def sweep(self, order) -> bool:
-        """One pass in `order`; the site records and the timeout notes it
-        leaves behind describe this pass only."""
-        self.pef_sites = []
-        self.pof_sites = []
-        self.reg_sites = []
-        self.sweep_notes = []
+    def settle(self, members, iter_cap: int) -> int:
+        """Sweep a cyclic component until a pass changes nothing, and return
+        the pass count; the stop rules are those of the status, per component.
+        A cut-off component (Diverged, IterationCap) gets one more pass, which
+        carries the cut-off (None) curves around its cycles; over the dirty
+        members only, it leaves the state a pass over all of them would."""
+        dirty = set(members)
+        passes = 0
+        for passes in range(1, iter_cap + 1):
+            if not self._pass(members, dirty) or self.status != CONVERGED:
+                break
+        else:
+            if self.status == CONVERGED:
+                self.status = ITERATION_CAP
+                self.notes.append(f"no fixed point within {iter_cap} sweeps")
+        if self.status != CONVERGED:
+            self._pass(members, dirty)
+        return passes
+
+    def _pass(self, members, dirty: set) -> bool:
+        """One Gauss-Seidel pass over the dirty members, in sorted order; a
+        member that changes makes its readers dirty, later in this pass or
+        in the next one."""
         changed = False
-        for v in order:
-            changed |= self._process_vertex(v)
+        for v in members:
+            if v in dirty:
+                dirty.discard(v)
+                if self._process_vertex(v):
+                    changed = True
+                    dirty |= self._readers[v]
         return changed
+
+    def _records(self, v: str, key: str) -> list:
+        """The site records or notes of one kind that v's processing leaves."""
+        return self.records.setdefault(v, {}).setdefault(key, [])
 
     def _input_curve(self, fid: str, v: str):
         """Curve offered to v's local pipeline: the arrival curve at the flow
@@ -364,9 +416,8 @@ class _Analyzer:
 
     def _process_vertex(self, v: str) -> bool:
         net = self.net
-        post = {}
-        for fid in self._crossing[v]:
-            post[fid] = self._input_curve(fid, v)
+        self.records.pop(v, None)
+        post = {fid: self._input_curve(fid, v) for fid in self._crossing[v]}
 
         for placement, flows in self._placed[v]:
             for fid in flows:
@@ -379,9 +430,7 @@ class _Analyzer:
 
         if any(c is None for c in post.values()):
             spec = net.vertices[v]
-            vdel = spec.tech if spec.service is None else DelayInterval(
-                spec.tech.lo, UNBOUNDED
-            )
+            vdel = spec.tech if spec.service is None else DelayInterval(spec.tech.lo, UNBOUNDED)
         else:
             vdel = vertex_delay(net.vertices[v], _total(list(post.values())))
 
@@ -420,7 +469,7 @@ class _Analyzer:
         out = tight if self.model == MODEL_TIGHT else alpha_in
         if not is_unbounded(rto):
             rbo = rbo_from_rto(out, rto)
-        self.pef_sites.append(
+        self._records(v, "pef_sites").append(
             {
                 "vertex": v,
                 "flow": fid,
@@ -446,7 +495,7 @@ class _Analyzer:
             # the reference curve spread by the section and its own wait
             section = bounds.plus(self._wait[(fid, v)])
             if is_unbounded(section.hi):
-                self.sweep_notes.append(
+                self._records(v, "notes").append(
                     f"re-sequencer for {fid} at {v}: lossy traffic needs a finite timeout"
                 )
             else:
@@ -454,7 +503,7 @@ class _Analyzer:
             rto = pef_rto_bound(ref_curve, bounds, self.net.flows[fid].lmin)
             if alpha_in is not None:
                 rbo = rbo_from_rto(alpha_in, rto)
-        self.pof_sites.append(
+        self._records(v, "pof_sites").append(
             {
                 "vertex": v,
                 "flow": fid,
@@ -471,7 +520,7 @@ class _Analyzer:
         sigma = placement.shaping[fid]
         ref_curve = self.curves.get((fid, placement.reference))
         verdict, rto = self._reg_verdict(fid, v, placement, ref_curve)
-        self.reg_sites.append(
+        self._records(v, "reg_sites").append(
             {
                 "vertex": v,
                 "flow": fid,
@@ -536,6 +585,33 @@ class _Analyzer:
             bounds,
         )
         return verdict, None
+
+    # -- the report ---------------------------------------------------------
+
+    def report(self) -> AnalysisReport:
+        """The report of the current state; an otherwise converged run whose
+        ports are overloaded is Diverged."""
+        order = [v for comp in self.components for v in comp]
+        records = {
+            key: [r for v in order for r in self.records.get(v, {}).get(key, ())]
+            for key in ("pef_sites", "pof_sites", "reg_sites", "notes")
+        }
+        notes = self.notes + records.pop("notes")
+        if self.status == CONVERGED:
+            overloaded = sorted(v for v, d in self.vertex_delays.items() if is_unbounded(d.hi))
+            if overloaded:
+                self.status = DIVERGED
+                notes += [f"aggregate exceeds the service rate at {v}" for v in overloaded]
+        return AnalysisReport(
+            model=self.model,
+            lossless=self.lossless,
+            status=self.status,
+            iterations=self.iterations,
+            results=self.compose(),
+            vertex_delays=dict(self.vertex_delays),
+            notes=notes,
+            **records,
+        )
 
     # -- end-to-end composition -----------------------------------------------
 
@@ -603,8 +679,11 @@ def analyze(
     `lossless` asserts that no data unit is ever lost on the analyzed paths,
     which sharpens the re-sequencer transforms; without it a re-sequencer
     needs a configured timeout for the flow to keep a bounded delay.
-    The sweep count is capped by `iter_cap` (default 1000) and growing
-    states are cut off once a curve's burst exceeds `burst_cap`.
+    Each cyclic component is swept, over its dirty members only, until a
+    pass changes nothing; its passes are capped by `iter_cap` (default 1000),
+    and growing states are cut off once a curve's burst exceeds `burst_cap`.
+    `iterations` is the largest pass count of a cyclic component, and 1 on a
+    feed-forward network.
     """
     if model not in (MODEL_TIGHT, MODEL_INTUITIVE):
         raise ValueError(f"unknown analysis model {model!r}")
@@ -612,58 +691,15 @@ def analyze(
     burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
 
     an = _Analyzer(network, model, lossless, burst_cap)
-    order, acyclic = _sweep_order(network)
-
-    # optimistic start: plain source curves everywhere, ports at zero queueing
-    for v, spec in network.vertices.items():
-        an.vertex_delays[v] = vertex_delay(spec, None)
-    for fid, flow in network.flows.items():
-        for v in flow.vertices:
-            an.curves[(fid, v)] = flow.arrival
-
-    if acyclic:
-        # parents settle before children, so one sweep is the fixed point
-        an.sweep(order)
-        an.iterations = 1
-    else:
-        an.quantize = True
-        for i in range(1, iter_cap + 1):
-            changed = an.sweep(order)
-            an.iterations = i
-            if an.status == DIVERGED or not changed:
-                break
+    passes = []
+    for comp in an.components:
+        if len(comp) > 1:
+            passes.append(an.settle(comp, iter_cap))
         else:
-            an.status = ITERATION_CAP
-            an.notes.append(f"no fixed point within {iter_cap} sweeps")
-
-    # a converged sweep changed nothing, so its site records are those of the
-    # fixed point; a cut-off run sweeps once more to carry the cut-off (None)
-    # curves around the cycles before its records are read
-    if an.status != CONVERGED:
-        an.sweep(order)
-    an.notes += an.sweep_notes
-
-    if an.status == CONVERGED:
-        overloaded = sorted(
-            v for v, d in an.vertex_delays.items() if is_unbounded(d.hi)
-        )
-        if overloaded:
-            an.status = DIVERGED
-            for v in overloaded:
-                an.notes.append(f"aggregate exceeds the service rate at {v}")
-
-    return AnalysisReport(
-        model=model,
-        lossless=lossless,
-        status=an.status,
-        iterations=an.iterations,
-        results=an.compose(),
-        vertex_delays=dict(an.vertex_delays),
-        pef_sites=an.pef_sites,
-        pof_sites=an.pof_sites,
-        reg_sites=an.reg_sites,
-        notes=an.notes,
-    )
+            # its inputs have settled upstream, so one processing is final
+            an._process_vertex(comp[0])
+    an.iterations = max(passes, default=1)
+    return an.report()
 
 
 def compare_models(network: NetworkSpec, lossless: bool = False, **kw) -> dict:

@@ -45,6 +45,15 @@ class DelayInterval:
         if self.hi < self.lo:
             raise ValueError("delay interval needs lo <= hi")
 
+    @classmethod
+    def _unchecked(cls, lo: Fraction, hi) -> "DelayInterval":
+        """The interval of endpoints already parsed and ordered, 0 <= lo <=
+        hi, built without the checks of the public constructor."""
+        interval = object.__new__(cls)
+        object.__setattr__(interval, "lo", lo)
+        object.__setattr__(interval, "hi", hi)
+        return interval
+
     @property
     def width(self):
         if is_unbounded(self.hi):
@@ -57,7 +66,7 @@ class DelayInterval:
             if is_unbounded(self.hi) or is_unbounded(other.hi)
             else self.hi + other.hi
         )
-        return DelayInterval(self.lo + other.lo, hi)
+        return DelayInterval._unchecked(self.lo + other.lo, hi)
 
     def hull(self, other: "DelayInterval") -> "DelayInterval":
         hi = (
@@ -65,7 +74,7 @@ class DelayInterval:
             if is_unbounded(self.hi) or is_unbounded(other.hi)
             else max(self.hi, other.hi)
         )
-        return DelayInterval(min(self.lo, other.lo), hi)
+        return DelayInterval._unchecked(min(self.lo, other.lo), hi)
 
     def to_json(self) -> dict:
         return {"lo": rational_str(self.lo), "hi": rational_str(self.hi)}
@@ -244,7 +253,7 @@ def path_delay_bounds(edges, a: str, n: str, delay_of: dict) -> DelayInterval:
             best_hi = cand_hi if best_hi is None else max(best_hi, cand_hi)
         lo[v] = best_lo
         hi[v] = best_hi
-    return DelayInterval(lo[n], hi[n])
+    return DelayInterval._unchecked(lo[n], hi[n])  # sums of parsed, ordered endpoints
 
 
 @functools.lru_cache(maxsize=4096)

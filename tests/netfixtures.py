@@ -1,6 +1,8 @@
 """Shared network fixtures used across the test modules."""
 
 import copy
+import itertools
+import random
 from fractions import Fraction
 
 
@@ -476,3 +478,207 @@ def reference_parent_network(source_tech=("0", "0"), q=13):
             },
         ],
     }
+
+
+def _network_doc(vertices, flows, placements=()):
+    """Network document whose edges are those of its flows."""
+    edges = sorted({tuple(e) for f in flows for e in f["edges"]})
+    return {
+        "vertices": vertices,
+        "edges": [{"from": u, "to": v} for u, v in edges],
+        "flows": flows,
+        "placements": list(placements),
+    }
+
+
+def _path_flow(fid, path, rate, burst, source=None, destination=None):
+    """Flow along one path, or along the edges `path` when it holds pairs."""
+    edges = path if isinstance(path[0], tuple) else list(zip(path, path[1:]))
+    return {
+        "id": fid,
+        "source": source or path[0],
+        "destinations": [destination or path[-1]],
+        "edges": [list(e) for e in edges],
+        "arrival": gamma(rate, burst),
+        "lmin": 1,
+        "lmax": 1,
+    }
+
+
+def series_rings_network(timeout="3"):
+    """Two rings of served ports in series: a1, a2 crossed both ways, then
+    b1, b2 crossed both ways.  Flow f runs through both rings, so the first
+    ring feeds the second; g replicates at its source onto the first ring
+    and onto the pure delay x, and merges at b1 behind an eliminator and a
+    re-sequencer; f is shaped at b1 against its curve at a2."""
+    served = {"service": {"rate": "4", "latency": "1"}}
+    names = ["sf", "sr", "sq", "sg", "x", "tf", "tr", "tq", "tg"]
+    vertices = [{"name": v} for v in names]
+    vertices[names.index("x")]["tech"] = ["1", "2"]
+    vertices += [{"name": v, **served} for v in ("a1", "a2", "b1", "b2")]
+    g_edges = [("sg", "a1"), ("a1", "a2"), ("a2", "b1"), ("sg", "x"), ("x", "b1"), ("b1", "tg")]
+    flows = [
+        _path_flow("f", ["sf", "a1", "a2", "b1", "b2", "tf"], "1/2", 1),
+        _path_flow("r", ["sr", "a2", "a1", "tr"], 1, 1),
+        _path_flow("q", ["sq", "b2", "b1", "tq"], 1, 2),
+        _path_flow("g", g_edges, "1/2", 1, source="sg", destination="tg"),
+    ]
+    placements = [
+        {"kind": "pef", "vertex": "b1", "flows": ["g"]},
+        {"kind": "pof", "vertex": "b1", "flows": ["g"], "reference": "sg", "timeout": timeout},
+        {
+            "kind": "reg",
+            "vertex": "b1",
+            "flows": ["f"],
+            "reference": "a2",
+            "mode": "per-flow",
+            "shaping": {"f": gamma("1/2", 4)},
+        },
+    ]
+    return _network_doc(vertices, flows, placements)
+
+
+def diamond_grid_network(n, w, max_hops, seed=1):
+    """n flows, each replicated at its own source onto the same hop range of
+    two chains of served ports, A and B, and eliminated at its own merge;
+    odd flows run the chains in reverse, so the union graph has cycles."""
+    rng = random.Random(seed)
+    vertices = [
+        {"name": f"{c}{j}", "service": {"rate": str(2 * n + 5), "latency": "1/10"}}
+        for c in "AB"
+        for j in range(w)
+    ]
+    flows = []
+    placements = []
+    for i in range(n):
+        length = rng.randint(1, max_hops)
+        first = rng.randrange(w - length + 1)
+        hops = list(range(first, first + length))[:: -1 if i % 2 else 1]
+        edges = []
+        for c in "AB":
+            path = [f"S{i}"] + [f"{c}{j}" for j in hops] + [f"M{i}"]
+            edges += zip(path, path[1:])
+        vertices += [{"name": f"S{i}"}, {"name": f"M{i}"}]
+        flows.append(_path_flow(f"f{i}", edges, 1, rng.randint(1, 3), f"S{i}", f"M{i}"))
+        placements.append({"kind": "pef", "vertex": f"M{i}", "flows": [f"f{i}"]})
+    return _network_doc(vertices, flows, placements)
+
+
+def _chain_ring(w, rates, latencies):
+    """Vertices of two chains of served ports, A0..A{w-1} and B0..B{w-1},
+    and the two backbone flows that close them into one cycle: one runs A
+    forward and turns onto B, the other runs B backward and turns onto A."""
+    vertices = [
+        {"name": f"{c}{j}", "service": {"rate": str(next(rates)), "latency": next(latencies)}}
+        for c in "AB"
+        for j in range(w)
+    ]
+    a_path = [f"A{j}" for j in range(w)]
+    b_path = [f"B{j}" for j in reversed(range(w))]
+    flows = [
+        _path_flow("fwd", ["s-fwd", *a_path, b_path[0], "t-fwd"], "1/2", 1),
+        _path_flow("rev", ["s-rev", *b_path, a_path[0], "t-rev"], "1/2", 1),
+    ]
+    return vertices, flows
+
+
+def _with_endpoints(vertices, flows):
+    names = {v for f in flows for e in f["edges"] for v in e}
+    return vertices + [{"name": v} for v in sorted(names - {v["name"] for v in vertices})]
+
+
+def twin_ring_network():
+    """The chain ring on four columns, with f replicated at s onto A0 and
+    B0, eliminated at A1, and shaped at A3 in one queue with g, which runs
+    s, B0, B1, B2, A3: g's leg to A3 crosses B1, which is neither a parent
+    of A3 nor on f's section from s, only on g's own."""
+    vertices, flows = _chain_ring(4, itertools.repeat(8), itertools.repeat("1/2"))
+    f_edges = [("s", "A0"), ("s", "B0"), ("A0", "A1"), ("B0", "A1"), ("A1", "A2"), ("A2", "A3")]
+    flows += [
+        _path_flow("f", f_edges + [("A3", "t")], "1/2", 1, "s", "t"),
+        _path_flow("g", ["s", "B0", "B1", "B2", "A3", "t"], "1/2", 1),
+    ]
+    placements = [
+        {"kind": "pef", "vertex": "A1", "flows": ["f"]},
+        {
+            "kind": "reg",
+            "vertex": "A3",
+            "flows": ["f", "g"],
+            "reference": "s",
+            "mode": "interleaved",
+            "shaping": {"f": gamma(1, 24), "g": gamma(1, 24)},
+        },
+    ]
+    return _network_doc(_with_endpoints(vertices, flows), flows, placements)
+
+
+def random_cyclic_network(rng):
+    """Random network on the chain ring (see `_chain_ring`) of three to six
+    columns, whose every chain vertex lies in one cyclic component.
+
+    Every other flow runs over a range of columns, forward or reversed at
+    random: from its source along one chain, replicated onto both chains at
+    a column (or at the source), merged onto one chain by an eliminator a
+    column or more later, then on to its sink.  At random a re-sequencer
+    joins the eliminator and a regulator sits at or after the merge; some
+    flows instead have a twin from the same source along one branch and the
+    other chain, shaped with them by an interleaved regulator.  Every
+    function thus sits on the cycle.
+    """
+    w = rng.randint(3, 6)
+    vertices, flows = _chain_ring(
+        w,
+        iter(lambda: rng.choice([4, 6, 8]), None),
+        iter(lambda: rng.choice(["0", "1/2", "1"]), None),
+    )
+    placements = []
+    for k in range(rng.randint(1, 3)):
+        fid, src, sink = f"f{k}", f"s{k}", f"t{k}"
+        length = rng.randint(3, w)
+        start = rng.randrange(w - length + 1)
+        cols = list(range(start, start + length))[:: rng.choice([1, -1])]
+        split = rng.randint(-1, length - 3)  # the column index replicating; -1: the source
+        merge = rng.randint(split + 2, length - 1)
+        one, other = rng.sample("AB", 2)
+        prefix = [src] + [f"{one}{j}" for j in cols[: split + 1]]
+        branches = [[f"{c}{j}" for j in cols[split + 1 : merge]] for c in (one, other)]
+        suffix = [f"{rng.choice('AB')}{j}" for j in cols[merge:]]
+        merged, tail = suffix[0], suffix + [sink]
+        edges = list(zip(prefix, prefix[1:])) + list(zip(tail, tail[1:]))
+        for branch in branches:
+            path = [prefix[-1], *branch, merged]
+            edges += zip(path, path[1:])
+        rate, burst = rng.choice(["1/4", "1/2"]), rng.randint(1, 3)
+        flows.append(_path_flow(fid, edges, rate, burst, src, sink))
+        placements.append({"kind": "pef", "vertex": merged, "flows": [fid]})
+        dominators = prefix + suffix  # upstream of the merge and after it, in flow order
+        twinned = rng.random() < 0.25
+        if rng.random() < 0.4 and not twinned:
+            timeout = rng.choice([None, "1/2", "3"])
+            pof = {"kind": "pof", "vertex": merged, "flows": [fid], "reference": rng.choice(prefix)}
+            placements.append(pof if timeout is None else {**pof, "timeout": timeout})
+        if rng.random() < 0.6 or twinned:
+            at = rng.randrange(len(prefix), len(dominators))
+            reg = {
+                "kind": "reg",
+                "vertex": dominators[at],
+                "flows": [fid],
+                "reference": rng.choice(dominators[:at]),
+                "mode": "per-flow",
+                "shaping": {fid: gamma(rng.choice(["1/2", "1"]), rng.choice([2, 8, 24]))},
+            }
+            if twinned:
+                # the twin takes one branch, then the other chain up to the
+                # regulator, whose reference moves before the replication
+                twin, last = f"{fid}-twin", at - len(prefix)
+                detour = [{"A": "B", "B": "A"}[x[0]] + x[1:] for x in suffix[:last]]
+                path = prefix + rng.choice(branches) + detour + tail[last:]
+                reg["reference"] = rng.choice(prefix)
+                flows.append(_path_flow(twin, path, "1/4", 1, src, sink))
+                reg["flows"].append(twin)
+                reg["mode"] = "interleaved"
+                reg["shaping"][twin] = gamma("1/2", rng.choice([2, 8, 24]))
+            placements.append(reg)
+    rank = {"pef": 0, "pof": 1, "reg": 2}
+    placements.sort(key=lambda p: (p["vertex"], rank[p["kind"]]))
+    return _network_doc(_with_endpoints(vertices, flows), flows, placements)

@@ -5,13 +5,24 @@ evaluated as an infimum over explicit split points, deviations as maxima
 over dense candidate grids, dominators by full path enumeration, trace
 compliance and reordering by checking every pair of units, and the
 regulators' ordering question by following every path.  The analyzer's
-SCC sweep order (Kosaraju) is checked against Tarjan's algorithm.
+SCC sweep order (Kosaraju) is checked against Tarjan's algorithm, and its
+schedule (each component on its own, dirty vertices only) against the global
+loop that re-runs every vertex on every sweep.
 """
 
 import itertools
 from fractions import Fraction
 
-from redcalc.minplus import UNBOUNDED, ConcaveCurve
+from redcalc.minplus import UNBOUNDED, ConcaveCurve, parse_rational
+from redcalc.tfa import (
+    CONVERGED,
+    DEFAULT_BURST_CAP,
+    DEFAULT_ITER_CAP,
+    DIVERGED,
+    ITERATION_CAP,
+    MODEL_TIGHT,
+    _Analyzer,
+)
 from redcalc.topology import NetworkSpec
 
 
@@ -219,3 +230,37 @@ def tarjan_sweep_order(network: NetworkSpec):
         v not in children[v] for v in network.vertices
     )
     return order, acyclic
+
+
+def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None, burst_cap=None):
+    """`tfa.analyze` by a global Gauss-Seidel loop: every vertex, in sweep
+    order, on every sweep, until a sweep changes nothing, the burst cap is
+    exceeded or `iter_cap` sweeps have run; a cut-off run sweeps once more.
+    The stop rules apply to the whole network, so `iterations` counts its
+    sweeps."""
+    iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
+    burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
+    an = _Analyzer(network, model, lossless, burst_cap)
+    order = [v for comp in an.components for v in comp]
+
+    def sweep():
+        changed = False
+        for v in order:
+            changed |= an._process_vertex(v)
+        return changed
+
+    if not an.quantize:  # feed-forward
+        sweep()
+        an.iterations = 1
+    else:
+        for i in range(1, iter_cap + 1):
+            changed = sweep()
+            an.iterations = i
+            if an.status == DIVERGED or not changed:
+                break
+        else:
+            an.status = ITERATION_CAP
+            an.notes.append(f"no fixed point within {iter_cap} sweeps")
+    if an.status != CONVERGED:
+        sweep()
+    return an.report()

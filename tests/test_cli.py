@@ -86,6 +86,16 @@ class TestCompare:
             strict += t < i
         assert strict >= 1
 
+    def test_no_parsed_state_leaks_between_calls(self, capsys):
+        # main builds its parser once per process, so a flag given to one
+        # call must not reach the next
+        network = bundled("net-volvo-like.json")
+        assert main(["compare", "--lossless", "--in", network]) == 0
+        assert json.loads(capsys.readouterr().out)["tight"]["lossless"] is True
+        assert main(["compare", "--in", network]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tight"]["lossless"] is False and doc["intuitive"]["lossless"] is False
+
 
 class TestSimulate:
     def test_trace_csv(self, tmp_path):

@@ -35,6 +35,7 @@ from redcalc.sim import (
     run_scenario,
     toy_scenario,
 )
+from redcalc.sim.engine import FlowProfile
 from redcalc.topology import DelayInterval, SpecError
 
 from oracles import compliance_violations, reordering_by_pairs
@@ -89,6 +90,25 @@ class TestEngineValidation:
         with pytest.raises(ScenarioError, match="zero size"):
             run_scenario(mk(False))
         run_scenario(mk(True))
+
+    def test_size_checks_name_the_first_offending_unit(self):
+        # units 1, 2 and 4 share a valid (flow, size) pair, which is checked
+        # once; unit 3 of the same flow is too large and is named, not unit 6
+        units = [SourceUnit("f", str(i), i, size) for i, size in enumerate([2, 2, 5, 2, 0, 9], 1)]
+        sc = one_flow(
+            units,
+            [PathSpec("p", DelayInterval(0, 1), {}, default=F(0))],
+            Pipeline(),
+            flows={"f": FlowProfile(lmin=1, lmax=4)},
+        )
+        with pytest.raises(ScenarioError, match="unit f/3: size above flow maximum"):
+            run_scenario(sc)
+        sc.sources[2] = SourceUnit("f", "3", 3, 2)
+        with pytest.raises(ScenarioError, match="unit f/5: zero size not allowed"):
+            run_scenario(sc)
+        sc.sources[4] = SourceUnit("f", "5", 5, F(1, 2))
+        with pytest.raises(ScenarioError, match="unit f/5: size below flow minimum"):
+            run_scenario(sc)
 
     def test_missing_action_without_default(self):
         sc = one_flow(

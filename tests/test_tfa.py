@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import random
@@ -30,22 +31,27 @@ from redcalc.topology import (
 from netfixtures import (
     PEF_AT_F,
     PEF_PFR_AT_F,
+    diamond_grid_network,
     fwd_flow,
     gamma,
     lossy_pof_network,
     mixed_interleaved_network,
     off_path_pof_network,
+    random_cyclic_network,
     random_pef_network,
     reference_parent_network,
     rev_flow,
     ring_network,
     ring_sites_network,
+    series_rings_network,
     shared_tail_network,
     sibling_pef_network,
     toy_network,
     toy_pof_pfr_placements,
+    twin_ring_network,
 )
-from oracles import disordered_by_paths, tarjan_sweep_order
+from oracles import disordered_by_paths, full_sweep_analyze, tarjan_sweep_order
+from test_golden import RINGS
 
 TOY_PEF_OUT = ConcaveCurve([(2, 4), (1, 8)])
 
@@ -475,8 +481,10 @@ class TestStructureWalks:
                 vertices=dict.fromkeys(names),
                 flows={k: SimpleNamespace(edges=e) for k, e in flows.items()},
             )
-            order, acyclic = _sweep_order(network)
-            assert (order, acyclic) == tarjan_sweep_order(network)
+            components = _sweep_order(network)
+            order, acyclic = tarjan_sweep_order(network)
+            assert [v for comp in components for v in comp] == order
+            assert all(len(comp) == 1 for comp in components) == acyclic
             cyclic += not acyclic
         assert 100 < cyclic < 450
 
@@ -598,6 +606,176 @@ class TestSweepBehavior:
         a = analyze(net(doc), MODEL_TIGHT, lossless=True).to_json()
         b = analyze(net(doc), MODEL_TIGHT, lossless=True).to_json()
         assert a == b
+
+
+def _analysis_kwargs(flags):
+    """analyze() keywords of the CLI analysis flags in `flags`."""
+    value = dict(zip(flags, flags[1:]))
+    return {
+        "lossless": "--lossless" in flags,
+        "iter_cap": int(value["--iter-cap"]) if "--iter-cap" in value else None,
+        "burst_cap": value.get("--burst-cap"),
+    }
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """Counts each vertex processing of the analyzer, by vertex."""
+    counts = collections.Counter()
+    process = _Analyzer._process_vertex
+
+    def counted(self, v):
+        counts[v] += 1
+        return process(self, v)
+
+    monkeypatch.setattr(_Analyzer, "_process_vertex", counted)
+    return counts
+
+
+class _LoggedReads(dict):
+    """A dict that records the keys read through [] and get()."""
+
+    def __init__(self, data, log):
+        super().__init__(data)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.add(key)
+        return super().get(key, default)
+
+
+def _random_cyclic_cases(count):
+    """(network document, analyze keywords) of `count` seeded random cyclic
+    networks; small caps cut some runs off."""
+    rng = random.Random(0xC7C1E)
+    for _ in range(count):
+        doc = random_cyclic_network(rng)
+        yield doc, {
+            "model": rng.choice([MODEL_TIGHT, MODEL_INTUITIVE]),
+            "lossless": rng.random() < 0.5,
+            "iter_cap": rng.choice([3, 100, 100]),
+            "burst_cap": rng.choice([None, "6"]),
+        }
+
+
+class TestComponentSchedule:
+    """The analyzer solves one SCC at a time and revisits only the vertices
+    whose inputs changed; the global loop that re-runs every vertex on every
+    sweep (`full_sweep_analyze`) must give the same reports."""
+
+    @pytest.mark.parametrize("case", sorted(RINGS))
+    def test_ring_reports_match_the_full_sweep(self, case):
+        build, flags = RINGS[case]
+        network = net(build())
+        kw = _analysis_kwargs(flags)
+        assert analyze(network, **kw).to_json() == full_sweep_analyze(network, **kw).to_json()
+
+    def test_random_cyclic_reports_match_the_full_sweep(self):
+        # one cyclic component each, with every function kind on it; the
+        # runs cut off by a cap must match too
+        statuses = collections.Counter()
+        kinds = collections.Counter()
+        for doc, kw in _random_cyclic_cases(60):
+            network = net(doc)
+            assert sum(len(comp) > 1 for comp in _sweep_order(network)) == 1
+            rep = analyze(network, **kw).to_json()
+            assert rep == full_sweep_analyze(network, **kw).to_json(), (doc, kw)
+            statuses[rep["status"]] += 1
+            kinds.update(p.get("mode", p["kind"]) for p in doc["placements"])
+        assert min(statuses[s] for s in (CONVERGED, DIVERGED, ITERATION_CAP)) >= 3
+        assert min(kinds[k] for k in ("pef", "pof", "per-flow", "interleaved")) >= 10
+
+    def test_every_read_inside_a_component_is_a_reader_edge(self, monkeypatch):
+        # a vertex is revisited only when an output it reads changed, so each
+        # curve or port delay that processing it reads inside its component
+        # must come from a vertex that lists it as a reader
+        reads = set()
+        several = 0  # processings that read two other members or more
+        process, delays = _Analyzer._process_vertex, _Analyzer._delays
+
+        def logged_process(an, v):
+            nonlocal several
+            if not isinstance(an.curves, _LoggedReads):
+                an.curves = _LoggedReads(an.curves, reads)
+            reads.clear()
+            changed = process(an, v)
+            (comp,) = [c for c in an.components if v in c]
+            if len(comp) > 1:
+                read = {x if isinstance(x, str) else x[1] for x in reads} & set(comp) - {v}
+                assert read <= {x for x in comp if v in an._readers[x]}, v
+                several += len(read) > 1
+            return changed
+
+        monkeypatch.setattr(_Analyzer, "_process_vertex", logged_process)
+        monkeypatch.setattr(
+            _Analyzer, "_delays", lambda an, fid: _LoggedReads(delays(an, fid), reads)
+        )
+        networks = [(net(build()), _analysis_kwargs(flags)) for build, flags in RINGS.values()]
+        networks += [(net(series_rings_network()), {}), (net(twin_ring_network()), {})]
+        networks += [(net(doc), kw) for doc, kw in _random_cyclic_cases(60)]
+        for network, kw in networks:
+            analyze(network, **kw)
+        assert several > 1000
+
+    def test_series_rings_match_the_full_sweep_but_iterations(self, monkeypatch):
+        network = net(series_rings_network())
+        passes = []
+        settle = _Analyzer.settle
+
+        def counted_settle(an, *args):
+            passes.append(settle(an, *args))
+            return passes[-1]
+
+        monkeypatch.setattr(_Analyzer, "settle", counted_settle)
+        rep = analyze(network, lossless=True).to_json()
+        old = full_sweep_analyze(network, lossless=True).to_json()
+        assert rep["status"] == old["status"] == CONVERGED
+        for field in ("results", "vertex_delays", "pef_sites", "pof_sites", "reg_sites", "notes"):
+            assert rep[field] == old[field], field
+        # two cyclic components, each with its own pass count
+        assert len(passes) == 2 and rep["iterations"] == max(passes)
+
+    def test_series_rings_cut_off_status_matches_the_full_sweep(self):
+        network = net(series_rings_network())
+        for kw in ({"iter_cap": 0}, {"iter_cap": 3}, {"burst_cap": 3}):
+            rep = analyze(network, **kw)
+            assert rep.status == full_sweep_analyze(network, **kw).status != CONVERGED
+            # the first cut-off is noted once, whatever the components after it
+            assert sum("fixed point" in n or "burst cap" in n for n in rep.notes) == 1
+
+    def test_cut_off_after_a_cycle_leaves_the_cycle_settled(self):
+        # the burst cap trips at a slow served sink after the ring; the ring
+        # has settled by then, where the global loop stopped it mid-climb
+        doc = ring_network([fwd_flow("f1", 1, 1), rev_flow("f2", 1, 1)], 4)
+        (t1,) = [v for v in doc["vertices"] if v["name"] == "t1"]
+        t1["service"] = {"rate": "3/2", "latency": "20"}
+        network = net(doc)
+        settled = analyze(network).vertex_delays
+        rep = analyze(network, burst_cap=20)
+        assert rep.status == DIVERGED and any("burst cap" in n for n in rep.notes)
+        assert [rep.vertex_delays[v] for v in "uw"] == [settled[v] for v in "uw"]
+        stopped = full_sweep_analyze(network, burst_cap=20).vertex_delays
+        assert stopped["u"].hi < settled["u"].hi
+
+    def test_vertices_off_the_cycles_are_processed_once(self, visits):
+        network = net(ring_sites_network())
+        rep = analyze(network)
+        assert rep.status == CONVERGED and rep.iterations > 2
+        off_cycle = {"s1", "s2", "x", "t1", "t2"}
+        assert {v: visits[v] for v in off_cycle} == dict.fromkeys(off_cycle, 1)
+        assert min(visits["u"], visits["w"]) > 1
+
+    def test_clean_vertices_are_skipped(self, visits):
+        network = net(diamond_grid_network(8, 6, 4))
+        rep = analyze(network)
+        assert rep.status == CONVERGED and rep.iterations > 2
+        assert sum(visits.values()) < rep.iterations * len(network.vertices)
+        for i in range(8):
+            assert visits[f"S{i}"] == visits[f"M{i}"] == 1
 
 
 class TestModelComparison:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from redcalc.minplus import UNBOUNDED, is_unbounded
 from redcalc.topology import (
     DelayInterval,
     SpecError,
@@ -28,6 +29,34 @@ class TestDelayInterval:
         assert a.plus(b) == DelayInterval(4, 6)
         assert a.hull(b) == DelayInterval(1, 4)
         assert a.width == 1
+
+    def test_unchecked_results_match_the_public_constructor(self):
+        # plus, hull and path_delay_bounds build their results unchecked; each
+        # must equal the checked interval of the same endpoints, field types
+        # included
+        def same(got, lo, hi):
+            want = DelayInterval(lo, hi)
+            assert got == want and type(got) is DelayInterval
+            assert (type(got.lo), type(got.hi)) == (type(want.lo), type(want.hi))
+
+        cases = [
+            DelayInterval(0, 0),
+            DelayInterval(Fraction(1, 3), "5/2"),
+            DelayInterval(2, 7),
+            DelayInterval(Fraction(3, 4), UNBOUNDED),
+        ]
+        chain = [("s", "x"), ("x", "y"), ("y", "n")]
+        parallel = [("s", "x"), ("s", "y"), ("x", "n"), ("y", "n")]
+        for a in cases:
+            for b in cases:
+                bounded = not is_unbounded(a.hi) and not is_unbounded(b.hi)
+                total = (a.lo + b.lo, a.hi + b.hi if bounded else UNBOUNDED)
+                hull = (min(a.lo, b.lo), max(a.hi, b.hi) if bounded else UNBOUNDED)
+                same(a.plus(b), *total)
+                same(a.hull(b), *hull)
+                delays = {"x": a, "y": b}
+                same(path_delay_bounds(chain, "s", "n", delays), *total)
+                same(path_delay_bounds(parallel, "s", "n", delays), *hull)
 
     def test_json_round_trip(self):
         iv = DelayInterval(Fraction(1, 2), 4)
