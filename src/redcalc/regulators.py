@@ -73,15 +73,13 @@ def pfr_after_pef_bounds(
     """Through-delay of section + per-flow regulator, section delay in
     [d, D] and sigma an arrival curve of the flow at the section input.
 
-    Token-bucket sigma gives exactly [d, 2D - d]: the regulator's extra
-    wait is at most the section jitter.  General concave sigma falls back
-    to the horizontal deviation of the worst regulator input against sigma
-    offered as service.
+    The regulator's extra wait is the horizontal deviation of the worst
+    regulator input (sigma spread by the section jitter) against sigma
+    offered as service.  For a token bucket that wait is the jitter itself,
+    which gives [d, 2D - d].
     """
     if is_unbounded(bounds.hi):
         raise ValueError("section delay must be bounded")
-    if len(sigma.segments) == 1 and sigma.segments[0].rate > 0:
-        return DelayInterval(bounds.lo, 2 * bounds.hi - bounds.lo)
     worst_in = deconvolve_delay(sigma, bounds.width)
     penalty = h_dev(worst_in, sigma)
     if is_unbounded(penalty):
@@ -111,17 +109,12 @@ def ir_q_min(rate, burst, first: DelayInterval, second: DelayInterval) -> int:
     return math.floor(2 * rate * gap / burst + 2) + 1
 
 
-def ir_after_pef_verdict(
-    shaping: dict,
-    branch_bounds,
-    lmin: dict,
-    bounds: DelayInterval,
-) -> RegulatorVerdict:
+def ir_after_pef_verdict(shaping: dict, branch_bounds, lmin: dict) -> RegulatorVerdict:
     """Stability verdict for an interleaved regulator fed by an eliminator.
 
     shaping maps flow id -> sigma at the regulator, lmin maps flow id ->
     minimum data unit size, branch_bounds are the per-branch [d, D] of the
-    shared section, bounds its overall envelope.
+    shared section.
 
     The verdict for q >= 2 flows is never Bounded: when the adversarial
     construction applies (homogeneous token-bucket shaping, two distinct

@@ -21,8 +21,11 @@ gets one more pass; the components after it are still processed.
 
 The structure of each flow (diamond ancestors, anchors, the functions placed
 at each vertex, the readers of each vertex) is computed once per analysis.
-Each vertex keeps the site reports and timeout notes of its last processing;
-after convergence they describe the fixed point.
+Each vertex keeps the PEF/POF site reports and timeout notes of its last
+processing; after convergence they describe the fixed point.  A regulator's
+output is its shaping curve whatever its delay, so its verdict stays out of
+the iteration: it is taken once per (flow, regulator) from the final state,
+and the report and the end-to-end composition both read it.
 
 Two models of the eliminator are supported: ``tight`` constrains the output
 by every diamond-ancestor curve, ``intuitive`` keeps the plain sum of the
@@ -133,9 +136,10 @@ class AnalysisReport:
     iterations: int
     results: list  # FlowResult
     vertex_delays: dict  # vertex -> DelayInterval
-    # site records of each vertex's last processing, in sweep order: one dict
-    # per (placement, flow), except a PEF whose input is cut off; to_json
-    # writes them as they are, key by key
+    # site records in sweep order, one dict per (placement, flow), except a
+    # PEF whose input is cut off: PEF/POF from each vertex's last
+    # processing, REG verdicts from the final state; to_json writes them as
+    # they are, key by key
     pef_sites: list
     pof_sites: list
     reg_sites: list
@@ -146,12 +150,6 @@ class AnalysisReport:
             if r.flow == flow and r.destination == destination:
                 return r
         raise KeyError((flow, destination))
-
-    def site(self, sites: str, vertex: str, flow: str) -> dict:
-        for s in getattr(self, sites):
-            if s["vertex"] == vertex and s["flow"] == flow:
-                return s
-        raise KeyError((sites, vertex, flow))
 
     def any_violation(self) -> bool:
         return any(r.verdict in ("violated", "unbounded") for r in self.results)
@@ -321,14 +319,17 @@ class _Analyzer:
 
     def _inputs(self, v) -> set:
         """The other vertices whose outputs processing v reads: the flow
-        parents, and the reference points of v's functions (the diamond
-        ancestors for an eliminator) with the sections from them to v.  The
-        legs an interleaved regulator reads lie on its flows' sections."""
+        parents, and the reference points of v's eliminators and
+        re-sequencers (the diamond ancestors for an eliminator) with the
+        sections from them to v.  A regulator's output is its shaping curve,
+        so it reads nothing upstream; its verdict comes from the final state."""
         flows = self.net.flows
         reads = set()
         for fid in self._crossing[v]:
             reads.update(flows[fid].parents[v])
         for placement, pflows in self._placed[v]:
+            if placement.kind == REG:
+                continue
             for fid in pflows:
                 refs = self._ancestors[(fid, v)] if placement.kind == PEF else [placement.reference]
                 for a in refs:
@@ -426,7 +427,10 @@ class _Analyzer:
                 elif placement.kind == POF:
                     post[fid] = self._apply_pof(fid, v, placement, post[fid])
                 else:
-                    post[fid] = self._apply_reg(fid, v, placement)
+                    # the regulator output conforms to its shaping curve even
+                    # when its delay admits no bound: the verdict waits for
+                    # the final state (report), the curve propagates now
+                    post[fid] = self._capped(placement.shaping[fid])
 
         if any(c is None for c in post.values()):
             spec = net.vertices[v]
@@ -516,27 +520,12 @@ class _Analyzer:
         )
         return self._capped(out)
 
-    def _apply_reg(self, fid, v, placement):
-        sigma = placement.shaping[fid]
-        ref_curve = self.curves.get((fid, placement.reference))
-        verdict, rto = self._reg_verdict(fid, v, placement, ref_curve)
-        self._records(v, "reg_sites").append(
-            {
-                "vertex": v,
-                "flow": fid,
-                "mode": placement.mode,
-                "rto_bound": rto,
-                "verdict": verdict,
-            }
-        )
-        # the regulator output conforms to sigma even when its delay does not
-        # admit a bound, so the shaping curve always propagates downstream
-        return self._capped(sigma)
-
-    def _reg_verdict(self, fid, v, placement, ref_curve):
-        """Through-delay verdict for the section reference -> regulator output."""
+    def _reg_verdict(self, fid, v, placement):
+        """Through-delay verdict for the section reference -> regulator
+        output, and the regulator's reordering offset, in the current state."""
         flow = self.net.flows[fid]
         ref = placement.reference
+        ref_curve = self.curves.get((fid, ref))
         sigma = placement.shaping[fid]
         bounds = self._bounds(fid, ref, v)
         if ref_curve is None or is_unbounded(bounds.hi):
@@ -582,7 +571,6 @@ class _Analyzer:
             {g: placement.shaping[g] for g in flows},
             [DelayInterval(lo, hi) for lo, hi in branch_lists[0]],
             {g: self.net.flows[g].lmin for g in flows},
-            bounds,
         )
         return verdict, None
 
@@ -590,12 +578,25 @@ class _Analyzer:
 
     def report(self) -> AnalysisReport:
         """The report of the current state; an otherwise converged run whose
-        ports are overloaded is Diverged."""
+        ports are overloaded is Diverged.  Each regulator's verdict is taken
+        here, once per flow, and the end-to-end composition reads it."""
         order = [v for comp in self.components for v in comp]
         records = {
             key: [r for v in order for r in self.records.get(v, {}).get(key, ())]
-            for key in ("pef_sites", "pof_sites", "reg_sites", "notes")
+            for key in ("pef_sites", "pof_sites", "notes")
         }
+        regs = {}  # (flow, vertex of its REG) -> site record, in sweep order
+        for v in order:
+            for placement, flows in self._placed[v]:
+                for fid in flows if placement.kind == REG else ():
+                    verdict, rto = self._reg_verdict(fid, v, placement)
+                    regs[(fid, v)] = {
+                        "vertex": v,
+                        "flow": fid,
+                        "mode": placement.mode,
+                        "rto_bound": rto,
+                        "verdict": verdict,
+                    }
         notes = self.notes + records.pop("notes")
         if self.status == CONVERGED:
             overloaded = sorted(v for v, d in self.vertex_delays.items() if is_unbounded(d.hi))
@@ -607,19 +608,22 @@ class _Analyzer:
             lossless=self.lossless,
             status=self.status,
             iterations=self.iterations,
-            results=self.compose(),
+            results=self.compose(regs),
             vertex_delays=dict(self.vertex_delays),
+            reg_sites=list(regs.values()),
             notes=notes,
             **records,
         )
 
     # -- end-to-end composition -----------------------------------------------
 
-    def compose(self) -> list:
+    def compose(self, regs: dict) -> list:
+        """Per-destination results; `regs` maps (flow, vertex) to the site
+        record of the flow's regulator there."""
         results = []
         for fid in sorted(self.net.flows):
             flow = self.net.flows[fid]
-            cum = self._flow_cumulative(fid)
+            cum = self._flow_cumulative(fid, regs)
             for dest in sorted(flow.destinations):
                 interval = cum[dest]
                 deadline = flow.deadlines.get(dest)
@@ -634,7 +638,7 @@ class _Analyzer:
                 results.append(FlowResult(fid, dest, interval, deadline, verdict))
         return results
 
-    def _flow_cumulative(self, fid: str) -> dict:
+    def _flow_cumulative(self, fid: str, regs: dict) -> dict:
         """Entry-to-output delay interval at each vertex of the flow.
 
         Each vertex is anchored to an upstream cut point: the configured
@@ -658,7 +662,7 @@ class _Analyzer:
             if reg is not None:
                 # behind a re-sequencer the regulator is free when it admits
                 # a bound at all
-                verdict, _ = self._reg_verdict(fid, v, reg, self.curves.get((fid, reg.reference)))
+                verdict = regs[(fid, v)]["verdict"]
                 if not verdict.bounded:
                     section = DelayInterval(base.lo, UNBOUNDED)
                 elif pof is None:

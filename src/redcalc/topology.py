@@ -68,14 +68,6 @@ class DelayInterval:
         )
         return DelayInterval._unchecked(self.lo + other.lo, hi)
 
-    def hull(self, other: "DelayInterval") -> "DelayInterval":
-        hi = (
-            UNBOUNDED
-            if is_unbounded(self.hi) or is_unbounded(other.hi)
-            else max(self.hi, other.hi)
-        )
-        return DelayInterval._unchecked(min(self.lo, other.lo), hi)
-
     def to_json(self) -> dict:
         return {"lo": rational_str(self.lo), "hi": rational_str(self.hi)}
 

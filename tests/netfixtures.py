@@ -367,7 +367,7 @@ def _replicated_network(source, tail, destinations, placements, tech=None):
     }
 
 
-def off_path_pof_network():
+def off_path_pof_network(destinations=("Q", "V")):
     """A -> B1/B2 -> M with a PEF at M; M feeds a re-sequencer at Q
     (reference A, timeout 10) and a per-flow regulator at V (reference A).
     The re-sequencer sits on a sibling branch, so units reach V out of
@@ -375,7 +375,7 @@ def off_path_pof_network():
     return _replicated_network(
         "A",
         [("M", "Q"), ("M", "V")],
-        ["Q", "V"],
+        destinations,
         [
             {"kind": "pef", "vertex": "M", "flows": ["f"]},
             {"kind": "pof", "vertex": "Q", "flows": ["f"], "reference": "A", "timeout": "10"},

@@ -139,7 +139,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "network, scenario, flags, bound",
         [
-            (off_path_pof_network, "scn-toy-pfr.json", ["--lossless"], "14"),
+            (lambda: off_path_pof_network(("V",)), "scn-toy-pfr.json", ["--lossless"], "14"),
             (lossy_pof_network, "scn-toy-lossy.json", [], "13"),
         ],
         ids=["off-path-pof", "lossy-pof"],
@@ -190,6 +190,17 @@ class TestVerify:
         )
         assert code == 1
         assert "not in the network" in capsys.readouterr().err
+
+    def test_flow_with_several_destinations_is_input_error(self, tmp_path, capsys):
+        # a trace measures one destination per flow; M's looser bound must not
+        # stand in for V's
+        target = tmp_path / "net.json"
+        target.write_text(json.dumps(lossy_pof_network(("M", "V"))))
+        argv = ["verify", "--scenario", bundled("scn-toy-lossy.json"), "--network", str(target)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scenario flow 'f' reaches 2 destinations" in captured.err
 
 
 def _two_vertex_net(**flow):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,18 @@ class TestPerFlowRegulator:
         assert got.lo == 0
         assert got.hi >= 14  # never better than the pure token-bucket case
 
+    def test_token_bucket_pays_the_section_jitter(self):
+        # oracle: behind a section of delay [d, D] a token-bucket regulator
+        # adds at most the jitter D - d, so the through-delay is [d, 2D - d]
+        rng = random.Random(0x7B)
+        for _ in range(2000):
+            sigma = curve((Fraction(rng.randint(1, 40), rng.randint(1, 8)),
+                           Fraction(rng.randint(0, 40), rng.randint(1, 8))))
+            d = Fraction(rng.randint(0, 30), rng.randint(1, 6))
+            big_d = d + Fraction(rng.randint(0, 30), rng.randint(1, 6))
+            got = pfr_after_pef_bounds(sigma, DelayInterval(d, big_d))
+            assert got == DelayInterval(d, 2 * big_d - d), (sigma, d, big_d)
+
     def test_rto_is_pef_offset_plus_jitter(self):
         assert pfr_after_pef_rto(6, TOY_SECTION) == 13
         assert pfr_after_pef_rto(Fraction(7, 2), DelayInterval(1, 5)) == Fraction(15, 2)
@@ -74,7 +87,7 @@ class TestInterleavedVerdict:
     def test_enough_flows_proven_unstable(self):
         shaping = {f"f{i}": TOY_SIGMA for i in range(13)}
         lmin = {f: 1 for f in shaping}
-        verdict = ir_after_pef_verdict(shaping, TOY_BRANCHES, lmin, TOY_SECTION)
+        verdict = ir_after_pef_verdict(shaping, TOY_BRANCHES, lmin)
         assert not verdict.bounded
         assert verdict.reason == IR_AFTER_PEF_NO_POF
         assert verdict.q_min == 13
@@ -83,16 +96,14 @@ class TestInterleavedVerdict:
     def test_below_threshold_conservative(self):
         shaping = {f"f{i}": TOY_SIGMA for i in range(3)}
         lmin = {f: 1 for f in shaping}
-        verdict = ir_after_pef_verdict(shaping, TOY_BRANCHES, lmin, TOY_SECTION)
+        verdict = ir_after_pef_verdict(shaping, TOY_BRANCHES, lmin)
         assert not verdict.bounded
         assert verdict.q_min == 13
         assert not verdict.proven
 
     def test_heterogeneous_shaping_unproven(self):
         shaping = {"a": TOY_SIGMA, "b": curve((2, 2))}
-        verdict = ir_after_pef_verdict(
-            shaping, TOY_BRANCHES, {"a": 1, "b": 1}, TOY_SECTION
-        )
+        verdict = ir_after_pef_verdict(shaping, TOY_BRANCHES, {"a": 1, "b": 1})
         assert not verdict.bounded
         assert verdict.reason == UNPROVEN_CONFIGURATION
         assert not verdict.proven
@@ -101,9 +112,7 @@ class TestInterleavedVerdict:
         shaping = {f"f{i}": TOY_SIGMA for i in range(20)}
         lmin = {f: 1 for f in shaping}
         branches = [DelayInterval(2, 2), DelayInterval(2, 2)]
-        verdict = ir_after_pef_verdict(
-            shaping, branches, lmin, DelayInterval(2, 2)
-        )
+        verdict = ir_after_pef_verdict(shaping, branches, lmin)
         assert not verdict.bounded
         assert verdict.reason == UNPROVEN_CONFIGURATION
 
@@ -111,7 +120,7 @@ class TestInterleavedVerdict:
         sigma = curve((1, Fraction(1, 2)))
         shaping = {f"f{i}": sigma for i in range(25)}
         lmin = {f: 1 for f in shaping}
-        verdict = ir_after_pef_verdict(shaping, TOY_BRANCHES, lmin, TOY_SECTION)
+        verdict = ir_after_pef_verdict(shaping, TOY_BRANCHES, lmin)
         assert not verdict.bounded
         assert verdict.reason == UNPROVEN_CONFIGURATION
 

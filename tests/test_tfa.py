@@ -1,5 +1,6 @@
 import collections
 import copy
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -60,6 +61,19 @@ def net(doc):
     return network_from_json(doc)
 
 
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def site_record(report, sites: str, vertex: str, flow: str) -> dict:
+    """The record of `flow` at `vertex` among the report's `sites`
+    (pef_sites, pof_sites or reg_sites)."""
+    for s in getattr(report, sites):
+        if s["vertex"] == vertex and s["flow"] == flow:
+            return s
+    raise KeyError((sites, vertex, flow))
+
+
 class TestVertexDelay:
     def test_pure_delay_keeps_tech(self):
         v = VertexSpec("p", tech=DelayInterval(2, 5))
@@ -86,7 +100,7 @@ class TestToyAnalysis:
     def test_eliminator_output_curves(self):
         rep = analyze(net(toy_network(PEF_AT_F)), MODEL_TIGHT, lossless=True)
         assert rep.status == CONVERGED and rep.iterations == 1
-        site = rep.site("pef_sites", "F", "f")
+        site = site_record(rep, "pef_sites", "F", "f")
         assert site["tight_curve"] == TOY_PEF_OUT
         assert site["intuitive_curve"] == ConcaveCurve([(2, 4)])
         assert site["reference"] == "B"
@@ -99,20 +113,20 @@ class TestToyAnalysis:
 
     def test_reordering_offsets_at_the_eliminator(self):
         rep = analyze(net(toy_network(PEF_AT_F)), MODEL_TIGHT, lossless=True)
-        site = rep.site("pef_sites", "F", "f")
+        site = site_record(rep, "pef_sites", "F", "f")
         assert site["rto_bound"] == 6
         assert site["rbo_bound"] == 14
 
     def test_intuitive_model_inflates_the_buffer_bound(self):
         rep = analyze(net(toy_network(PEF_AT_F)), MODEL_INTUITIVE, lossless=True)
-        site = rep.site("pef_sites", "F", "f")
+        site = site_record(rep, "pef_sites", "F", "f")
         assert site["rto_bound"] == 6
         assert site["rbo_bound"] == 16  # sum curve at 6: 2*6 + 4
 
     def test_per_flow_regulator_doubles_the_horizon(self):
         rep = analyze(net(toy_network(PEF_PFR_AT_F)), MODEL_TIGHT, lossless=True)
         assert rep.result_for("f", "F").interval == DelayInterval(0, 14)
-        site = rep.site("reg_sites", "F", "f")
+        site = site_record(rep, "reg_sites", "F", "f")
         assert site["verdict"].bounded
         assert site["verdict"].delay == DelayInterval(0, 14)
         assert site["rto_bound"] == 13
@@ -123,7 +137,7 @@ class TestToyAnalysis:
             net(toy_network(toy_pof_pfr_placements(timeout))), MODEL_TIGHT, lossless=True
         )
         assert rep.result_for("f", "F").interval == DelayInterval(0, 7)
-        site = rep.site("pof_sites", "F", "f")
+        site = site_record(rep, "pof_sites", "F", "f")
         assert site["required_timeout"] == 6
         assert site["required_buffer"] == 14
         assert site["output_curve"] == ConcaveCurve([(1, 8)])
@@ -134,7 +148,7 @@ class TestToyAnalysis:
         )
         assert rep.result_for("f", "F").interval == DelayInterval(0, 13)
         # the reference curve spread by the section jitter plus the timeout
-        assert rep.site("pof_sites", "F", "f")["output_curve"] == ConcaveCurve([(1, 14)])
+        assert site_record(rep, "pof_sites", "F", "f")["output_curve"] == ConcaveCurve([(1, 14)])
 
     def test_resequencer_lossy_without_timeout_is_unbounded(self):
         rep = analyze(net(toy_network(toy_pof_pfr_placements())), MODEL_TIGHT, lossless=False)
@@ -142,8 +156,8 @@ class TestToyAnalysis:
         assert is_unbounded(r.interval.hi)
         assert r.verdict == "unbounded"
         assert any("timeout" in n for n in rep.notes)
-        assert rep.site("pof_sites", "F", "f")["output_curve"] is None
-        verdict = rep.site("reg_sites", "F", "f")["verdict"]
+        assert site_record(rep, "pof_sites", "F", "f")["output_curve"] is None
+        verdict = site_record(rep, "reg_sites", "F", "f")["verdict"]
         assert not verdict.bounded and not verdict.proven
         assert verdict.reason == "UNPROVEN_CONFIGURATION"
 
@@ -204,7 +218,7 @@ class TestRegulatorDispatch:
         shaped = analyze(net(chain(reg)), MODEL_TIGHT, lossless=True)
         assert plain.result_for("f", "t").interval == DelayInterval(3, 5)
         assert shaped.result_for("f", "t").interval == DelayInterval(3, 5)
-        verdict = shaped.site("reg_sites", "t", "f")["verdict"]
+        verdict = site_record(shaped, "reg_sites", "t", "f")["verdict"]
         assert verdict.bounded and verdict.delay == DelayInterval(3, 5)
 
     def _with_tail(self, placements):
@@ -284,7 +298,7 @@ class TestRegulatorDispatch:
 
     def test_interleaved_at_threshold_is_provably_unstable(self):
         rep = analyze(self._interleaved_toy(13), MODEL_TIGHT, lossless=True)
-        site = rep.site("reg_sites", "F", "f1")
+        site = site_record(rep, "reg_sites", "F", "f1")
         assert not site["verdict"].bounded
         assert site["verdict"].proven
         assert site["verdict"].q_min == 13
@@ -292,7 +306,7 @@ class TestRegulatorDispatch:
 
     def test_interleaved_below_threshold_is_unproven(self):
         rep = analyze(self._interleaved_toy(2), MODEL_TIGHT, lossless=True)
-        site = rep.site("reg_sites", "F", "f1")
+        site = site_record(rep, "reg_sites", "F", "f1")
         assert not site["verdict"].bounded
         assert not site["verdict"].proven
         assert site["verdict"].q_min == 13
@@ -302,12 +316,12 @@ class TestRegulatorDispatch:
         rep = analyze(
             self._interleaved_toy(3, shaping_of=shaping_of), MODEL_TIGHT, lossless=True
         )
-        assert not rep.site("reg_sites", "F", "f2")["verdict"].bounded
-        assert not rep.site("reg_sites", "F", "f2")["verdict"].proven
+        assert not site_record(rep, "reg_sites", "F", "f2")["verdict"].bounded
+        assert not site_record(rep, "reg_sites", "F", "f2")["verdict"].proven
 
     def test_resequencer_rescues_the_interleaved_queue(self):
         rep = analyze(self._interleaved_toy(13, with_pof=True), MODEL_TIGHT, lossless=True)
-        site = rep.site("reg_sites", "F", "f1")
+        site = site_record(rep, "reg_sites", "F", "f1")
         assert site["verdict"].bounded
         assert site["verdict"].delay == DelayInterval(0, 7)
         assert all(r.interval == DelayInterval(0, 7) for r in rep.results)
@@ -318,7 +332,7 @@ class TestRegulatorDispatch:
         placements[1]["mode"] = "interleaved"
         rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
         assert rep.result_for("f", "F").interval == DelayInterval(0, 14)
-        assert rep.site("reg_sites", "F", "f")["verdict"].delay == DelayInterval(0, 14)
+        assert site_record(rep, "reg_sites", "F", "f")["verdict"].delay == DelayInterval(0, 14)
 
     @pytest.mark.parametrize("resequenced", [False, True], ids=["fifo-g", "resequenced-g"])
     def test_in_order_flow_sharing_a_reordered_queue_is_unproven(self, resequenced):
@@ -327,7 +341,7 @@ class TestRegulatorDispatch:
         network = net(mixed_interleaved_network(resequenced))
         rep = analyze(network, MODEL_TIGHT, lossless=resequenced)
         for fid in ("f", "g"):
-            verdict = rep.site("reg_sites", "F", fid)["verdict"]
+            verdict = site_record(rep, "reg_sites", "F", fid)["verdict"]
             assert not verdict.bounded and not verdict.proven
             assert verdict.reason == "UNPROVEN_CONFIGURATION"
             assert is_unbounded(rep.result_for(fid, "F").interval.hi)
@@ -336,7 +350,7 @@ class TestRegulatorDispatch:
     def test_branch_from_the_reference_starts_at_its_output(self, source_tech):
         # the S -> F leg is [0, 0] whatever S's own delay: same threshold
         rep = analyze(net(reference_parent_network(source_tech)), MODEL_TIGHT, lossless=True)
-        verdict = rep.site("reg_sites", "F", "f1")["verdict"]
+        verdict = site_record(rep, "reg_sites", "F", "f1")["verdict"]
         assert verdict.reason == "IR_AFTER_PEF_NO_POF"
         assert verdict.q_min == 15 and not verdict.proven
 
@@ -353,7 +367,7 @@ class TestRegulatorDispatch:
             },
         ]
         rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
-        verdict = rep.site("reg_sites", "F", "f")["verdict"]
+        verdict = site_record(rep, "reg_sites", "F", "f")["verdict"]
         assert not verdict.bounded and not verdict.proven
         assert rep.result_for("f", "F").verdict == "unbounded"
 
@@ -370,7 +384,7 @@ class TestRegulatorDispatch:
             },
         ]
         rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
-        verdict = rep.site("reg_sites", "F", "f")["verdict"]
+        verdict = site_record(rep, "reg_sites", "F", "f")["verdict"]
         assert not verdict.bounded
         assert verdict.reason == "RATE_OVERLOAD" and verdict.proven
 
@@ -378,7 +392,7 @@ class TestRegulatorDispatch:
         placements = toy_pof_pfr_placements()
         placements[2]["shaping"] = {"f": gamma("1/2", 1)}
         rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
-        assert rep.site("reg_sites", "F", "f")["verdict"].reason == "RATE_OVERLOAD"
+        assert site_record(rep, "reg_sites", "F", "f")["verdict"].reason == "RATE_OVERLOAD"
         assert is_unbounded(rep.result_for("f", "F").interval.hi)
 
     def test_resequencer_on_a_sibling_branch_keeps_the_penalty(self):
@@ -390,12 +404,12 @@ class TestRegulatorDispatch:
     def test_eliminator_on_a_sibling_branch_adds_no_penalty(self):
         rep = analyze(net(sibling_pef_network()), MODEL_TIGHT)
         assert rep.result_for("f", "V").interval == DelayInterval(0, 1)
-        assert rep.site("reg_sites", "V", "f")["rto_bound"] is None
+        assert site_record(rep, "reg_sites", "V", "f")["rto_bound"] is None
 
     def test_lossy_resequencer_wait_counts_inside_a_section(self):
         lossy = analyze(net(lossy_pof_network()), MODEL_TIGHT)
         assert lossy.result_for("f", "V").interval == DelayInterval(0, 13)
-        assert lossy.site("reg_sites", "V", "f")["verdict"].delay == DelayInterval(0, 13)
+        assert site_record(lossy, "reg_sites", "V", "f")["verdict"].delay == DelayInterval(0, 13)
         lossless = analyze(net(lossy_pof_network()), MODEL_TIGHT, lossless=True)
         assert lossless.result_for("f", "V").interval == DelayInterval(0, 7)
 
@@ -662,6 +676,96 @@ def _random_cyclic_cases(count):
         }
 
 
+# SHA-256 of json.dumps of the `results` of each _random_cyclic_cases(60) run,
+# and of the whole report of each Converged run, by index; recorded before
+# the regulator verdicts moved out of the fixed point
+RANDOM_CYCLIC_RESULTS = [
+    "ed793a511249b1d20e3047cff93ccdbac4afcfdc664d454b337f95524c518595",
+    "4962f31841699b64fab8775b483f26c6bc9ad0122dfa98e81c2c64db523bc781",
+    "8d322965444b84db09471ba1fc51dc8ac2b92a70b599f6a316430de26b45735a",
+    "cee5eea555cae9ef59c86d15afe121d1f6f007b446e5352ec00222dde3312b81",
+    "eb7f818834cf5e629ad874f70ba1525a7ed21cc3bf4566b0f980bb4be2786c15",
+    "f55dcc628d9b4acb08384cd53b473c378f5ef5f2b4fbf1a9b24b6f07c3b4a240",
+    "d19154255a9fbbd54a95e8ecb58cf3f2101f60ea88dd01cf1ef29ba98daab2db",
+    "9e89ac38b596f60a2f95603822a60d3a8904814ae562e8009271f94c1c52d0a0",
+    "90d98e516e89668373ddd685c3b7eb8d4f941f4cf56863d6b1913be0d7b62802",
+    "d2ec19b1338049456fdac21a7a62e13a487c35eb69231426c3939295faa62fd1",
+    "16db38e9debe3283d70b03e4708760466ad03b7211bb180fe80feac317325b82",
+    "0227e2e77297500b02afc7e1046fd43fd8a4aa36fb3ee8f6ddd28b2b7c1bf5be",
+    "5fef99a90c8b1c39930476ea20abdc0d74f5e01e345da98555f4394252da8045",
+    "bf9c143fe93d4bbcc8912123fcf776f2678efe3cda878666847551ef4b8569c3",
+    "0939fe7bdfaa30769403365710bfb8aa1b834e925adb89b8b648f156cfb60452",
+    "e83386aeb07aa5db4821f09802202b347c3349aa7cda5bded73190a34c5daef3",
+    "be2a4d99a25c3449a1b67c0fd0072f723461c2a5580afd610e0cb5ecacac987e",
+    "d5e3b0416e586186ae176455d1c735fb5fbcec8b29ebe0a5c4670ba2770aae36",
+    "be2a4d99a25c3449a1b67c0fd0072f723461c2a5580afd610e0cb5ecacac987e",
+    "d3829770c3e402f80d69d074e7cf6f5f6b5d388e3c54702dbbad49683246417e",
+    "f2452127ee6c271c28d43813bf37fcbd02b91ad2e0c96004d78495d771b9b8a1",
+    "9b94b5a5ab5b95c9cd51ffcbbb1e0a7f78f79155b1f174b4fc7436717c8d7a8e",
+    "11b0ed0a556492dfc666fa40d41211fc3bb5a2b7b2d0483b828fcf418663aa5d",
+    "90d98e516e89668373ddd685c3b7eb8d4f941f4cf56863d6b1913be0d7b62802",
+    "21763552c1acb5a0644bbd7ef90b951f3713c5f2998a89607fa0822a4a4ed7fe",
+    "2a7dd2446513eea1a45d83656de4f076c809c59b3da04e8114d87447ca8143c5",
+    "e8069c2f8e6ad3b0579fea1e3cc5c4f8d5518d2696c312ec8637925b1ab6c250",
+    "2cbb5cdaade78f1e6218ff34883024b8b76e8289f1b0e4d592748b2f8c9fb3b2",
+    "53c0a454bd4436acbfd05875ac232c13688fad89a10950bde750294c2f58bb8f",
+    "1a794742f9c6db6914f0714cc60a867664ba558433c5c33d8793a42c7ac51ba8",
+    "53c0a454bd4436acbfd05875ac232c13688fad89a10950bde750294c2f58bb8f",
+    "c400b30ae8eb07816e4bc8e11c1d5e4fcf84dd228ef52137473dcdf52f7494fe",
+    "096641741cb0502511b3ab81a69ca669634c2a9c1b1ba3949f3342489e537512",
+    "53c0a454bd4436acbfd05875ac232c13688fad89a10950bde750294c2f58bb8f",
+    "90d98e516e89668373ddd685c3b7eb8d4f941f4cf56863d6b1913be0d7b62802",
+    "3128da2645d328e5b2cf8ea4cf95dccfe1131e27bb1b492bd33da08a3fee2395",
+    "8407e91303a3354b068ab35f2c95d5605ecd918601a207f526d7f8c1e6ee069e",
+    "53c0a454bd4436acbfd05875ac232c13688fad89a10950bde750294c2f58bb8f",
+    "24a613be843b9f9c9ca39ca7a2c6c5eb1382d241856b6f8b357e2b39a2db053b",
+    "2f7f03d7a272f585400408937bf5e2a89c9326aa218a7f9f17e1334aa9caa031",
+    "e47acb80581a40e3e24a117ff2a76f350f686fd7d5fca70d872b881052d7cca9",
+    "8d322965444b84db09471ba1fc51dc8ac2b92a70b599f6a316430de26b45735a",
+    "4089613ec2263ace1b067adfefb8cba26289d5145c52c608f5fa38648c9e73d8",
+    "5ee1d582e939e09e68d06e1851d45317bc4bb245d46e51976b6ece6616a2684b",
+    "9a26bb6c3b560cee6cb07a1a16b4ca0940e907af948e35fc2cce1b0597aff6d0",
+    "53c0a454bd4436acbfd05875ac232c13688fad89a10950bde750294c2f58bb8f",
+    "1520f3fa225c8fea849da08b96d069824b3987dacac37f1128181a64c7c73a50",
+    "0380900377e384bd4a1c334572735a42624d412efd559a95b9d79047677107f1",
+    "67d1facf9b7bb6623803546d06af975c9c27dfc9a8465441b280f24c60f3af3f",
+    "3050e13f13aaf47e73e48969d40a8a231880685418a81b0681da9f5bf11800a2",
+    "096641741cb0502511b3ab81a69ca669634c2a9c1b1ba3949f3342489e537512",
+    "64a7d4d1c598d48d4e91ea2ed0e22da26c0bc978e7500164a496af0e967ec37d",
+    "01237cc9a45f44145d55783f80ef5e7864f35dac5608e26357757acc281c07bd",
+    "a09280d0f1dcd7ba03802dba66afb944753628069a780a4e9933d20eeb787703",
+    "6d61ac1eef4045396a588d8ce77de7427d534d941ae5793f188151e2d68b156b",
+    "0679e84bcb927265b5b42b3d765411711c77123ae6f050e799fd4ed79cdeaabc",
+    "b36d6f5e18ca822fb2d33fa71f077ad619ae779b05d91b4789cc1747a53d192a",
+    "f5e281c8c25e165bce65a39510907b86d707f196ae625a2c9ead2023ee1f854e",
+    "be2a4d99a25c3449a1b67c0fd0072f723461c2a5580afd610e0cb5ecacac987e",
+    "c8311221e40b603350e0f182c89296c9e018096552666d49a6ff2a7637cac932",
+]
+RANDOM_CYCLIC_REPORTS = {
+    1: "d63b3bdd00f375cc827a82886450c83ada4bb5e76bb88474dd5ebcd3840dcac6",
+    3: "fe3248f78cc0c0c7828a2105ccfe3badcf4cefb25df60ac90db94876c5661edc",
+    4: "5c9e00ca2fd4b749db45d709f1ad8ca1e090e7be307694d58d58fbed4ee1388a",
+    11: "e97f1c0f07d53d431a49d33eac829593c6d02c35a2c2710c5e9faaeef15fa4f4",
+    14: "b06b001cdeb948eff8a1c5843aeb756065f35aef6ca6e76c5e43046301971876",
+    17: "03fea091140254db69359edfa6d72feab3bf8630d4eaa0ad1d234b5d31c0e5ff",
+    19: "748aa9f58796812753ac5e1ed211de4d73f3dbd8e77c78ceb5891bf649833b6b",
+    22: "9073cac61fb67eb4f10514a2030c854631a2f8e3677b9d644734a718eea81087",
+    27: "0e58ffe12f987b71b7c60b5af5af15d966762fee3fbaf8e9d85bd4cf630ac29f",
+    36: "b0b4771f6783799814479ec7bc2db4b98aebe23a1b60268fa38bd77fccdb216b",
+    38: "5c15e87bf044acd05a32bab2a467b65eef11b5b7f7fddeeab0dd1b52b48778fa",
+    39: "fce2767d26024c6c39c70c93ecd28156519fe61e99c7eb5b8164ef6ac630e486",
+    42: "6936751359c30012d1339e296e69f81ba8394d4e18460f2cacfd327f5d77f8ef",
+    44: "ea0bc96244514bb867dd69e110c22eb5af816f6afde75f5adea9d7257c9b64be",
+    47: "5ba5d08270b3b93d24d0a393bb259e53b92d9288e73ff464c57a23fb1470db90",
+    48: "bbd68496004e269c47301f37fb3fd769dab28e737ff90e3c521ac040921e76da",
+    52: "5be4a22de4770b04adb9077b943f9ceea41a7450b967d815824ed14250065765",
+    53: "529a2512e4e2820cd6883105a79d9c7dc549fd0ae36b9c7dc95462d307009e4c",
+    55: "bc6c2c91590fa00d7c97892e4cc0d666b2e1fd8284aec11268cb66594661592e",
+    56: "e12de2e285dfd84361545a976fe2b090cc2c790f8385373110bd05223d18dce8",
+    57: "65a24897bb370e8e0d773e6dec4c0cf6db6fdbfc36723008137f2390b0498012",
+}
+
+
 class TestComponentSchedule:
     """The analyzer solves one SCC at a time and revisits only the vertices
     whose inputs changed; the global loop that re-runs every vertex on every
@@ -778,6 +882,60 @@ class TestComponentSchedule:
             assert visits[f"S{i}"] == visits[f"M{i}"] == 1
 
 
+class TestRegulatorVerdicts:
+    """A regulator's output is its shaping curve, so its processing reads
+    nothing upstream; its verdict is taken once, from the final state, and
+    read by both the report and the end-to-end composition."""
+
+    def test_random_cyclic_reports_match_the_pins(self):
+        for i, (doc, kw) in enumerate(_random_cyclic_cases(60)):
+            rep = analyze(net(doc), **kw).to_json()
+            assert _sha256(rep["results"]) == RANDOM_CYCLIC_RESULTS[i], (i, kw)
+            if rep["status"] == CONVERGED:
+                assert _sha256(rep) == RANDOM_CYCLIC_REPORTS[i], (i, kw)
+            else:
+                assert i not in RANDOM_CYCLIC_REPORTS, (i, kw)
+
+    def test_each_verdict_is_taken_once(self, monkeypatch):
+        calls = collections.Counter()
+        verdict = _Analyzer._reg_verdict
+
+        def counted(an, fid, v, placement):
+            calls[(fid, v)] += 1
+            return verdict(an, fid, v, placement)
+
+        monkeypatch.setattr(_Analyzer, "_reg_verdict", counted)
+        cases = [(toy_network(PEF_PFR_AT_F), {}), (ring_sites_network(), {})]
+        cases += list(_random_cyclic_cases(60))
+        regulated = 0
+        for doc, kw in cases:
+            calls.clear()
+            rep = analyze(net(doc), **kw)
+            placed = [(fid, p["vertex"]) for p in doc["placements"] if p["kind"] == "reg"
+                      for fid in p["flows"]]
+            assert calls == collections.Counter(placed)
+            assert [(s["flow"], s["vertex"]) for s in rep.reg_sites] == list(calls)
+            regulated += bool(placed)
+        assert regulated >= 40
+
+    def test_regulators_add_no_reader_edges(self):
+        # the readers with the regulators in place are those without them:
+        # a regulator vertex reads its flow parents and its other functions'
+        # inputs only
+        cut = 0  # regulator references inside the cycle, off the flow parents
+        docs = [ring_sites_network()] + [doc for doc, _ in _random_cyclic_cases(60)]
+        for doc in docs:
+            network = net(doc)
+            bare = net({**doc, "placements": [p for p in doc["placements"] if p["kind"] != "reg"]})
+            an = _Analyzer(network, MODEL_TIGHT, False, DEFAULT_BURST_CAP)
+            assert an._readers == _Analyzer(bare, MODEL_TIGHT, False, DEFAULT_BURST_CAP)._readers
+            for p in network.placements:
+                if p.kind == "reg" and p.reference in an._readers:
+                    parents = set().union(*(network.flows[g].parents[p.vertex] for g in p.flows))
+                    cut += p.reference not in parents
+        assert cut >= 10
+
+
 class TestModelComparison:
     def test_tight_never_worse_randomized(self):
         rng = random.Random(20260815)
@@ -793,7 +951,7 @@ class TestModelComparison:
                     assert t.hi <= i.hi
                 if not is_unbounded(t.hi) and (is_unbounded(i.hi) or t.hi < i.hi):
                     strict += 1
-            site_t = out["tight"].site("pef_sites", "M", "f")
+            site_t = site_record(out["tight"], "pef_sites", "M", "f")
             assert curve_leq(site_t["tight_curve"], site_t["intuitive_curve"])
         assert strict > 0
 
@@ -877,7 +1035,7 @@ class TestReportOutput:
         with pytest.raises(KeyError):
             rep.result_for("f", "nowhere")
         with pytest.raises(KeyError):
-            rep.site("reg_sites", "F", "f")
+            site_record(rep, "reg_sites", "F", "f")
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
