@@ -6,8 +6,7 @@ forwards the first replicate of each data unit and drops the rest, with zero
 delay of its own, so its output keeps the section's [d, D] bounds but can be
 burstier and re-ordered.  This module computes:
 
-- output arrival curves (jitter shift, elimination-aware tightening,
-  identical-branch closed form),
+- output arrival curves (jitter shift, elimination-aware tightening),
 - reordering offsets in time (RTO) and bytes (RBO).
 """
 
@@ -18,7 +17,7 @@ from fractions import Fraction
 from .minplus import (
     UNBOUNDED,
     ConcaveCurve,
-    add,
+    add,  # unused here, but bench/tracing.py counts the calls made through this binding
     convolve,
     deconvolve_delay,
     is_unbounded,
@@ -51,23 +50,6 @@ def pef_output_curve(alpha_in: ConcaveCurve, ancestors) -> ConcaveCurve:
     for curve, bounds in ancestors:
         result = convolve(result, lossy_jitter_output_curve(curve, bounds))
     return result
-
-
-def pef_output_curve_parallel(alpha: ConcaveCurve, branches) -> ConcaveCurve:
-    """Closed form for N parallel branches fed by the same curve alpha.
-
-    Combines the per-branch jitter curves (summed: a unit may exit once per
-    branch) with alpha spread by the overall spread max D_i - min d_j (each
-    data unit exits at most once thanks to elimination).
-    """
-    if not branches:
-        raise ValueError("need at least one branch")
-    if any(is_unbounded(bounds.hi) for bounds in branches):
-        raise ValueError("cannot propagate a curve through an unbounded delay")
-    shifted = [deconvolve_delay(alpha, bounds.width) for bounds in branches]
-    total = shifted[0] if len(shifted) == 1 else add(*shifted)
-    spread = max(b.hi for b in branches) - min(b.lo for b in branches)
-    return convolve(total, deconvolve_delay(alpha, spread))
 
 
 def pef_rto_bound(alpha_ref: ConcaveCurve, bounds: DelayInterval, lmin):

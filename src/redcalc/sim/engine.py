@@ -631,9 +631,9 @@ def scenario_from_json(doc) -> Scenario:
         _typed(raw, dict, path)
         flows[fid] = FlowProfile(
             arrival=(
-                parse_curve(raw["arrival"], f"{path}.arrival")
-                if raw.get("arrival")
-                else None
+                None
+                if raw.get("arrival") is None
+                else parse_curve(raw["arrival"], f"{path}.arrival")
             ),
             lmin=_rational(raw["lmin"], f"{path}.lmin") if "lmin" in raw else None,
             lmax=_rational(raw["lmax"], f"{path}.lmax") if "lmax" in raw else None,
@@ -643,13 +643,15 @@ def scenario_from_json(doc) -> Scenario:
     for i, raw in enumerate(entries):
         path = f"sources[{i}]"
         _typed(raw, dict, path)
+        fid = _typed(_required(raw, "flow", f"{path}.flow"), str, f"{path}.flow")
+        unit = _typed(_required(raw, "unit", f"{path}.unit"), str, f"{path}.unit")
+        # the unit parses and checks its time, then its size: a unit of size
+        # 0 checks the time alone, so each fault is named at its own path
+        at = f"{path}.time"
+        time = _parsed(lambda t: SourceUnit(fid, unit, t, 0).time, _required(raw, "time", at), at)
+        at = f"{path}.size"
         sources.append(
-            SourceUnit(
-                _typed(_required(raw, "flow", f"{path}.flow"), str, f"{path}.flow"),
-                _typed(_required(raw, "unit", f"{path}.unit"), str, f"{path}.unit"),
-                _rational(_required(raw, "time", f"{path}.time"), f"{path}.time"),
-                _rational(_required(raw, "size", f"{path}.size"), f"{path}.size"),
-            )
+            _parsed(lambda z: SourceUnit(fid, unit, time, z), _required(raw, "size", at), at)
         )
     units = {u.key for u in sources}
     paths = []
@@ -694,12 +696,14 @@ def scenario_from_json(doc) -> Scenario:
             if timeout < 0:
                 raise SpecError("pipeline.pof.timeout", "timeout must be >= 0")
         pof_flows = raw.get("flows")
-        if pof_flows:
+        if pof_flows is not None:  # absent or null: every flow
             pof_flows = frozenset(
                 _typed(fid, str, f"pipeline.pof.flows[{i}]")
                 for i, fid in enumerate(_typed(pof_flows, list, "pipeline.pof.flows"))
             )
-        pof = PofSpec(timeout=timeout, flows=pof_flows or None)
+            if not pof_flows:
+                raise SpecError("pipeline.pof.flows", "re-sequencer needs at least one flow")
+        pof = PofSpec(timeout=timeout, flows=pof_flows)
     reg = None
     if pdoc.get("reg") is not None:
         raw = _typed(pdoc["reg"], dict, "pipeline.reg")

@@ -14,18 +14,21 @@ order until a pass changes nothing; as in Bourdoncle's chaotic iteration, a
 pass processes only the dirty members, those that read an output changed
 since their last processing.  Exact arithmetic could chase a geometric limit
 forever, so a network with a cycle rounds burst terms up onto a fixed grid
-(rounding up keeps every state a valid over-approximation), and a component
-either stabilizes (exact equality between passes), exceeds the burst cap
-(Diverged), or runs `iter_cap` passes (IterationCap).  A cut-off component
-gets one more pass; the components after it are still processed.
+(rounding up keeps every state a valid over-approximation); after
+`STALL_PASSES` passes that change port delays but no curve, a component's
+port delays go on that grid too.  A component either stabilizes (exact
+equality between passes), exceeds the burst cap (Diverged), or runs
+`iter_cap` passes (IterationCap).  A cut-off component gets one more pass;
+the components after it are still processed.
 
 The structure of each flow (diamond ancestors, anchors, the functions placed
 at each vertex, the readers of each vertex) is computed once per analysis.
 Each vertex keeps the PEF/POF site reports and timeout notes of its last
 processing; after convergence they describe the fixed point.  A regulator's
 output is its shaping curve whatever its delay, so its verdict stays out of
-the iteration: it is taken once per (flow, regulator) from the final state,
-and the report and the end-to-end composition both read it.
+the iteration: each placement is decided once, from the final state (an
+interleaved regulator's shared queue once for all its flows), and the report
+and the end-to-end composition read the same verdicts.
 
 Two models of the eliminator are supported: ``tight`` constrains the output
 by every diamond-ancestor curve, ``intuitive`` keeps the plain sum of the
@@ -90,9 +93,14 @@ DEFAULT_ITER_CAP = 1000
 DEFAULT_BURST_CAP = Fraction(10**9)
 
 NO_DELAY = DelayInterval(0, 0)
+# a regulator configuration that admits no bound without proving divergence
+UNPROVEN = RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False)
 
 # burst grid for cyclic iteration; feed-forward sweeps stay exact
 BURST_QUANTUM = Fraction(1, 2**20)
+# passes in a row that change port delays but no curve, after which a cyclic
+# component's port delays go on the burst grid too
+STALL_PASSES = 5
 
 
 def vertex_delay(vertex, aggregate: Optional[ConcaveCurve]) -> DelayInterval:
@@ -137,9 +145,8 @@ class AnalysisReport:
     results: list  # FlowResult
     vertex_delays: dict  # vertex -> DelayInterval
     # site records in sweep order, one dict per (placement, flow), except a
-    # PEF whose input is cut off: PEF/POF from each vertex's last
-    # processing, REG verdicts from the final state; to_json writes them as
-    # they are, key by key
+    # PEF whose input is cut off: PEF/POF from each vertex's last processing,
+    # REG verdicts from the final state; to_json writes them key by key
     pef_sites: list
     pof_sites: list
     reg_sites: list
@@ -242,6 +249,8 @@ class _Analyzer:
         self.vertex_delays = {v: vertex_delay(spec, None) for v, spec in network.vertices.items()}
         # vertex -> site records and timeout notes of its last processing, by kind
         self.records = {}
+        self.curve_changes = 0  # stored curves changed so far
+        self._delay_grid = set()  # vertices whose port delay upper ends are rounded up
         self.iterations = 0
         self.status = CONVERGED
         self._crossing = {v: [] for v in network.vertices}
@@ -371,14 +380,21 @@ class _Analyzer:
     def settle(self, members, iter_cap: int) -> int:
         """Sweep a cyclic component until a pass changes nothing, and return
         the pass count; the stop rules are those of the status, per component.
+        After STALL_PASSES passes in a row that change no curve, the members'
+        port delays go on the burst grid and every member is dirty again.
         A cut-off component (Diverged, IterationCap) gets one more pass, which
         carries the cut-off (None) curves around its cycles; over the dirty
         members only, it leaves the state a pass over all of them would."""
         dirty = set(members)
-        passes = 0
+        passes = stalled = 0
         for passes in range(1, iter_cap + 1):
+            curve_changes = self.curve_changes
             if not self._pass(members, dirty) or self.status != CONVERGED:
                 break
+            stalled = stalled + 1 if self.curve_changes == curve_changes else 0
+            if stalled == STALL_PASSES and members[0] not in self._delay_grid:
+                self._grid_delays(members)
+                dirty.update(members)
         else:
             if self.status == CONVERGED:
                 self.status = ITERATION_CAP
@@ -386,6 +402,19 @@ class _Analyzer:
         if self.status != CONVERGED:
             self._pass(members, dirty)
         return passes
+
+    def _grid_delays(self, members):
+        """Round the members' port delay upper ends up onto the burst grid
+        from their next processing on.  The curves have stopped moving while
+        the delays chase a geometric limit through the section bounds of the
+        eliminators; a larger upper delay is still a bound, and every
+        transform is monotone, so the iteration stays sound, and on the grid
+        the delays stop moving once the curves do."""
+        self._delay_grid.update(members)
+        self.notes.append(
+            f"port delays at {', '.join(members)} rounded up onto the burst grid "
+            f"after {STALL_PASSES} passes that changed no curve"
+        )
 
     def _pass(self, members, dirty: set) -> bool:
         """One Gauss-Seidel pass over the dirty members, in sorted order; a
@@ -437,6 +466,8 @@ class _Analyzer:
             vdel = spec.tech if spec.service is None else DelayInterval(spec.tech.lo, UNBOUNDED)
         else:
             vdel = vertex_delay(net.vertices[v], _total(list(post.values())))
+        if v in self._delay_grid and not is_unbounded(vdel.hi):
+            vdel = DelayInterval(vdel.lo, -(-vdel.hi // BURST_QUANTUM) * BURST_QUANTUM)
 
         changed = self.vertex_delays.get(v) != vdel
         self.vertex_delays[v] = vdel
@@ -448,6 +479,7 @@ class _Analyzer:
                 out = self._capped(self._round_up(lossy_jitter_output_curve(cur, vdel)))
             if self.curves.get((fid, v)) != out:
                 changed = True
+                self.curve_changes += 1
             self.curves[(fid, v)] = out
         return changed
 
@@ -522,81 +554,76 @@ class _Analyzer:
 
     def _reg_verdict(self, fid, v, placement):
         """Through-delay verdict for the section reference -> regulator
-        output, and the regulator's reordering offset, in the current state."""
+        output, and the regulator's reordering offset, in the current state;
+        None for a flow that the interleaved queue's one verdict decides."""
         flow = self.net.flows[fid]
         ref = placement.reference
         ref_curve = self.curves.get((fid, ref))
         sigma = placement.shaping[fid]
         bounds = self._bounds(fid, ref, v)
         if ref_curve is None or is_unbounded(bounds.hi):
-            return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
+            return UNPROVEN, None
         if not curve_leq(ref_curve, sigma):
             # shaping below the traffic the flow provably carries at the
             # reference: a rate deficit diverges, anything else is unproven
             if ref_curve.min_rate > sigma.min_rate:
                 return RegulatorVerdict.unbounded(RATE_OVERLOAD), None
-            return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
-
+            return UNPROVEN, None
         if not self._out_of_order[(fid, v)]:
             # FIFO into the queue, or re-sequenced at v: the regulator never
             # delays the worst unit beyond the re-sequencer's own wait
             eff = preof_for_free_bounds(bounds, self._wait.get((fid, v), NO_DELAY))
-            if is_unbounded(eff.hi):
-                return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
-            return RegulatorVerdict.of_interval(eff), None
-
+            return (UNPROVEN if is_unbounded(eff.hi) else RegulatorVerdict.of_interval(eff)), None
         if placement.mode == REG_PER_FLOW or len(placement.flows) == 1:
             rto = pfr_after_pef_rto(pef_rto_bound(ref_curve, bounds, flow.lmin), bounds)
             return RegulatorVerdict.of_interval(pfr_after_pef_bounds(sigma, bounds)), rto
+        return None, None
 
-        # interleaved: one queue, so stability depends on every flow sharing it
-        flows = sorted(placement.flows)
+    def _queue_verdict(self, v, placement, flows) -> RegulatorVerdict:
+        """Stability verdict of an interleaved regulator's one queue, reached
+        out of order: it depends on every flow sharing the queue, `flows`
+        sorted."""
         if any((g, v) in self._wait for g in flows):
             # a re-sequenced flow enters in order, outside the construction
             # that proves the queue unstable
-            return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
-        branch_lists = []
+            return UNPROVEN
+        ref = placement.reference
+        legs = []  # per flow: the delay of each branch, reference output -> v, sorted
         for g in flows:
-            branches = []
-            edges, delays = self.net.flows[g].edges, self._delays(g)
-            for parent in sorted(self.net.flows[g].parents[v]):
-                leg = NO_DELAY  # the section starts at the reference's output
-                if parent != ref:
-                    leg = path_delay_bounds(edges, ref, parent, delays).plus(delays[parent])
-                branches.append((leg.lo, leg.hi))
-            branch_lists.append(sorted(branches))
-        if any(bl != branch_lists[0] for bl in branch_lists[1:]):
-            return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False), None
-        verdict = ir_after_pef_verdict(
-            {g: placement.shaping[g] for g in flows},
-            [DelayInterval(lo, hi) for lo, hi in branch_lists[0]],
-            {g: self.net.flows[g].lmin for g in flows},
-        )
-        return verdict, None
+            branches = [
+                NO_DELAY if p == ref else self._bounds(g, ref, p).plus(self._delays(g)[p])
+                for p in self.net.flows[g].parents[v]
+            ]
+            legs.append(sorted(branches, key=lambda d: (d.lo, d.hi)))
+        if any(other != legs[0] for other in legs[1:]):
+            return UNPROVEN
+        shaping = {g: placement.shaping[g] for g in flows}
+        return ir_after_pef_verdict(shaping, legs[0], {g: self.net.flows[g].lmin for g in flows})
 
     # -- the report ---------------------------------------------------------
 
     def report(self) -> AnalysisReport:
         """The report of the current state; an otherwise converged run whose
-        ports are overloaded is Diverged.  Each regulator's verdict is taken
-        here, once per flow, and the end-to-end composition reads it."""
+        ports are overloaded is Diverged.  Each regulator placement is decided
+        here, once: per flow, then its shared queue if interleaved; the
+        end-to-end composition reads the same verdicts."""
         order = [v for comp in self.components for v in comp]
         records = {
             key: [r for v in order for r in self.records.get(v, {}).get(key, ())]
             for key in ("pef_sites", "pof_sites", "notes")
         }
-        regs = {}  # (flow, vertex of its REG) -> site record, in sweep order
+        verdicts = {}  # (flow, vertex of its REG) -> RegulatorVerdict
+        reg_sites = []  # in sweep order
         for v in order:
             for placement, flows in self._placed[v]:
+                queue = None
                 for fid in flows if placement.kind == REG else ():
                     verdict, rto = self._reg_verdict(fid, v, placement)
-                    regs[(fid, v)] = {
-                        "vertex": v,
-                        "flow": fid,
-                        "mode": placement.mode,
-                        "rto_bound": rto,
-                        "verdict": verdict,
-                    }
+                    if verdict is None:  # the interleaved queue's, taken once
+                        verdict = queue = queue or self._queue_verdict(v, placement, flows)
+                    verdicts[(fid, v)] = verdict
+                    reg_sites.append({"vertex": v, "flow": fid, "mode": placement.mode,
+                                      "rto_bound": rto, "verdict": verdict})
         notes = self.notes + records.pop("notes")
         if self.status == CONVERGED:
             overloaded = sorted(v for v, d in self.vertex_delays.items() if is_unbounded(d.hi))
@@ -608,22 +635,22 @@ class _Analyzer:
             lossless=self.lossless,
             status=self.status,
             iterations=self.iterations,
-            results=self.compose(regs),
+            results=self.compose(verdicts),
             vertex_delays=dict(self.vertex_delays),
-            reg_sites=list(regs.values()),
+            reg_sites=reg_sites,
             notes=notes,
             **records,
         )
 
     # -- end-to-end composition -----------------------------------------------
 
-    def compose(self, regs: dict) -> list:
-        """Per-destination results; `regs` maps (flow, vertex) to the site
-        record of the flow's regulator there."""
+    def compose(self, verdicts: dict) -> list:
+        """Per-destination results; `verdicts` maps (flow, vertex) to the
+        verdict of the flow's regulator there."""
         results = []
         for fid in sorted(self.net.flows):
             flow = self.net.flows[fid]
-            cum = self._flow_cumulative(fid, regs)
+            cum = self._flow_cumulative(fid, verdicts)
             for dest in sorted(flow.destinations):
                 interval = cum[dest]
                 deadline = flow.deadlines.get(dest)
@@ -638,7 +665,7 @@ class _Analyzer:
                 results.append(FlowResult(fid, dest, interval, deadline, verdict))
         return results
 
-    def _flow_cumulative(self, fid: str, regs: dict) -> dict:
+    def _flow_cumulative(self, fid: str, verdicts: dict) -> dict:
         """Entry-to-output delay interval at each vertex of the flow.
 
         Each vertex is anchored to an upstream cut point: the configured
@@ -662,11 +689,10 @@ class _Analyzer:
             if reg is not None:
                 # behind a re-sequencer the regulator is free when it admits
                 # a bound at all
-                verdict = regs[(fid, v)]["verdict"]
-                if not verdict.bounded:
+                if not verdicts[(fid, v)].bounded:
                     section = DelayInterval(base.lo, UNBOUNDED)
                 elif pof is None:
-                    section = verdict.delay
+                    section = verdicts[(fid, v)].delay
             cum[v] = cum[anchor].plus(section).plus(vdel[v])
         return cum
 

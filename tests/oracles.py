@@ -1,10 +1,12 @@
 """Independent brute-force oracles used by the test suite.
 
-These deliberately avoid the library's own algorithms: convolution is
+These mostly avoid the library's own algorithms: convolution is
 evaluated as an infimum over explicit split points, deviations as maxima
 over dense candidate grids, dominators by full path enumeration, trace
 compliance and reordering by checking every pair of units, and the
-regulators' ordering question by following every path.  The analyzer's
+regulators' ordering question by following every path.  The eliminator
+output curve of identical parallel branches has a closed form built from the
+min-plus primitives, which the general form must reproduce.  The analyzer's
 SCC sweep order (Kosaraju) is checked against Tarjan's algorithm, and its
 schedule (each component on its own, dirty vertices only) against the global
 loop that re-runs every vertex on every sweep.
@@ -13,7 +15,15 @@ loop that re-runs every vertex on every sweep.
 import itertools
 from fractions import Fraction
 
-from redcalc.minplus import UNBOUNDED, ConcaveCurve, parse_rational
+from redcalc.minplus import (
+    UNBOUNDED,
+    ConcaveCurve,
+    add,
+    convolve,
+    deconvolve_delay,
+    is_unbounded,
+    parse_rational,
+)
 from redcalc.tfa import (
     CONVERGED,
     DEFAULT_BURST_CAP,
@@ -21,6 +31,7 @@ from redcalc.tfa import (
     DIVERGED,
     ITERATION_CAP,
     MODEL_TIGHT,
+    STALL_PASSES,
     _Analyzer,
 )
 from redcalc.topology import NetworkSpec
@@ -79,6 +90,59 @@ def rate_latency_delay(alpha: ConcaveCurve, rate: Fraction, latency: Fraction, g
     # t -> 0+ carries the initial burst
     worst = max(worst, latency + alpha.min_burst / rate)
     return worst
+
+
+def curve_service_delay(alpha: ConcaveCurve, beta: ConcaveCurve, grid):
+    """max over candidate t > 0 of inf{d >= 0 : alpha(t) <= beta(t + d)},
+    for a concave service curve beta (rate-0 caps included); None when some
+    alpha(t) exceeds every value of beta.
+
+    beta(s) >= y holds exactly when every segment of beta reaches y by s.
+    The wait is linear in t between alpha's breakpoints and the times where
+    alpha reaches the height of one of beta's, so those candidates and
+    t -> 0+ make this exact for a bounded wait; grid entries are extra
+    candidates."""
+
+    def first_reach(y):
+        s = Fraction(0)
+        for seg in beta.segments:
+            if seg.rate == 0:
+                if seg.burst < y:
+                    return None
+            else:
+                s = max(s, (y - seg.burst) / seg.rate)
+        return s
+
+    heights = {curve_value(beta, x) for x in beta.breakpoints() if x > 0}
+    candidates = set(alpha.breakpoints()) | set(grid)
+    for seg in alpha.segments:
+        if seg.rate > 0:
+            candidates |= {(y - seg.burst) / seg.rate for y in heights}
+    worst = first_reach(alpha.min_burst)  # t -> 0+
+    for t in candidates:
+        if worst is None or t <= 0:
+            continue
+        reach = first_reach(curve_value(alpha, t))
+        worst = None if reach is None else max(worst, reach - t)
+    return worst
+
+
+def pef_output_curve_parallel(alpha: ConcaveCurve, branches) -> ConcaveCurve:
+    """Closed form of the eliminator output curve for N parallel branches
+    fed by the same curve alpha, built from the min-plus primitives.
+
+    Combines the per-branch jitter curves (summed: a unit may exit once per
+    branch) with alpha spread by the overall spread max D_i - min d_j (each
+    data unit exits at most once thanks to elimination).
+    """
+    if not branches:
+        raise ValueError("need at least one branch")
+    if any(is_unbounded(bounds.hi) for bounds in branches):
+        raise ValueError("cannot propagate a curve through an unbounded delay")
+    shifted = [deconvolve_delay(alpha, bounds.width) for bounds in branches]
+    total = shifted[0] if len(shifted) == 1 else add(*shifted)
+    spread = max(b.hi for b in branches) - min(b.lo for b in branches)
+    return convolve(total, deconvolve_delay(alpha, spread))
 
 
 def all_paths(edges, source, target):
@@ -236,8 +300,8 @@ def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None
     """`tfa.analyze` by a global Gauss-Seidel loop: every vertex, in sweep
     order, on every sweep, until a sweep changes nothing, the burst cap is
     exceeded or `iter_cap` sweeps have run; a cut-off run sweeps once more.
-    The stop rules apply to the whole network, so `iterations` counts its
-    sweeps."""
+    The stop rules and the stall rule apply to the whole network, so
+    `iterations` counts its sweeps."""
     iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
     burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
     an = _Analyzer(network, model, lossless, burst_cap)
@@ -253,11 +317,21 @@ def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None
         sweep()
         an.iterations = 1
     else:
+        stalled = 0
         for i in range(1, iter_cap + 1):
+            curve_changes = an.curve_changes
             changed = sweep()
             an.iterations = i
             if an.status == DIVERGED or not changed:
                 break
+            # the stall rule of `_Analyzer.settle`, on the whole network:
+            # after STALL_PASSES sweeps that change no curve, every cyclic
+            # component's port delays go on the grid
+            stalled = stalled + 1 if an.curve_changes == curve_changes else 0
+            if stalled == STALL_PASSES:
+                for comp in an.components:
+                    if len(comp) > 1 and comp[0] not in an._delay_grid:
+                        an._grid_delays(comp)
         else:
             an.status = ITERATION_CAP
             an.notes.append(f"no fixed point within {iter_cap} sweeps")

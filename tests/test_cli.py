@@ -283,6 +283,21 @@ MALFORMED = {
     "vertex not reachable from the source": (
         _second_flow_net(UNREACHABLE, ["B"]), "flows[1]"
     ),
+    "duplicate vertex": ({"vertices": [{"name": "A"}, {"name": "A"}]}, "vertices[1]"),
+    "duplicate edge": (
+        {**_two_vertex_net(), "edges": [{"from": "A", "to": "B"}] * 2}, "edges[1]"
+    ),
+    "duplicate flow id": (
+        {**_two_vertex_net(), "flows": _two_vertex_net()["flows"] * 2}, "flows[1]"
+    ),
+    "lmax below lmin": (_two_vertex_net(lmin="2", lmax="1"), "flows[0].lmax"),
+    "placement without flows": (
+        _with_placement(kind="pef", vertex="B", flows=[]), "placements[0].flows"
+    ),
+    "negative resequencer timeout": (
+        _with_placement(kind="pof", vertex="B", flows=["f"], reference="A", timeout="-1"),
+        "placements[0].timeout",
+    ),
     "merge re-splits the flow": (
         _second_flow_net(
             [["A", "B"], ["A", "C"], ["B", "D"], ["C", "D"], ["D", "E"], ["D", "F"]],
@@ -293,6 +308,9 @@ MALFORMED = {
 }
 
 
+FALSY = {"an empty string": "", "zero": 0, "an empty object": {}, "false": False}
+
+
 def _toy_scenario(edit=None):
     """scn-toy-pfr.json, changed in place by `edit`."""
     with bundled_dir().joinpath("scn-toy-pfr.json").open() as fh:
@@ -300,6 +318,18 @@ def _toy_scenario(edit=None):
     if edit is not None:
         edit(doc)
     return doc
+
+
+def _set_arrival(value):
+    return _toy_scenario(lambda d: d["flows"]["f"].update(arrival=value))
+
+
+def _set_pof(**pof):
+    return _toy_scenario(lambda d: d["pipeline"].update(pof=pof))
+
+
+def _set_source(key, value):
+    return _toy_scenario(lambda d: d["sources"][1].update({key: value}))
 
 
 MALFORMED_SCENARIOS = {
@@ -362,6 +392,20 @@ MALFORMED_SCENARIOS = {
     ),
     "name an object": (_toy_scenario(lambda d: d.update(name={"a": [1, 2]})), "name"),
     "meta a list": (_toy_scenario(lambda d: d.update(meta=["toy"])), "meta"),
+    # only an absent key or null means "not given": a falsy value of the
+    # wrong kind is no way to say "no arrival curve" or "every flow"
+    **{
+        f"arrival {what}": (_set_arrival(value), "flows.f.arrival")
+        for what, value in FALSY.items()
+    },
+    **{
+        f"resequenced flows {what}": (_set_pof(flows=value), "pipeline.pof.flows")
+        for what, value in FALSY.items()
+    },
+    "no resequenced flow": (_set_pof(flows=[]), "pipeline.pof.flows"),
+    "negative resequencer timeout": (_set_pof(timeout="-1"), "pipeline.pof.timeout"),
+    "negative emission time": (_set_source("time", "-1"), "sources[1].time"),
+    "negative unit size": (_set_source("size", "-1/2"), "sources[1].size"),
     "unit id a number": (
         _toy_scenario(lambda d: d["sources"][2].update(unit=int(d["sources"][2]["unit"]))),
         "sources[2].unit",
@@ -396,6 +440,14 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
+
+    def test_null_optional_scenario_values_mean_not_given(self, tmp_path, capsys):
+        doc = _set_arrival(None)
+        doc["pipeline"]["pof"] = {"flows": None, "timeout": None}
+        target = tmp_path / "nulls.json"
+        target.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(target)]) == 0
+        assert capsys.readouterr().out.startswith("time,kind,branch,flow,unit,size")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_document_names_the_path(self, case, tmp_path, capsys):

@@ -13,11 +13,11 @@ from redcalc.minplus import (
 from redcalc.redundancy import (
     lossy_jitter_output_curve,
     pef_output_curve,
-    pef_output_curve_parallel,
     pef_rto_bound,
     rbo_from_rto,
 )
 from redcalc.topology import DelayInterval
+from oracles import pef_output_curve_parallel
 
 
 def curve(*pairs):

@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from redcalc import tfa
+from redcalc.cli import resolve_input
 from redcalc.minplus import UNBOUNDED, ConcaveCurve, RateLatency, curve_leq, is_unbounded
 from redcalc.tfa import (
     CONVERGED,
@@ -27,6 +29,7 @@ from redcalc.topology import (
     SpecError,
     VertexSpec,
     ep_vertices,
+    load_network,
     network_from_json,
 )
 from netfixtures import (
@@ -51,7 +54,13 @@ from netfixtures import (
     toy_pof_pfr_placements,
     twin_ring_network,
 )
-from oracles import disordered_by_paths, full_sweep_analyze, tarjan_sweep_order
+from oracles import (
+    curve_service_delay,
+    disordered_by_paths,
+    full_sweep_analyze,
+    sum_by_segment_products,
+    tarjan_sweep_order,
+)
 from test_golden import RINGS
 
 TOY_PEF_OUT = ConcaveCurve([(2, 4), (1, 8)])
@@ -63,6 +72,20 @@ def net(doc):
 
 def _sha256(doc) -> str:
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def _count_calls(monkeypatch, *names) -> collections.Counter:
+    """Calls to each of the named functions where `tfa` binds them."""
+    counts = collections.Counter()
+    for name in names:
+        wrapped = getattr(tfa, name)
+
+        def counted(*args, _name=name, _wrapped=wrapped):
+            counts[_name] += 1
+            return _wrapped(*args)
+
+        monkeypatch.setattr(tfa, name, counted)
+    return counts
 
 
 def site_record(report, sites: str, vertex: str, flow: str) -> dict:
@@ -94,6 +117,33 @@ class TestVertexDelay:
     def test_overload_is_unbounded(self):
         v = VertexSpec("q", service=RateLatency(1, 0))
         assert vertex_delay(v, ConcaveCurve([(2, 1)])).hi == UNBOUNDED
+
+    def test_capped_curve_service_matches_the_deviation_oracle(self):
+        # a port whose service is a curve with a rate-0 cap: bounded while
+        # the aggregate stays under the cap, and unbounded above it
+        arrivals = {"f": [("1", "2"), ("0", "4")], "g": [("1/2", "1"), ("0", "3/2")]}
+        service = [("3", "0"), ("1", "2"), ("0", "6")]
+        segments = lambda pairs: {"segments": [{"rate": r, "burst": b} for r, b in pairs]}
+        doc = {
+            "vertices": [{"name": "P", "service": segments(service), "tech": ["1/4", "1/2"]},
+                         {"name": "T"}],
+            "edges": [{"from": "P", "to": "T"}],
+            "flows": [{"id": fid, "source": "P", "destinations": ["T"], "edges": [["P", "T"]],
+                       "arrival": segments(pairs)} for fid, pairs in arrivals.items()],
+        }
+        rep = analyze(net(doc))
+        aggregate = sum_by_segment_products(*(ConcaveCurve(p) for p in arrivals.values()))
+        beta = ConcaveCurve(service)
+        grid = [Fraction(k, 8) for k in range(1, 81)]
+        wait = curve_service_delay(aggregate, beta, grid)
+        assert wait > 0 and rep.status == CONVERGED
+        assert rep.vertex_delays["P"] == DelayInterval(Fraction(1, 4), Fraction(1, 4) + wait)
+        # past the cap the port has no bound
+        arrivals["g"] = [("1/2", "1"), ("0", "3")]
+        doc["flows"][1]["arrival"] = segments(arrivals["g"])
+        aggregate = sum_by_segment_products(*(ConcaveCurve(p) for p in arrivals.values()))
+        assert curve_service_delay(aggregate, beta, grid) is None
+        assert is_unbounded(analyze(net(doc)).vertex_delays["P"].hi)
 
 
 class TestToyAnalysis:
@@ -333,6 +383,34 @@ class TestRegulatorDispatch:
         rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
         assert rep.result_for("f", "F").interval == DelayInterval(0, 14)
         assert site_record(rep, "reg_sites", "F", "f")["verdict"].delay == DelayInterval(0, 14)
+
+    def test_bundled_interleaved_queue_is_decided_once(self, monkeypatch):
+        # one verdict for the queue of four flows, its eight branch legs once
+        counts = _count_calls(monkeypatch, "ir_after_pef_verdict", "path_delay_bounds")
+        with resolve_input("bundled:net-ir-instability.json").open() as fh:
+            rep = analyze(load_network(fh))
+        assert counts == {"ir_after_pef_verdict": 1, "path_delay_bounds": 28}
+        assert len({s["verdict"] for s in rep.reg_sites}) == 1 and len(rep.reg_sites) == 4
+
+    def test_queue_legs_grow_linearly_with_its_flows(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "path_delay_bounds")
+        queue = _Analyzer._queue_verdict
+        legs, totals = {}, {}
+
+        def counted(an, v, placement, flows):
+            before = counts["path_delay_bounds"]
+            verdict = queue(an, v, placement, flows)
+            legs[len(flows)] = legs.get(len(flows), 0) + counts["path_delay_bounds"] - before
+            return verdict
+
+        monkeypatch.setattr(_Analyzer, "_queue_verdict", counted)
+        for q in (2, 4, 8):
+            counts.clear()
+            analyze(self._interleaved_toy(q), MODEL_TIGHT, lossless=True)
+            totals[q] = counts["path_delay_bounds"]
+        # two branches per flow, each leg taken once for the whole queue
+        assert legs == {2: 4, 4: 8, 8: 16}
+        assert totals[8] - totals[4] == 2 * (totals[4] - totals[2])
 
     @pytest.mark.parametrize("resequenced", [False, True], ids=["fifo-g", "resequenced-g"])
     def test_in_order_flow_sharing_a_reordered_queue_is_unproven(self, resequenced):
@@ -766,6 +844,156 @@ RANDOM_CYCLIC_REPORTS = {
 }
 
 
+def _stall_cases():
+    """(network, analyze keywords) of the first 25 `random_cyclic_network`
+    draws from a second seed, each tight and intuitive, lossy and lossless,
+    at the default caps."""
+    rng = random.Random(0x5EED)
+    for _ in range(25):
+        network = net(random_cyclic_network(rng))
+        for model in (MODEL_TIGHT, MODEL_INTUITIVE):
+            for lossless in (False, True):
+                yield network, {"model": model, "lossless": lossless}
+
+
+# SHA-256 of json.dumps of the `results` of each _stall_cases() run, recorded
+# before the stall rule; the runs at STALL_CAPPED ended IterationCap then
+STALL_CAPPED = [64, 65]
+STALL_CASE_RESULTS = [
+    "b9dcdedafb5abf7bf9f9d47502867d012d5cfe50fba35a0a90ff3de60a9f31e9",
+    "87bcb2d835179222e147f86a032c0cdd64088d182da211aaed75ba1c551c24af",
+    "b9dcdedafb5abf7bf9f9d47502867d012d5cfe50fba35a0a90ff3de60a9f31e9",
+    "87bcb2d835179222e147f86a032c0cdd64088d182da211aaed75ba1c551c24af",
+    "2ded36b6c077ffea5b8ecf7abc2f2fa8c9427eb42f4acac4be8072e45faf0e8d",
+    "2ded36b6c077ffea5b8ecf7abc2f2fa8c9427eb42f4acac4be8072e45faf0e8d",
+    "1f25b407c924ac0774a542b3dffbd276ca63903976855818bc5b431e0c0bf01b",
+    "1f25b407c924ac0774a542b3dffbd276ca63903976855818bc5b431e0c0bf01b",
+    "3cbe10a8ee8d94bbba9c6daa78997c4c0011bdb8780f96e56f5e746abf48899a",
+    "3cbe10a8ee8d94bbba9c6daa78997c4c0011bdb8780f96e56f5e746abf48899a",
+    "4856deb37030bf21dd64d1c4c4bb6159bc90464e484a4e9da205f0de855e31b6",
+    "4856deb37030bf21dd64d1c4c4bb6159bc90464e484a4e9da205f0de855e31b6",
+    "80cb25588d8bb4de6427a93c8626ebbaa95ac459b477589d0c475d8a1a5e17bd",
+    "80cb25588d8bb4de6427a93c8626ebbaa95ac459b477589d0c475d8a1a5e17bd",
+    "80cb25588d8bb4de6427a93c8626ebbaa95ac459b477589d0c475d8a1a5e17bd",
+    "80cb25588d8bb4de6427a93c8626ebbaa95ac459b477589d0c475d8a1a5e17bd",
+    "a2cdb9d1ac0d411d21dc054463dd4c8b139cade4292a816fd2b5ea72d6bca4d5",
+    "e858ae2a01d9ff02093295918715b0db2ee88dc9c31ed635e57345776b86de78",
+    "a2cdb9d1ac0d411d21dc054463dd4c8b139cade4292a816fd2b5ea72d6bca4d5",
+    "e858ae2a01d9ff02093295918715b0db2ee88dc9c31ed635e57345776b86de78",
+    "28643be0c4fd4a834f20393718fc68517949823d00cfef25333d8e57b55ff296",
+    "a66ebac0d7b56d5a77ad6a6a7e5da0f71e565288b526293f5cfca0cb7f51a78e",
+    "5d7fbdc4af10b751b876c7320667c734afb1f4594379cd331c943d74c4221b48",
+    "07339abd98c45afed7f661a8e06169cb5e5b7560028deabd2c0a5b365ec09d05",
+    "76cced87e55a51715c049ae1a0f4a127512516d186d94e41d0883157de063241",
+    "76cced87e55a51715c049ae1a0f4a127512516d186d94e41d0883157de063241",
+    "5bfb387e68cba0fce881ba76e5992c0c28f65c9f37259b8e0789c7e4e51e3e0c",
+    "5bfb387e68cba0fce881ba76e5992c0c28f65c9f37259b8e0789c7e4e51e3e0c",
+    "5b7dbb505d458f9251af6c428cd2afb141404498f31d4f79e32942612bb9ba38",
+    "fc05e1d08bc69e1d32d89542bbf42ff5b0b0aa5c17e45c412f505488831221d6",
+    "97845627079090ae9741733d74baaa5500a78588aab683d41a85771589e1ce78",
+    "5895a595a2b471c651f9ac517fd312402375db2f1a76501a7c5f1f98f8ad01e7",
+    "6fe92bd4414eb951e7531cf41e4bcdad25f05d1ee485ab9e8abc2383eb71d86e",
+    "3b8ca0d6c5b805fe406ba5e755c3a4c16f27ca6c346b2343ae9f35068133a447",
+    "6fe92bd4414eb951e7531cf41e4bcdad25f05d1ee485ab9e8abc2383eb71d86e",
+    "3b8ca0d6c5b805fe406ba5e755c3a4c16f27ca6c346b2343ae9f35068133a447",
+    "28e6bd2cdf822fa3d0b034b5d7fbfcca81f7cfdc02b47760a2c5d03752ad2763",
+    "93eda119076e879aac89f8a2eb01062c5974de3fc9c9bbc3ebed7f012cb179a2",
+    "f93316c57234b3206211fcff1a265e55d3f38d06b1a67f61821b620366c3f8ae",
+    "06d506a6921879d4ee5d93c4eb11f5f02d2abadeae8a3ae85d9a10b2a0c5f1ba",
+    "d82dd9cc332fd717168a964ec90df77c014cf6bd46540ff625bb940ee92dddbe",
+    "f4093addab9b3d655605a385f608ac2eddb21ac5b8490a9f8ca0215bc4759e6d",
+    "5273edaba9264cfa8ec6e0085e3abc800ba9a645c7a6766582783325b4519d75",
+    "c882521b3d0b0fc6df1472724745ab5629f95f4772ba7874d874bacdf79edc89",
+    "c38b9aac19b971549ae821b497a3638cd76600fca0ca9b45f2039a013e417573",
+    "c38b9aac19b971549ae821b497a3638cd76600fca0ca9b45f2039a013e417573",
+    "5ea7b5ea5629f225e63cdd328d29c1f6155954f3c041ab38699cf32f7ee2824c",
+    "5ea7b5ea5629f225e63cdd328d29c1f6155954f3c041ab38699cf32f7ee2824c",
+    "469100b6b53152c74b0426c9e9bced6ca0e30503715ac85f2ccecd255873e372",
+    "469100b6b53152c74b0426c9e9bced6ca0e30503715ac85f2ccecd255873e372",
+    "3abad740384208fd49a39d92a2fb1a156745104fd0de819c204456812d23ba23",
+    "3abad740384208fd49a39d92a2fb1a156745104fd0de819c204456812d23ba23",
+    "7f17eed437ce710c46505790b030a1ac24efb545d9d257eeec63ae0b8957b87a",
+    "7ab3d6b238fc0a81dbe0b045a8c1a216e4cd53b14b6d2bbb579ac5efe3f6a9a3",
+    "f13a29138401c3b6fe61dcfd98a6a155bba98b921b50db079ac12a4be01491ee",
+    "638c99fbfb87b174d10b604732610f60c8894b96bb96fe191142e26c10bca2d3",
+    "63175c97efdb631af35c893900664f13f69a746d6dfd1ab4c7d7fdc04ac5aaba",
+    "4e2d566b558dd203cc5eedaf36a1bd279fc80a5d03f741e06c49080ebdf469cf",
+    "63175c97efdb631af35c893900664f13f69a746d6dfd1ab4c7d7fdc04ac5aaba",
+    "4e2d566b558dd203cc5eedaf36a1bd279fc80a5d03f741e06c49080ebdf469cf",
+    "ffc4f2e1834dfe327f1b2591247a2c87b9d68be75baa39e42cc9e3770c23cbd2",
+    "edbe3a7b58e4359866aae9a2bb292eb0dd8694cb42296f1e196f8f3530cae106",
+    "ffc4f2e1834dfe327f1b2591247a2c87b9d68be75baa39e42cc9e3770c23cbd2",
+    "edbe3a7b58e4359866aae9a2bb292eb0dd8694cb42296f1e196f8f3530cae106",
+    "ac5105e589ad5be4a9fa43ff081386f0d0eb40a0b351e384d9a9b1ee4424bc9e",
+    "ede5ea920f5269e52c98804cfa4444ba40a22c777bde250da4c3afced55d6dbf",
+    "8af8ae0f7905426411b44df88f266d52d054ebf7fc64ae8db03223fc40bba579",
+    "1b022a299853ba7e67007bf99dcfe8027dad2eff6b8159efcf5b9fb9a3841123",
+    "d852716df7d97b239ac4599cb216aa5e087d3579ef287042e5e1c4c1a040fd18",
+    "d852716df7d97b239ac4599cb216aa5e087d3579ef287042e5e1c4c1a040fd18",
+    "66c3a92954ebd4c33b1950b60731c32161ccd3bf09a6b4ed956154417ade2c4f",
+    "66c3a92954ebd4c33b1950b60731c32161ccd3bf09a6b4ed956154417ade2c4f",
+    "2351595f90143a0c81a2562d7290eb8a8ed3ad0a7c74448f2a1d8047b3a3202c",
+    "a5edf7093d037d498cde198e982fb96f2db265853acf3f805e990d27769cf69f",
+    "2351595f90143a0c81a2562d7290eb8a8ed3ad0a7c74448f2a1d8047b3a3202c",
+    "a5edf7093d037d498cde198e982fb96f2db265853acf3f805e990d27769cf69f",
+    "8c3f4613eeddad46990e1957adffbe7670e1e26fdc5db287f3dbc89aa7adbeca",
+    "8c3f4613eeddad46990e1957adffbe7670e1e26fdc5db287f3dbc89aa7adbeca",
+    "42e7232ef234eb6c7ddeeff1c42da83c8f3a08b6d81f3eeae58b927403bb019b",
+    "42e7232ef234eb6c7ddeeff1c42da83c8f3a08b6d81f3eeae58b927403bb019b",
+    "93893a595f1a5421bc8c33144eae538c32cffe69aa2179addb2bf1b29e006581",
+    "93893a595f1a5421bc8c33144eae538c32cffe69aa2179addb2bf1b29e006581",
+    "93893a595f1a5421bc8c33144eae538c32cffe69aa2179addb2bf1b29e006581",
+    "93893a595f1a5421bc8c33144eae538c32cffe69aa2179addb2bf1b29e006581",
+    "23597fd950b451a03d80f9989346015b1ca7716c42c2e7877ec077637d7ec6ac",
+    "23597fd950b451a03d80f9989346015b1ca7716c42c2e7877ec077637d7ec6ac",
+    "23597fd950b451a03d80f9989346015b1ca7716c42c2e7877ec077637d7ec6ac",
+    "23597fd950b451a03d80f9989346015b1ca7716c42c2e7877ec077637d7ec6ac",
+    "a694d8a241f621148e348fa3d34dece8d483c7a4c7924ea72f33136e0140844e",
+    "89fb14e23784c541227909c7af7ea7ea10ed809bee7d9095e0bd5f1e8d3e1811",
+    "82a642c73949eabad07c6643ca732ccf7f679fa36103ab986218f375953ef200",
+    "ea461f97640639c705d9b90d5d4f0f2de341538ded0ecd0fec971da5ee2a7de2",
+    "53c0a454bd4436acbfd05875ac232c13688fad89a10950bde750294c2f58bb8f",
+    "82a9845de427317b4d4e158f8b8ee75da2ef8e30b9a6f7bf029d4c962c79a7b4",
+    "53c0a454bd4436acbfd05875ac232c13688fad89a10950bde750294c2f58bb8f",
+    "542ef77f78ce50736564d4808700f3d2710628329c1f0b75ac9bd236ce48d825",
+    "93955b450e0ba94570969a7a82be7abcef32b45a80554132bbf2d20b2b0c542d",
+    "ac9f955a2762ac045cef228296f84dd249d2c2016dbdef2864515d7c755fe474",
+    "93955b450e0ba94570969a7a82be7abcef32b45a80554132bbf2d20b2b0c542d",
+    "ac9f955a2762ac045cef228296f84dd249d2c2016dbdef2864515d7c755fe474",
+]
+
+
+class TestDelayStall:
+    """On some cyclic networks the curves settle while the port delays chase
+    a geometric limit through the eliminators' section bounds; after
+    STALL_PASSES passes that change no curve the component's port delays go
+    on the burst grid, and only such runs change."""
+
+    def test_stalled_delays_reach_a_fixed_point(self):
+        # draw 16 of the second seed ran 1000 passes to IterationCap before
+        rng = random.Random(0x5EED)
+        for _ in range(16):
+            random_cyclic_network(rng)
+        network = net(random_cyclic_network(rng))
+        rep = analyze(network, lossless=True)
+        assert rep.status == CONVERGED and rep.iterations < 100
+        assert sum("onto the burst grid" in n for n in rep.notes) == 1
+        grid = [d.hi for v, d in rep.vertex_delays.items() if v[0] in "AB"]
+        assert any(hi.denominator == 2**20 for hi in grid)
+        assert rep.to_json() == full_sweep_analyze(network, lossless=True).to_json()
+
+    def test_only_the_stalled_runs_change(self):
+        for i, (network, kw) in enumerate(_stall_cases()):
+            rep = analyze(network, **kw)
+            fired = any("onto the burst grid" in n for n in rep.notes)
+            assert fired == (i in STALL_CAPPED), (i, kw)
+            if i in STALL_CAPPED:
+                assert rep.status == CONVERGED and rep.iterations < 100, (i, kw)
+            else:
+                digest = _sha256(rep.to_json()["results"])
+                assert digest == STALL_CASE_RESULTS[i], (i, kw)
+
+
 class TestComponentSchedule:
     """The analyzer solves one SCC at a time and revisits only the vertices
     whose inputs changed; the global loop that re-runs every vertex on every
@@ -917,6 +1145,29 @@ class TestRegulatorVerdicts:
             assert [(s["flow"], s["vertex"]) for s in rep.reg_sites] == list(calls)
             regulated += bool(placed)
         assert regulated >= 40
+
+    def test_each_interleaved_queue_is_decided_once(self, monkeypatch):
+        # the shared part of an interleaved regulator runs at most once per
+        # placement, and every flow it decides carries that one verdict
+        calls = collections.Counter()
+        queue = _Analyzer._queue_verdict
+
+        def counted(an, v, placement, flows):
+            calls[v] += 1
+            return queue(an, v, placement, flows)
+
+        monkeypatch.setattr(_Analyzer, "_queue_verdict", counted)
+        decided = 0
+        for doc, kw in _random_cyclic_cases(60):
+            calls.clear()
+            rep = analyze(net(doc), **kw)
+            assert set(calls.values()) <= {1}
+            for v in calls:
+                shared = [s["verdict"] for s in rep.reg_sites
+                          if s["vertex"] == v and s["mode"] == "interleaved"]
+                assert len(shared) > 1
+            decided += len(calls)
+        assert decided >= 10
 
     def test_regulators_add_no_reader_edges(self):
         # the readers with the regulators in place are those without them:
