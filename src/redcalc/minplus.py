@@ -35,9 +35,80 @@ def is_unbounded(x) -> bool:
     return type(x) is float and x == UNBOUNDED
 
 
+class Affine:
+    """An exact value that is also an affine form in some unknowns.
+
+    `value` is the form at the current values of the unknowns and `coeffs`
+    maps each unknown to its coefficient.  Sums, differences and products by
+    a rational keep both; a product of two forms is not affine and raises
+    TypeError.  Comparisons and equality look at `value` only, so an
+    operation over forms takes the branch it takes at the current point and
+    its result is the affine piece of that operation there.
+    """
+
+    __slots__ = ("value", "coeffs")
+    __hash__ = None
+
+    def __init__(self, value, coeffs: dict):
+        self.value = value
+        self.coeffs = coeffs
+
+    def __repr__(self):
+        return f"Affine({self.value}, {self.coeffs})"
+
+    def __add__(self, other):
+        if type(other) is not Affine:
+            return Affine(self.value + other, self.coeffs)
+        coeffs = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            coeffs[k] = coeffs.get(k, 0) + c
+        return Affine(self.value + other.value, coeffs)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, k):
+        if type(k) is Affine:
+            raise TypeError("the product of two affine forms is not affine")
+        return Affine(self.value * k, {u: c * k for u, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        return self * (1 / Fraction(k))
+
+    def __eq__(self, other):
+        return self.value == _value(other)
+
+    def __lt__(self, other):
+        return self.value < _value(other)
+
+    def __le__(self, other):
+        return self.value <= _value(other)
+
+    def __gt__(self, other):
+        return self.value > _value(other)
+
+    def __ge__(self, other):
+        return self.value >= _value(other)
+
+
+def _value(x):
+    return x.value if type(x) is Affine else x
+
+
 def parse_rational(value) -> Fraction:
-    """Accept int, Fraction, 'p/q' or decimal strings, and exact floats."""
-    if type(value) is Fraction:
+    """Accept int, Fraction, 'p/q' or decimal strings, and exact floats; an
+    `Affine` form passes through."""
+    if type(value) is Fraction or type(value) is Affine:
         return value
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational value")

@@ -10,16 +10,22 @@ re-sequencing, or shaping.
 The vertices are taken one strongly connected component (SCC) of the union
 graph at a time, in topological order.  A vertex on no cycle is processed
 once, after its inputs have settled.  A cyclic component is swept in sorted
-order until a pass changes nothing; as in Bourdoncle's chaotic iteration, a
-pass processes only the dirty members, those that read an output changed
-since their last processing.  Exact arithmetic could chase a geometric limit
-forever, so a network with a cycle rounds burst terms up onto a fixed grid
-(rounding up keeps every state a valid over-approximation); after
-`STALL_PASSES` passes that change port delays but no curve, a component's
-port delays go on that grid too.  A component either stabilizes (exact
-equality between passes), exceeds the burst cap (Diverged), or runs
-`iter_cap` passes (IterationCap).  A cut-off component gets one more pass;
-the components after it are still processed.
+order; as in Bourdoncle's chaotic iteration, a pass processes only the dirty
+members, those that read an output changed since their last processing.
+Once a pass leaves the component's shape (the segment rates of its curves
+and port aggregates) as the pass before did, the port delays are an affine
+map of themselves: they are solved exactly, and the solution is kept when
+it is the least fixed point above the state and an exact pass confirms it
+(the fixed-point form of total flow analysis for cyclic networks).
+Otherwise the state is restored and the sweep goes on as the fallback.
+Exact arithmetic could chase a geometric limit forever, so the passes of a
+network with a cycle round burst terms up onto a fixed grid (rounding up
+keeps every state a valid over-approximation); after `STALL_PASSES` passes
+that change port delays but no curve, a component's port delays go on that
+grid too.  A component either is solved, stabilizes (exact equality between
+passes), exceeds the burst cap (Diverged), or runs `iter_cap` passes
+(IterationCap).  A cut-off component gets one more pass; the components
+after it are still processed.
 
 The structure of each flow (diamond ancestors, anchors, the functions placed
 at each vertex, the readers of each vertex) is computed once per analysis.
@@ -44,6 +50,7 @@ from typing import Optional
 
 from .minplus import (
     UNBOUNDED,
+    Affine,
     ConcaveCurve,
     add,
     curve_leq,
@@ -232,6 +239,47 @@ def _total(curves: list):
     return add(*curves)
 
 
+def _rates(curve):
+    return None if curve is None else tuple(s.rate for s in curve.segments)
+
+
+def _least_fixed_point(forms: list, point: list):
+    """The solution of `W = A W + b`, where `forms[i]` is the affine form
+    `(A W + b)[i]` over the unknowns 0..n-1, written at `point` (a plain
+    rational for a row of A that is zero); None unless `I - A` is invertible
+    with a nonnegative inverse and the solution is at least `point`.
+
+    Gauss-Jordan elimination in exact arithmetic on `[I - A | I | b]`."""
+    n = len(point)
+    rows = []
+    for i, w in enumerate(forms):
+        coeffs = w.coeffs if type(w) is Affine else {}
+        value = w.value if type(w) is Affine else w
+        row = [Fraction(0)] * (2 * n) + [value - sum(c * point[j] for j, c in coeffs.items())]
+        for j, c in coeffs.items():
+            row[j] = -c
+        row[i] += 1
+        row[n + i] = Fraction(1)
+        rows.append(row)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = 1 / Fraction(rows[col][col])
+        top = rows[col] = [x * scale if x else x for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], top)]
+    if any(x < 0 for row in rows for x in row[n : 2 * n]):
+        return None
+    solution = [Fraction(row[-1]) for row in rows]
+    if any(w < x for w, x in zip(solution, point)):
+        return None
+    return solution
+
+
 class _Analyzer:
     def __init__(self, network, model, lossless, burst_cap):
         self.net = network
@@ -250,6 +298,7 @@ class _Analyzer:
         # vertex -> site records and timeout notes of its last processing, by kind
         self.records = {}
         self.curve_changes = 0  # stored curves changed so far
+        self._loads = {}  # vertex -> aggregate curve at its port, None if cut off
         self._delay_grid = set()  # vertices whose port delay upper ends are rounded up
         self.iterations = 0
         self.status = CONVERGED
@@ -380,13 +429,18 @@ class _Analyzer:
     def settle(self, members, iter_cap: int) -> int:
         """Sweep a cyclic component until a pass changes nothing, and return
         the pass count; the stop rules are those of the status, per component.
-        After STALL_PASSES passes in a row that change no curve, the members'
-        port delays go on the burst grid and every member is dirty again.
-        A cut-off component (Diverged, IterationCap) gets one more pass, which
-        carries the cut-off (None) curves around its cycles; over the dirty
-        members only, it leaves the state a pass over all of them would."""
+        Once a pass leaves the component's shape (`_shape`) as the pass
+        before it did, the port delays are solved exactly (`_solve`); an
+        accepted solve ends the sweep, a rejected one is tried again only
+        on a new shape.  After STALL_PASSES passes in a row that change no
+        curve, the members' port delays go on the burst grid and every member
+        is dirty again.  A cut-off component (Diverged, IterationCap) gets one
+        more pass, which carries the cut-off (None) curves around its cycles;
+        over the dirty members only, it leaves the state a pass over all of
+        them would."""
         dirty = set(members)
         passes = stalled = 0
+        shape = tried = None
         for passes in range(1, iter_cap + 1):
             curve_changes = self.curve_changes
             if not self._pass(members, dirty) or self.status != CONVERGED:
@@ -395,6 +449,12 @@ class _Analyzer:
             if stalled == STALL_PASSES and members[0] not in self._delay_grid:
                 self._grid_delays(members)
                 dirty.update(members)
+            last, shape = shape, self._shape(members)
+            if shape == last != tried and passes < iter_cap:
+                tried = shape
+                if self._solve(members, passes):
+                    passes += 1  # the exact pass that confirmed the solve
+                    break
         else:
             if self.status == CONVERGED:
                 self.status = ITERATION_CAP
@@ -402,6 +462,86 @@ class _Analyzer:
         if self.status != CONVERGED:
             self._pass(members, dirty)
         return passes
+
+    def _shape(self, members) -> list:
+        """The segment rates of every stored curve of the members and of
+        every member's port aggregate.  The aggregate's rates fix the
+        breakpoint where a rate-latency port's delay is reached."""
+        rates = [_rates(self._loads.get(v)) for v in members]
+        rates += [_rates(self.curves[(fid, v)]) for v in members for fid in self._crossing[v]]
+        return rates
+
+    def _solve(self, members, passes: int) -> bool:
+        """Solve the component's port delays exactly, and keep the solution
+        only if it is the least fixed point above the current state.
+
+        With the served members' upper delay ends frozen as unknowns `W`,
+        one walk over the flows rebuilds every curve of the component, and
+        the port delays read from those curves are `W' = A W + b`, the
+        affine piece of the sweep at the current state.  The solution of
+        `(I - A) W = b` is accepted when `(I - A)` has a nonnegative inverse
+        (the iteration from below converges to it), it is at least the
+        current state, and one exact pass over the members, with no burst or
+        delay rounding, changes nothing; that pass writes the final curves,
+        site records and notes.  Otherwise the state is restored exactly."""
+        served = [v for v in members if self.net.vertices[v].service is not None]
+        point = [self.vertex_delays[v].hi for v in served]
+        if any(is_unbounded(x) for x in point):
+            return False
+        keys = [(fid, v) for v in members for fid in self._crossing[v]]
+        saved = (
+            {k: self.curves[k] for k in keys},
+            {v: self.vertex_delays[v] for v in members},
+            {v: self._loads.get(v) for v in members},
+            {v: self.records.pop(v) for v in members if v in self.records},
+            self.curve_changes,
+            len(self.notes),
+            self.status,
+        )
+        self.quantize = False
+        for i, v in enumerate(served):
+            self._freeze(v, Affine(point[i], {i: 1}))
+        delays = self._rebuild(members)
+        solution = None
+        if self.status == CONVERGED and not any(is_unbounded(delays[v].hi) for v in served):
+            solution = _least_fixed_point([delays[v].hi for v in served], point)
+        accepted = False
+        if solution is not None:
+            for v, w in zip(served, solution):
+                self._freeze(v, w)
+            self._rebuild(members)
+            accepted = not self._pass(members, set(members)) and self.status == CONVERGED
+        self.quantize = True
+        if accepted:
+            self.notes.append(
+                f"port delays at {', '.join(members)} solved exactly after {passes} passes"
+            )
+            return True
+        curves, vertex_delays, loads, records, self.curve_changes, notes, self.status = saved
+        self.curves.update(curves)
+        self.vertex_delays.update(vertex_delays)
+        self._loads.update(loads)
+        for v in members:
+            self.records.pop(v, None)
+        self.records.update(records)
+        del self.notes[notes:]
+        return False
+
+    def _freeze(self, v: str, hi):
+        self.vertex_delays[v] = DelayInterval._unchecked(self.vertex_delays[v].lo, hi)
+
+    def _rebuild(self, members) -> dict:
+        """Every curve of the component from the frozen port delays, each
+        crossing flow walked in its order, so each curve follows the ones it
+        reads; returns the members' port delays under the new curves."""
+        inside = set(members)
+        post = {v: {} for v in members}
+        for fid in sorted({fid for v in members for fid in self._crossing[v]}):
+            for v in self.net.flows[fid].order:
+                if v in inside:
+                    cur = post[v][fid] = self._post(fid, v)
+                    self.curves[(fid, v)] = self._output(cur, self.vertex_delays[v])
+        return {v: self._port_delay(v, post[v]) for v in members}
 
     def _grid_delays(self, members):
         """Round the members' port delay upper ends up onto the burst grid
@@ -445,43 +585,60 @@ class _Analyzer:
         return _total(parts)
 
     def _process_vertex(self, v: str) -> bool:
-        net = self.net
         self.records.pop(v, None)
         post = {fid: self._input_curve(fid, v) for fid in self._crossing[v]}
-
         for placement, flows in self._placed[v]:
             for fid in flows:
-                if placement.kind == PEF:
-                    post[fid] = self._apply_pef(fid, v, post[fid])
-                elif placement.kind == POF:
-                    post[fid] = self._apply_pof(fid, v, placement, post[fid])
-                else:
-                    # the regulator output conforms to its shaping curve even
-                    # when its delay admits no bound: the verdict waits for
-                    # the final state (report), the curve propagates now
-                    post[fid] = self._capped(placement.shaping[fid])
+                post[fid] = self._transform(placement, fid, v, post[fid])
 
-        if any(c is None for c in post.values()):
-            spec = net.vertices[v]
-            vdel = spec.tech if spec.service is None else DelayInterval(spec.tech.lo, UNBOUNDED)
-        else:
-            vdel = vertex_delay(net.vertices[v], _total(list(post.values())))
-        if v in self._delay_grid and not is_unbounded(vdel.hi):
+        vdel = self._port_delay(v, post)
+        if self.quantize and v in self._delay_grid and not is_unbounded(vdel.hi):
             vdel = DelayInterval(vdel.lo, -(-vdel.hi // BURST_QUANTUM) * BURST_QUANTUM)
 
         changed = self.vertex_delays.get(v) != vdel
         self.vertex_delays[v] = vdel
 
         for fid, cur in post.items():
-            if cur is None or is_unbounded(vdel.hi):
-                out = None
-            else:
-                out = self._capped(self._round_up(lossy_jitter_output_curve(cur, vdel)))
+            out = self._output(cur, vdel)
             if self.curves.get((fid, v)) != out:
                 changed = True
                 self.curve_changes += 1
             self.curves[(fid, v)] = out
         return changed
+
+    def _post(self, fid: str, v: str):
+        """The flow's curve after v's functions, before its port."""
+        cur = self._input_curve(fid, v)
+        for kind in (PEF, POF, REG):  # the pipeline order at a vertex
+            placement = self._function.get((kind, fid, v))
+            if placement is not None:
+                cur = self._transform(placement, fid, v, cur)
+        return cur
+
+    def _transform(self, placement, fid, v, cur):
+        if placement.kind == PEF:
+            return self._apply_pef(fid, v, cur)
+        if placement.kind == POF:
+            return self._apply_pof(fid, v, placement, cur)
+        # the regulator output conforms to its shaping curve even when its
+        # delay admits no bound: the verdict waits for the final state
+        # (report), the curve propagates now
+        return self._capped(placement.shaping[fid])
+
+    def _port_delay(self, v: str, post: dict) -> DelayInterval:
+        """v's port delay under the flows' curves `post`; the aggregate is
+        kept in `_loads` for `_shape`."""
+        spec = self.net.vertices[v]
+        if any(c is None for c in post.values()):
+            self._loads[v] = None
+            return spec.tech if spec.service is None else DelayInterval(spec.tech.lo, UNBOUNDED)
+        self._loads[v] = aggregate = _total(list(post.values()))
+        return vertex_delay(spec, aggregate)
+
+    def _output(self, cur, vdel: DelayInterval):
+        if cur is None or is_unbounded(vdel.hi):
+            return None
+        return self._capped(self._round_up(lossy_jitter_output_curve(cur, vdel)))
 
     # -- local function transforms ---------------------------------------------
 
@@ -709,11 +866,12 @@ def analyze(
     `lossless` asserts that no data unit is ever lost on the analyzed paths,
     which sharpens the re-sequencer transforms; without it a re-sequencer
     needs a configured timeout for the flow to keep a bounded delay.
-    Each cyclic component is swept, over its dirty members only, until a
-    pass changes nothing; its passes are capped by `iter_cap` (default 1000),
-    and growing states are cut off once a curve's burst exceeds `burst_cap`.
-    `iterations` is the largest pass count of a cyclic component, and 1 on a
-    feed-forward network.
+    Each cyclic component is swept, over its dirty members only, until its
+    port delays are solved exactly or a pass changes nothing; its passes,
+    the exact pass of a solve included, are capped by `iter_cap` (default
+    1000), and growing states are cut off once a curve's burst exceeds
+    `burst_cap`.  `iterations` is the largest pass count of a cyclic
+    component, and 1 on a feed-forward network.
     """
     if model not in (MODEL_TIGHT, MODEL_INTUITIVE):
         raise ValueError(f"unknown analysis model {model!r}")

@@ -9,7 +9,9 @@ output curve of identical parallel branches has a closed form built from the
 min-plus primitives, which the general form must reproduce.  The analyzer's
 SCC sweep order (Kosaraju) is checked against Tarjan's algorithm, and its
 schedule (each component on its own, dirty vertices only) against the global
-loop that re-runs every vertex on every sweep.
+loop that re-runs every vertex on every sweep.  That loop solves nothing
+exactly: it stays the reference of the grid iteration, which the analyzer
+keeps as the fallback of its exact solve.
 """
 
 import itertools
@@ -301,7 +303,7 @@ def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None
     order, on every sweep, until a sweep changes nothing, the burst cap is
     exceeded or `iter_cap` sweeps have run; a cut-off run sweeps once more.
     The stop rules and the stall rule apply to the whole network, so
-    `iterations` counts its sweeps."""
+    `iterations` counts its sweeps.  No port delay is solved exactly."""
     iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
     burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
     an = _Analyzer(network, model, lossless, burst_cap)

@@ -6,6 +6,7 @@ import pytest
 
 from redcalc.minplus import (
     UNBOUNDED,
+    Affine,
     ConcaveCurve,
     RateLatency,
     TokenBucket,
@@ -296,3 +297,53 @@ class TestAlgebraProperties:
             beta = RateLatency(a.min_rate + 1, random_fraction(rng, lo=0, hi=2))
             assert h_dev(a, beta) <= h_dev(bigger, beta)
             assert v_dev(a, beta) <= v_dev(bigger, beta)
+
+
+class TestAffine:
+    """An affine form carries a value and the coefficients of some unknowns
+    through the curve operations; each result is the affine piece of the
+    operation at the current value."""
+
+    def test_arithmetic_keeps_the_value_and_the_coefficients(self):
+        x = Affine(Fraction(2), {0: 1})
+        y = Affine(Fraction(3), {1: Fraction(1, 2)})
+        z = 1 + x * 3 - y / 2 + Fraction(1, 4)
+        assert z.value == 1 + 6 - Fraction(3, 2) + Fraction(1, 4)
+        assert z.coeffs == {0: 3, 1: Fraction(-1, 4)}
+        assert (2 - x).value == 0 and (2 - x).coeffs == {0: -1}
+        with pytest.raises(TypeError):
+            x * y
+
+    def test_comparisons_look_at_the_value(self):
+        x = Affine(Fraction(2), {0: 1})
+        assert x == 2 and x == Affine(Fraction(2), {1: 5}) and x != Affine(Fraction(3), {0: 1})
+        assert x < 3 and 1 < x and Fraction(5, 2) > x >= 2
+        assert max(Fraction(0), x) is x and min(x, Fraction(5)) is x
+        assert parse_rational(x) is x
+
+    def test_curve_operations_give_their_affine_piece(self):
+        # bursts and a jitter that move with one unknown t; the form of the
+        # delay at t = 0, moved by a small step, is the delay computed at
+        # that step (random large denominators keep breakpoints apart)
+        rng = random.Random(11)
+        step = Fraction(1, 10**9)
+
+        def rational():
+            return Fraction(rng.randint(1, 10**6), 999983)
+
+        for _ in range(100):
+            segments = [[(rational(), rational(), rng.choice([0, 1, rational()]))
+                         for _ in range(rng.randint(1, 3))] for _ in range(2)]
+            jitter = rational()
+            total = sum(max(r for r, _, _ in segs) for segs in segments)
+            service = RateLatency(total + 1, rational())
+
+            def delay(t):
+                a, b = (ConcaveCurve([(r, x + k * t) for r, x, k in segs]) for segs in segments)
+                spread = deconvolve_delay(a, jitter + t)
+                return h_dev(add(spread, convolve(b, spread)), service)
+
+            form = delay(Affine(Fraction(0), {0: Fraction(1)}))
+            value, slope = (form.value, form.coeffs.get(0, 0)) if isinstance(form, Affine) else (form, 0)
+            assert value == delay(Fraction(0))
+            assert delay(step) == value + slope * step
