@@ -1,9 +1,10 @@
 """Command-line front end: analyze networks, compare eliminator models,
 replay scenario trajectories, and verify simulated delays against bounds.
 
-Exit codes: 0 all good, 1 input error, 2 at least one deadline violated,
-an unbounded verdict, or a non-converged analysis.  Input paths prefixed
-with ``bundled:`` resolve into the corpus shipped inside the package.
+Exit codes: 0 all good, 1 input or usage error, 2 at least one deadline
+violated, an unbounded verdict, or a non-converged analysis.  Input paths
+prefixed with ``bundled:`` resolve into the corpus shipped inside the
+package.
 """
 
 import argparse
@@ -172,8 +173,17 @@ def _add_analysis_flags(p):
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as input errors do;
+    argparse's own 2 would read as a violated or unconverged analysis."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="redcalc",
         description="Worst-case delay analysis and trajectory simulation for "
         "networks with packet replication, elimination, re-sequencing, and "

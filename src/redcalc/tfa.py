@@ -14,9 +14,10 @@ order; as in Bourdoncle's chaotic iteration, a pass processes only the dirty
 members, those that read an output changed since their last processing.
 Once a pass leaves the component's shape (the segment rates of its curves
 and port aggregates) as the pass before did, the port delays are an affine
-map of themselves: they are solved exactly, and the solution is kept when
-it is the least fixed point above the state and an exact pass confirms it
-(the fixed-point form of total flow analysis for cyclic networks).
+map of themselves: they are solved exactly, by fraction-free elimination in
+integers, and the solution is kept when it is the least fixed point above
+the state and the curves rebuilt from it give it back (the fixed-point form
+of total flow analysis for cyclic networks).
 Otherwise the state is restored and the sweep goes on as the fallback.
 Exact arithmetic could chase a geometric limit forever, so the passes of a
 network with a cycle round burst terms up onto a fixed grid (rounding up
@@ -46,6 +47,7 @@ import io
 from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .minplus import (
@@ -249,32 +251,41 @@ def _least_fixed_point(forms: list, point: list):
     rational for a row of A that is zero); None unless `I - A` is invertible
     with a nonnegative inverse and the solution is at least `point`.
 
-    Gauss-Jordan elimination in exact arithmetic on `[I - A | I | b]`."""
+    Fraction-free Gauss-Jordan elimination (Bareiss) on `[I - A | I | b]`,
+    each row scaled to integers by the lcm of its denominators: every row
+    but the pivot's becomes `(p x - f y) // prev`, an exact division by the
+    previous pivot, and at the end every diagonal entry is the same `d`.
+    Row scaling leaves the middle block `d (I - A)^-1`, so the inverse is
+    nonnegative when each entry there is 0 or has the sign of `d`."""
     n = len(point)
     rows = []
     for i, w in enumerate(forms):
         coeffs = w.coeffs if type(w) is Affine else {}
         value = w.value if type(w) is Affine else w
-        row = [Fraction(0)] * (2 * n) + [value - sum(c * point[j] for j, c in coeffs.items())]
+        row = [0] * (2 * n) + [value - sum(c * point[j] for j, c in coeffs.items())]
         for j, c in coeffs.items():
             row[j] = -c
         row[i] += 1
-        row[n + i] = Fraction(1)
-        rows.append(row)
+        row[n + i] = 1
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        scale = 1 / Fraction(rows[col][col])
-        top = rows[col] = [x * scale if x else x for x in rows[col]]
+        top = rows[col]
+        p = top[col]
         for r in range(n):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], top)]
-    if any(x < 0 for row in rows for x in row[n : 2 * n]):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = p
+    d = prev
+    if any(x and (x < 0) != (d < 0) for row in rows for x in row[n : 2 * n]):
         return None
-    solution = [Fraction(row[-1]) for row in rows]
+    solution = [Fraction(row[-1], d) for row in rows]
     if any(w < x for w, x in zip(solution, point)):
         return None
     return solution
@@ -431,13 +442,13 @@ class _Analyzer:
         the pass count; the stop rules are those of the status, per component.
         Once a pass leaves the component's shape (`_shape`) as the pass
         before it did, the port delays are solved exactly (`_solve`); an
-        accepted solve ends the sweep, a rejected one is tried again only
-        on a new shape.  After STALL_PASSES passes in a row that change no
-        curve, the members' port delays go on the burst grid and every member
-        is dirty again.  A cut-off component (Diverged, IterationCap) gets one
-        more pass, which carries the cut-off (None) curves around its cycles;
-        over the dirty members only, it leaves the state a pass over all of
-        them would."""
+        accepted solve ends the sweep, its confirmation counted as one more
+        pass, and a rejected one is tried again only on a new shape.  After
+        STALL_PASSES passes in a row that change no curve, the members' port
+        delays go on the burst grid and every member is dirty again.  A
+        cut-off component (Diverged, IterationCap) gets one more pass, which
+        carries the cut-off (None) curves around its cycles; over the dirty
+        members only, it leaves the state a pass over all of them would."""
         dirty = set(members)
         passes = stalled = 0
         shape = tried = None
@@ -453,7 +464,7 @@ class _Analyzer:
             if shape == last != tried and passes < iter_cap:
                 tried = shape
                 if self._solve(members, passes):
-                    passes += 1  # the exact pass that confirmed the solve
+                    passes += 1  # the confirmation of the solve
                     break
         else:
             if self.status == CONVERGED:
@@ -481,9 +492,14 @@ class _Analyzer:
         affine piece of the sweep at the current state.  The solution of
         `(I - A) W = b` is accepted when `(I - A)` has a nonnegative inverse
         (the iteration from below converges to it), it is at least the
-        current state, and one exact pass over the members, with no burst or
-        delay rounding, changes nothing; that pass writes the final curves,
-        site records and notes.  Otherwise the state is restored exactly."""
+        current state, and it confirms itself, with no burst or delay
+        rounding: the walk rebuilt at the solution keeps the status
+        Converged and gives every member back its frozen port delay, and
+        re-processing the members that host a function, which rewrites
+        their site records and notes in sweep order, changes nothing.  Each
+        member then reads what the rebuild wrote, so an exact pass over the
+        members would change nothing either.  Otherwise the state is
+        restored exactly."""
         served = [v for v in members if self.net.vertices[v].service is not None]
         point = [self.vertex_delays[v].hi for v in served]
         if any(is_unbounded(x) for x in point):
@@ -509,8 +525,15 @@ class _Analyzer:
         if solution is not None:
             for v, w in zip(served, solution):
                 self._freeze(v, w)
-            self._rebuild(members)
-            accepted = not self._pass(members, set(members)) and self.status == CONVERGED
+            delays = self._rebuild(members)
+            if self.status == CONVERGED and all(
+                delays[v] == self.vertex_delays[v] for v in members
+            ):
+                # only the members that host a function keep site records:
+                # they are rewritten in sweep order, from the rebuilt curves
+                for v in members:
+                    self.records.pop(v, None)
+                accepted = not self._pass(members, {v for v in members if self._placed[v]})
         self.quantize = True
         if accepted:
             self.notes.append(
@@ -868,15 +891,20 @@ def analyze(
     needs a configured timeout for the flow to keep a bounded delay.
     Each cyclic component is swept, over its dirty members only, until its
     port delays are solved exactly or a pass changes nothing; its passes,
-    the exact pass of a solve included, are capped by `iter_cap` (default
-    1000), and growing states are cut off once a curve's burst exceeds
-    `burst_cap`.  `iterations` is the largest pass count of a cyclic
+    the confirmation of a solve included, are capped by `iter_cap` (default
+    1000, at least 1), and growing states are cut off once a curve's burst
+    exceeds `burst_cap` (default 10^9, not negative); a cap out of range
+    raises ValueError.  `iterations` is the largest pass count of a cyclic
     component, and 1 on a feed-forward network.
     """
     if model not in (MODEL_TIGHT, MODEL_INTUITIVE):
         raise ValueError(f"unknown analysis model {model!r}")
     iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
     burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
+    if iter_cap < 1:
+        raise ValueError(f"iteration cap must be at least 1, not {iter_cap}")
+    if burst_cap < 0:
+        raise ValueError(f"burst cap must not be negative, not {rational_str(burst_cap)}")
 
     an = _Analyzer(network, model, lossless, burst_cap)
     passes = []

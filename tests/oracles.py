@@ -11,7 +11,8 @@ SCC sweep order (Kosaraju) is checked against Tarjan's algorithm, and its
 schedule (each component on its own, dirty vertices only) against the global
 loop that re-runs every vertex on every sweep.  That loop solves nothing
 exactly: it stays the reference of the grid iteration, which the analyzer
-keeps as the fallback of its exact solve.
+keeps as the fallback of its exact solve.  The exact solve's integer
+elimination is checked against Gauss-Jordan elimination in `Fraction`.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from redcalc.minplus import (
     UNBOUNDED,
+    Affine,
     ConcaveCurve,
     add,
     convolve,
@@ -340,3 +342,38 @@ def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None
     if an.status != CONVERGED:
         sweep()
     return an.report()
+
+
+def least_fixed_point_by_fractions(forms: list, point: list):
+    """`tfa._least_fixed_point` by Gauss-Jordan elimination in `Fraction` on
+    `[I - A | I | b]`, each pivot row normalized to 1: the solution of
+    `W = A W + b`, or None unless `I - A` is invertible with a nonnegative
+    inverse and the solution is at least `point`."""
+    n = len(point)
+    rows = []
+    for i, w in enumerate(forms):
+        coeffs = w.coeffs if type(w) is Affine else {}
+        value = w.value if type(w) is Affine else w
+        row = [Fraction(0)] * (2 * n) + [value - sum(c * point[j] for j, c in coeffs.items())]
+        for j, c in coeffs.items():
+            row[j] = -c
+        row[i] += 1
+        row[n + i] = Fraction(1)
+        rows.append(row)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = 1 / Fraction(rows[col][col])
+        top = rows[col] = [x * scale for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+    if any(x < 0 for row in rows for x in row[n : 2 * n]):
+        return None
+    solution = [Fraction(row[-1]) for row in rows]
+    if any(w < x for w, x in zip(solution, point)):
+        return None
+    return solution

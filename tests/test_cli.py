@@ -13,8 +13,16 @@ import pytest
 from redcalc.cli import bundled_dir, bundled_names, main
 from redcalc.minplus import parse_rational
 from redcalc.sim import load_scenario, run_scenario
-from redcalc.topology import load_network
-from netfixtures import lossy_pof_network, mixed_interleaved_network, off_path_pof_network
+from redcalc.tfa import analyze
+from redcalc.topology import load_network, network_from_json
+from netfixtures import (
+    fwd_flow,
+    lossy_pof_network,
+    mixed_interleaved_network,
+    off_path_pof_network,
+    rev_flow,
+    ring_network,
+)
 
 
 def bundled(name: str) -> str:
@@ -551,6 +559,72 @@ class TestInputErrors:
         target = tmp_path / "trunc.json"
         target.write_text('{"vertices": [')
         assert main(["analyze", "--in", str(target)]) == 1
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 1, an input error, not 2, which
+    means a violated or unconverged analysis; `--help` exits 0."""
+
+    TOY = ["analyze", "--in", bundled("net-toy-pef.json")]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            TOY + ["--iter-cap", "abc"],
+            TOY + ["--iter-cap"],
+            TOY + ["--model", "exact"],
+            TOY + ["--format", "xml"],
+            TOY + ["--no-such-flag"],
+            ["analyze"],
+            ["verify", "--network", bundled("net-toy-pef.json")],
+            ["no-such-command"],
+            [],
+        ],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: redcalc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["bundled", "-h"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: redcalc" in capsys.readouterr().out
+
+    def test_console_script_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "redcalc.cli", *self.TOY, "--iter-cap", "abc"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "invalid int value: 'abc'" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--iter-cap", "0"], "iteration cap must be at least 1, not 0"),
+            (["--iter-cap", "-2"], "iteration cap must be at least 1, not -2"),
+            (["--burst-cap", "-1"], "burst cap must not be negative, not -1"),
+            (["--burst-cap=-1/2"], "burst cap must not be negative, not -1/2"),
+        ],
+    )
+    def test_caps_out_of_range_exit_1(self, flags, message, capsys):
+        for command in ("analyze", "compare"):
+            assert main([command, *self.TOY[1:], *flags]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_analyze_rejects_caps_out_of_range(self):
+        ring = network_from_json(ring_network([fwd_flow("f1", 1, 1), rev_flow("f2", 1, 1)], 4))
+        for kw in ({"iter_cap": 0}, {"iter_cap": -2}, {"burst_cap": -1}, {"burst_cap": "-1/3"}):
+            with pytest.raises(ValueError, match="cap must"):
+                analyze(ring, **kw)
+        # the smallest caps still run: one pass, and a zero burst cap
+        assert analyze(ring, iter_cap=1).status == "IterationCap"
+        assert analyze(ring, burst_cap=0).status == "Diverged"
 
 
 class TestBundledCorpus:

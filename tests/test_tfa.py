@@ -66,6 +66,7 @@ from oracles import (
     curve_service_delay,
     disordered_by_paths,
     full_sweep_analyze,
+    least_fixed_point_by_fractions,
     sum_by_segment_products,
     tarjan_sweep_order,
 )
@@ -1227,6 +1228,61 @@ class TestExactSolve:
         # a solution below the current point is no limit from below
         assert tfa._least_fixed_point([y / 2, x / 2], point) is None
 
+    @staticmethod
+    def _random_system(rng, kind):
+        """(forms, point) of a random sparse system `W = A W + b` of 1 to 12
+        unknowns, each form written at `point`.  "up": A >= 0 with row sums
+        at most 1/2 and the map above the point, so a solution is accepted;
+        "down": the same A with the map below the point; "singular": a row
+        W_k = W_k; "negative": a row W_k = 2 W_k - 1 that no other row reads,
+        so the inverse of I - A holds -1; "mixed": signed coefficients.
+        About a third of the other rows are constants."""
+        n = rng.randint(1, 12)
+        point = [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(n)]
+        k = rng.randrange(n)
+        density = rng.choice([0.1, 0.3, 0.6])
+        forms = []
+        for i in range(n):
+            if kind in ("singular", "negative") and i == k:
+                c = 1 if kind == "singular" else 2
+                forms.append(Affine(c * point[k] - (kind == "negative"), {k: c}))
+                continue
+            cols = [j for j in range(n) if rng.random() < density]
+            if kind == "negative":
+                cols = [j for j in cols if j != k]
+            if kind == "mixed":
+                coeffs = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for j in cols}
+                step = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            else:
+                weights = [rng.randint(0, 3) for _ in cols]
+                total = 2 * max(sum(weights), 1) * rng.randint(1, 3)
+                coeffs = {j: Fraction(w, total) for j, w in zip(cols, weights)}
+                step = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                step = -step - Fraction(1, 7) if kind == "down" else step
+            value = point[i] + step
+            constant = not coeffs or rng.random() < 0.3
+            forms.append(value if constant else Affine(value, coeffs))
+        return forms, point
+
+    def test_least_fixed_point_matches_the_fraction_elimination(self):
+        # the integer elimination gives exactly the list, or None, that
+        # Gauss-Jordan elimination in Fraction gives, on every branch
+        rng = random.Random(0x1A7)
+        kinds = ["up", "down", "singular", "negative", "mixed"]
+        outcomes = collections.Counter()
+        constants = 0
+        for kind in kinds * 110:
+            forms, point = self._random_system(rng, kind)
+            solution = tfa._least_fixed_point(forms, point)
+            assert solution == least_fixed_point_by_fractions(forms, point), (forms, point)
+            if kind != "mixed":
+                assert (solution is None) == (kind != "up"), kind
+            assert solution is None or all(type(w) is Fraction for w in solution)
+            outcomes[kind, solution is None] += 1
+            constants += sum(type(w) is not Affine for w in forms)
+        assert outcomes[("mixed", False)] >= 5 and outcomes[("mixed", True)] >= 50
+        assert constants >= 200
+
     def test_iterations_never_exceed_the_cap(self):
         cases = [(doc, {**kw, "iter_cap": cap})
                  for (doc, kw), cap in zip(_random_cyclic_cases(60), itertools.cycle(range(1, 6)))]
@@ -1238,8 +1294,8 @@ class TestExactSolve:
         assert solved >= 3
 
     def test_a_rejected_solve_leaves_no_trace(self, monkeypatch):
-        # an off-by-one solution fails the exact pass, which has already
-        # rewritten the members' curves, delays, site records and notes;
+        # an off-by-one solution fails the check of the rebuild at it, which
+        # has already rewritten the members' curves, delays and site records;
         # every report must still be the grid reference's, byte for byte
         rejected = collections.Counter()
         solve = tfa._least_fixed_point
@@ -1361,7 +1417,7 @@ class TestComponentSchedule:
 
     def test_series_rings_cut_off_status_matches_the_full_sweep(self):
         network = net(series_rings_network())
-        for kw in ({"iter_cap": 0}, {"iter_cap": 2}, {"burst_cap": 3}):
+        for kw in ({"iter_cap": 1}, {"iter_cap": 2}, {"burst_cap": 3}):
             rep = analyze(network, **kw)
             assert rep.status == full_sweep_analyze(network, **kw).status != CONVERGED
             # the first cut-off is noted once, whatever the components after it
@@ -1393,6 +1449,31 @@ class TestComponentSchedule:
         off_cycle = {"s1", "s2", "x", "t1", "t2"}
         assert {v: visits[v] for v in off_cycle} == dict.fromkeys(off_cycle, 1)
         assert min(visits["u"], visits["w"]) > 1
+
+    def test_an_accepted_solve_processes_only_the_function_hosts(self, visits, monkeypatch):
+        # the rebuild at the solution already computed every member; only the
+        # members hosting a function are processed again, for their site
+        # records
+        solves = []
+        solve = _Analyzer._solve
+
+        def counted(an, members, passes):
+            before = visits.total()
+            accepted = solve(an, members, passes)
+            hosts = sum(bool(an._placed[v]) for v in members)
+            solves.append((accepted, visits.total() - before, hosts))
+            return accepted
+
+        monkeypatch.setattr(_Analyzer, "_solve", counted)
+        rep = analyze(net(diamond_grid_network(8, 6, 4)))
+        assert _solved(rep) and solves
+        assert [processed for _, processed, _ in solves] == [0] * len(solves)
+        solves.clear()
+        for doc, kw in _random_cyclic_cases(60):
+            analyze(net(doc), **kw)
+        accepted = [(processed, hosts) for ok, processed, hosts in solves if ok]
+        assert len(accepted) >= 20 and sum(hosts for _, hosts in accepted) >= 20
+        assert [processed for processed, _ in accepted] == [hosts for _, hosts in accepted]
 
     def test_clean_vertices_are_skipped(self, visits):
         network = net(diamond_grid_network(8, 6, 4))
