@@ -156,13 +156,16 @@ def cmd_verify(args) -> int:
     return 0 if ok_all else 2
 
 
-def _add_analysis_flags(p):
+def _add_model_flag(p):
     p.add_argument(
         "--model",
         choices=[MODEL_TIGHT, MODEL_INTUITIVE],
         default=MODEL_TIGHT,
         help="eliminator output-curve model (default: tight)",
     )
+
+
+def _add_analysis_flags(p):
     p.add_argument(
         "--lossless",
         action="store_true",
@@ -194,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compute per-destination delay intervals")
     p.add_argument("--in", dest="input", required=True, help="network file (JSON)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_model_flag(p)
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -210,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check simulated delays against analyzed bounds")
     p.add_argument("--scenario", required=True, help="scenario file (JSON)")
     p.add_argument("--network", required=True, help="network file (JSON)")
+    _add_model_flag(p)
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_verify)
 

@@ -39,16 +39,22 @@ and the end-to-end composition read the same verdicts.
 
 Two models of the eliminator are supported: ``tight`` constrains the output
 by every diamond-ancestor curve, ``intuitive`` keeps the plain sum of the
-replicate curves as if nothing were dropped.
+replicate curves as if nothing were dropped.  The model changes only the
+eliminators' outputs, so an analysis can start from one of the other model
+on the same network (`analyze(..., base=report)`, which `compare_models`
+uses): it shares the structure, keeps the state and log of each component
+whose processing the model cannot change, and takes each flow's end-to-end
+results over when its port delays and regulator verdicts are unchanged.
 """
 
+import copy
 import csv
 import io
 from collections import ChainMap
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .minplus import (
     UNBOUNDED,
@@ -171,10 +177,11 @@ class AnalysisReport:
         return any(r.verdict in ("violated", "unbounded") for r in self.results)
 
     def to_json(self) -> dict:
-        # the fields in declaration order, the port delays sorted by vertex
-        return to_jsonable(
-            {**vars(self), "vertex_delays": dict(sorted(self.vertex_delays.items()))}
-        )
+        # the fields in declaration order, the port delays sorted by vertex;
+        # the analyzer that `analyze` keeps on the report is no field
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["vertex_delays"] = dict(sorted(self.vertex_delays.items()))
+        return to_jsonable(doc)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -291,21 +298,28 @@ def _least_fixed_point(forms: list, point: list):
     return solution
 
 
+class _ComponentLog(NamedTuple):
+    """What processing one component did beyond its members' state."""
+
+    entry: str  # the status on entry
+    notes: tuple  # the cut-off, solve and grid notes it appended
+    passes: int  # 1 for a vertex on no cycle
+    exit: str  # the status on exit, before the report's overload check
+
+
 class _Analyzer:
     def __init__(self, network, model, lossless, burst_cap):
         self.net = network
         self.model = model
         self.lossless = lossless
         self.burst_cap = burst_cap
+        self.iter_cap = None  # set by run
         self.components = _sweep_order(network)
         # a cycle puts every burst on the grid; feed-forward analysis stays exact
         self.quantize = any(len(comp) > 1 for comp in self.components)
         self.notes = []  # cut-off notes
-        # optimistic start: plain source curves everywhere, ports at zero queueing
-        self.curves = {  # (flow, vertex) -> curve | None
-            (fid, v): flow.arrival for fid, flow in network.flows.items() for v in flow.vertices
-        }
-        self.vertex_delays = {v: vertex_delay(spec, None) for v, spec in network.vertices.items()}
+        self.curves = {}  # (flow, vertex) -> curve | None
+        self.vertex_delays = {}
         # vertex -> site records and timeout notes of its last processing, by kind
         self.records = {}
         self.curve_changes = 0  # stored curves changed so far
@@ -313,6 +327,10 @@ class _Analyzer:
         self._delay_grid = set()  # vertices whose port delay upper ends are rounded up
         self.iterations = 0
         self.status = CONVERGED
+        self._log = []  # _ComponentLog per component, in sweep order
+        self._base = None  # the analyzer this one was derived from, if any
+        self._verdicts = {}  # (flow, vertex of its REG) -> RegulatorVerdict, by report
+        self._results = {}  # flow -> its FlowResults, by report
         self._crossing = {v: [] for v in network.vertices}
         self._placed = {v: [] for v in network.vertices}  # (placement, its flows sorted)
         self._function = {}  # (kind, flow, vertex) -> placement, one at most
@@ -367,6 +385,78 @@ class _Analyzer:
             for v in comp if len(comp) > 1 else ():
                 for x in self._inputs(v).intersection(comp):
                     self._readers[x].add(v)
+        self._reset(network.vertices)
+
+    def _reset(self, vertices):
+        """The optimistic start at `vertices`: plain source curves, ports at
+        zero queueing, no load, site record or delay rounding."""
+        for v in vertices:
+            self.vertex_delays[v] = vertex_delay(self.net.vertices[v], None)
+            for fid in self._crossing[v]:
+                self.curves[(fid, v)] = self.net.flows[fid].arrival
+            self._loads.pop(v, None)
+            self.records.pop(v, None)
+            self._delay_grid.discard(v)
+
+    def derive(self, model: str) -> "_Analyzer":
+        """An analyzer of `model` that shares this one's structural tables
+        and starts from a copy of its final state, to be `run` with this
+        one as the base."""
+        an = copy.copy(self)
+        an.model = model
+        an.curves = dict(self.curves)
+        an.vertex_delays = dict(self.vertex_delays)
+        an.records = dict(self.records)
+        an._loads = dict(self._loads)
+        an._delay_grid = set(self._delay_grid)
+        an.notes = []
+        an.status = CONVERGED
+        return an
+
+    def run(self, iter_cap: int, base=None):
+        """Process the components in sweep order, logging each: a vertex on
+        no cycle once, after its inputs have settled upstream, a cyclic
+        component by `settle`.  `iterations` is the largest pass count.
+
+        With `base`, the analyzer this one was derived from, a component
+        keeps the base's state and log when the model cannot change its
+        processing: no member hosts an eliminator, no member reads
+        (`_inputs`) a vertex whose curves or port delay differ from the
+        base's, and the status on entry is the base's.  Any other component
+        starts again from the optimistic start."""
+        self.iter_cap, self._base, self._log = iter_cap, base, []
+        differs = set()  # vertices whose curves or port delay differ from the base's
+        for i, comp in enumerate(self.components):
+            if base is not None:
+                log = base._log[i]
+                if self._reusable(comp, log, differs):
+                    self.notes += log.notes
+                    self.status = log.exit
+                    self._log.append(log)
+                    continue
+                self._reset(comp)
+            entry, start = self.status, len(self.notes)
+            if len(comp) > 1:
+                passes = self.settle(comp, iter_cap)
+            else:
+                self._process_vertex(comp[0])
+                passes = 1
+            self._log.append(_ComponentLog(entry, tuple(self.notes[start:]), passes, self.status))
+            if base is not None:
+                differs.update(v for v in comp if self._differs(v, base))
+        self.iterations = max((log.passes for log in self._log), default=1)
+
+    def _reusable(self, members, log: _ComponentLog, differs: set) -> bool:
+        return (
+            self.status == log.entry
+            and not any(p.kind == PEF for v in members for p, _ in self._placed[v])
+            and not (differs and any(not differs.isdisjoint(self._inputs(v)) for v in members))
+        )
+
+    def _differs(self, v: str, base) -> bool:
+        return self.vertex_delays[v] != base.vertex_delays[v] or any(
+            self.curves[(fid, v)] != base.curves[(fid, v)] for fid in self._crossing[v]
+        )
 
     def _disordered_at(self, fid, eps, a, v) -> bool:
         """Can units of the flow reach v's regulator out of source order,
@@ -826,11 +916,18 @@ class _Analyzer:
 
     def compose(self, verdicts: dict) -> list:
         """Per-destination results; `verdicts` maps (flow, vertex) to the
-        verdict of the flow's regulator there."""
-        results = []
+        verdict of the flow's regulator there.  A flow whose port delays and
+        regulator verdicts are the base analyzer's keeps the base's results:
+        its composition reads nothing else."""
+        base = self._base
+        self._verdicts, self._results = verdicts, {}
         for fid in sorted(self.net.flows):
             flow = self.net.flows[fid]
+            if base is not None and self._composed_alike(fid, verdicts, base):
+                self._results[fid] = base._results[fid]
+                continue
             cum = self._flow_cumulative(fid, verdicts)
+            results = self._results[fid] = []
             for dest in sorted(flow.destinations):
                 interval = cum[dest]
                 deadline = flow.deadlines.get(dest)
@@ -843,7 +940,15 @@ class _Analyzer:
                 else:
                     verdict = "violated"
                 results.append(FlowResult(fid, dest, interval, deadline, verdict))
-        return results
+        return [r for results in self._results.values() for r in results]
+
+    def _composed_alike(self, fid: str, verdicts: dict, base) -> bool:
+        order = self.net.flows[fid].order
+        return all(self.vertex_delays[v] == base.vertex_delays[v] for v in order) and all(
+            verdicts[(fid, v)] == base._verdicts[(fid, v)]
+            for v in order
+            if (REG, fid, v) in self._function
+        )
 
     def _flow_cumulative(self, fid: str, verdicts: dict) -> dict:
         """Entry-to-output delay interval at each vertex of the flow.
@@ -877,12 +982,25 @@ class _Analyzer:
         return cum
 
 
+def _checked_caps(iter_cap, burst_cap) -> tuple:
+    """The caps with their defaults filled in; ValueError out of range."""
+    iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
+    burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
+    if iter_cap < 1:
+        raise ValueError(f"iteration cap must be at least 1, not {iter_cap}")
+    if burst_cap < 0:
+        raise ValueError(f"burst cap must not be negative, not {rational_str(burst_cap)}")
+    return iter_cap, burst_cap
+
+
 def analyze(
     network: NetworkSpec,
     model: str = MODEL_TIGHT,
     lossless: bool = False,
     iter_cap: Optional[int] = None,
     burst_cap=None,
+    *,
+    base: Optional[AnalysisReport] = None,
 ) -> AnalysisReport:
     """Propagate curves to a fixed point and report per-destination intervals.
 
@@ -896,34 +1014,45 @@ def analyze(
     exceeds `burst_cap` (default 10^9, not negative); a cap out of range
     raises ValueError.  `iterations` is the largest pass count of a cyclic
     component, and 1 on a feed-forward network.
+
+    `base`, a report that `analyze` returned for this network object with
+    the same `lossless` flag and caps (ValueError otherwise), normally of
+    the other model, lets the analysis start from that one: it re-processes
+    only the components the model can change and composes again only the
+    flows whose port delays or regulator verdicts differ.  The report is
+    the one the analysis without `base` returns.
     """
     if model not in (MODEL_TIGHT, MODEL_INTUITIVE):
         raise ValueError(f"unknown analysis model {model!r}")
-    iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
-    burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
-    if iter_cap < 1:
-        raise ValueError(f"iteration cap must be at least 1, not {iter_cap}")
-    if burst_cap < 0:
-        raise ValueError(f"burst cap must not be negative, not {rational_str(burst_cap)}")
-
-    an = _Analyzer(network, model, lossless, burst_cap)
-    passes = []
-    for comp in an.components:
-        if len(comp) > 1:
-            passes.append(an.settle(comp, iter_cap))
-        else:
-            # its inputs have settled upstream, so one processing is final
-            an._process_vertex(comp[0])
-    an.iterations = max(passes, default=1)
-    return an.report()
+    iter_cap, burst_cap = _checked_caps(iter_cap, burst_cap)
+    prior = None
+    if base is None:
+        an = _Analyzer(network, model, lossless, burst_cap)
+    else:
+        prior = getattr(base, "_analyzer", None)
+        if prior is None or prior.net is not network:
+            raise ValueError("the base report is not an analysis of this network")
+        if prior.lossless != lossless:
+            raise ValueError("the base report was analyzed with another lossless flag")
+        if (prior.iter_cap, prior.burst_cap) != (iter_cap, burst_cap):
+            raise ValueError("the base report was analyzed with other caps")
+        an = prior.derive(model)
+    an.run(iter_cap, prior)
+    report = an.report()
+    report._analyzer = an  # not a field: to_json, == and repr leave it out
+    return report
 
 
 def compare_models(network: NetworkSpec, lossless: bool = False, **kw) -> dict:
-    """Run both eliminator models and pair the per-destination intervals."""
+    """Run both eliminator models and pair the per-destination intervals.
+    The intuitive analysis starts from the tight one (`analyze`'s `base`),
+    so only what the model changes is processed twice; both reports equal
+    those of two independent analyses."""
     tight = analyze(network, MODEL_TIGHT, lossless, **kw)
-    intuitive = analyze(network, MODEL_INTUITIVE, lossless, **kw)
+    intuitive = analyze(network, MODEL_INTUITIVE, lossless, **kw, base=tight)
+    other = {(r.flow, r.destination): r.interval for r in intuitive.results}
     pairs = {}
     for r in tight.results:
-        other = intuitive.result_for(r.flow, r.destination)
-        pairs[(r.flow, r.destination)] = (r.interval, other.interval)
+        key = (r.flow, r.destination)
+        pairs[key] = (r.interval, other[key])
     return {"tight": tight, "intuitive": intuitive, "pairs": pairs}

@@ -12,7 +12,9 @@ schedule (each component on its own, dirty vertices only) against the global
 loop that re-runs every vertex on every sweep.  That loop solves nothing
 exactly: it stays the reference of the grid iteration, which the analyzer
 keeps as the fallback of its exact solve.  The exact solve's integer
-elimination is checked against Gauss-Jordan elimination in `Fraction`.
+elimination is checked against Gauss-Jordan elimination in `Fraction`, and
+the model comparison, whose intuitive analysis starts from the tight one,
+against two independent analyses.
 """
 
 import itertools
@@ -34,9 +36,11 @@ from redcalc.tfa import (
     DEFAULT_ITER_CAP,
     DIVERGED,
     ITERATION_CAP,
+    MODEL_INTUITIVE,
     MODEL_TIGHT,
     STALL_PASSES,
     _Analyzer,
+    analyze,
 )
 from redcalc.topology import NetworkSpec
 
@@ -377,3 +381,15 @@ def least_fixed_point_by_fractions(forms: list, point: list):
     if any(w < x for w, x in zip(solution, point)):
         return None
     return solution
+
+
+def compare_models_independently(network: NetworkSpec, lossless: bool = False, **kw) -> dict:
+    """`tfa.compare_models` by two independent analyses, one per model,
+    each result paired by a scan of the intuitive results."""
+    tight = analyze(network, MODEL_TIGHT, lossless, **kw)
+    intuitive = analyze(network, MODEL_INTUITIVE, lossless, **kw)
+    pairs = {}
+    for r in tight.results:
+        other = intuitive.result_for(r.flow, r.destination)
+        pairs[(r.flow, r.destination)] = (r.interval, other.interval)
+    return {"tight": tight, "intuitive": intuitive, "pairs": pairs}

@@ -104,6 +104,16 @@ class TestCompare:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tight"]["lossless"] is False and doc["intuitive"]["lossless"] is False
 
+    @pytest.mark.parametrize("model", ["tight", "intuitive"])
+    def test_model_flag_is_a_usage_error(self, model, capsys):
+        # compare runs both models, so a model to pick is a mistake
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--in", bundled("net-toy-pef.json"), "--model", model])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --model" in captured.err
+
 
 class TestSimulate:
     def test_trace_csv(self, tmp_path):

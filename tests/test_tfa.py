@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,6 +19,7 @@ from redcalc.minplus import (
     RateLatency,
     curve_leq,
     is_unbounded,
+    to_jsonable,
 )
 from redcalc.tfa import (
     CONVERGED,
@@ -63,6 +65,7 @@ from netfixtures import (
     twin_ring_network,
 )
 from oracles import (
+    compare_models_independently,
     curve_service_delay,
     disordered_by_paths,
     full_sweep_analyze,
@@ -1634,6 +1637,79 @@ class TestModelComparison:
             alone["flows"] = [f for f in doc["flows"] if f["id"] == "f"]
             solo = analyze(net(alone), MODEL_TIGHT, lossless=True)
             assert solo.result_for("f", "T").interval.hi <= full.result_for("f", "T").interval.hi
+
+
+def _comparison_json(out) -> dict:
+    return to_jsonable({**out, "pairs": sorted(out["pairs"].items())})
+
+
+class TestDerivedAnalysis:
+    """The intuitive analysis of `compare_models` starts from the tight one."""
+
+    def test_compare_matches_two_independent_analyses(self):
+        rng = random.Random(0xC0B1)
+        runs = cut_then_kept = 0
+        for i in range(300):
+            # four feed-forward documents to one cyclic: the cyclic ones cost more
+            doc = random_cyclic_network(rng) if i % 5 == 4 else random_pef_network(rng)
+            network = net(doc)
+            for lossless in (False, True):
+                for kw in ({"iter_cap": 3}, {"burst_cap": "6"}):
+                    out = compare_models(network, lossless, **kw)
+                    old = compare_models_independently(network, lossless, **kw)
+                    assert _comparison_json(out) == _comparison_json(old), (doc, lossless, kw)
+                    assert list(out["pairs"]) == list(old["pairs"])
+                    runs += 1
+                    # a component kept from a tight run already cut off
+                    logs = zip(out["tight"]._analyzer._log, out["intuitive"]._analyzer._log)
+                    cut_then_kept += any(a is b and a.entry != CONVERGED for a, b in logs)
+        assert runs == 1200
+        assert cut_then_kept >= 50
+
+    def test_only_the_eliminator_hosts_are_processed_again(self, visits):
+        network = net(diamond_grid_network(8, 6, 4))
+        hosts = {p.vertex for p in network.placements if p.kind == "pef"}
+        analyze(network, MODEL_TIGHT)
+        tight = collections.Counter(visits)
+        visits.clear()
+        out = compare_models(network)
+        assert visits == tight + collections.Counter(hosts)
+        assert out["tight"].status == out["intuitive"].status == CONVERGED
+        # feed-forward: every vertex once, then the eliminator and at most
+        # what lies after it again
+        visits.clear()
+        network = net(random_pef_network(random.Random(5)))
+        compare_models(network, lossless=True)
+        again = {v for v, n in visits.items() if n == 2}
+        assert set(visits) == set(network.vertices) and max(visits.values()) == 2
+        assert "M" in again
+        assert again <= {"M", "T"} | {v for v in network.vertices if v.startswith("W")}
+
+    def test_a_base_of_another_analysis_is_rejected(self):
+        doc = random_pef_network(random.Random(3))
+        network = net(doc)
+        tight = analyze(network, MODEL_TIGHT, lossless=True)
+        for other, kw, message in [
+            (net(doc), {"lossless": True}, "not an analysis of this network"),
+            (network, {"lossless": False}, "another lossless flag"),
+            (network, {"lossless": True, "iter_cap": 3}, "other caps"),
+            (network, {"lossless": True, "burst_cap": "6"}, "other caps"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                analyze(other, MODEL_INTUITIVE, base=tight, **kw)
+        # a report that no analysis of this network left behind
+        with pytest.raises(ValueError, match="not an analysis of this network"):
+            analyze(network, MODEL_INTUITIVE, True, base=dataclasses.replace(tight))
+        # the caps are compared once their defaults are filled in
+        derived = analyze(network, MODEL_INTUITIVE, True, 1000, "1000000000", base=tight)
+        assert derived == analyze(network, MODEL_INTUITIVE, True)
+
+    def test_the_kept_analyzer_stays_out_of_the_report(self):
+        rep = analyze(net(toy_network(PEF_AT_F)), MODEL_TIGHT, lossless=True)
+        assert isinstance(rep._analyzer, _Analyzer)
+        assert list(rep.to_json()) == [f.name for f in dataclasses.fields(rep)]
+        assert "_analyzer" not in repr(rep)
+        assert rep == dataclasses.replace(rep)
 
 
 class TestReportOutput:
