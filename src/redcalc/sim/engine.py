@@ -639,6 +639,7 @@ def scenario_from_json(doc) -> Scenario:
             lmax=_rational(raw["lmax"], f"{path}.lmax") if "lmax" in raw else None,
         )
     sources = []
+    units = set()
     entries = _typed(_required(doc, "sources", "sources"), list, "sources")
     for i, raw in enumerate(entries):
         path = f"sources[{i}]"
@@ -653,7 +654,9 @@ def scenario_from_json(doc) -> Scenario:
         sources.append(
             _parsed(lambda z: SourceUnit(fid, unit, time, z), _required(raw, "size", at), at)
         )
-    units = {u.key for u in sources}
+        if sources[-1].key in units:
+            raise SpecError(path, f"duplicate source unit {fid}/{unit}")
+        units.add(sources[-1].key)
     paths = []
     entries = _typed(_required(doc, "paths", "paths"), list, "paths")
     for i, raw in enumerate(entries):
@@ -686,6 +689,8 @@ def scenario_from_json(doc) -> Scenario:
                 fifo=_typed(raw.get("fifo", True), bool, f"{path}.fifo"),
             )
         )
+    if not paths:
+        raise SpecError("paths", "scenario needs at least one path")
     pdoc = _typed(doc.get("pipeline", {}), dict, "pipeline")
     pof = None
     if pdoc.get("pof") is not None:

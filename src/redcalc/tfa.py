@@ -18,7 +18,9 @@ map of themselves: they are solved exactly, by fraction-free elimination in
 integers, and the solution is kept when it is the least fixed point above
 the state and the curves rebuilt from it give it back (the fixed-point form
 of total flow analysis for cyclic networks).
-Otherwise the state is restored and the sweep goes on as the fallback.
+The solve works on a fork of the analyzer, taken over only when the
+solution is kept; otherwise the fork is dropped and the sweep goes on as the
+fallback.
 Exact arithmetic could chase a geometric limit forever, so the passes of a
 network with a cycle round burst terms up onto a fixed grid (rounding up
 keeps every state a valid over-approximation); after `STALL_PASSES` passes
@@ -328,7 +330,7 @@ class _Analyzer:
         self.iterations = 0
         self.status = CONVERGED
         self._log = []  # _ComponentLog per component, in sweep order
-        self._base = None  # the analyzer this one was derived from, if any
+        self._base = None  # the analyzer this one was forked from, until compose
         self._verdicts = {}  # (flow, vertex of its REG) -> RegulatorVerdict, by report
         self._results = {}  # flow -> its FlowResults, by report
         self._crossing = {v: [] for v in network.vertices}
@@ -398,19 +400,12 @@ class _Analyzer:
             self.records.pop(v, None)
             self._delay_grid.discard(v)
 
-    def derive(self, model: str) -> "_Analyzer":
-        """An analyzer of `model` that shares this one's structural tables
-        and starts from a copy of its final state, to be `run` with this
-        one as the base."""
+    def _fork(self) -> "_Analyzer":
+        """A copy that shares this one's structural tables and owns copies
+        of its state containers (`copy.copy` keeps their types)."""
         an = copy.copy(self)
-        an.model = model
-        an.curves = dict(self.curves)
-        an.vertex_delays = dict(self.vertex_delays)
-        an.records = dict(self.records)
-        an._loads = dict(self._loads)
-        an._delay_grid = set(self._delay_grid)
-        an.notes = []
-        an.status = CONVERGED
+        for name in ("curves", "vertex_delays", "records", "_loads", "_delay_grid", "notes"):
+            setattr(an, name, copy.copy(getattr(self, name)))
         return an
 
     def run(self, iter_cap: int, base=None):
@@ -418,7 +413,7 @@ class _Analyzer:
         no cycle once, after its inputs have settled upstream, a cyclic
         component by `settle`.  `iterations` is the largest pass count.
 
-        With `base`, the analyzer this one was derived from, a component
+        With `base`, the analyzer this one was forked from, a component
         keeps the base's state and log when the model cannot change its
         processing: no member hosts an eliminator, no member reads
         (`_inputs`) a vertex whose curves or port delay differ from the
@@ -588,57 +583,42 @@ class _Analyzer:
         re-processing the members that host a function, which rewrites
         their site records and notes in sweep order, changes nothing.  Each
         member then reads what the rebuild wrote, so an exact pass over the
-        members would change nothing either.  Otherwise the state is
-        restored exactly."""
+        members would change nothing either.  The solve works on a fork
+        (`_fork`), whose state this analyzer takes over only when the solve
+        is accepted; a rejected solve drops the fork and leaves the state
+        as it was."""
         served = [v for v in members if self.net.vertices[v].service is not None]
         point = [self.vertex_delays[v].hi for v in served]
         if any(is_unbounded(x) for x in point):
             return False
-        keys = [(fid, v) for v in members for fid in self._crossing[v]]
-        saved = (
-            {k: self.curves[k] for k in keys},
-            {v: self.vertex_delays[v] for v in members},
-            {v: self._loads.get(v) for v in members},
-            {v: self.records.pop(v) for v in members if v in self.records},
-            self.curve_changes,
-            len(self.notes),
-            self.status,
-        )
-        self.quantize = False
+        trial = self._fork()
+        trial.quantize = False
+        for v in members:  # the walks append to the members' site records
+            trial.records.pop(v, None)
         for i, v in enumerate(served):
-            self._freeze(v, Affine(point[i], {i: 1}))
-        delays = self._rebuild(members)
-        solution = None
-        if self.status == CONVERGED and not any(is_unbounded(delays[v].hi) for v in served):
-            solution = _least_fixed_point([delays[v].hi for v in served], point)
-        accepted = False
-        if solution is not None:
-            for v, w in zip(served, solution):
-                self._freeze(v, w)
-            delays = self._rebuild(members)
-            if self.status == CONVERGED and all(
-                delays[v] == self.vertex_delays[v] for v in members
-            ):
-                # only the members that host a function keep site records:
-                # they are rewritten in sweep order, from the rebuilt curves
-                for v in members:
-                    self.records.pop(v, None)
-                accepted = not self._pass(members, {v for v in members if self._placed[v]})
-        self.quantize = True
-        if accepted:
-            self.notes.append(
-                f"port delays at {', '.join(members)} solved exactly after {passes} passes"
-            )
-            return True
-        curves, vertex_delays, loads, records, self.curve_changes, notes, self.status = saved
-        self.curves.update(curves)
-        self.vertex_delays.update(vertex_delays)
-        self._loads.update(loads)
+            trial._freeze(v, Affine(point[i], {i: 1}))
+        delays = trial._rebuild(members)
+        if trial.status != CONVERGED or any(is_unbounded(delays[v].hi) for v in served):
+            return False
+        solution = _least_fixed_point([delays[v].hi for v in served], point)
+        if solution is None:
+            return False
+        for v, w in zip(served, solution):
+            trial._freeze(v, w)
+        delays = trial._rebuild(members)
+        if trial.status != CONVERGED or any(delays[v] != trial.vertex_delays[v] for v in members):
+            return False
+        # only the members that host a function keep site records: they are
+        # rewritten in sweep order, from the rebuilt curves
         for v in members:
-            self.records.pop(v, None)
-        self.records.update(records)
-        del self.notes[notes:]
-        return False
+            trial.records.pop(v, None)
+        if trial._pass(members, {v for v in members if self._placed[v]}):
+            return False
+        vars(self).update(vars(trial), quantize=self.quantize)  # the trial's state, grid kept
+        self.notes.append(
+            f"port delays at {', '.join(members)} solved exactly after {passes} passes"
+        )
+        return True
 
     def _freeze(self, v: str, hi):
         self.vertex_delays[v] = DelayInterval._unchecked(self.vertex_delays[v].lo, hi)
@@ -918,8 +898,9 @@ class _Analyzer:
         """Per-destination results; `verdicts` maps (flow, vertex) to the
         verdict of the flow's regulator there.  A flow whose port delays and
         regulator verdicts are the base analyzer's keeps the base's results:
-        its composition reads nothing else."""
-        base = self._base
+        its composition reads nothing else.  The base is let go here, so
+        the report does not keep it alive."""
+        base, self._base = self._base, None
         self._verdicts, self._results = verdicts, {}
         for fid in sorted(self.net.flows):
             flow = self.net.flows[fid]
@@ -1036,7 +1017,8 @@ def analyze(
             raise ValueError("the base report was analyzed with another lossless flag")
         if (prior.iter_cap, prior.burst_cap) != (iter_cap, burst_cap):
             raise ValueError("the base report was analyzed with other caps")
-        an = prior.derive(model)
+        an = prior._fork()
+        an.model, an.notes, an.status = model, [], CONVERGED
     an.run(iter_cap, prior)
     report = an.report()
     report._analyzer = an  # not a field: to_json, == and repr leave it out
@@ -1047,7 +1029,8 @@ def compare_models(network: NetworkSpec, lossless: bool = False, **kw) -> dict:
     """Run both eliminator models and pair the per-destination intervals.
     The intuitive analysis starts from the tight one (`analyze`'s `base`),
     so only what the model changes is processed twice; both reports equal
-    those of two independent analyses."""
+    those of two independent analyses.  Neither report keeps its analyzer,
+    so neither can be the `base` of another analysis."""
     tight = analyze(network, MODEL_TIGHT, lossless, **kw)
     intuitive = analyze(network, MODEL_INTUITIVE, lossless, **kw, base=tight)
     other = {(r.flow, r.destination): r.interval for r in intuitive.results}
@@ -1055,4 +1038,5 @@ def compare_models(network: NetworkSpec, lossless: bool = False, **kw) -> dict:
     for r in tight.results:
         key = (r.flow, r.destination)
         pairs[key] = (r.interval, other[key])
+    del tight._analyzer, intuitive._analyzer
     return {"tight": tight, "intuitive": intuitive, "pairs": pairs}

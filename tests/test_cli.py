@@ -316,6 +316,20 @@ MALFORMED = {
         _with_placement(kind="pof", vertex="B", flows=["f"], reference="A", timeout="-1"),
         "placements[0].timeout",
     ),
+    "unknown regulator mode": (
+        _with_placement(
+            kind="reg", vertex="B", flows=["f"], reference="A", mode="fifo",
+            shaping={"f": {"rate": "1", "burst": "1"}},
+        ),
+        "placements[0].mode",
+    ),
+    "placement off the flow": (
+        {
+            **_second_flow_net([["A", "C"]], ["C"]),
+            "placements": [{"kind": "pef", "vertex": "C", "flows": ["f"]}],
+        },
+        "placements[0]",
+    ),
     "merge re-splits the flow": (
         _second_flow_net(
             [["A", "B"], ["A", "C"], ["B", "D"], ["C", "D"], ["D", "E"], ["D", "F"]],
@@ -424,6 +438,10 @@ MALFORMED_SCENARIOS = {
     "negative resequencer timeout": (_set_pof(timeout="-1"), "pipeline.pof.timeout"),
     "negative emission time": (_set_source("time", "-1"), "sources[1].time"),
     "negative unit size": (_set_source("size", "-1/2"), "sources[1].size"),
+    "no path": (_toy_scenario(lambda d: d.update(paths=[])), "paths"),
+    "repeated source unit": (
+        _toy_scenario(lambda d: d["sources"].insert(1, dict(d["sources"][0]))), "sources[1]"
+    ),
     "unit id a number": (
         _toy_scenario(lambda d: d["sources"][2].update(unit=int(d["sources"][2]["unit"]))),
         "sources[2].unit",

@@ -1646,23 +1646,33 @@ def _comparison_json(out) -> dict:
 class TestDerivedAnalysis:
     """The intuitive analysis of `compare_models` starts from the tight one."""
 
-    def test_compare_matches_two_independent_analyses(self):
+    def test_compare_matches_two_independent_analyses(self, monkeypatch):
         rng = random.Random(0xC0B1)
         runs = cut_then_kept = 0
+        logs = []  # the component logs of each analyzer run, in run order
+        run = _Analyzer.run
+
+        def logged_run(an, *args):
+            run(an, *args)
+            logs.append(an._log)
+
+        monkeypatch.setattr(_Analyzer, "run", logged_run)
         for i in range(300):
             # four feed-forward documents to one cyclic: the cyclic ones cost more
             doc = random_cyclic_network(rng) if i % 5 == 4 else random_pef_network(rng)
             network = net(doc)
             for lossless in (False, True):
                 for kw in ({"iter_cap": 3}, {"burst_cap": "6"}):
+                    logs.clear()
                     out = compare_models(network, lossless, **kw)
+                    tight_log, intuitive_log = logs
                     old = compare_models_independently(network, lossless, **kw)
                     assert _comparison_json(out) == _comparison_json(old), (doc, lossless, kw)
                     assert list(out["pairs"]) == list(old["pairs"])
                     runs += 1
                     # a component kept from a tight run already cut off
-                    logs = zip(out["tight"]._analyzer._log, out["intuitive"]._analyzer._log)
-                    cut_then_kept += any(a is b and a.entry != CONVERGED for a, b in logs)
+                    kept = zip(tight_log, intuitive_log)
+                    cut_then_kept += any(a is b and a.entry != CONVERGED for a, b in kept)
         assert runs == 1200
         assert cut_then_kept >= 50
 
@@ -1710,6 +1720,17 @@ class TestDerivedAnalysis:
         assert list(rep.to_json()) == [f.name for f in dataclasses.fields(rep)]
         assert "_analyzer" not in repr(rep)
         assert rep == dataclasses.replace(rep)
+
+    def test_no_analyzer_outlives_its_use(self):
+        network = net(random_pef_network(random.Random(3)))
+        out = compare_models(network, lossless=True)
+        assert not hasattr(out["tight"], "_analyzer")
+        assert not hasattr(out["intuitive"], "_analyzer")
+        # a derived report keeps its own analyzer, but not the base's
+        tight = analyze(network, MODEL_TIGHT, lossless=True)
+        derived = analyze(network, MODEL_INTUITIVE, lossless=True, base=tight)
+        assert derived._analyzer._base is None
+        assert derived == out["intuitive"]
 
 
 class TestReportOutput:
