@@ -9,9 +9,11 @@ measurements (delays, reordering, compliance) are exact too.
 Time base: every source time, branch delay and re-sequencer timeout is a
 rational, so each is an integer number of ticks of 1/grid, where grid is the
 least common multiple of their denominators.  The stages add, compare and
-sort those integers, and Fractions appear only where a value leaves the
-engine: the `time` of each `TraceEvent` and what `Trace` returns.  The
-regulators run on the same ticks.  A token bucket refilling at rate r
+sort those integers, and each `TraceEvent` stores its instant as that tick
+with the grid beside it.  `Trace` orders its events and takes delays on the
+ticks too.  Fractions appear only where a value leaves the engine: the
+`time` property of an event, and the times and delays that `Trace` returns.
+The regulators run on the same ticks.  A token bucket refilling at rate r
 releases at last + (size - level) / r, which looks as if it left every fixed
 grid, but held as the instant the bucket was last empty it needs only sums
 of arrival instants, burst / r and size / r.  Those terms are on the grid
@@ -41,7 +43,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Optional, Union
+from operator import itemgetter
+from typing import NamedTuple, Optional, Union
 
 from ..minplus import (
     ConcaveCurve,
@@ -85,9 +88,9 @@ class SourceUnit:
     def __post_init__(self):
         object.__setattr__(self, "time", parse_rational(self.time))
         object.__setattr__(self, "size", parse_rational(self.size))
-        if self.time < 0:
+        if self.time.numerator < 0:
             raise ScenarioError(f"unit {self.flow}/{self.unit}: negative emission time")
-        if self.size < 0:
+        if self.size.numerator < 0:
             raise ScenarioError(f"unit {self.flow}/{self.unit}: negative size")
 
     @property
@@ -177,9 +180,14 @@ class Scenario:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    time: Fraction
+class TraceEvent(NamedTuple):
+    """One stage crossing.  The instant is `tick` ticks of 1/`grid` time
+    units, the grid of the run that made the event; `time` is the same
+    instant as a Fraction.  `seq` numbers the events of a run in the order
+    the stages made them, which breaks ties between equal instants."""
+
+    tick: int
+    grid: int
     kind: str
     flow: str
     unit: str
@@ -187,17 +195,23 @@ class TraceEvent:
     branch: Optional[str] = None
     seq: int = 0
 
+    @property
+    def time(self) -> Fraction:
+        return Fraction(self.tick, self.grid)
+
 
 class Trace:
-    """Ordered event record of one run."""
+    """Ordered event record of one run.
 
-    def __init__(self, scenario: Scenario, events: list):
+    `events` must all be on the grid `grid`.  They are sorted in place by
+    (tick, seq), and every instant `Trace` compares or subtracts is a tick;
+    the times and delays it returns are Fractions."""
+
+    def __init__(self, scenario: Scenario, events: list, grid: int):
         self.scenario = scenario
-        # order by (time, seq), with times as integers over their common denominator
-        grid = math.lcm(*{e.time.denominator for e in events})
-        self.events = sorted(
-            events, key=lambda e: (e.time.numerator * (grid // e.time.denominator), e.seq)
-        )
+        self.grid = grid
+        events.sort(key=itemgetter(0, 7))  # (tick, seq)
+        self.events = events
 
     def of_kind(self, kind: str) -> list:
         return [e for e in self.events if e.kind == kind]
@@ -222,36 +236,39 @@ class Trace:
             return PEF_EXIT
         return BRANCH_EXIT
 
-    def exit_times(self) -> dict:
-        """(flow, unit) -> instant the unit left the last stage of its pipeline."""
+    def _walk(self):
+        """One pass over the events: (flow, unit) -> generation tick, and
+        (flow, unit) -> tick the unit left the last stage of its pipeline,
+        both in generation order; error on a duplicate generation."""
         final = {}  # flow -> kind of the last stage of its pipeline
+        gen = {}
         left = {}
-        generated = []
         for e in self.events:
+            key = (e.flow, e.unit)
             if e.kind == GENERATED:
-                generated.append((e.flow, e.unit))
+                if key in gen:
+                    raise ScenarioError(f"duplicate {GENERATED} event for {e.flow}/{e.unit}")
+                gen[key] = e.tick
                 continue
             kind = final.get(e.flow)
             if kind is None:
                 kind = final[e.flow] = self.final_kind(e.flow)
             if e.kind == kind:
-                left[(e.flow, e.unit)] = e.time
-        return {key: left[key] for key in generated if key in left}
+                left[key] = e.tick
+        return gen, {key: left[key] for key in gen if key in left}
+
+    def exit_times(self) -> dict:
+        """(flow, unit) -> instant the unit left the last stage of its pipeline."""
+        _gen, done = self._walk()
+        return {key: Fraction(t, self.grid) for key, t in done.items()}
 
     def delays(self) -> dict:
         """(flow, unit) -> end-to-end delay, for units that made it through."""
-        gen = self.times(GENERATED)
-        done = self.exit_times()
-        grid = math.lcm(*{t.denominator for t in (*gen.values(), *done.values())})
-
-        def ticks(t):
-            return t.numerator * (grid // t.denominator)
-
-        return {key: Fraction(ticks(t) - ticks(gen[key]), grid) for key, t in done.items()}
+        gen, done = self._walk()
+        return {key: Fraction(t - gen[key], self.grid) for key, t in done.items()}
 
     def lost_units(self) -> list:
-        gen = self.times(GENERATED)
-        done = self.exit_times()
+        gen, done = self._walk()
         return sorted(k for k in gen if k not in done)
 
     def to_csv(self) -> str:
@@ -343,9 +360,7 @@ def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int, 
                     f"{u.flow}/{u.unit} outside declared bounds"
                 )
             exit_t = ticks[j] + d
-            ev = TraceEvent(
-                Fraction(exit_t, grid), BRANCH_EXIT, u.flow, u.unit, u.size, path.name, next(seq)
-            )
+            ev = TraceEvent(exit_t, grid, BRANCH_EXIT, u.flow, u.unit, u.size, path.name, next(seq))
             events.append(ev)
             exit_by_rank[rank[j]] = exit_t
             arrivals.append((exit_t, pidx, rank[j], ev))
@@ -373,7 +388,9 @@ def _pef_stage(arrivals: list, seq):
             continue
         seen.add(rank)
         out.append((exit_t, rank))
-        events.append(TraceEvent(ev.time, PEF_EXIT, ev.flow, ev.unit, ev.size, None, next(seq)))
+        events.append(
+            TraceEvent(exit_t, ev.grid, PEF_EXIT, ev.flow, ev.unit, ev.size, None, next(seq))
+        )
     return out, events
 
 
@@ -445,9 +462,7 @@ def _pof_stage(inputs: list, spec: PofSpec, sources: list, timeout, grid: int, s
     events = []
     for t, _idx, rank in released:
         u = sources[rank]
-        events.append(
-            TraceEvent(Fraction(t, grid), POF_EXIT, u.flow, u.unit, u.size, None, next(seq))
-        )
+        events.append(TraceEvent(t, grid, POF_EXIT, u.flow, u.unit, u.size, None, next(seq)))
     bypass.sort()
     n = len(released)
     released.extend((t, n + k, rank) for k, (t, rank) in enumerate(bypass))
@@ -510,8 +525,12 @@ def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int
     `inputs` are (tick, index, rank) in arrival order."""
     shaped = [item for item in inputs if sources[item[2]].flow in spec.shaping]
     caps = {fid: min(seg.burst for seg in sigma.segments) for fid, sigma in spec.shaping.items()}
+    sized = set()  # (flow, size) pairs checked so far; a failed check raises at once
     for _t, _idx, rank in shaped:
         u = sources[rank]
+        if (u.flow, u.size) in sized:
+            continue
+        sized.add((u.flow, u.size))
         if u.size > caps[u.flow]:
             raise ScenarioError(
                 f"unit {u.flow}/{u.unit}: larger than its shaping burst, can never release"
@@ -543,9 +562,7 @@ def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int
     events = []
     for t, _idx, rank in exits:
         u = sources[rank]
-        events.append(
-            TraceEvent(Fraction(t, grid), REG_EXIT, u.flow, u.unit, u.size, None, next(seq))
-        )
+        events.append(TraceEvent(t, grid, REG_EXIT, u.flow, u.unit, u.size, None, next(seq)))
     return events
 
 
@@ -573,12 +590,13 @@ def run_scenario(scenario: Scenario) -> Trace:
         rank[j] = r
     sources = [units[j] for j in by_rank]
     start = ticks[by_rank[0]] if units else 0
-    del by_rank
 
     seq = itertools.count(1)
     events = [
-        TraceEvent(u.time, GENERATED, u.flow, u.unit, u.size, None, next(seq)) for u in sources
+        TraceEvent(ticks[j], grid, GENERATED, u.flow, u.unit, u.size, None, next(seq))
+        for j, u in zip(by_rank, sources)
     ]
+    del by_rank
     arrivals, branch_events = _branch_stage(scenario.paths, units, ticks, rank, grid, seq)
     del ticks, rank
     events.extend(branch_events)
@@ -604,7 +622,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     if pipe.reg is not None:
         events.extend(_reg_stage(merged, pipe.reg, sources, start, grid, seq))
 
-    return Trace(scenario, events)
+    return Trace(scenario, events, grid)
 
 
 def _action(value, path: str):

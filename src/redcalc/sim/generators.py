@@ -263,6 +263,10 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
     phi = big_i - J + eps
     tau = q * phi
 
+    # unit k of flow i is emitted at x1 + (i - 1) phi + k tau (+ I for m2):
+    # add the numerators over one common denominator
+    den = math.lcm(x1.denominator, phi.denominator, tau.denominator, big_i.denominator)
+    x1_n, phi_n, tau_n, i_n = (v.numerator * (den // v.denominator) for v in (x1, phi, tau, big_i))
     sources = []
     sched = [{}, {}]
     flows = {}
@@ -270,14 +274,14 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
     for i in range(1, q + 1):
         fid = f"f{i}"
         flows[fid] = FlowProfile(arrival=curve, lmin=b, lmax=b)
-        x_i = x1 + (i - 1) * phi
+        x_i = x1_n + (i - 1) * phi_n
         for k in range(periods):
             for tag, offset, pidx, delay in (
-                ("m1", Fraction(0), m1_path, m1_delay),
-                ("m2", big_i, m2_path, m2_delay),
+                ("m1", 0, m1_path, m1_delay),
+                ("m2", i_n, m2_path, m2_delay),
             ):
                 name = f"{tag}_{k}"
-                sources.append(SourceUnit(fid, name, x_i + k * tau + offset, b))
+                sources.append(SourceUnit(fid, name, Fraction(x_i + k * tau_n + offset, den), b))
                 sched[pidx][(fid, name)] = delay
                 sched[1 - pidx][(fid, name)] = DROP
 

@@ -3,7 +3,8 @@
 Each measure puts its times (and sizes) on one integer grid, the least
 common multiple of their denominators, and works on those integers; results
 are converted back to Fractions, so they are exact and equal to what
-Fraction arithmetic would give.
+Fraction arithmetic would give.  `is_fifo_per_flow` reads a trace, whose
+events already carry their instants as ticks of one grid.
 """
 
 import math
@@ -11,6 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..minplus import ConcaveCurve, parse_rational
+from .engine import GENERATED
 
 
 def _grid(values) -> int:
@@ -112,17 +114,10 @@ def measure_reordering(units) -> tuple:
 
 def is_fifo_per_flow(trace, kind: str) -> bool:
     """True when, within each flow, units cross ``kind`` in source order."""
-    sources = trace.scenario.sources
-    sgrid = _grid(u.time for u in sources)
-    ranked = sorted(sources, key=lambda u: u.time.numerator * (sgrid // u.time.denominator))
-    order = {u.key: i for i, u in enumerate(ranked)}
-    events = trace.of_kind(kind)
-    egrid = _grid(e.time for e in events)
+    order = {(e.flow, e.unit): i for i, e in enumerate(trace.of_kind(GENERATED))}
     stamped = {}
-    for e in events:
-        stamped.setdefault(e.flow, []).append(
-            (order[(e.flow, e.unit)], e.time.numerator * (egrid // e.time.denominator))
-        )
+    for e in trace.of_kind(kind):
+        stamped.setdefault(e.flow, []).append((order[(e.flow, e.unit)], e.tick))
     for seq in stamped.values():
         seq.sort()
         last = None

@@ -1,9 +1,13 @@
-"""Shared network fixtures used across the test modules."""
+"""Shared network and scenario fixtures used across the test modules."""
 
 import copy
 import itertools
 import random
 from fractions import Fraction
+
+from redcalc.minplus import ConcaveCurve
+from redcalc.sim import PathSpec, Pipeline, RegSpec, Scenario, SourceUnit
+from redcalc.topology import DelayInterval
 
 
 def gamma(rate, burst):
@@ -682,3 +686,21 @@ def random_cyclic_network(rng):
     rank = {"pef": 0, "pof": 1, "reg": 2}
     placements.sort(key=lambda p: (p["vertex"], rank[p["kind"]]))
     return _network_doc(_with_endpoints(vertices, flows), flows, placements)
+
+
+def shaped_scenario(mode):
+    """Two flows on one reordering path into a regulator with fractional
+    rates, bursts and sizes; g's curve has a rate-0 segment that caps its
+    total volume without starving it."""
+    F = Fraction
+    units = [SourceUnit("f", str(k), F(k, 3), F(2 + k % 3, 4)) for k in range(12)]
+    units += [SourceUnit("g", str(k), F(k, 2), F(1 + k % 2, 3)) for k in range(10)]
+    schedule = {u.key: F(k % 4, 5) for k, u in enumerate(units)}
+    shaping = {
+        "f": ConcaveCurve([(F(1, 2), F(5, 2)), (F(3, 2), F(3, 2))]),
+        "g": ConcaveCurve([(0, 40), (F(2, 7), F(4, 3))]),
+    }
+    path = PathSpec("p", DelayInterval(0, 1), schedule, fifo=False)
+    return Scenario(
+        f"shaped-{mode}", units, [path], Pipeline(pef=False, reg=RegSpec(mode, shaping))
+    )

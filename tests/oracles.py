@@ -14,11 +14,16 @@ exactly: it stays the reference of the grid iteration, which the analyzer
 keeps as the fallback of its exact solve.  The exact solve's integer
 elimination is checked against Gauss-Jordan elimination in `Fraction`, and
 the model comparison, whose intuitive analysis starts from the tight one,
-against two independent analyses.
+against two independent analyses.  The simulator, which keeps every
+instant as an integer tick, is checked against a replay that keeps every
+instant as a `Fraction` and orders and subtracts them on a grid of their
+denominators.
 """
 
 import itertools
+import math
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from redcalc.minplus import (
     UNBOUNDED,
@@ -42,7 +47,16 @@ from redcalc.tfa import (
     _Analyzer,
     analyze,
 )
-from redcalc.topology import NetworkSpec
+from redcalc.sim import (
+    BRANCH_EXIT,
+    DROP,
+    GENERATED,
+    PEF_EXIT,
+    POF_EXIT,
+    REG_EXIT,
+    Scenario,
+)
+from redcalc.topology import REG_PER_FLOW, NetworkSpec
 
 
 def curve_value(curve: ConcaveCurve, t: Fraction) -> Fraction:
@@ -393,3 +407,168 @@ def compare_models_independently(network: NetworkSpec, lossless: bool = False, *
         other = intuitive.result_for(r.flow, r.destination)
         pairs[(r.flow, r.destination)] = (r.interval, other.interval)
     return {"tight": tight, "intuitive": intuitive, "pairs": pairs}
+
+
+def _resequence(inputs: list, place: dict, timeout):
+    """The re-sequencer on Fraction instants.  `inputs` are (time, rank) in
+    arrival order, `place` maps the rank of each re-sequenced unit to its
+    place in source order, and `timeout` is a Fraction or None.  Returns
+    (time, rank) in release order, then the bypassing units in time order,
+    each with its release index."""
+    queue = [(t, place[r], r) for t, r in inputs if r in place]
+    released = []
+    buffer = {}
+    deadlines = []
+    expected = 0
+    i = 0
+    while i < len(queue) or buffer:
+        while deadlines and (deadlines[0][1] < expected or deadlines[0][1] not in buffer):
+            heappop(deadlines)
+        arrival = queue[i][0] if i < len(queue) else None
+        if deadlines and (arrival is None or deadlines[0][0] < arrival):
+            now, pos = heappop(deadlines)
+            for p in sorted(k for k in buffer if k <= pos):
+                released.append((now, buffer.pop(p)))
+            expected = pos + 1
+        else:
+            now, pos, rank = queue[i]
+            i += 1
+            if pos < expected:
+                released.append((now, rank))
+                continue
+            buffer[pos] = rank
+            if timeout is not None:
+                heappush(deadlines, (now + timeout, pos))
+        while expected in buffer:
+            released.append((now, buffer.pop(expected)))
+            expected += 1
+    bypass = sorted((t, r) for t, r in inputs if r not in place)
+    return released, [(t, idx, r) for idx, (t, r) in enumerate(released + bypass)]
+
+
+def _regulate(inputs: list, scenario: Scenario, sources: list) -> list:
+    """Token-bucket release on Fraction levels: each positive-rate bucket
+    holds `level` at instant `last` and refills at its rate up to its
+    burst; all are full at the first emission.  `inputs` are (time, index,
+    rank); returns (release time, index, rank) sorted."""
+    spec = scenario.pipeline.reg
+    start = min(u.time for u in sources)
+    buckets = {
+        fid: [[seg.rate, seg.burst, seg.burst, start] for seg in sigma.segments if seg.rate]
+        for fid, sigma in spec.shaping.items()
+    }
+    queues = {}
+    for item in inputs:
+        flow = sources[item[2]].flow
+        if flow in spec.shaping:
+            queues.setdefault(flow if spec.mode == REG_PER_FLOW else None, []).append(item)
+    exits = []
+    for items in queues.values():
+        prev = None
+        for t, idx, rank in items:
+            u = sources[rank]
+            now = t if prev is None else max(t, prev)
+            for rate, _burst, level, last in buckets[u.flow]:
+                if level + rate * (now - last) < u.size:
+                    now = last + (u.size - level) / rate
+            for bucket in buckets[u.flow]:
+                rate, burst, level, last = bucket
+                bucket[2] = min(burst, level + rate * (now - last)) - u.size
+                bucket[3] = now
+            exits.append((now, idx, rank))
+            prev = now
+    return sorted(exits)
+
+
+def replay_in_fractions(scenario: Scenario):
+    """`sim.run_scenario` with every instant a Fraction, for a scenario it
+    accepts.  Returns the events as (time, kind, flow, unit, size, branch,
+    seq), ordered by time and seq with the times put on the lcm of their
+    denominators, and (flow, unit) -> generation time."""
+    units = scenario.sources
+    pipe = scenario.pipeline
+    by_time = sorted(range(len(units)), key=lambda j: units[j].time)
+    rank = {j: r for r, j in enumerate(by_time)}
+    sources = [units[j] for j in by_time]
+    seq = itertools.count(1)
+
+    def event(time, kind, u, branch=None):
+        return (time, kind, u.flow, u.unit, u.size, branch, next(seq))
+
+    events = [event(u.time, GENERATED, u) for u in sources]
+    arrivals = []
+    for pidx, path in enumerate(scenario.paths):
+        for j, u in enumerate(units):
+            action = path.action_for(u.key)
+            if isinstance(action, str) and action == DROP:
+                continue
+            t = u.time + Fraction(action)
+            events.append(event(t, BRANCH_EXIT, u, path.name))
+            arrivals.append((t, pidx, rank[j]))
+    arrivals.sort()
+    merged = [(t, r) for t, _p, r in arrivals]
+    if pipe.pef:
+        first = {}
+        for t, r in merged:
+            if r not in first:
+                first[r] = t
+                events.append(event(t, PEF_EXIT, sources[r]))
+        merged = [(t, r) for r, t in first.items()]
+    if pipe.pof is not None:
+        flows = pipe.pof.flows
+        members = [r for r, u in enumerate(sources) if flows is None or u.flow in flows]
+        order, merged = _resequence(merged, {r: p for p, r in enumerate(members)}, pipe.pof.timeout)
+        events.extend(event(t, POF_EXIT, sources[r]) for t, r in order)
+        merged.sort()
+    else:
+        merged = [(t, idx, r) for idx, (t, r) in enumerate(merged)]
+    if pipe.reg is not None:
+        exits = _regulate(merged, scenario, sources)
+        events.extend(event(t, REG_EXIT, sources[r]) for t, _idx, r in exits)
+
+    grid = math.lcm(*{e[0].denominator for e in events})
+    events.sort(key=lambda e: (e[0].numerator * (grid // e[0].denominator), e[6]))
+    return events
+
+
+def fraction_trace_measures(scenario: Scenario, events: list):
+    """(exit times, delays, lost units) of `replay_in_fractions` events, as
+    `sim.Trace` returns them: the exit is the last crossing of the flow's
+    final stage, and delays are taken on the lcm of the denominators."""
+    def final_kind(flow):
+        pipe = scenario.pipeline
+        if pipe.reg is not None and flow in pipe.reg.shaping:
+            return REG_EXIT
+        if pipe.pof is not None and (pipe.pof.flows is None or flow in pipe.pof.flows):
+            return POF_EXIT
+        return PEF_EXIT if pipe.pef else BRANCH_EXIT
+
+    gen = {}
+    left = {}
+    for time, kind, flow, unit, *_rest in events:
+        if kind == GENERATED:
+            gen[(flow, unit)] = time
+        elif kind == final_kind(flow):
+            left[(flow, unit)] = time
+    done = {key: left[key] for key in gen if key in left}
+    grid = math.lcm(*{t.denominator for t in (*gen.values(), *done.values())})
+
+    def ticks(t):
+        return t.numerator * (grid // t.denominator)
+
+    delays = {key: Fraction(ticks(t) - ticks(gen[key]), grid) for key, t in done.items()}
+    return done, delays, sorted(k for k in gen if k not in done)
+
+
+def fifo_per_flow_by_fractions(scenario: Scenario, events: list, kind: str) -> bool:
+    """`sim.is_fifo_per_flow` on `replay_in_fractions` events: within each
+    flow, the `kind` crossings of units sorted by emission time (ties in
+    source order) have nondecreasing times."""
+    order = {u.key: i for i, u in enumerate(sorted(scenario.sources, key=lambda u: u.time))}
+    by_flow = {}
+    for time, k, flow, unit, *_rest in events:
+        if k == kind:
+            by_flow.setdefault(flow, []).append((order[(flow, unit)], time))
+    return all(
+        all(a[1] <= b[1] for a, b in zip(seq, seq[1:])) for seq in map(sorted, by_flow.values())
+    )

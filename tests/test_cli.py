@@ -477,6 +477,16 @@ class TestInputErrors:
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["time", "size"])
+    @pytest.mark.parametrize("value", [-1, "-1/2", -0.5], ids=["int", "str", "float"])
+    def test_simulate_rejects_a_negative_source_value(self, key, value, tmp_path, capsys):
+        target = tmp_path / "negative.json"
+        target.write_text(json.dumps(_set_source(key, value)))
+        assert main(["simulate", "--scenario", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sources[1].{key}: unit f/2: negative ")
+        assert "Traceback" not in err
+
     def test_null_optional_scenario_values_mean_not_given(self, tmp_path, capsys):
         doc = _set_arrival(None)
         doc["pipeline"]["pof"] = {"flows": None, "timeout": None}

@@ -17,20 +17,9 @@ import pytest
 
 from redcalc import cli
 from redcalc.cli import bundled_dir, bundled_names, main
-from redcalc.minplus import ConcaveCurve
-from redcalc.sim import (
-    PathSpec,
-    Pipeline,
-    RegSpec,
-    Scenario,
-    SourceUnit,
-    gen_adversarial_ir,
-    run_scenario,
-    toy_scenario,
-)
+from redcalc.sim import gen_adversarial_ir, run_scenario, toy_scenario
 from redcalc.sim.generators import TOY_VARIANTS
-from redcalc.topology import DelayInterval
-from netfixtures import fwd_flow, rev_flow, ring_network, ring_sites_network
+from netfixtures import fwd_flow, rev_flow, ring_network, ring_sites_network, shaped_scenario
 from oracles import full_sweep_analyze
 
 NETWORKS = [n for n in bundled_names() if n.startswith("net-")]
@@ -352,27 +341,9 @@ def test_toy_trace_with_fractional_timeout(variant):
     assert got == TRACES[f"toy:{variant}@{timeout}"]
 
 
-def _shaped_scenario(mode):
-    """Two flows on one reordering path into a regulator with fractional
-    rates, bursts and sizes; g's curve has a rate-0 segment that caps its
-    total volume without starving it."""
-    F = Fraction
-    units = [SourceUnit("f", str(k), F(k, 3), F(2 + k % 3, 4)) for k in range(12)]
-    units += [SourceUnit("g", str(k), F(k, 2), F(1 + k % 2, 3)) for k in range(10)]
-    schedule = {u.key: F(k % 4, 5) for k, u in enumerate(units)}
-    shaping = {
-        "f": ConcaveCurve([(F(1, 2), F(5, 2)), (F(3, 2), F(3, 2))]),
-        "g": ConcaveCurve([(0, 40), (F(2, 7), F(4, 3))]),
-    }
-    path = PathSpec("p", DelayInterval(0, 1), schedule, fifo=False)
-    return Scenario(
-        f"shaped-{mode}", units, [path], Pipeline(pef=False, reg=RegSpec(mode, shaping))
-    )
-
-
 @pytest.mark.parametrize("mode", ["per-flow", "interleaved"])
 def test_regulator_trace_on_fractional_curves(mode):
-    assert _csv_digest(_shaped_scenario(mode)) == TRACES[f"shaped:{mode}"]
+    assert _csv_digest(shaped_scenario(mode)) == TRACES[f"shaped:{mode}"]
 
 
 def test_adversarial_ir_trace_on_mixed_denominators():

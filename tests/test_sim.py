@@ -15,6 +15,7 @@ import pytest
 from redcalc.cli import bundled_dir
 from redcalc.minplus import ConcaveCurve
 from redcalc.sim import (
+    BRANCH_EXIT,
     DROP,
     PEF_EXIT,
     POF_EXIT,
@@ -26,6 +27,7 @@ from redcalc.sim import (
     Scenario,
     ScenarioError,
     SourceUnit,
+    TraceEvent,
     check_compliance,
     gen_adversarial_ir,
     gen_tightness_trajectory,
@@ -36,9 +38,17 @@ from redcalc.sim import (
     toy_scenario,
 )
 from redcalc.sim.engine import FlowProfile
+from redcalc.sim.generators import TOY_VARIANTS
 from redcalc.topology import DelayInterval, SpecError
 
-from oracles import compliance_violations, reordering_by_pairs
+from netfixtures import shaped_scenario
+from oracles import (
+    compliance_violations,
+    fifo_per_flow_by_fractions,
+    fraction_trace_measures,
+    reordering_by_pairs,
+    replay_in_fractions,
+)
 
 F = Fraction
 TOY_PEF_OUT = ConcaveCurve([(2, 4), (1, 8)])
@@ -109,6 +119,15 @@ class TestEngineValidation:
         sc.sources[4] = SourceUnit("f", "5", 5, F(1, 2))
         with pytest.raises(ScenarioError, match="unit f/5: size below flow minimum"):
             run_scenario(sc)
+
+    @pytest.mark.parametrize("field, what", [("time", "emission time"), ("size", "size")])
+    @pytest.mark.parametrize(
+        "value", [-1, "-1/3", F(-2, 7), -0.5], ids=["int", "str", "Fraction", "float"]
+    )
+    def test_negative_source_value(self, field, what, value):
+        args = {"time": 1, "size": 1, field: value}
+        with pytest.raises(ScenarioError, match=f"^unit f/1: negative {what}$"):
+            SourceUnit("f", "1", **args)
 
     def test_missing_action_without_default(self):
         sc = one_flow(
@@ -348,6 +367,18 @@ class TestMeasures:
                 assert got == (0, 0)
 
 
+def random_tightness_cases():
+    """25 seeded branch settings (rate, burst, d1, D1, d2, D2)."""
+    rng = random.Random(7)
+    for _ in range(25):
+        r = F(rng.randint(1, 4))
+        b = F(rng.randint(1, 5))
+        lo1, lo2 = (F(rng.randint(0, 6), 2) for _ in range(2))
+        hi1 = lo1 + F(rng.randint(0, 8), 2)
+        hi2 = lo2 + F(rng.randint(0, 8), 2)
+        yield (r, b, lo1, hi1, lo2, hi2)
+
+
 class TestTightnessGenerator:
     def run_and_check(self, params):
         sc = gen_tightness_trajectory(*params)
@@ -384,14 +415,8 @@ class TestTightnessGenerator:
         assert sc.meta["expected_burst"] == 1
 
     def test_randomized_schedules_comply_and_land(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            r = F(rng.randint(1, 4))
-            b = F(rng.randint(1, 5))
-            lo1, lo2 = (F(rng.randint(0, 6), 2) for _ in range(2))
-            hi1 = lo1 + F(rng.randint(0, 8), 2)
-            hi2 = lo2 + F(rng.randint(0, 8), 2)
-            self.run_and_check((r, b, lo1, hi1, lo2, hi2))
+        for params in random_tightness_cases():
+            self.run_and_check(params)
 
 
 class TestAdversarialGenerator:
@@ -444,6 +469,94 @@ class TestAdversarialGenerator:
         trace = run_scenario(sc)
         assert sc.meta["divergence_step"] > 0
         assert trace.delays()[("f1", "m1_5")] >= -sc.meta["D"] + 5 * sc.meta["divergence_step"]
+
+
+TIGHTNESS_CASES = [
+    (1, 1, 0, 1, 6, 7),
+    (1, 2, 1, 3, 2, 4),
+    (1, 1, 0, 1, F(3, 2), 5),
+    (1, 1, 2, 2, 2, 2),
+]
+
+
+ADVERSARIAL_CASES = [
+    ((1, 1, 0, 1, 6, 7), 13, 4, F(123, 997)),
+    ((1, 2, 0, 0, 1, 1), 4, 8, 0),
+    ((1, 2, 0, 5, 1, 6), 5, 6, F(7, 3)),
+    ((1, 2, 0, 2, 2, 3), 4, 6, F(1, 6)),
+    ((1, 2, 0, 2, 2, 2), 6, 3, 5),
+    ((F(3, 4), F(5, 2), F(1, 3), 2, 3, F(9, 2)), 9, 5, F(2, 11)),
+]
+
+
+def _differential_scenarios(family):
+    if family == "toy":
+        rng = random.Random(16)
+        for variant in TOY_VARIANTS:
+            yield toy_scenario(variant)
+            for _ in range(3):
+                yield toy_scenario(variant, timeout=F(rng.randint(0, 40), rng.randint(1, 6)))
+    elif family == "tightness":
+        for params in (*TIGHTNESS_CASES, *random_tightness_cases()):
+            yield gen_tightness_trajectory(*params)
+    elif family == "shaped":
+        yield shaped_scenario("per-flow")
+        yield shaped_scenario("interleaved")
+    else:
+        for params, q, periods, x1 in ADVERSARIAL_CASES:
+            yield gen_adversarial_ir(*params, q=q, periods=periods, x1=x1)
+
+
+class TestFractionReplay:
+    """The integer-tick engine against a replay that keeps every instant a
+    Fraction (`oracles.replay_in_fractions`)."""
+
+    @pytest.mark.parametrize("family", ["toy", "tightness", "shaped", "adversarial"])
+    def test_trace_matches_fraction_replay(self, family):
+        for sc in _differential_scenarios(family):
+            trace = run_scenario(sc)
+            expected = replay_in_fractions(sc)
+            got = [(e.time, e.kind, e.flow, e.unit, e.size, e.branch, e.seq) for e in trace.events]
+            assert got == expected, sc.name
+            assert all(type(e.tick) is int and e.grid == trace.grid for e in trace.events)
+            exits, delays, lost = fraction_trace_measures(sc, expected)
+            assert list(trace.exit_times().items()) == list(exits.items()), sc.name
+            assert list(trace.delays().items()) == list(delays.items()), sc.name
+            assert trace.lost_units() == lost, sc.name
+            for kind in (BRANCH_EXIT, PEF_EXIT, POF_EXIT, REG_EXIT):
+                fifo = fifo_per_flow_by_fractions(sc, expected, kind)
+                assert is_fifo_per_flow(trace, kind) == fifo, (sc.name, kind)
+
+    @pytest.mark.parametrize("params, q, periods, x1", ADVERSARIAL_CASES)
+    def test_adversarial_emissions_follow_the_schedule(self, params, q, periods, x1):
+        sc = gen_adversarial_ir(*params, q=q, periods=periods, x1=x1)
+        meta = sc.meta
+        expected = [
+            (f"f{i}", f"{tag}_{k}", x1 + (i - 1) * meta["phi"] + k * meta["tau"] + offset)
+            for i in range(1, q + 1)
+            for k in range(periods)
+            for tag, offset in (("m1", 0), ("m2", meta["I"]))
+        ]
+        assert [(u.flow, u.unit, u.time) for u in sc.sources] == expected
+
+    def test_trace_event_is_immutable_and_derives_its_time(self):
+        trace = run_scenario(toy_scenario("lossy", timeout=F(13, 3)))
+        for e in trace.events:
+            assert e.time == Fraction(e.tick, e.grid)
+            assert type(e.time) is Fraction
+        e = trace.events[0]
+        assert isinstance(e, TraceEvent)
+        with pytest.raises(AttributeError):
+            e.tick = 0
+        with pytest.raises(AttributeError):
+            e.time = F(0)
+
+    def test_duplicate_generation_is_an_error(self):
+        trace = run_scenario(toy_scenario("rto"))
+        trace.events.append(trace.events[0])
+        for measure in (trace.delays, trace.lost_units, lambda: trace.times("generated")):
+            with pytest.raises(ScenarioError, match="duplicate generated event for f/1"):
+                measure()
 
 
 class TestSerialization:
