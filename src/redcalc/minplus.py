@@ -388,16 +388,6 @@ def deconvolve_delay(a: ConcaveCurve, delay) -> ConcaveCurve:
     )
 
 
-def round_bursts_up(curve: ConcaveCurve, quantum: Fraction) -> ConcaveCurve:
-    """`curve` with every burst rounded up to a multiple of `quantum`, so
-    the result bounds `curve` from above."""
-    return ConcaveCurve._canonical(
-        _normalize(
-            [_bucket(s.rate, -((-s.burst) // quantum) * quantum) for s in curve.segments]
-        )
-    )
-
-
 def lower_pseudo_inverse(a: ConcaveCurve, y):
     """inf{t >= 0 : a(t) >= y}; UNBOUNDED when a is capped below y."""
     a = _coerce(a)

@@ -257,11 +257,6 @@ class Trace:
                 left[key] = e.tick
         return gen, {key: left[key] for key in gen if key in left}
 
-    def exit_times(self) -> dict:
-        """(flow, unit) -> instant the unit left the last stage of its pipeline."""
-        _gen, done = self._walk()
-        return {key: Fraction(t, self.grid) for key, t in done.items()}
-
     def delays(self) -> dict:
         """(flow, unit) -> end-to-end delay, for units that made it through."""
         gen, done = self._walk()
@@ -312,7 +307,7 @@ def _is_drop(action) -> bool:
     return isinstance(action, str) and action == DROP
 
 
-def _delay_grid(path: PathSpec) -> int:
+def _path_grid(path: PathSpec) -> int:
     """Least common multiple of the denominators of the delays `path` may
     apply.  A literal that does not parse is left out: it fails where it is
     used, in unit order."""
@@ -579,7 +574,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     # timeout, and every instant the regulators produce
     grid = math.lcm(
         *{u.time.denominator for u in units},
-        *(_delay_grid(path) for path in scenario.paths),
+        *(_path_grid(path) for path in scenario.paths),
         1 if timeout is None else timeout.denominator,
         1 if pipe.reg is None else _reg_grid(pipe.reg, units),
     )

@@ -17,15 +17,13 @@ and port aggregates) as the pass before did, the port delays are an affine
 map of themselves: they are solved exactly, by fraction-free elimination in
 integers, and the solution is kept when it is the least fixed point above
 the state and the curves rebuilt from it give it back (the fixed-point form
-of total flow analysis for cyclic networks).
-The solve works on a fork of the analyzer, taken over only when the
-solution is kept; otherwise the fork is dropped and the sweep goes on as the
-fallback.
-Exact arithmetic could chase a geometric limit forever, so the passes of a
-network with a cycle round burst terms up onto a fixed grid (rounding up
-keeps every state a valid over-approximation); after `STALL_PASSES` passes
-that change port delays but no curve, a component's port delays go on that
-grid too.  A component either is solved, stabilizes (exact equality between
+of total flow analysis for cyclic networks).  When the curves rebuilt at the
+solution give other delays back, the solution lies on another affine piece:
+that piece is read at the solution and solved once more.  The solve works on
+a fork of the analyzer, taken over only when the solution is kept;
+otherwise the fork is dropped and the exact sweep goes on.  No value is
+rounded, so every bound is exact and none depends on how the vertices are
+named.  A component either is solved, stabilizes (exact equality between
 passes), exceeds the burst cap (Diverged), or runs `iter_cap` passes
 (IterationCap).  A cut-off component gets one more pass; the components
 after it are still processed.
@@ -68,7 +66,6 @@ from .minplus import (
     is_unbounded,
     parse_rational,
     rational_str,
-    round_bursts_up,
     to_jsonable,
 )
 from .redundancy import (
@@ -113,11 +110,9 @@ NO_DELAY = DelayInterval(0, 0)
 # a regulator configuration that admits no bound without proving divergence
 UNPROVEN = RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False)
 
-# burst grid for cyclic iteration; feed-forward sweeps stay exact
-BURST_QUANTUM = Fraction(1, 2**20)
-# passes in a row that change port delays but no curve, after which a cyclic
-# component's port delays go on the burst grid too
-STALL_PASSES = 5
+# affine pieces one solve reads: the one at the state, then the one at a
+# solution that the curves rebuilt there do not give back
+SOLVE_READS = 2
 
 
 def vertex_delay(vertex, aggregate: Optional[ConcaveCurve]) -> DelayInterval:
@@ -254,11 +249,11 @@ def _rates(curve):
     return None if curve is None else tuple(s.rate for s in curve.segments)
 
 
-def _least_fixed_point(forms: list, point: list):
+def _least_fixed_point(forms: list, point: list, floor: list):
     """The solution of `W = A W + b`, where `forms[i]` is the affine form
     `(A W + b)[i]` over the unknowns 0..n-1, written at `point` (a plain
     rational for a row of A that is zero); None unless `I - A` is invertible
-    with a nonnegative inverse and the solution is at least `point`.
+    with a nonnegative inverse and the solution is at least `floor`.
 
     Fraction-free Gauss-Jordan elimination (Bareiss) on `[I - A | I | b]`,
     each row scaled to integers by the lcm of its denominators: every row
@@ -295,7 +290,7 @@ def _least_fixed_point(forms: list, point: list):
     if any(x and (x < 0) != (d < 0) for row in rows for x in row[n : 2 * n]):
         return None
     solution = [Fraction(row[-1], d) for row in rows]
-    if any(w < x for w, x in zip(solution, point)):
+    if any(w < x for w, x in zip(solution, floor)):
         return None
     return solution
 
@@ -304,7 +299,7 @@ class _ComponentLog(NamedTuple):
     """What processing one component did beyond its members' state."""
 
     entry: str  # the status on entry
-    notes: tuple  # the cut-off, solve and grid notes it appended
+    notes: tuple  # the cut-off and solve notes it appended
     passes: int  # 1 for a vertex on no cycle
     exit: str  # the status on exit, before the report's overload check
 
@@ -317,16 +312,12 @@ class _Analyzer:
         self.burst_cap = burst_cap
         self.iter_cap = None  # set by run
         self.components = _sweep_order(network)
-        # a cycle puts every burst on the grid; feed-forward analysis stays exact
-        self.quantize = any(len(comp) > 1 for comp in self.components)
         self.notes = []  # cut-off notes
         self.curves = {}  # (flow, vertex) -> curve | None
         self.vertex_delays = {}
         # vertex -> site records and timeout notes of its last processing, by kind
         self.records = {}
-        self.curve_changes = 0  # stored curves changed so far
         self._loads = {}  # vertex -> aggregate curve at its port, None if cut off
-        self._delay_grid = set()  # vertices whose port delay upper ends are rounded up
         self.iterations = 0
         self.status = CONVERGED
         self._log = []  # _ComponentLog per component, in sweep order
@@ -391,20 +382,19 @@ class _Analyzer:
 
     def _reset(self, vertices):
         """The optimistic start at `vertices`: plain source curves, ports at
-        zero queueing, no load, site record or delay rounding."""
+        zero queueing, no load or site record."""
         for v in vertices:
             self.vertex_delays[v] = vertex_delay(self.net.vertices[v], None)
             for fid in self._crossing[v]:
                 self.curves[(fid, v)] = self.net.flows[fid].arrival
             self._loads.pop(v, None)
             self.records.pop(v, None)
-            self._delay_grid.discard(v)
 
     def _fork(self) -> "_Analyzer":
         """A copy that shares this one's structural tables and owns copies
         of its state containers (`copy.copy` keeps their types)."""
         an = copy.copy(self)
-        for name in ("curves", "vertex_delays", "records", "_loads", "_delay_grid", "notes"):
+        for name in ("curves", "vertex_delays", "records", "_loads", "notes"):
             setattr(an, name, copy.copy(getattr(self, name)))
         return an
 
@@ -515,36 +505,26 @@ class _Analyzer:
             return None
         return curve
 
-    def _round_up(self, curve):
-        if curve is None or not self.quantize:
-            return curve
-        return round_bursts_up(curve, BURST_QUANTUM)
-
     # -- chaotic iteration over one cyclic component -------------------------
 
     def settle(self, members, iter_cap: int) -> int:
         """Sweep a cyclic component until a pass changes nothing, and return
         the pass count; the stop rules are those of the status, per component.
         Once a pass leaves the component's shape (`_shape`) as the pass
-        before it did, the port delays are solved exactly (`_solve`); an
-        accepted solve ends the sweep, its confirmation counted as one more
-        pass, and a rejected one is tried again only on a new shape.  After
-        STALL_PASSES passes in a row that change no curve, the members' port
-        delays go on the burst grid and every member is dirty again.  A
-        cut-off component (Diverged, IterationCap) gets one more pass, which
-        carries the cut-off (None) curves around its cycles; over the dirty
-        members only, it leaves the state a pass over all of them would."""
+        before it did, the port delays are solved exactly (`_solve`, which
+        reads the affine piece again at a solution that is not confirmed);
+        an accepted solve ends the sweep, its confirmation counted as one
+        more pass, and a rejected one is tried again only on a new shape.
+        Every pass is exact.  A cut-off component (Diverged, IterationCap)
+        gets one more pass, which carries the cut-off (None) curves around
+        its cycles; over the dirty members only, it leaves the state a pass
+        over all of them would."""
         dirty = set(members)
-        passes = stalled = 0
+        passes = 0
         shape = tried = None
         for passes in range(1, iter_cap + 1):
-            curve_changes = self.curve_changes
             if not self._pass(members, dirty) or self.status != CONVERGED:
                 break
-            stalled = stalled + 1 if self.curve_changes == curve_changes else 0
-            if stalled == STALL_PASSES and members[0] not in self._delay_grid:
-                self._grid_delays(members)
-                dirty.update(members)
             last, shape = shape, self._shape(members)
             if shape == last != tried and passes < iter_cap:
                 tried = shape
@@ -571,42 +551,50 @@ class _Analyzer:
         """Solve the component's port delays exactly, and keep the solution
         only if it is the least fixed point above the current state.
 
-        With the served members' upper delay ends frozen as unknowns `W`,
-        one walk over the flows rebuilds every curve of the component, and
-        the port delays read from those curves are `W' = A W + b`, the
-        affine piece of the sweep at the current state.  The solution of
-        `(I - A) W = b` is accepted when `(I - A)` has a nonnegative inverse
-        (the iteration from below converges to it), it is at least the
-        current state, and it confirms itself, with no burst or delay
-        rounding: the walk rebuilt at the solution keeps the status
-        Converged and gives every member back its frozen port delay, and
-        re-processing the members that host a function, which rewrites
-        their site records and notes in sweep order, changes nothing.  Each
+        With the served members' upper delay ends frozen as unknowns `W` at
+        a point, one walk over the flows rebuilds every curve of the
+        component, and the port delays read from those curves are
+        `W' = A W + b`, the affine piece of the sweep at that point, first
+        the current state.  `(I - A) W = b` is solved when `I - A` has a
+        nonnegative inverse (the iteration from below converges to the
+        solution), and the solution must be at least the current state.
+        The curves are then rebuilt exactly at the solution; when they give
+        other port delays back, the solution lies on another piece, which
+        is read there and solved the same way, up to SOLVE_READS pieces in
+        all.  The solution is accepted when it confirms itself: the walk
+        rebuilt at it keeps the status Converged and gives every member back
+        its frozen port delay, and re-processing the members that host a
+        function, which rewrites their site records and notes in sweep
+        order, changes nothing.  Each
         member then reads what the rebuild wrote, so an exact pass over the
         members would change nothing either.  The solve works on a fork
         (`_fork`), whose state this analyzer takes over only when the solve
         is accepted; a rejected solve drops the fork and leaves the state
         as it was."""
         served = [v for v in members if self.net.vertices[v].service is not None]
-        point = [self.vertex_delays[v].hi for v in served]
-        if any(is_unbounded(x) for x in point):
+        point = state = [self.vertex_delays[v].hi for v in served]
+        if any(is_unbounded(x) for x in state):
             return False
         trial = self._fork()
-        trial.quantize = False
         for v in members:  # the walks append to the members' site records
             trial.records.pop(v, None)
-        for i, v in enumerate(served):
-            trial._freeze(v, Affine(point[i], {i: 1}))
-        delays = trial._rebuild(members)
-        if trial.status != CONVERGED or any(is_unbounded(delays[v].hi) for v in served):
-            return False
-        solution = _least_fixed_point([delays[v].hi for v in served], point)
-        if solution is None:
-            return False
-        for v, w in zip(served, solution):
-            trial._freeze(v, w)
-        delays = trial._rebuild(members)
-        if trial.status != CONVERGED or any(delays[v] != trial.vertex_delays[v] for v in members):
+        for _ in range(SOLVE_READS):
+            for i, v in enumerate(served):
+                trial._freeze(v, Affine(point[i], {i: 1}))
+            delays = trial._rebuild(members)
+            if trial.status != CONVERGED or any(is_unbounded(delays[v].hi) for v in served):
+                return False
+            point = _least_fixed_point([delays[v].hi for v in served], point, state)
+            if point is None:
+                return False
+            for v, w in zip(served, point):
+                trial._freeze(v, w)
+            delays = trial._rebuild(members)
+            if trial.status != CONVERGED:
+                return False
+            if all(delays[v] == trial.vertex_delays[v] for v in members):
+                break
+        else:
             return False
         # only the members that host a function keep site records: they are
         # rewritten in sweep order, from the rebuilt curves
@@ -614,7 +602,7 @@ class _Analyzer:
             trial.records.pop(v, None)
         if trial._pass(members, {v for v in members if self._placed[v]}):
             return False
-        vars(self).update(vars(trial), quantize=self.quantize)  # the trial's state, grid kept
+        vars(self).update(vars(trial))  # the trial's state
         self.notes.append(
             f"port delays at {', '.join(members)} solved exactly after {passes} passes"
         )
@@ -635,19 +623,6 @@ class _Analyzer:
                     cur = post[v][fid] = self._post(fid, v)
                     self.curves[(fid, v)] = self._output(cur, self.vertex_delays[v])
         return {v: self._port_delay(v, post[v]) for v in members}
-
-    def _grid_delays(self, members):
-        """Round the members' port delay upper ends up onto the burst grid
-        from their next processing on.  The curves have stopped moving while
-        the delays chase a geometric limit through the section bounds of the
-        eliminators; a larger upper delay is still a bound, and every
-        transform is monotone, so the iteration stays sound, and on the grid
-        the delays stop moving once the curves do."""
-        self._delay_grid.update(members)
-        self.notes.append(
-            f"port delays at {', '.join(members)} rounded up onto the burst grid "
-            f"after {STALL_PASSES} passes that changed no curve"
-        )
 
     def _pass(self, members, dirty: set) -> bool:
         """One Gauss-Seidel pass over the dirty members, in sorted order; a
@@ -685,9 +660,6 @@ class _Analyzer:
                 post[fid] = self._transform(placement, fid, v, post[fid])
 
         vdel = self._port_delay(v, post)
-        if self.quantize and v in self._delay_grid and not is_unbounded(vdel.hi):
-            vdel = DelayInterval(vdel.lo, -(-vdel.hi // BURST_QUANTUM) * BURST_QUANTUM)
-
         changed = self.vertex_delays.get(v) != vdel
         self.vertex_delays[v] = vdel
 
@@ -695,7 +667,6 @@ class _Analyzer:
             out = self._output(cur, vdel)
             if self.curves.get((fid, v)) != out:
                 changed = True
-                self.curve_changes += 1
             self.curves[(fid, v)] = out
         return changed
 
@@ -731,7 +702,7 @@ class _Analyzer:
     def _output(self, cur, vdel: DelayInterval):
         if cur is None or is_unbounded(vdel.hi):
             return None
-        return self._capped(self._round_up(lossy_jitter_output_curve(cur, vdel)))
+        return self._capped(lossy_jitter_output_curve(cur, vdel))
 
     # -- local function transforms ---------------------------------------------
 

@@ -688,6 +688,29 @@ def random_cyclic_network(rng):
     return _network_doc(_with_endpoints(vertices, flows), flows, placements)
 
 
+def relabeled(doc, rng):
+    """`doc` with its vertex names permuted at random, so that they sort in
+    another order, and the map from each new name to the old one."""
+    names = [v["name"] for v in doc["vertices"]]
+    new = dict(zip(names, rng.sample(names, len(names))))
+    out = copy.deepcopy(doc)
+    for v in out["vertices"]:
+        v["name"] = new[v["name"]]
+    for e in out["edges"]:
+        e["from"], e["to"] = new[e["from"]], new[e["to"]]
+    for f in out["flows"]:
+        f["source"] = new[f["source"]]
+        f["destinations"] = [new[x] for x in f["destinations"]]
+        f["edges"] = [[new[u], new[v]] for u, v in f["edges"]]
+        if "deadlines" in f:
+            f["deadlines"] = {new[x]: d for x, d in f["deadlines"].items()}
+    for p in out["placements"]:
+        p["vertex"] = new[p["vertex"]]
+        if "reference" in p:
+            p["reference"] = new[p["reference"]]
+    return out, {b: a for a, b in new.items()}
+
+
 def shaped_scenario(mode):
     """Two flows on one reordering path into a regulator with fractional
     rates, bursts and sizes; g's curve has a rate-0 segment that caps its

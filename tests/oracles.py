@@ -10,14 +10,17 @@ min-plus primitives, which the general form must reproduce.  The analyzer's
 SCC sweep order (Kosaraju) is checked against Tarjan's algorithm, and its
 schedule (each component on its own, dirty vertices only) against the global
 loop that re-runs every vertex on every sweep.  That loop solves nothing
-exactly: it stays the reference of the grid iteration, which the analyzer
-keeps as the fallback of its exact solve.  The exact solve's integer
-elimination is checked against Gauss-Jordan elimination in `Fraction`, and
-the model comparison, whose intuitive analysis starts from the tight one,
-against two independent analyses.  The simulator, which keeps every
-instant as an integer tick, is checked against a replay that keeps every
-instant as a `Fraction` and orders and subtracts them on a grid of their
-denominators.
+exactly.  It keeps the grid algorithm that the analyzer ran before every
+cyclic component was solved exactly: bursts rounded up onto a fixed grid,
+and port delays too once the curves stall.  The analyzer's bounds may only
+fall below that reference.  With its rounding off, the loop is the exact
+sweep that a run with no accepted solve must match.  The exact solve's
+integer elimination is checked against Gauss-Jordan elimination in
+`Fraction`, and the model comparison, whose intuitive analysis starts from
+the tight one, against two independent analyses.  The simulator, which
+keeps every instant as an integer tick, is checked against a replay that
+keeps every instant as a `Fraction` and orders and subtracts them on a grid
+of their denominators.
 """
 
 import itertools
@@ -35,6 +38,7 @@ from redcalc.minplus import (
     is_unbounded,
     parse_rational,
 )
+from redcalc.redundancy import lossy_jitter_output_curve
 from redcalc.tfa import (
     CONVERGED,
     DEFAULT_BURST_CAP,
@@ -43,7 +47,6 @@ from redcalc.tfa import (
     ITERATION_CAP,
     MODEL_INTUITIVE,
     MODEL_TIGHT,
-    STALL_PASSES,
     _Analyzer,
     analyze,
 )
@@ -56,7 +59,14 @@ from redcalc.sim import (
     REG_EXIT,
     Scenario,
 )
-from redcalc.topology import REG_PER_FLOW, NetworkSpec
+from redcalc.topology import REG_PER_FLOW, DelayInterval, NetworkSpec
+
+# the grid of the reference iteration: bursts, and stalled port delays, are
+# rounded up to multiples of BURST_QUANTUM
+BURST_QUANTUM = Fraction(1, 2**20)
+# sweeps in a row that change port delays but no curve, after which every
+# cyclic component's port delays go on the grid too
+STALL_PASSES = 5
 
 
 def curve_value(curve: ConcaveCurve, t: Fraction) -> Fraction:
@@ -318,15 +328,48 @@ def tarjan_sweep_order(network: NetworkSpec):
     return order, acyclic
 
 
-def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None, burst_cap=None):
+def _round_up(x: Fraction) -> Fraction:
+    return -(-x // BURST_QUANTUM) * BURST_QUANTUM
+
+
+class _GridAnalyzer(_Analyzer):
+    """The analyzer with the grid of the reference iteration: on a network
+    with a cycle and `grid` on, every output curve's bursts are rounded up
+    before the burst cap is checked, and so are the upper port delays of
+    the vertices in `delay_grid`.  Rounding up keeps every state a bound."""
+
+    def __init__(self, network, model, lossless, burst_cap, grid):
+        super().__init__(network, model, lossless, burst_cap)
+        self.grid = grid and any(len(comp) > 1 for comp in self.components)
+        self.delay_grid = set()
+
+    def _output(self, cur, vdel):
+        if not self.grid or cur is None or is_unbounded(vdel.hi):
+            return super()._output(cur, vdel)
+        out = lossy_jitter_output_curve(cur, vdel)
+        return self._capped(ConcaveCurve((s.rate, _round_up(s.burst)) for s in out.segments))
+
+    def _port_delay(self, v, post):
+        vdel = super()._port_delay(v, post)
+        if v in self.delay_grid and not is_unbounded(vdel.hi):
+            return DelayInterval(vdel.lo, _round_up(vdel.hi))
+        return vdel
+
+
+def full_sweep_analyze(
+    network, model=MODEL_TIGHT, lossless=False, iter_cap=None, burst_cap=None, *, grid=True
+):
     """`tfa.analyze` by a global Gauss-Seidel loop: every vertex, in sweep
     order, on every sweep, until a sweep changes nothing, the burst cap is
     exceeded or `iter_cap` sweeps have run; a cut-off run sweeps once more.
-    The stop rules and the stall rule apply to the whole network, so
-    `iterations` counts its sweeps.  No port delay is solved exactly."""
+    The stop rules apply to the whole network, so `iterations` counts its
+    sweeps.  No port delay is solved exactly.  With `grid` (the default) a
+    network with a cycle runs on the burst grid, and after STALL_PASSES
+    sweeps that change no curve every cyclic component's port delays go on
+    it too; without it every value is exact."""
     iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
     burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
-    an = _Analyzer(network, model, lossless, burst_cap)
+    an = _GridAnalyzer(network, model, lossless, burst_cap, grid)
     order = [v for comp in an.components for v in comp]
 
     def sweep():
@@ -335,25 +378,28 @@ def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None
             changed |= an._process_vertex(v)
         return changed
 
-    if not an.quantize:  # feed-forward
+    if all(len(comp) == 1 for comp in an.components):  # feed-forward
         sweep()
         an.iterations = 1
     else:
         stalled = 0
         for i in range(1, iter_cap + 1):
-            curve_changes = an.curve_changes
+            curves = dict(an.curves)
             changed = sweep()
             an.iterations = i
             if an.status == DIVERGED or not changed:
                 break
-            # the stall rule of `_Analyzer.settle`, on the whole network:
-            # after STALL_PASSES sweeps that change no curve, every cyclic
-            # component's port delays go on the grid
-            stalled = stalled + 1 if an.curve_changes == curve_changes else 0
-            if stalled == STALL_PASSES:
+            # each curve is stored once per sweep, so a sweep that changes no
+            # curve leaves them all equal
+            stalled = stalled + 1 if an.curves == curves else 0
+            if stalled == STALL_PASSES and an.grid:
                 for comp in an.components:
-                    if len(comp) > 1 and comp[0] not in an._delay_grid:
-                        an._grid_delays(comp)
+                    if len(comp) > 1 and comp[0] not in an.delay_grid:
+                        an.delay_grid.update(comp)
+                        an.notes.append(
+                            f"port delays at {', '.join(comp)} rounded up onto the burst grid "
+                            f"after {STALL_PASSES} passes that changed no curve"
+                        )
         else:
             an.status = ITERATION_CAP
             an.notes.append(f"no fixed point within {iter_cap} sweeps")
@@ -362,11 +408,12 @@ def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None
     return an.report()
 
 
-def least_fixed_point_by_fractions(forms: list, point: list):
+def least_fixed_point_by_fractions(forms: list, point: list, floor: list):
     """`tfa._least_fixed_point` by Gauss-Jordan elimination in `Fraction` on
     `[I - A | I | b]`, each pivot row normalized to 1: the solution of
-    `W = A W + b`, or None unless `I - A` is invertible with a nonnegative
-    inverse and the solution is at least `point`."""
+    `W = A W + b`, its forms written at `point`, or None unless `I - A` is
+    invertible with a nonnegative inverse and the solution is at least
+    `floor`."""
     n = len(point)
     rows = []
     for i, w in enumerate(forms):
@@ -392,7 +439,7 @@ def least_fixed_point_by_fractions(forms: list, point: list):
     if any(x < 0 for row in rows for x in row[n : 2 * n]):
         return None
     solution = [Fraction(row[-1]) for row in rows]
-    if any(w < x for w, x in zip(solution, point)):
+    if any(w < x for w, x in zip(solution, floor)):
         return None
     return solution
 
@@ -532,9 +579,9 @@ def replay_in_fractions(scenario: Scenario):
 
 
 def fraction_trace_measures(scenario: Scenario, events: list):
-    """(exit times, delays, lost units) of `replay_in_fractions` events, as
-    `sim.Trace` returns them: the exit is the last crossing of the flow's
-    final stage, and delays are taken on the lcm of the denominators."""
+    """(delays, lost units) of `replay_in_fractions` events, as `sim.Trace`
+    returns them: the exit is the last crossing of the flow's final stage,
+    and delays are taken on the lcm of the denominators."""
     def final_kind(flow):
         pipe = scenario.pipeline
         if pipe.reg is not None and flow in pipe.reg.shaping:
@@ -557,7 +604,7 @@ def fraction_trace_measures(scenario: Scenario, events: list):
         return t.numerator * (grid // t.denominator)
 
     delays = {key: Fraction(ticks(t) - ticks(gen[key]), grid) for key, t in done.items()}
-    return done, delays, sorted(k for k in gen if k not in done)
+    return delays, sorted(k for k in gen if k not in done)
 
 
 def fifo_per_flow_by_fractions(scenario: Scenario, events: list, kind: str) -> bool:
