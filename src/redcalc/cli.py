@@ -11,18 +11,13 @@ import argparse
 import functools
 import json
 import sys
-from importlib import resources
 
 from .minplus import is_unbounded, to_jsonable
 from .sim import load_scenario, run_scenario
 from .tfa import CONVERGED, MODEL_INTUITIVE, MODEL_TIGHT, analyze, compare_models
-from .topology import SpecError, load_network
+from .topology import SpecError, bundled_dir, load_network
 
 BUNDLED_PREFIX = "bundled:"
-
-
-def bundled_dir():
-    return resources.files("redcalc").joinpath("data")
 
 
 def bundled_names() -> list:
@@ -33,15 +28,6 @@ def resolve_input(path: str):
     if path.startswith(BUNDLED_PREFIX):
         return bundled_dir().joinpath(path[len(BUNDLED_PREFIX):])
     return path
-
-
-def _load(path, loader):
-    """`loader` applied to the file at `path`, bundled inputs included."""
-    target = resolve_input(path)
-    if hasattr(target, "open"):
-        with target.open("r", encoding="utf-8") as fh:
-            return loader(fh)
-    return loader(target)
 
 
 def _emit(text: str, out_path):
@@ -69,7 +55,7 @@ def _caps(args) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    network = _load(args.input, load_network)
+    network = load_network(resolve_input(args.input))
     report = analyze(network, model=args.model, lossless=args.lossless, **_caps(args))
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
@@ -79,7 +65,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    network = _load(args.input, load_network)
+    network = load_network(resolve_input(args.input))
     out = compare_models(network, lossless=args.lossless, **_caps(args))
     doc = {
         "tight": out["tight"],
@@ -94,15 +80,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load(args.scenario, load_scenario)
+    scenario = load_scenario(resolve_input(args.scenario))
     trace = run_scenario(scenario)
     _emit(trace.to_csv(), args.trace_out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    scenario = _load(args.scenario, load_scenario)
-    network = _load(args.network, load_network)
+    scenario = load_scenario(resolve_input(args.scenario))
+    network = load_network(resolve_input(args.network))
     report = analyze(network, model=args.model, lossless=args.lossless, **_caps(args))
     trace = run_scenario(scenario)
     delays = trace.delays()

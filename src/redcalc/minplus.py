@@ -204,9 +204,6 @@ class RateLatency:
         t = parse_rational(t)
         return self.rate * max(Fraction(0), t - self.latency)
 
-    def to_json(self) -> dict:
-        return {"rate": rational_str(self.rate), "latency": rational_str(self.latency)}
-
 
 class ConcaveCurve:
     """Finite minimum of token buckets, normalized to a canonical form.

@@ -38,9 +38,8 @@ Stage semantics:
 
 import csv
 import io
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -159,6 +158,9 @@ class Pipeline:
 
 @dataclass(frozen=True)
 class FlowProfile:
+    """A flow's declared arrival curve and unit sizes, each None if not
+    given; given sizes pass the network loader's checks."""
+
     arrival: Optional[ConcaveCurve] = None
     lmin: Optional[Fraction] = None
     lmax: Optional[Fraction] = None
@@ -167,6 +169,10 @@ class FlowProfile:
         for name in ("lmin", "lmax"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, parse_rational(getattr(self, name)))
+        if self.lmin is not None and self.lmin <= 0:
+            raise ScenarioError("minimum data unit size must be > 0")
+        if None not in (self.lmin, self.lmax) and self.lmax < self.lmin:
+            raise ScenarioError("lmax must be >= lmin")
 
 
 @dataclass
@@ -183,8 +189,7 @@ class Scenario:
 class TraceEvent(NamedTuple):
     """One stage crossing.  The instant is `tick` ticks of 1/`grid` time
     units, the grid of the run that made the event; `time` is the same
-    instant as a Fraction.  `seq` numbers the events of a run in the order
-    the stages made them, which breaks ties between equal instants."""
+    instant as a Fraction."""
 
     tick: int
     grid: int
@@ -193,7 +198,6 @@ class TraceEvent(NamedTuple):
     unit: str
     size: Fraction
     branch: Optional[str] = None
-    seq: int = 0
 
     @property
     def time(self) -> Fraction:
@@ -203,28 +207,19 @@ class TraceEvent(NamedTuple):
 class Trace:
     """Ordered event record of one run.
 
-    `events` must all be on the grid `grid`.  They are sorted in place by
-    (tick, seq), and every instant `Trace` compares or subtracts is a tick;
-    the times and delays it returns are Fractions."""
+    `events` must all be on the grid `grid`, listed in the order the stages
+    made them.  They are sorted in place, stably by tick, so events at one
+    instant keep that order.  Every instant `Trace` compares or subtracts is
+    a tick; the times and delays it returns are Fractions."""
 
     def __init__(self, scenario: Scenario, events: list, grid: int):
         self.scenario = scenario
         self.grid = grid
-        events.sort(key=itemgetter(0, 7))  # (tick, seq)
+        events.sort(key=itemgetter(0))
         self.events = events
 
     def of_kind(self, kind: str) -> list:
         return [e for e in self.events if e.kind == kind]
-
-    def times(self, kind: str) -> dict:
-        """(flow, unit) -> event time for one stage; error on duplicates."""
-        out = {}
-        for e in self.of_kind(kind):
-            key = (e.flow, e.unit)
-            if key in out:
-                raise ScenarioError(f"duplicate {kind} event for {e.flow}/{e.unit}")
-            out[key] = e.time
-        return out
 
     def final_kind(self, flow: str) -> str:
         pipe = self.scenario.pipeline
@@ -330,12 +325,12 @@ def _tick_bounds(bounds: DelayInterval, grid: int):
     return lo, bounds.hi.numerator * grid // bounds.hi.denominator
 
 
-def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int, seq):
+def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int):
     """Apply each path's schedule; returns the sorted arrivals and the events.
 
     `units` are the scenario's sources, `ticks` their emission ticks and
     `rank` their places in emission order.  An arrival is (exit tick, path
-    index, rank, branch event)."""
+    index, rank)."""
     events = []
     arrivals = []
     for pidx, path in enumerate(paths):
@@ -355,10 +350,9 @@ def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int, 
                     f"{u.flow}/{u.unit} outside declared bounds"
                 )
             exit_t = ticks[j] + d
-            ev = TraceEvent(exit_t, grid, BRANCH_EXIT, u.flow, u.unit, u.size, path.name, next(seq))
-            events.append(ev)
+            events.append(TraceEvent(exit_t, grid, BRANCH_EXIT, u.flow, u.unit, u.size, path.name))
             exit_by_rank[rank[j]] = exit_t
-            arrivals.append((exit_t, pidx, rank[j], ev))
+            arrivals.append((exit_t, pidx, rank[j]))
         if path.fifo:
             last = None
             for exit_t in exit_by_rank:
@@ -367,29 +361,28 @@ def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int, 
                 if last is not None and exit_t < last:
                     raise ScenarioError(f"path {path.name}: schedule violates FIFO order")
                 last = exit_t
-    arrivals.sort()  # (path, rank) is unique, so events are never compared
+    arrivals.sort()
     return arrivals, events
 
 
-def _pef_stage(arrivals: list, seq):
+def _pef_stage(arrivals: list, sources: list, grid: int):
     """First replicate wins; later copies of the same unit are discarded.
 
     Returns (tick, rank) in exit order and the PEF events."""
     out = []
     events = []
     seen = set()
-    for exit_t, _pidx, rank, ev in arrivals:
+    for exit_t, _pidx, rank in arrivals:
         if rank in seen:
             continue
         seen.add(rank)
         out.append((exit_t, rank))
-        events.append(
-            TraceEvent(exit_t, ev.grid, PEF_EXIT, ev.flow, ev.unit, ev.size, None, next(seq))
-        )
+        u = sources[rank]
+        events.append(TraceEvent(exit_t, grid, PEF_EXIT, u.flow, u.unit, u.size))
     return out, events
 
 
-def _pof_stage(inputs: list, spec: PofSpec, sources: list, timeout, grid: int, seq):
+def _pof_stage(inputs: list, spec: PofSpec, sources: list, timeout, grid: int):
     """Re-sequence to source order with optional per-unit timeout.
 
     `inputs` are (tick, rank) in arrival order and `timeout` is in ticks or
@@ -457,7 +450,7 @@ def _pof_stage(inputs: list, spec: PofSpec, sources: list, timeout, grid: int, s
     events = []
     for t, _idx, rank in released:
         u = sources[rank]
-        events.append(TraceEvent(t, grid, POF_EXIT, u.flow, u.unit, u.size, None, next(seq)))
+        events.append(TraceEvent(t, grid, POF_EXIT, u.flow, u.unit, u.size))
     bypass.sort()
     n = len(released)
     released.extend((t, n + k, rank) for k, (t, rank) in enumerate(bypass))
@@ -514,7 +507,7 @@ class _BucketState:
         return t
 
 
-def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int, seq):
+def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int):
     """Token-bucket release of queued units; returns the REG events.
 
     `inputs` are (tick, index, rank) in arrival order."""
@@ -557,7 +550,7 @@ def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int
     events = []
     for t, _idx, rank in exits:
         u = sources[rank]
-        events.append(TraceEvent(t, grid, REG_EXIT, u.flow, u.unit, u.size, None, next(seq)))
+        events.append(TraceEvent(t, grid, REG_EXIT, u.flow, u.unit, u.size))
     return events
 
 
@@ -586,36 +579,35 @@ def run_scenario(scenario: Scenario) -> Trace:
     sources = [units[j] for j in by_rank]
     start = ticks[by_rank[0]] if units else 0
 
-    seq = itertools.count(1)
     events = [
-        TraceEvent(ticks[j], grid, GENERATED, u.flow, u.unit, u.size, None, next(seq))
+        TraceEvent(ticks[j], grid, GENERATED, u.flow, u.unit, u.size)
         for j, u in zip(by_rank, sources)
     ]
     del by_rank
-    arrivals, branch_events = _branch_stage(scenario.paths, units, ticks, rank, grid, seq)
+    arrivals, branch_events = _branch_stage(scenario.paths, units, ticks, rank, grid)
     del ticks, rank
     events.extend(branch_events)
 
     if pipe.pef:
-        merged, pef_events = _pef_stage(arrivals, seq)
+        merged, pef_events = _pef_stage(arrivals, sources, grid)
         events.extend(pef_events)
     else:
-        forwarded_twice = len(arrivals) != len({r for _t, _p, r, _ev in arrivals})
+        forwarded_twice = len(arrivals) != len({r for _t, _p, r in arrivals})
         if forwarded_twice and (pipe.pof or pipe.reg):
             raise ScenarioError("duplicate replicates reach the pipeline but no eliminator is placed")
-        merged = [(t, r) for t, _p, r, _ev in arrivals]
+        merged = [(t, r) for t, _p, r in arrivals]
     del arrivals
 
     if pipe.pof is not None:
         if timeout is not None:
             timeout = timeout.numerator * (grid // timeout.denominator)
-        merged, pof_events = _pof_stage(merged, pipe.pof, sources, timeout, grid, seq)
+        merged, pof_events = _pof_stage(merged, pipe.pof, sources, timeout, grid)
         events.extend(pof_events)
     else:
         merged = [(t, idx, r) for idx, (t, r) in enumerate(merged)]
 
     if pipe.reg is not None:
-        events.extend(_reg_stage(merged, pipe.reg, sources, start, grid, seq))
+        events.extend(_reg_stage(merged, pipe.reg, sources, start, grid))
 
     return Trace(scenario, events, grid)
 
@@ -642,15 +634,16 @@ def scenario_from_json(doc) -> Scenario:
     for fid, raw in _typed(doc.get("flows", {}), dict, "flows").items():
         path = f"flows.{fid}"
         _typed(raw, dict, path)
-        flows[fid] = FlowProfile(
-            arrival=(
-                None
-                if raw.get("arrival") is None
-                else parse_curve(raw["arrival"], f"{path}.arrival")
-            ),
-            lmin=_rational(raw["lmin"], f"{path}.lmin") if "lmin" in raw else None,
-            lmax=_rational(raw["lmax"], f"{path}.lmax") if "lmax" in raw else None,
+        profile = FlowProfile(
+            None if raw.get("arrival") is None else parse_curve(raw["arrival"], f"{path}.arrival")
         )
+        # lmin, then lmax against it, each fault named at its own path
+        for key in ("lmin", "lmax"):
+            if key in raw:
+                profile = _parsed(
+                    lambda v: replace(profile, **{key: v}), raw[key], f"{path}.{key}"
+                )
+        flows[fid] = profile
     sources = []
     units = set()
     entries = _typed(_required(doc, "sources", "sources"), list, "sources")

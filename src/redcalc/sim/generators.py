@@ -2,9 +2,10 @@
 
 Three families:
 
-* ``toy_scenario``: hand-written runs on the two-branch toy setup (short
-  branch [0, 1], long branch [6, 7], unit-rate unit-burst flow) that exercise
+* ``toy_scenario``: the toy runs of the two-branch toy setup (short branch
+  [0, 1], long branch [6, 7], unit-rate unit-burst flow) that exercise
   elimination, re-sequencing, and per-flow regulation one feature at a time.
+  They are the bundled ``scn-toy-*.json`` scenarios, loaded from the package.
 * ``gen_tightness_trajectory``: a schedule on two lossy branches that is
   compliant at the source yet lands the full worst-case burst at a single
   instant after elimination, matching the analyzer's output burst exactly.
@@ -14,11 +15,12 @@ Three families:
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from ..minplus import ConcaveCurve, parse_rational
 from ..regulators import ir_q_min
-from ..topology import REG_INTERLEAVED, REG_PER_FLOW, DelayInterval
+from ..topology import REG_INTERLEAVED, DelayInterval, bundled_dir
 from .engine import (
     DROP,
     FlowProfile,
@@ -28,69 +30,32 @@ from .engine import (
     RegSpec,
     Scenario,
     SourceUnit,
+    load_scenario,
 )
 
 TOY_VARIANTS = ("double-rate", "rto", "pof", "pfr", "pof-pfr", "lossy")
 
 
-def _toy_paths(short_schedule, long_schedule):
-    return [
-        PathSpec("short", DelayInterval(0, 1), short_schedule),
-        PathSpec("long", DelayInterval(6, 7), long_schedule),
-    ]
-
-
 def toy_scenario(variant: str, timeout=None) -> Scenario:
-    """One of the canned toy runs; see TOY_VARIANTS for the accepted names."""
+    """One of the toy runs; see TOY_VARIANTS for the accepted names.
+
+    Each is the bundled ``scn-toy-<variant>.json``, except ``pof``: the
+    ``rto`` run with a re-sequencer of timeout `timeout` added.  A given
+    `timeout` replaces that of a run's re-sequencer; a run without one
+    ignores it."""
     if variant not in TOY_VARIANTS:
         raise ValueError(f"unknown toy variant {variant!r}")
-    one = Fraction(1)
-    units = [SourceUnit("f", str(k), Fraction(k), one) for k in range(1, 15)]
-    keys = {k: ("f", str(k)) for k in range(1, 15)}
-
-    long_all_7 = {keys[k]: Fraction(7) for k in range(1, 15)}
-    # short branch loses the head of the sequence, then becomes fast
-    short_fast = {keys[k]: DROP for k in range(1, 7)}
-    short_fast[keys[7]] = Fraction(1)
-    for k in range(8, 15):
-        short_fast[keys[k]] = Fraction(0)
-
-    pof = None
-    reg = None
-    if variant == "double-rate":
-        short = dict(short_fast)
-        short[keys[7]] = Fraction(1)
-        for k in range(8, 15):
-            short[keys[k]] = Fraction(1)
-        long = dict(long_all_7)
-    elif variant in ("rto", "pof"):
-        short = dict(short_fast)
-        long = {keys[1]: Fraction(7)}
-        for k in range(2, 15):
-            long[keys[k]] = Fraction(6)
-        if variant == "pof":
-            pof = PofSpec(timeout=timeout)
-    else:
-        short = dict(short_fast)
-        long = dict(long_all_7)
-        reg = RegSpec(REG_PER_FLOW, {"f": ConcaveCurve([(1, 1)])})
-        if variant == "pof-pfr":
-            pof = PofSpec(timeout=timeout)
-        elif variant == "lossy":
-            if timeout is None:
-                timeout = Fraction(6)
-            pof = PofSpec(timeout=timeout)
-            short[keys[3]] = DROP
-            long[keys[3]] = DROP
-
-    return Scenario(
-        name=f"toy-{variant}",
-        sources=units,
-        paths=_toy_paths(short, long),
-        pipeline=Pipeline(pef=True, pof=pof, reg=reg),
-        flows={"f": FlowProfile(arrival=ConcaveCurve([(1, 1)]), lmin=one, lmax=one)},
-        meta={"variant": variant},
-    )
+    name = "scn-toy-rto.json" if variant == "pof" else f"scn-toy-{variant}.json"
+    scenario = load_scenario(bundled_dir().joinpath(name))
+    pipe = scenario.pipeline
+    if variant == "pof":
+        pipe = replace(pipe, pof=PofSpec(timeout))
+    elif timeout is not None and pipe.pof is not None:
+        pipe = replace(pipe, pof=replace(pipe.pof, timeout=timeout))
+    scenario.name = f"toy-{variant}"
+    scenario.pipeline = pipe
+    scenario.meta = {"variant": variant}
+    return scenario
 
 
 def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scenario:

@@ -164,12 +164,6 @@ class AnalysisReport:
     reg_sites: list
     notes: list  # cut-off notes, then the vertices' timeout notes, then overloaded ports
 
-    def result_for(self, flow: str, destination: str) -> FlowResult:
-        for r in self.results:
-            if r.flow == flow and r.destination == destination:
-                return r
-        raise KeyError((flow, destination))
-
     def any_violation(self) -> bool:
         return any(r.verdict in ("violated", "unbounded") for r in self.results)
 
@@ -937,7 +931,10 @@ class _Analyzer:
 def _checked_caps(iter_cap, burst_cap) -> tuple:
     """The caps with their defaults filled in; ValueError out of range."""
     iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
-    burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
+    try:
+        burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
+    except (TypeError, ValueError):
+        raise ValueError(f"burst cap must be a rational, not {burst_cap!r}") from None
     if iter_cap < 1:
         raise ValueError(f"iteration cap must be at least 1, not {iter_cap}")
     if burst_cap < 0:

@@ -17,6 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import resources
 from typing import Optional, Union
 
 from .minplus import (
@@ -318,15 +319,29 @@ class SpecError(ValueError):
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
+def bundled_dir():
+    """The directory of the network and scenario corpus shipped in the
+    package."""
+    return resources.files("redcalc").joinpath("data")
+
+
+def _json_load(fh):
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise SpecError("$", "the document nests too deeply") from None
+
+
 def _read_document(source, parse):
-    """`parse` applied to one JSON document: a dict, an open file, or a
-    filesystem path."""
+    """`parse` applied to one JSON document: a dict, an open file, a
+    filesystem path, or a file of the package (`bundled_dir`)."""
     if isinstance(source, dict):
         return parse(source)
     if hasattr(source, "read"):
-        return parse(json.load(source))
-    with open(source, encoding="utf-8") as fh:
-        return parse(json.load(fh))
+        return parse(_json_load(source))
+    opener = source.open if hasattr(source, "open") else functools.partial(open, source)
+    with opener(encoding="utf-8") as fh:
+        return parse(_json_load(fh))
 
 
 def _parsed(parse, data, path: str, what: str = ""):

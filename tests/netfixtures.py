@@ -6,8 +6,27 @@ import random
 from fractions import Fraction
 
 from redcalc.minplus import ConcaveCurve
-from redcalc.sim import PathSpec, Pipeline, RegSpec, Scenario, SourceUnit
+from redcalc.sim import PathSpec, Pipeline, RegSpec, Scenario, ScenarioError, SourceUnit
 from redcalc.topology import DelayInterval
+
+
+def result_for(report, flow: str, destination: str):
+    """The report's FlowResult for (flow, destination); KeyError if none."""
+    for r in report.results:
+        if r.flow == flow and r.destination == destination:
+            return r
+    raise KeyError((flow, destination))
+
+
+def times(trace, kind: str) -> dict:
+    """(flow, unit) -> time of the trace's `kind` event; error on duplicates."""
+    out = {}
+    for e in trace.of_kind(kind):
+        key = (e.flow, e.unit)
+        if key in out:
+            raise ScenarioError(f"duplicate {kind} event for {e.flow}/{e.unit}")
+        out[key] = e.time
+    return out
 
 
 def gamma(rate, burst):

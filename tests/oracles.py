@@ -61,6 +61,8 @@ from redcalc.sim import (
 )
 from redcalc.topology import REG_PER_FLOW, DelayInterval, NetworkSpec
 
+from netfixtures import result_for
+
 # the grid of the reference iteration: bursts, and stalled port delays, are
 # rounded up to multiples of BURST_QUANTUM
 BURST_QUANTUM = Fraction(1, 2**20)
@@ -451,7 +453,7 @@ def compare_models_independently(network: NetworkSpec, lossless: bool = False, *
     intuitive = analyze(network, MODEL_INTUITIVE, lossless, **kw)
     pairs = {}
     for r in tight.results:
-        other = intuitive.result_for(r.flow, r.destination)
+        other = result_for(intuitive, r.flow, r.destination)
         pairs[(r.flow, r.destination)] = (r.interval, other.interval)
     return {"tight": tight, "intuitive": intuitive, "pairs": pairs}
 
@@ -529,18 +531,18 @@ def _regulate(inputs: list, scenario: Scenario, sources: list) -> list:
 
 def replay_in_fractions(scenario: Scenario):
     """`sim.run_scenario` with every instant a Fraction, for a scenario it
-    accepts.  Returns the events as (time, kind, flow, unit, size, branch,
-    seq), ordered by time and seq with the times put on the lcm of their
-    denominators, and (flow, unit) -> generation time."""
+    accepts.  Returns the events as (time, kind, flow, unit, size, branch),
+    sorted stably by time with the times put on the lcm of their
+    denominators, so that events at one instant keep the order the stages
+    made them in."""
     units = scenario.sources
     pipe = scenario.pipeline
     by_time = sorted(range(len(units)), key=lambda j: units[j].time)
     rank = {j: r for r, j in enumerate(by_time)}
     sources = [units[j] for j in by_time]
-    seq = itertools.count(1)
 
     def event(time, kind, u, branch=None):
-        return (time, kind, u.flow, u.unit, u.size, branch, next(seq))
+        return (time, kind, u.flow, u.unit, u.size, branch)
 
     events = [event(u.time, GENERATED, u) for u in sources]
     arrivals = []
@@ -574,7 +576,7 @@ def replay_in_fractions(scenario: Scenario):
         events.extend(event(t, REG_EXIT, sources[r]) for t, _idx, r in exits)
 
     grid = math.lcm(*{e[0].denominator for e in events})
-    events.sort(key=lambda e: (e[0].numerator * (grid // e[0].denominator), e[6]))
+    events.sort(key=lambda e: e[0].numerator * (grid // e[0].denominator))
     return events
 
 

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction as F
 
 from oracles import convolution_value, curve_value
-from netfixtures import random_pef_network, shared_tail_network
+from netfixtures import random_pef_network, result_for, shared_tail_network, times
 
 from redcalc.cli import bundled_dir, main
 from redcalc.minplus import (
@@ -62,7 +62,7 @@ def test_02_late_time_offset_bound_and_measurement():
     bound = report.pef_sites[0]["rto_bound"]
     assert bound == 6
     trace = run_scenario(bundled("scn-toy-rto.json"))
-    exits = trace.times(PEF_EXIT)
+    exits = times(trace, PEF_EXIT)
     arrived = [(int(u) - 1, t, F(1)) for (_f, u), t in exits.items()]
     rto, _rbo = measure_reordering(arrived)
     assert rto == 4
@@ -81,7 +81,7 @@ def test_03_byte_offset_bound():
 def test_04_regulated_bound_is_attained():
     t0 = time.perf_counter()
     report = toy_report("net-toy-pef-pfr.json")
-    row = report.result_for("f", "F")
+    row = result_for(report, "f", "F")
     assert (row.interval.lo, row.interval.hi) == (0, 14)
     reg = report.reg_sites[0]
     assert reg["rto_bound"] == 13
@@ -89,7 +89,7 @@ def test_04_regulated_bound_is_attained():
     trace = run_scenario(bundled("scn-toy-pfr.json"))
     delays = trace.delays()
     assert max(delays.values()) == 14
-    out = trace.times(REG_EXIT)
+    out = times(trace, REG_EXIT)
     rto, _rbo = measure_reordering(
         [(int(u) - 1, t, F(1)) for (_f, u), t in out.items()]
     )
@@ -100,13 +100,13 @@ def test_04_regulated_bound_is_attained():
 
 def test_05_resequencer_bounds_lossless_and_lossy():
     lossless = toy_report("net-toy-pef-pof-pfr.json", lossless=True)
-    assert lossless.result_for("f", "F").interval.hi == 7
+    assert result_for(lossless, "f", "F").interval.hi == 7
     trace = run_scenario(bundled("scn-toy-pof-pfr.json"))
     assert trace.lost_units() == []
     assert all(d <= 7 for d in trace.delays().values())
 
     lossy = toy_report("net-toy-pef-pof-pfr.json", lossless=False)
-    assert lossy.result_for("f", "F").interval.hi == 13
+    assert result_for(lossy, "f", "F").interval.hi == 13
     trace = run_scenario(bundled("scn-toy-lossy.json"))
     assert all(d <= 13 for d in trace.delays().values())
 

@@ -446,6 +446,19 @@ MALFORMED_SCENARIOS = {
         _toy_scenario(lambda d: d["sources"][2].update(unit=int(d["sources"][2]["unit"]))),
         "sources[2].unit",
     ),
+    # the network loader's checks of a flow's unit sizes
+    "negative minimum unit size": (
+        _toy_scenario(lambda d: d["flows"]["f"].update(lmin="-3")), "flows.f.lmin"
+    ),
+    "zero minimum unit size": (
+        _toy_scenario(lambda d: d["flows"]["f"].update(lmin=0)), "flows.f.lmin"
+    ),
+    "maximum unit size below the minimum": (
+        _toy_scenario(lambda d: d["flows"]["f"].update(lmax="1/2")), "flows.f.lmax"
+    ),
+    "minimum unit size not a rational": (
+        _toy_scenario(lambda d: d["flows"]["f"].update(lmin="big")), "flows.f.lmin"
+    ),
 }
 
 
@@ -504,6 +517,33 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_deeply_nested_document_exits_1(self, command, tmp_path, capsys):
+        target = tmp_path / "deep.json"
+        target.write_text("[" * 100_000)
+        flag = "--in" if command == "analyze" else "--scenario"
+        assert main([command, flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $: ")
+        assert "Traceback" not in err
+
+    def test_flow_size_checks_match_the_network_loader(self, tmp_path, capsys):
+        target = tmp_path / "sizes.json"
+        for key, value, message in (
+            ("lmin", "-3", "minimum data unit size must be > 0"),
+            ("lmax", "1/2", "lmax must be >= lmin"),
+        ):
+            doc = _toy_scenario(lambda d: d["flows"]["f"].update({key: value}))
+            target.write_text(json.dumps(doc))
+            assert main(["simulate", "--scenario", str(target)]) == 1
+            assert capsys.readouterr().err == f"error: flows.f.{key}: {message}\n"
+            with bundled_dir().joinpath("net-toy-pef.json").open() as fh:
+                doc = json.load(fh)
+            doc["flows"][0][key] = value
+            target.write_text(json.dumps(doc))
+            assert main(["analyze", "--in", str(target)]) == 1
+            assert capsys.readouterr().err == f"error: flows[0].{key}: {message}\n"
 
     def test_corrupted_scenarios_never_escape_the_exit_codes(self, tmp_path, capsys):
         """Seeded corruptions of every bundled scenario: one entry replaced
@@ -648,6 +688,8 @@ class TestUsageErrors:
             (["--iter-cap", "-2"], "iteration cap must be at least 1, not -2"),
             (["--burst-cap", "-1"], "burst cap must not be negative, not -1"),
             (["--burst-cap=-1/2"], "burst cap must not be negative, not -1/2"),
+            (["--burst-cap", "oops"], "burst cap must be a rational, not 'oops'"),
+            (["--burst-cap", "1/0"], "burst cap must be a rational, not '1/0'"),
         ],
     )
     def test_caps_out_of_range_exit_1(self, flags, message, capsys):
@@ -657,7 +699,14 @@ class TestUsageErrors:
 
     def test_analyze_rejects_caps_out_of_range(self):
         ring = network_from_json(ring_network([fwd_flow("f1", 1, 1), rev_flow("f2", 1, 1)], 4))
-        for kw in ({"iter_cap": 0}, {"iter_cap": -2}, {"burst_cap": -1}, {"burst_cap": "-1/3"}):
+        for kw in (
+            {"iter_cap": 0},
+            {"iter_cap": -2},
+            {"burst_cap": -1},
+            {"burst_cap": "-1/3"},
+            {"burst_cap": "oops"},
+            {"burst_cap": "1/0"},
+        ):
             with pytest.raises(ValueError, match="cap must"):
                 analyze(ring, **kw)
         # the smallest caps still run: one pass, and a zero burst cap

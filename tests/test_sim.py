@@ -41,7 +41,7 @@ from redcalc.sim.engine import FlowProfile
 from redcalc.sim.generators import TOY_VARIANTS
 from redcalc.topology import DelayInterval, SpecError
 
-from netfixtures import shaped_scenario
+from netfixtures import shaped_scenario, times
 from oracles import (
     compliance_violations,
     fifo_per_flow_by_fractions,
@@ -100,6 +100,33 @@ class TestEngineValidation:
         with pytest.raises(ScenarioError, match="zero size"):
             run_scenario(mk(False))
         run_scenario(mk(True))
+
+    @pytest.mark.parametrize(
+        "stage",
+        [{"pof": PofSpec(timeout=1)}, {"reg": RegSpec("per-flow", {"f": ConcaveCurve([(1, 1)])})}],
+        ids=["resequencer", "regulator"],
+    )
+    def test_duplicates_need_an_eliminator_before_the_pipeline(self, stage):
+        paths = [PathSpec(name, DelayInterval(0, 1), {}, default=F(0)) for name in ("a", "b")]
+        sc = one_flow([SourceUnit("f", "1", 0, 1)], paths, Pipeline(pef=False, **stage))
+        with pytest.raises(ScenarioError, match="^duplicate replicates reach the pipeline"):
+            run_scenario(sc)
+        # one replicate, or an eliminator, is fine
+        sc.paths = paths[:1]
+        assert unit_delays(run_scenario(sc)) == {1: 0}
+        sc.paths, sc.pipeline = paths, Pipeline(pef=True, **stage)
+        assert unit_delays(run_scenario(sc)) == {1: 0}
+
+    def test_scenario_needs_a_path(self):
+        sc = one_flow([SourceUnit("f", "1", 0, 1)], [], Pipeline())
+        with pytest.raises(ScenarioError, match="^scenario needs at least one path$"):
+            run_scenario(sc)
+
+    def test_duplicate_source_unit(self):
+        units = [SourceUnit(fid, "1", t, 1) for fid, t in (("f", 0), ("g", 0), ("f", 2))]
+        path = PathSpec("p", DelayInterval(0, 1), {}, default=F(0))
+        with pytest.raises(ScenarioError, match="^duplicate source unit f/1$"):
+            run_scenario(one_flow(units, [path], Pipeline()))
 
     def test_size_checks_name_the_first_offending_unit(self):
         # units 1, 2 and 4 share a valid (flow, size) pair, which is checked
@@ -189,7 +216,7 @@ class TestToyRuns:
         trace = run_scenario(toy_scenario("rto"))
         delays = unit_delays(trace)
         assert delays[1] == 7 and delays[7] == 1 and delays[14] == 0
-        exits = trace.times(PEF_EXIT)
+        exits = times(trace, PEF_EXIT)
         arrived = [(int(u) - 1, t, F(1)) for (_f, u), t in exits.items()]
         rto, rbo = measure_reordering(arrived)
         assert rto == 4  # unit 6 lands at 12, unit 7 landed at 8
@@ -198,7 +225,7 @@ class TestToyRuns:
 
     def test_resequencer_restores_order(self):
         trace = run_scenario(toy_scenario("pof"))
-        out = trace.times(POF_EXIT)
+        out = times(trace, POF_EXIT)
         expected = {1: 8, 2: 8, 3: 9, 4: 10, 5: 11, 13: 13, 14: 14}
         expected.update({k: 12 for k in range(6, 13)})
         assert {int(u): t for (_f, u), t in out.items()} == expected
@@ -213,7 +240,7 @@ class TestToyRuns:
 
     def test_per_flow_regulator_worst_delay(self):
         trace = run_scenario(toy_scenario("pfr"))
-        out = {int(u): t for (_f, u), t in trace.times(REG_EXIT).items()}
+        out = {int(u): t for (_f, u), t in times(trace, REG_EXIT).items()}
         assert out == {
             7: 8, 8: 9, 1: 10, 9: 11, 2: 12, 10: 13, 3: 14,
             11: 15, 4: 16, 12: 17, 5: 18, 13: 19, 6: 20, 14: 21,
@@ -242,8 +269,8 @@ class TestToyRuns:
         assert delays == {1: 7, 2: 7} | {k: 10 for k in range(4, 15)}
         assert max(delays.values()) <= 13
         # nothing sits in the re-sequencer longer than the timeout
-        pef = trace.times(PEF_EXIT)
-        pof = trace.times(POF_EXIT)
+        pef = times(trace, PEF_EXIT)
+        pof = times(trace, POF_EXIT)
         assert all(pof[k] - pef[k] <= 6 for k in pof)
         assert is_fifo_per_flow(trace, POF_EXIT)
 
@@ -257,7 +284,7 @@ class TestToyRuns:
             Pipeline(pof=PofSpec(timeout=2)),
         )
         trace = run_scenario(sc)
-        out = trace.times(POF_EXIT)
+        out = times(trace, POF_EXIT)
         assert out[("f", "2")] == 2  # waited the full timeout for unit 1
         assert out[("f", "1")] == 9  # released on arrival, slot already passed
 
@@ -516,7 +543,7 @@ class TestFractionReplay:
         for sc in _differential_scenarios(family):
             trace = run_scenario(sc)
             expected = replay_in_fractions(sc)
-            got = [(e.time, e.kind, e.flow, e.unit, e.size, e.branch, e.seq) for e in trace.events]
+            got = [(e.time, e.kind, e.flow, e.unit, e.size, e.branch) for e in trace.events]
             assert got == expected, sc.name
             assert all(type(e.tick) is int and e.grid == trace.grid for e in trace.events)
             delays, lost = fraction_trace_measures(sc, expected)
@@ -553,7 +580,7 @@ class TestFractionReplay:
     def test_duplicate_generation_is_an_error(self):
         trace = run_scenario(toy_scenario("rto"))
         trace.events.append(trace.events[0])
-        for measure in (trace.delays, trace.lost_units, lambda: trace.times("generated")):
+        for measure in (trace.delays, trace.lost_units, lambda: times(trace, "generated")):
             with pytest.raises(ScenarioError, match="duplicate generated event for f/1"):
                 measure()
 

@@ -55,6 +55,7 @@ from netfixtures import (
     random_pef_network,
     reference_parent_network,
     relabeled,
+    result_for,
     rev_flow,
     ring_network,
     ring_sites_network,
@@ -172,7 +173,7 @@ class TestToyAnalysis:
         rep = analyze(net(toy_network(PEF_AT_F)), MODEL_TIGHT, lossless=True)
         assert rep.vertex_delays["C"] == DelayInterval(0, 1)
         assert rep.vertex_delays["D"] == DelayInterval(6, 7)
-        assert rep.result_for("f", "F").interval == DelayInterval(0, 7)
+        assert result_for(rep, "f", "F").interval == DelayInterval(0, 7)
 
     def test_reordering_offsets_at_the_eliminator(self):
         rep = analyze(net(toy_network(PEF_AT_F)), MODEL_TIGHT, lossless=True)
@@ -188,7 +189,7 @@ class TestToyAnalysis:
 
     def test_per_flow_regulator_doubles_the_horizon(self):
         rep = analyze(net(toy_network(PEF_PFR_AT_F)), MODEL_TIGHT, lossless=True)
-        assert rep.result_for("f", "F").interval == DelayInterval(0, 14)
+        assert result_for(rep, "f", "F").interval == DelayInterval(0, 14)
         site = site_record(rep, "reg_sites", "F", "f")
         assert site["verdict"].bounded
         assert site["verdict"].delay == DelayInterval(0, 14)
@@ -199,7 +200,7 @@ class TestToyAnalysis:
         rep = analyze(
             net(toy_network(toy_pof_pfr_placements(timeout))), MODEL_TIGHT, lossless=True
         )
-        assert rep.result_for("f", "F").interval == DelayInterval(0, 7)
+        assert result_for(rep, "f", "F").interval == DelayInterval(0, 7)
         site = site_record(rep, "pof_sites", "F", "f")
         assert site["required_timeout"] == 6
         assert site["required_buffer"] == 14
@@ -209,13 +210,13 @@ class TestToyAnalysis:
         rep = analyze(
             net(toy_network(toy_pof_pfr_placements(timeout=6))), MODEL_TIGHT, lossless=False
         )
-        assert rep.result_for("f", "F").interval == DelayInterval(0, 13)
+        assert result_for(rep, "f", "F").interval == DelayInterval(0, 13)
         # the reference curve spread by the section jitter plus the timeout
         assert site_record(rep, "pof_sites", "F", "f")["output_curve"] == ConcaveCurve([(1, 14)])
 
     def test_resequencer_lossy_without_timeout_is_unbounded(self):
         rep = analyze(net(toy_network(toy_pof_pfr_placements())), MODEL_TIGHT, lossless=False)
-        r = rep.result_for("f", "F")
+        r = result_for(rep, "f", "F")
         assert is_unbounded(r.interval.hi)
         assert r.verdict == "unbounded"
         assert any("timeout" in n for n in rep.notes)
@@ -228,12 +229,12 @@ class TestToyAnalysis:
         rep = analyze(
             net(toy_network(PEF_AT_F, deadlines={"F": "7"})), MODEL_TIGHT, lossless=True
         )
-        assert rep.result_for("f", "F").verdict == "met"
+        assert result_for(rep, "f", "F").verdict == "met"
         assert not rep.any_violation()
         rep = analyze(
             net(toy_network(PEF_AT_F, deadlines={"F": "13/2"})), MODEL_TIGHT, lossless=True
         )
-        assert rep.result_for("f", "F").verdict == "violated"
+        assert result_for(rep, "f", "F").verdict == "violated"
         assert rep.any_violation()
 
 
@@ -279,8 +280,8 @@ class TestRegulatorDispatch:
         ]
         plain = analyze(net(chain([])), MODEL_TIGHT, lossless=True)
         shaped = analyze(net(chain(reg)), MODEL_TIGHT, lossless=True)
-        assert plain.result_for("f", "t").interval == DelayInterval(3, 5)
-        assert shaped.result_for("f", "t").interval == DelayInterval(3, 5)
+        assert result_for(plain, "f", "t").interval == DelayInterval(3, 5)
+        assert result_for(shaped, "f", "t").interval == DelayInterval(3, 5)
         verdict = site_record(shaped, "reg_sites", "t", "f")["verdict"]
         assert verdict.bounded and verdict.delay == DelayInterval(3, 5)
 
@@ -306,7 +307,7 @@ class TestRegulatorDispatch:
             },
         ]
         rep = analyze(self._with_tail(placements), MODEL_TIGHT, lossless=True)
-        assert rep.result_for("f", "W").interval == DelayInterval(0, 14)
+        assert result_for(rep, "f", "W").interval == DelayInterval(0, 14)
 
     def test_resequencer_between_restores_fifo(self):
         placements = [
@@ -322,7 +323,7 @@ class TestRegulatorDispatch:
             },
         ]
         rep = analyze(self._with_tail(placements), MODEL_TIGHT, lossless=True)
-        assert rep.result_for("f", "W").interval == DelayInterval(0, 7)
+        assert result_for(rep, "f", "W").interval == DelayInterval(0, 7)
 
     def _interleaved_toy(self, q, with_pof=False, shaping_of=None):
         doc = toy_network(PEF_AT_F)
@@ -394,7 +395,7 @@ class TestRegulatorDispatch:
         placements = copy.deepcopy(PEF_PFR_AT_F)
         placements[1]["mode"] = "interleaved"
         rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
-        assert rep.result_for("f", "F").interval == DelayInterval(0, 14)
+        assert result_for(rep, "f", "F").interval == DelayInterval(0, 14)
         assert site_record(rep, "reg_sites", "F", "f")["verdict"].delay == DelayInterval(0, 14)
 
     def test_bundled_interleaved_queue_is_decided_once(self, monkeypatch):
@@ -435,7 +436,7 @@ class TestRegulatorDispatch:
             verdict = site_record(rep, "reg_sites", "F", fid)["verdict"]
             assert not verdict.bounded and not verdict.proven
             assert verdict.reason == "UNPROVEN_CONFIGURATION"
-            assert is_unbounded(rep.result_for(fid, "F").interval.hi)
+            assert is_unbounded(result_for(rep, fid, "F").interval.hi)
 
     @pytest.mark.parametrize("source_tech", [("0", "0"), ("3", "3")])
     def test_branch_from_the_reference_starts_at_its_output(self, source_tech):
@@ -460,7 +461,7 @@ class TestRegulatorDispatch:
         rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
         verdict = site_record(rep, "reg_sites", "F", "f")["verdict"]
         assert not verdict.bounded and not verdict.proven
-        assert rep.result_for("f", "F").verdict == "unbounded"
+        assert result_for(rep, "f", "F").verdict == "unbounded"
 
     def test_shaping_rate_deficit_diverges(self):
         placements = [
@@ -484,31 +485,31 @@ class TestRegulatorDispatch:
         placements[2]["shaping"] = {"f": gamma("1/2", 1)}
         rep = analyze(net(toy_network(placements)), MODEL_TIGHT, lossless=True)
         assert site_record(rep, "reg_sites", "F", "f")["verdict"].reason == "RATE_OVERLOAD"
-        assert is_unbounded(rep.result_for("f", "F").interval.hi)
+        assert is_unbounded(result_for(rep, "f", "F").interval.hi)
 
     def test_resequencer_on_a_sibling_branch_keeps_the_penalty(self):
         # the POF at Q never sees the units that reach V out of order
         rep = analyze(net(off_path_pof_network()), MODEL_TIGHT, lossless=True)
-        assert rep.result_for("f", "V").interval == DelayInterval(0, 14)
-        assert rep.result_for("f", "Q").interval == DelayInterval(0, 7)
+        assert result_for(rep, "f", "V").interval == DelayInterval(0, 14)
+        assert result_for(rep, "f", "Q").interval == DelayInterval(0, 7)
 
     def test_eliminator_on_a_sibling_branch_adds_no_penalty(self):
         rep = analyze(net(sibling_pef_network()), MODEL_TIGHT)
-        assert rep.result_for("f", "V").interval == DelayInterval(0, 1)
+        assert result_for(rep, "f", "V").interval == DelayInterval(0, 1)
         assert site_record(rep, "reg_sites", "V", "f")["rto_bound"] is None
 
     def test_lossy_resequencer_wait_counts_inside_a_section(self):
         lossy = analyze(net(lossy_pof_network()), MODEL_TIGHT)
-        assert lossy.result_for("f", "V").interval == DelayInterval(0, 13)
+        assert result_for(lossy, "f", "V").interval == DelayInterval(0, 13)
         assert site_record(lossy, "reg_sites", "V", "f")["verdict"].delay == DelayInterval(0, 13)
         lossless = analyze(net(lossy_pof_network()), MODEL_TIGHT, lossless=True)
-        assert lossless.result_for("f", "V").interval == DelayInterval(0, 7)
+        assert result_for(lossless, "f", "V").interval == DelayInterval(0, 7)
 
     def test_resequencer_without_timeout_unbounds_the_sections_across_it(self):
         doc = lossy_pof_network()
         del doc["placements"][1]["timeout"]
         rep = analyze(net(doc), MODEL_TIGHT)
-        assert is_unbounded(rep.result_for("f", "V").interval.hi)
+        assert is_unbounded(result_for(rep, "f", "V").interval.hi)
 
 
 def _random_reordering_case(rng, fids=("f",)):
@@ -647,8 +648,8 @@ class TestSweepBehavior:
         assert rep.status == CONVERGED
         assert rep.iterations > 1
         # symmetric fixed point: each served hop contributes [0, 2]
-        assert rep.result_for("f1", "t1").interval == DelayInterval(0, 4)
-        assert rep.result_for("f2", "t2").interval == DelayInterval(0, 4)
+        assert result_for(rep, "f1", "t1").interval == DelayInterval(0, 4)
+        assert result_for(rep, "f2", "t2").interval == DelayInterval(0, 4)
 
     def test_regulator_cuts_the_feedback_loop(self):
         placements = [
@@ -665,7 +666,7 @@ class TestSweepBehavior:
         rep = analyze(net(doc), MODEL_TIGHT, lossless=True)
         assert rep.status == CONVERGED
         assert rep.iterations == 2
-        assert rep.result_for("f1", "t1").interval == DelayInterval(0, Fraction(27, 8))
+        assert result_for(rep, "f1", "t1").interval == DelayInterval(0, Fraction(27, 8))
 
     def test_iteration_cap(self):
         doc = ring_network([fwd_flow("f1", 2, 1), rev_flow("f2", 2, 1)], 4)
@@ -679,7 +680,7 @@ class TestSweepBehavior:
         rep = analyze(net(doc), MODEL_TIGHT, lossless=True, burst_cap=4)
         assert rep.status == DIVERGED
         assert any("burst cap" in n for n in rep.notes)
-        assert rep.result_for("f1", "t1").verdict == "unbounded"
+        assert result_for(rep, "f1", "t1").verdict == "unbounded"
 
     def test_sites_come_from_the_final_sweep_only(self):
         doc = ring_sites_network()
@@ -704,7 +705,7 @@ class TestSweepBehavior:
         rep = analyze(net(doc), MODEL_TIGHT, lossless=True)
         assert rep.status == DIVERGED
         assert any("service rate at W" in n for n in rep.notes)
-        assert rep.result_for("g", "T").verdict == "unbounded"
+        assert result_for(rep, "g", "T").verdict == "unbounded"
 
     def test_analysis_is_deterministic(self):
         doc = random_pef_network(random.Random(7))
@@ -1217,8 +1218,8 @@ class TestExactSolve:
         assert rep.status == CONVERGED and rep.iterations <= 3
         assert delay == 1 + (2 + delay) / rate
         assert [rep.vertex_delays[v] for v in "uw"] == [DelayInterval(0, delay)] * 2
-        assert rep.result_for("f1", "t1").interval == DelayInterval(0, 2 * delay)
-        assert rep.result_for("f2", "t2").interval == DelayInterval(0, 2 * delay)
+        assert result_for(rep, "f1", "t1").interval == DelayInterval(0, 2 * delay)
+        assert result_for(rep, "f2", "t2").interval == DelayInterval(0, 2 * delay)
         assert "port delays at u, w solved exactly after 2 passes" in rep.notes
 
     def test_least_fixed_point(self):
@@ -1359,9 +1360,9 @@ class TestExactSolve:
         network = net(random_cyclic_network(rng))
         rep, old = _against_the_grid(network)
         assert rep.status == CONVERGED and _solved(rep)
-        hi = rep.result_for("f0", "t0").interval.hi
+        hi = result_for(rep, "f0", "t0").interval.hi
         assert hi == Fraction(109374473720695, 4717203008701)
-        assert hi.denominator % 2**20 and hi < old.result_for("f0", "t0").interval.hi
+        assert hi.denominator % 2**20 and hi < result_for(old, "f0", "t0").interval.hi
         # with one read the solve is rejected, and the exact sweep climbs on
         monkeypatch.setattr(tfa, "SOLVE_READS", 1)
         rep = analyze(network, iter_cap=20)
@@ -1713,7 +1714,7 @@ class TestModelComparison:
             alone = dict(doc)
             alone["flows"] = [f for f in doc["flows"] if f["id"] == "f"]
             solo = analyze(net(alone), MODEL_TIGHT, lossless=True)
-            assert solo.result_for("f", "T").interval.hi <= full.result_for("f", "T").interval.hi
+            assert result_for(solo, "f", "T").interval.hi <= result_for(full, "f", "T").interval.hi
 
 
 def _comparison_json(out) -> dict:
@@ -1838,7 +1839,7 @@ class TestReportOutput:
     def test_lookup_errors(self):
         rep = analyze(net(toy_network(PEF_AT_F)), MODEL_TIGHT, lossless=True)
         with pytest.raises(KeyError):
-            rep.result_for("f", "nowhere")
+            result_for(rep, "f", "nowhere")
         with pytest.raises(KeyError):
             site_record(rep, "reg_sites", "F", "f")
 
