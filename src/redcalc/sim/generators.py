@@ -30,6 +30,7 @@ from .engine import (
     RegSpec,
     Scenario,
     SourceUnit,
+    _no_gc,
     load_scenario,
 )
 
@@ -171,6 +172,7 @@ def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scen
     return scenario
 
 
+@_no_gc
 def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1=0) -> Scenario:
     """Unbounded-backlog schedule for an interleaved regulator after elimination.
 

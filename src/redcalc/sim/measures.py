@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..minplus import ConcaveCurve, parse_rational
-from .engine import GENERATED
+from .engine import GENERATED, _no_gc
 
 
 def _grid(values) -> int:
@@ -20,6 +20,7 @@ def _grid(values) -> int:
     return math.lcm(*{v.denominator for v in values})
 
 
+@_no_gc
 def check_compliance(events, curve: ConcaveCurve) -> Optional[dict]:
     """Earliest window where a timed size sequence exceeds its arrival curve.
 
@@ -65,6 +66,7 @@ def check_compliance(events, curve: ConcaveCurve) -> Optional[dict]:
     return None
 
 
+@_no_gc
 def measure_reordering(units) -> tuple:
     """(time offset, byte offset) of a received sequence.
 

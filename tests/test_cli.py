@@ -459,6 +459,10 @@ MALFORMED_SCENARIOS = {
     "minimum unit size not a rational": (
         _toy_scenario(lambda d: d["flows"]["f"].update(lmin="big")), "flows.f.lmin"
     ),
+    # the network loader's lmin defaults to 1; a scenario flow may give lmax alone
+    "negative maximum unit size, no minimum": (
+        _toy_scenario(lambda d: d["flows"].update(f={"lmax": "-3"})), "flows.f.lmax"
+    ),
 }
 
 

@@ -6,8 +6,10 @@ at the eliminator, in-order release (with flush-before on timeout) at the
 re-sequencer, and token-bucket release at the regulators.
 """
 
+import gc
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from redcalc.sim import (
     Scenario,
     ScenarioError,
     SourceUnit,
+    Trace,
     TraceEvent,
     check_compliance,
     gen_adversarial_ir,
@@ -146,6 +149,12 @@ class TestEngineValidation:
         sc.sources[4] = SourceUnit("f", "5", 5, F(1, 2))
         with pytest.raises(ScenarioError, match="unit f/5: size below flow minimum"):
             run_scenario(sc)
+
+    @pytest.mark.parametrize("lmax", [-3, 0])
+    def test_lmax_alone_must_be_positive(self, lmax):
+        with pytest.raises(ScenarioError, match=r"^maximum data unit size must be > 0$"):
+            FlowProfile(lmax=lmax)
+        assert FlowProfile(lmax=F(1, 2)).lmax == F(1, 2)
 
     @pytest.mark.parametrize("field, what", [("time", "emission time"), ("size", "size")])
     @pytest.mark.parametrize(
@@ -586,15 +595,34 @@ class TestFractionReplay:
 
 
 class TestSerialization:
-    def test_scenario_json_round_trip(self):
-        # each bundled toy document replays its generator's scenario
-        def events(sc):
-            trace = run_scenario(sc)
-            return [(e.time, e.kind, e.flow, e.unit, e.size, e.branch) for e in trace.events]
+    def test_toy_scenario_is_the_bundled_run_with_its_timeout(self):
+        def bundled(name):
+            return load_scenario(bundled_dir().joinpath(f"scn-toy-{name}.json"))
 
-        for variant in ("double-rate", "rto", "pfr", "pof-pfr", "lossy"):
-            doc = load_scenario(bundled_dir().joinpath(f"scn-toy-{variant}.json"))
-            assert events(doc) == events(toy_scenario(variant)), variant
+        for variant in TOY_VARIANTS:
+            for timeout in (None, F(13, 3)):
+                sc = toy_scenario(variant, timeout)
+                base = bundled("rto" if variant == "pof" else variant)
+                assert (sc.name, sc.meta) == (f"toy-{variant}", {"variant": variant})
+                assert (sc.sources, sc.paths, sc.flows) == (base.sources, base.paths, base.flows)
+                assert sc.allow_zero_size == base.allow_zero_size
+                pipe = sc.pipeline
+                assert (pipe.pef, pipe.reg) == (base.pipeline.pef, base.pipeline.reg)
+                if variant == "pof":
+                    # the rto run, whose pipeline has no re-sequencer, plus one
+                    assert base.pipeline.pof is None
+                    assert pipe.pof == PofSpec(timeout)
+                elif base.pipeline.pof is None:
+                    assert pipe.pof is None, variant
+                elif timeout is None:
+                    assert pipe.pof == base.pipeline.pof, variant
+                else:
+                    assert pipe.pof == replace(base.pipeline.pof, timeout=timeout), variant
+        # the bundled timeouts that a given one replaces
+        assert bundled("lossy").pipeline.pof.timeout == 6
+        assert bundled("pof-pfr").pipeline.pof.timeout is None
+        with pytest.raises(ValueError, match="unknown toy variant 'pef'"):
+            toy_scenario("pef")
 
     @pytest.mark.parametrize(
         "where, path",
@@ -616,3 +644,77 @@ class TestSerialization:
         lines = trace.to_csv().strip().splitlines()
         assert lines[0] == "time,kind,branch,flow,unit,size"
         assert len(lines) == 1 + len(trace.events)
+
+
+class TestCollectorPause:
+    """The functions that build per-unit objects pause the cyclic garbage collector
+    and leave it as they found it."""
+
+    GUARDED = {
+        "gen_adversarial_ir": gen_adversarial_ir,
+        "run_scenario": run_scenario,
+        "delays": Trace.delays,
+        "check_compliance": check_compliance,
+        "measure_reordering": measure_reordering,
+    }
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_guarded_names_keep_their_identity(self):
+        # bench/tracing.py binds them by name, and its spans wrap them
+        for name, fn in self.GUARDED.items():
+            assert fn.__name__ == name
+            assert fn.__doc__ and fn.__doc__ == fn.__wrapped__.__doc__
+            assert fn.__wrapped__ is not fn
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_kept(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        inside = []
+
+        def probed(items):
+            for item in items:
+                inside.append(gc.isenabled())
+                yield item
+
+        sc = gen_adversarial_ir(1, 2, 0, 0, 1, 1, q=4, periods=2)
+        assert gc.isenabled() is enabled
+        trace = run_scenario(sc)
+        assert gc.isenabled() is enabled
+        assert trace.delays() and gc.isenabled() is enabled
+        events = [(e.time, e.size) for e in trace.of_kind(PEF_EXIT)]
+        assert check_compliance(probed(events), ConcaveCurve([(100, 100)])) is None
+        assert gc.isenabled() is enabled
+        measure_reordering(probed((i, t, sz) for i, (t, sz) in enumerate(events)))
+        assert gc.isenabled() is enabled
+        assert inside and not any(inside)
+
+    def test_collector_is_restored_after_an_error(self):
+        gc.enable()
+        sc = one_flow([SourceUnit("f", "1", 0, 1)], [], Pipeline())
+        with pytest.raises(ScenarioError, match="at least one path"):
+            run_scenario(sc)
+        assert gc.isenabled()
+
+    def test_the_guarded_work_makes_no_reference_cycles(self):
+        # the premise of the pause: with the collector off, nothing the
+        # guarded functions leave behind is a cycle only a collection frees
+        sc = load_scenario(bundled_dir().joinpath("scn-adversarial-ir.json"))
+        gc.disable()
+        gc.collect()
+        trace = run_scenario(sc)
+        trace.delays()
+        for fid in sc.flows:
+            check_compliance(
+                [(e.time, e.size) for e in trace.of_kind("generated") if e.flow == fid],
+                sc.flows[fid].arrival,
+            )
+        measure_reordering(
+            (i, e.time, e.size) for i, e in enumerate(trace.of_kind(PEF_EXIT))
+        )
+        gen_adversarial_ir(1, 1, 0, 1, 6, 7, q=13, periods=2)
+        assert gc.collect() == 0
