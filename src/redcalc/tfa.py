@@ -9,24 +9,20 @@ re-sequencing, or shaping.
 
 The vertices are taken one strongly connected component (SCC) of the union
 graph at a time, in topological order.  A vertex on no cycle is processed
-once, after its inputs have settled.  A cyclic component is swept in sorted
-order; as in Bourdoncle's chaotic iteration, a pass processes only the dirty
-members, those that read an output changed since their last processing.
-Once a pass leaves the component's shape (the segment rates of its curves
-and port aggregates) as the pass before did, the port delays are an affine
-map of themselves: they are solved exactly, by fraction-free elimination in
-integers, and the solution is kept when it is the least fixed point above
-the state and the curves rebuilt from it give it back (the fixed-point form
-of total flow analysis for cyclic networks).  When the curves rebuilt at the
-solution give other delays back, the solution lies on another affine piece:
-that piece is read at the solution and solved once more.  The solve works on
-a fork of the analyzer, taken over only when the solution is kept;
-otherwise the fork is dropped and the exact sweep goes on.  No value is
-rounded, so every bound is exact and none depends on how the vertices are
-named.  A component either is solved, stabilizes (exact equality between
-passes), exceeds the burst cap (Diverged), or runs `iter_cap` passes
-(IterationCap).  A cut-off component gets one more pass; the components
-after it are still processed.
+once, after its inputs have settled.  A cyclic component is settled by
+policy iteration: after each exact pass over its dirty members (those that
+read an output changed since their last processing, as in Bourdoncle's
+chaotic iteration), its port delays are read as an affine map of themselves,
+`W' = A W + b`, and solved exactly by fraction-free elimination in integers,
+on a fork of the analyzer.  The solution is kept when `I - A` has a
+nonnegative inverse, it lies above the state, and the curves rebuilt from it
+give it back (where they do not, the piece read there is solved once more).
+Two passes in a row on one `A` whose `I - A` has no nonnegative inverse make
+the component Diverged, and so does the burst cap; `iter_cap` passes make it
+IterationCap.  A cut-off component proves no bound: its members restart from
+no bound for one more pass, and the components after it are still
+processed.  No value is rounded, so every bound is exact and none depends on
+how the vertices are named.
 
 The structure of each flow (diamond ancestors, anchors, the functions placed
 at each vertex, the readers of each vertex) is computed once per analysis.
@@ -239,15 +235,12 @@ def _total(curves: list):
     return add(*curves)
 
 
-def _rates(curve):
-    return None if curve is None else tuple(s.rate for s in curve.segments)
-
-
-def _least_fixed_point(forms: list, point: list, floor: list):
+def _least_fixed_point(forms: list, point: list):
     """The solution of `W = A W + b`, where `forms[i]` is the affine form
     `(A W + b)[i]` over the unknowns 0..n-1, written at `point` (a plain
     rational for a row of A that is zero); None unless `I - A` is invertible
-    with a nonnegative inverse and the solution is at least `floor`.
+    with a nonnegative inverse, which for a nonnegative `A` means a spectral
+    radius below 1: otherwise the piece has no finite least fixed point.
 
     Fraction-free Gauss-Jordan elimination (Bareiss) on `[I - A | I | b]`,
     each row scaled to integers by the lcm of its denominators: every row
@@ -283,10 +276,14 @@ def _least_fixed_point(forms: list, point: list, floor: list):
     d = prev
     if any(x and (x < 0) != (d < 0) for row in rows for x in row[n : 2 * n]):
         return None
-    solution = [Fraction(row[-1], d) for row in rows]
-    if any(w < x for w, x in zip(solution, floor)):
-        return None
-    return solution
+    return [Fraction(row[-1], d) for row in rows]
+
+
+class _Piece(NamedTuple):
+    """An affine piece of the sweep whose `I - A` has no nonnegative inverse."""
+
+    coeffs: list  # the rows of A, each a dict from unknown to coefficient
+    growing: list  # the served members that it moves above its point, sorted
 
 
 class _ComponentLog(NamedTuple):
@@ -311,7 +308,6 @@ class _Analyzer:
         self.vertex_delays = {}
         # vertex -> site records and timeout notes of its last processing, by kind
         self.records = {}
-        self._loads = {}  # vertex -> aggregate curve at its port, None if cut off
         self.iterations = 0
         self.status = CONVERGED
         self._log = []  # _ComponentLog per component, in sweep order
@@ -376,19 +372,18 @@ class _Analyzer:
 
     def _reset(self, vertices):
         """The optimistic start at `vertices`: plain source curves, ports at
-        zero queueing, no load or site record."""
+        zero queueing, no site record."""
         for v in vertices:
             self.vertex_delays[v] = vertex_delay(self.net.vertices[v], None)
             for fid in self._crossing[v]:
                 self.curves[(fid, v)] = self.net.flows[fid].arrival
-            self._loads.pop(v, None)
             self.records.pop(v, None)
 
     def _fork(self) -> "_Analyzer":
         """A copy that shares this one's structural tables and owns copies
         of its state containers (`copy.copy` keeps their types)."""
         an = copy.copy(self)
-        for name in ("curves", "vertex_delays", "records", "_loads", "notes"):
+        for name in ("curves", "vertex_delays", "records", "notes"):
             setattr(an, name, copy.copy(getattr(self, name)))
         return an
 
@@ -502,69 +497,69 @@ class _Analyzer:
     # -- chaotic iteration over one cyclic component -------------------------
 
     def settle(self, members, iter_cap: int) -> int:
-        """Sweep a cyclic component until a pass changes nothing, and return
-        the pass count; the stop rules are those of the status, per component.
-        Once a pass leaves the component's shape (`_shape`) as the pass
-        before it did, the port delays are solved exactly (`_solve`, which
-        reads the affine piece again at a solution that is not confirmed);
-        an accepted solve ends the sweep, its confirmation counted as one
-        more pass, and a rejected one is tried again only on a new shape.
-        Every pass is exact.  A cut-off component (Diverged, IterationCap)
-        gets one more pass, which carries the cut-off (None) curves around
-        its cycles; over the dirty members only, it leaves the state a pass
-        over all of them would."""
+        """Find a cyclic component's least fixed point by policy iteration,
+        and return the pass count.  After every pass over the dirty members
+        that changes something, while the cap allows one more pass, the port
+        delays are solved on the affine piece of the sweep (`_solve`); an
+        accepted solve ends the sweep, its confirmation counted as a pass.
+        Two solves in a row rejected on the same `A`, for want of a
+        nonnegative inverse of `I - A`, make the component Diverged.  A
+        cut-off component holds an unfinished iterate, below the least fixed
+        point, so every member restarts from no bound (`_unbound`) for one
+        more pass over all of them."""
         dirty = set(members)
         passes = 0
-        shape = tried = None
+        last = None  # the rows of A of the last pass's piece without a finite fixed point
         for passes in range(1, iter_cap + 1):
             if not self._pass(members, dirty) or self.status != CONVERGED:
                 break
-            last, shape = shape, self._shape(members)
-            if shape == last != tried and passes < iter_cap:
-                tried = shape
-                if self._solve(members, passes):
-                    passes += 1  # the confirmation of the solve
-                    break
+            outcome = passes < iter_cap and self._solve(members)
+            if outcome is True:
+                passes += 1  # the confirmation of the solve
+                break
+            if outcome and outcome.coeffs == last:
+                self.status = DIVERGED
+                self.notes.append(f"no finite fixed point: port delays at "
+                                  f"{', '.join(outcome.growing)} grow on one affine piece")
+                break
+            last = outcome and outcome.coeffs
         else:
             if self.status == CONVERGED:
                 self.status = ITERATION_CAP
                 self.notes.append(f"no fixed point within {iter_cap} sweeps")
         if self.status != CONVERGED:
-            self._pass(members, dirty)
+            for v in members:
+                self._unbound(v)
+            self._pass(members, set(members))
         return passes
 
-    def _shape(self, members) -> list:
-        """The segment rates of every stored curve of the members and of
-        every member's port aggregate.  The aggregate's rates fix the
-        breakpoint where a rate-latency port's delay is reached."""
-        rates = [_rates(self._loads.get(v)) for v in members]
-        rates += [_rates(self.curves[(fid, v)]) for v in members for fid in self._crossing[v]]
-        return rates
+    def _unbound(self, v: str):
+        """No curve out of v, and v's port delay under no bound."""
+        post = dict.fromkeys(self._crossing[v])
+        self.vertex_delays[v] = self._port_delay(v, post)
+        self.curves.update(((fid, v), None) for fid in post)
 
-    def _solve(self, members, passes: int) -> bool:
+    def _solve(self, members):
         """Solve the component's port delays exactly, and keep the solution
         only if it is the least fixed point above the current state.
 
         With the served members' upper delay ends frozen as unknowns `W` at
-        a point, one walk over the flows rebuilds every curve of the
-        component, and the port delays read from those curves are
-        `W' = A W + b`, the affine piece of the sweep at that point, first
-        the current state.  `(I - A) W = b` is solved when `I - A` has a
-        nonnegative inverse (the iteration from below converges to the
-        solution), and the solution must be at least the current state.
-        The curves are then rebuilt exactly at the solution; when they give
-        other port delays back, the solution lies on another piece, which
-        is read there and solved the same way, up to SOLVE_READS pieces in
-        all.  The solution is accepted when it confirms itself: the walk
-        rebuilt at it keeps the status Converged and gives every member back
-        its frozen port delay, and re-processing the members that host a
-        function, which rewrites their site records and notes in sweep
-        order, changes nothing.  Each
-        member then reads what the rebuild wrote, so an exact pass over the
-        members would change nothing either.  The solve works on a fork
-        (`_fork`), whose state this analyzer takes over only when the solve
-        is accepted; a rejected solve drops the fork and leaves the state
-        as it was."""
+        a point, first the state, one walk over the flows rebuilds every
+        curve of the component, and the port delays read from those curves
+        are `W' = A W + b`, the affine piece of the sweep at that point.
+        `(I - A) W = b` is solved when `I - A` has a nonnegative inverse (the
+        iteration from below converges to the solution), and the solution
+        must be at least the state.  The curves are then rebuilt exactly at
+        the solution; when they give other port delays back, the piece read
+        there is solved the same way, up to SOLVE_READS pieces in all.  The
+        solution is accepted, and True returned, when it confirms itself:
+        the rebuild at it keeps the status Converged and gives every member
+        back its frozen port delay, and re-processing the members that host
+        a function (their site records and notes, in sweep order) changes
+        nothing, so an exact pass would change nothing either.  The solve
+        works on a fork (`_fork`), taken over only when it is accepted.  A
+        rejected solve returns the `_Piece` whose `I - A` has no nonnegative
+        inverse, or False for any other rejection."""
         served = [v for v in members if self.net.vertices[v].service is not None]
         point = state = [self.vertex_delays[v].hi for v in served]
         if any(is_unbounded(x) for x in state):
@@ -578,9 +573,15 @@ class _Analyzer:
             delays = trial._rebuild(members)
             if trial.status != CONVERGED or any(is_unbounded(delays[v].hi) for v in served):
                 return False
-            point = _least_fixed_point([delays[v].hi for v in served], point, state)
-            if point is None:
+            forms = [delays[v].hi for v in served]
+            solution = _least_fixed_point(forms, point)
+            if solution is None:
+                values = [w.value if type(w) is Affine else w for w in forms]
+                return _Piece([w.coeffs if type(w) is Affine else {} for w in forms],
+                              [v for v, y, x in zip(served, values, point) if y > x])
+            if any(w < x for w, x in zip(solution, state)):
                 return False
+            point = solution
             for v, w in zip(served, point):
                 trial._freeze(v, w)
             delays = trial._rebuild(members)
@@ -597,9 +598,7 @@ class _Analyzer:
         if trial._pass(members, {v for v in members if self._placed[v]}):
             return False
         vars(self).update(vars(trial))  # the trial's state
-        self.notes.append(
-            f"port delays at {', '.join(members)} solved exactly after {passes} passes"
-        )
+        self.notes.append(f"port delays at {', '.join(members)} solved exactly")
         return True
 
     def _freeze(self, v: str, hi):
@@ -684,14 +683,12 @@ class _Analyzer:
         return self._capped(placement.shaping[fid])
 
     def _port_delay(self, v: str, post: dict) -> DelayInterval:
-        """v's port delay under the flows' curves `post`; the aggregate is
-        kept in `_loads` for `_shape`."""
+        """v's port delay under the flows' curves `post`, unbounded at a
+        served port when one of them is cut off (None)."""
         spec = self.net.vertices[v]
         if any(c is None for c in post.values()):
-            self._loads[v] = None
             return spec.tech if spec.service is None else DelayInterval(spec.tech.lo, UNBOUNDED)
-        self._loads[v] = aggregate = _total(list(post.values()))
-        return vertex_delay(spec, aggregate)
+        return vertex_delay(spec, _total(list(post.values())))
 
     def _output(self, cur, vdel: DelayInterval):
         if cur is None or is_unbounded(vdel.hi):

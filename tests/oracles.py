@@ -368,7 +368,10 @@ def full_sweep_analyze(
     sweeps.  No port delay is solved exactly.  With `grid` (the default) a
     network with a cycle runs on the burst grid, and after STALL_PASSES
     sweeps that change no curve every cyclic component's port delays go on
-    it too; without it every value is exact."""
+    it too; without it every value is exact.  A cut-off run holds no bound
+    on any cycle: as the analyzer does with a cut-off component, every
+    vertex on a cycle restarts from no bound (`_unbound`) before the last
+    sweep."""
     iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
     burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
     an = _GridAnalyzer(network, model, lossless, burst_cap, grid)
@@ -406,16 +409,18 @@ def full_sweep_analyze(
             an.status = ITERATION_CAP
             an.notes.append(f"no fixed point within {iter_cap} sweeps")
     if an.status != CONVERGED:
+        for comp in an.components:
+            for v in comp if len(comp) > 1 else ():
+                an._unbound(v)
         sweep()
     return an.report()
 
 
-def least_fixed_point_by_fractions(forms: list, point: list, floor: list):
+def least_fixed_point_by_fractions(forms: list, point: list):
     """`tfa._least_fixed_point` by Gauss-Jordan elimination in `Fraction` on
     `[I - A | I | b]`, each pivot row normalized to 1: the solution of
     `W = A W + b`, its forms written at `point`, or None unless `I - A` is
-    invertible with a nonnegative inverse and the solution is at least
-    `floor`."""
+    invertible with a nonnegative inverse."""
     n = len(point)
     rows = []
     for i, w in enumerate(forms):
@@ -440,10 +445,7 @@ def least_fixed_point_by_fractions(forms: list, point: list, floor: list):
                 rows[r] = [x - f * y for x, y in zip(rows[r], top)]
     if any(x < 0 for row in rows for x in row[n : 2 * n]):
         return None
-    solution = [Fraction(row[-1]) for row in rows]
-    if any(w < x for w, x in zip(solution, floor)):
-        return None
-    return solution
+    return [Fraction(row[-1]) for row in rows]
 
 
 def compare_models_independently(network: NetworkSpec, lossless: bool = False, **kw) -> dict:

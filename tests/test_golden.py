@@ -55,6 +55,7 @@ def _two_segment_ring():
 # case -> (network document, analyze flags)
 RINGS = {
     "ring-converged": (_contractive_ring, []),
+    "ring-iter-cap-1": (_growing_ring, ["--lossless", "--iter-cap", "1"]),
     "ring-iter-cap-2": (_growing_ring, ["--lossless", "--iter-cap", "2"]),
     "ring-burst-cap-4": (_growing_ring, ["--lossless", "--burst-cap", "4"]),
     "ring-sites-lossy": (ring_sites_network, []),
@@ -68,7 +69,8 @@ RINGS = {
 
 # (exit code, SHA-256 of stdout), recorded before the single-pass analyzer;
 # the two-segment cases before the merge-based `add`; the simulate and
-# verify cases before the integer time base of the simulator
+# verify cases before the integer time base of the simulator; the ring cases
+# cut off by the iteration cap since a cut-off holds no bound on its cycles
 GOLDEN = {
     "compare:net-ir-instability.json:lossy": (
         2,
@@ -126,9 +128,13 @@ GOLDEN = {
         0,
         "bd69aed33e483424959e09dde362773e0982ff06dc596d3adf08a0b450c08a88",
     ),
+    "analyze:ring-iter-cap-1": (
+        2,
+        "fdb5dbac02ef3789db166d450aa436115a5ec8a5b06941f6c5b0302979842169",
+    ),
     "analyze:ring-iter-cap-2": (
         2,
-        "e6ae8502f0b724e8c2bbbbb8ee46a5ed0b78502f8439a893709aca1277c3e25c",
+        "910dff37c7b3aa0a971aa4d61b9a8056ce5734b9e960d3e54d16e3a4a88aa9b1",
     ),
     "analyze:ring-sites-burst-cap-3": (
         2,
@@ -136,7 +142,7 @@ GOLDEN = {
     ),
     "analyze:ring-sites-iter-cap-3": (
         2,
-        "5372af7907633b9f4cd80be089ab0f7efffaba2d4fdaa4d30fb8f899cda68c82",
+        "b64dde6544252e31062a829617b09775e513f41fa6ad17b3951f904256978353",
     ),
     "analyze:ring-sites-lossless": (
         0,
@@ -225,36 +231,41 @@ GOLDEN = {
 }
 
 # (exit code, SHA-256 of stdout) of the ring cases whose port delays are
-# solved exactly; their GOLDEN digests are those of the grid algorithm, which
-# the reference `full_sweep_analyze` keeps
+# solved exactly, recorded when the solve was tried after every pass; their
+# GOLDEN digests are those of the grid algorithm, which the reference
+# `full_sweep_analyze` keeps
 SOLVED = {
     "ring-converged": (
         0,
-        "3b5e0800ab75c0a72c86b49de13713aeb4387a61bba717e42e8c41ddbe4686e2",
+        "318bc796379374d1040b9bb670e4d3b1822939ad03bf221501f771f02ee634e7",
+    ),
+    "ring-iter-cap-2": (
+        0,
+        "8da04b7db58e8f54994eead305d2f3f4104af06b58f382e35ff5a4a72d8e150e",
     ),
     "ring-sites-iter-cap-3": (
         2,
-        "68bc87d258bc70957043feabea36f9422b11947caf2093fc404dd7bcc970c01a",
+        "3f0a58248d644982337ecca00607ff45b2fddc5554c4951319440efdc16fdfef",
     ),
     "ring-sites-lossless": (
         0,
-        "51309408ced42151e85c24e7c2054899b955d448fe5e97e335901770af59c970",
+        "6699ffaeb3927b9608f9d20704ac7cd8f3d41b4a89b331dfa293a5b8ce4da9d9",
     ),
     "ring-sites-lossy": (
         2,
-        "68bc87d258bc70957043feabea36f9422b11947caf2093fc404dd7bcc970c01a",
+        "3f0a58248d644982337ecca00607ff45b2fddc5554c4951319440efdc16fdfef",
     ),
     "ring-sites-timeout": (
         0,
-        "11541625bb35919d05e3b0e8ad14b7fa5ca9638bc2c3059ccada3f9ba44bd4f0",
+        "5698aa18a3f8b887d5228f6e545376b920649e7130a3d9b52ddc53c6afd54251",
     ),
     "ring-two-segment": (
         2,
-        "55b2e0db6b55c253ec668a936a4e9fc662e7bf58aae031b7e00c0511a383c3ea",
+        "78f335448fe2e69d579f63537594b921b687b22c63f2a35052cd0b7927764724",
     ),
     "ring-two-segment-lossless": (
         0,
-        "560c5ac0426f3ce1b82badc4b07018cf57f212f28ba0b4f6c2b1d0d61fc5259b",
+        "728a2e6fc5596f3dc7951356cc96a414f18d0f162e8c51182c5a2340a5720962",
     ),
 }
 
