@@ -10,22 +10,22 @@ re-sequencing, or shaping.
 The vertices are taken one strongly connected component (SCC) of the union
 graph at a time, in topological order.  A vertex on no cycle is processed
 once, after its inputs have settled.  A cyclic component is settled by
-policy iteration: after each exact pass over its dirty members (those that
-read an output changed since their last processing, as in Bourdoncle's
-chaotic iteration), its port delays are read as an affine map of themselves,
-`W' = A W + b`, and solved exactly by fraction-free elimination in integers,
-on a fork of the analyzer.  The solution is kept when `I - A` has a
-nonnegative inverse, it lies above the state, and the curves rebuilt from it
-give it back (where they do not, the piece read there is solved once more).
-Two passes in a row on one `A` whose `I - A` has no nonnegative inverse make
-the component Diverged, and so does the burst cap; `iter_cap` passes make it
-IterationCap.  A cut-off component proves no bound: its members restart from
-no bound for one more pass, and the components after it are still
-processed.  No value is rounded, so every bound is exact and none depends on
-how the vertices are named.
+policy iteration: after each exact Gauss-Seidel pass over its members, its
+port delays are read as an affine map of themselves, `W' = A W + b`, and
+solved exactly by fraction-free elimination in integers, on a fork of the
+analyzer.  The solution is kept when `I - A` has a nonnegative inverse, it
+lies above the state, and the curves rebuilt from it give it back (where
+they do not, the piece read there is solved once more).  Two passes in a row
+on one `A` whose `I - A` has no nonnegative inverse make the component
+Diverged, and so does the burst cap; `iter_cap` passes make it IterationCap.
+A cut-off component proves no bound: its members restart from no bound for
+one more pass, and the components after it are still processed.  No value
+is rounded, so every bound is exact and none depends on how the vertices
+are named.
 
 The structure of each flow (diamond ancestors, anchors, the functions placed
-at each vertex, the readers of each vertex) is computed once per analysis.
+at each vertex) is computed once per analysis; a section between a reference
+and a vertex is walked in the flow's own order when its bounds are needed.
 Each vertex keeps the PEF/POF site reports and timeout notes of its last
 processing; after convergence they describe the fixed point.  A regulator's
 output is its shaping curve whatever its delay, so its verdict stays out of
@@ -86,10 +86,10 @@ from .topology import (
     REG_PER_FLOW,
     DelayInterval,
     NetworkSpec,
-    _section_plan,
     diamond_ancestors,
     ep_vertices,
     path_delay_bounds,
+    section,
 )
 
 MODEL_TIGHT = "tight"
@@ -362,12 +362,6 @@ class _Analyzer:
                 shared = p.mode != REG_PER_FLOW and any(own.values())
                 for g in p.flows:
                     self._out_of_order[(g, p.vertex)] = own[g] or shared
-        # vertex of a cyclic component -> the members that read its outputs
-        self._readers = {v: set() for comp in self.components if len(comp) > 1 for v in comp}
-        for comp in self.components:
-            for v in comp if len(comp) > 1 else ():
-                for x in self._inputs(v).intersection(comp):
-                    self._readers[x].add(v)
         self._reset(network.vertices)
 
     def _reset(self, vertices):
@@ -442,10 +436,11 @@ class _Analyzer:
         re-sequencer of the flow there restores source order.  At v the
         eliminator and the re-sequencer run before the regulator.
         """
-        disordered = set()
-        for x, parents in _section_plan(self.net.flows[fid].edges, a, v):
+        parents = self.net.flows[fid].parents
+        disordered = set()  # section vertices only, so a parent off the paths never counts
+        for x in section(self.net.flows[fid], a, v):
             if (POF, fid, x) not in self._function and (
-                x in eps or (PEF, fid, x) in self._function or not disordered.isdisjoint(parents)
+                x in eps or (PEF, fid, x) in self._function or not disordered.isdisjoint(parents[x])
             ):
                 disordered.add(x)
         return v in disordered
@@ -467,7 +462,7 @@ class _Analyzer:
                 refs = self._ancestors[(fid, v)] if placement.kind == PEF else [placement.reference]
                 for a in refs:
                     reads.add(a)
-                    reads.update(x for x, _ in _section_plan(flows[fid].edges, a, v))
+                    reads.update(section(flows[fid], a, v))
         reads.discard(v)
         return reads
 
@@ -484,7 +479,7 @@ class _Analyzer:
         )
 
     def _bounds(self, fid: str, a: str, v: str) -> DelayInterval:
-        return path_delay_bounds(self.net.flows[fid].edges, a, v, self._delays(fid))
+        return path_delay_bounds(self.net.flows[fid], a, v, self._delays(fid))
 
     def _capped(self, curve):
         if curve is not None and curve.min_burst > self.burst_cap:
@@ -494,12 +489,12 @@ class _Analyzer:
             return None
         return curve
 
-    # -- chaotic iteration over one cyclic component -------------------------
+    # -- policy iteration over one cyclic component --------------------------
 
     def settle(self, members, iter_cap: int) -> int:
         """Find a cyclic component's least fixed point by policy iteration,
-        and return the pass count.  After every pass over the dirty members
-        that changes something, while the cap allows one more pass, the port
+        and return the pass count.  After every pass over the members that
+        changes something, while the cap allows one more pass, the port
         delays are solved on the affine piece of the sweep (`_solve`); an
         accepted solve ends the sweep, its confirmation counted as a pass.
         Two solves in a row rejected on the same `A`, for want of a
@@ -507,11 +502,10 @@ class _Analyzer:
         cut-off component holds an unfinished iterate, below the least fixed
         point, so every member restarts from no bound (`_unbound`) for one
         more pass over all of them."""
-        dirty = set(members)
         passes = 0
         last = None  # the rows of A of the last pass's piece without a finite fixed point
         for passes in range(1, iter_cap + 1):
-            if not self._pass(members, dirty) or self.status != CONVERGED:
+            if not self._pass(members) or self.status != CONVERGED:
                 break
             outcome = passes < iter_cap and self._solve(members)
             if outcome is True:
@@ -530,7 +524,7 @@ class _Analyzer:
         if self.status != CONVERGED:
             for v in members:
                 self._unbound(v)
-            self._pass(members, set(members))
+            self._pass(members)
         return passes
 
     def _unbound(self, v: str):
@@ -595,7 +589,7 @@ class _Analyzer:
         # rewritten in sweep order, from the rebuilt curves
         for v in members:
             trial.records.pop(v, None)
-        if trial._pass(members, {v for v in members if self._placed[v]}):
+        if trial._pass([v for v in members if self._placed[v]]):
             return False
         vars(self).update(vars(trial))  # the trial's state
         self.notes.append(f"port delays at {', '.join(members)} solved exactly")
@@ -617,17 +611,12 @@ class _Analyzer:
                     self.curves[(fid, v)] = self._output(cur, self.vertex_delays[v])
         return {v: self._port_delay(v, post[v]) for v in members}
 
-    def _pass(self, members, dirty: set) -> bool:
-        """One Gauss-Seidel pass over the dirty members, in sorted order; a
-        member that changes makes its readers dirty, later in this pass or
-        in the next one."""
+    def _pass(self, vertices) -> bool:
+        """One Gauss-Seidel pass: each of `vertices` processed in turn, each
+        reading the outputs of those before it; True when one changes."""
         changed = False
-        for v in members:
-            if v in dirty:
-                dirty.discard(v)
-                if self._process_vertex(v):
-                    changed = True
-                    dirty |= self._readers[v]
+        for v in vertices:
+            changed = self._process_vertex(v) or changed
         return changed
 
     def _records(self, v: str, key: str) -> list:
@@ -953,8 +942,8 @@ def analyze(
     `lossless` asserts that no data unit is ever lost on the analyzed paths,
     which sharpens the re-sequencer transforms; without it a re-sequencer
     needs a configured timeout for the flow to keep a bounded delay.
-    Each cyclic component is swept, over its dirty members only, until its
-    port delays are solved exactly or a pass changes nothing; its passes,
+    Each cyclic component is swept over all its members until its port
+    delays are solved exactly or a pass changes nothing; its passes,
     the confirmation of a solve included, are capped by `iter_cap` (default
     1000, at least 1), and growing states are cut off once a curve's burst
     exceeds `burst_cap` (default 10^9, not negative); a cap out of range

@@ -213,60 +213,68 @@ def diamond_ancestors(network: NetworkSpec, flow_id: str) -> dict:
     return ancestors
 
 
-def path_delay_bounds(edges, a: str, n: str, delay_of: dict) -> DelayInterval:
-    """[min, max] over a -> n paths of the summed delay of inner vertices.
+def _after(flow: FlowSpec, a: str) -> tuple:
+    """The vertices that follow a in the flow's order; none when the flow
+    does not cross a."""
+    order = flow.order
+    return order[order.index(a) + 1:] if a in flow.vertices else ()
+
+
+def path_delay_bounds(flow: FlowSpec, a: str, n: str, delay_of: dict) -> DelayInterval:
+    """[min, max] over the flow's a -> n paths of the summed delay of inner
+    vertices.
 
     The endpoints themselves do not contribute: the bounds cover the section
     between the output of `a` and the input of `n`'s local functions.
-    `delay_of` maps each inner vertex to its DelayInterval.
-
-    The plan of a section (its vertices in topological order, each with its
-    parents on the section) depends on the edges only, so it is built once
-    and cached; the delays are read from `delay_of` on every call.
+    `delay_of` maps each vertex reached from `a` to its DelayInterval.  One
+    walk in flow order from `a` to `n` bounds each vertex it reaches over its
+    reached parents, so every a -> n path is summed on the way.
     """
     if a == n:
         return DelayInterval(0, 0)
     zero = Fraction(0)
-    lo = {a: zero}
-    hi = {a: zero}
-    for v, parents in _section_plan(tuple(edges), a, n):
-        best_lo, best_hi = None, None
-        for p in parents:
+    lo, hi = {}, {}
+    for v in _after(flow, a):
+        best_lo = best_hi = None
+        for p in flow.parents[v]:
             if p == a:
                 cand_lo, cand_hi = zero, zero
-            else:
+            elif p in lo:
                 cost = delay_of[p]
                 cand_lo = lo[p] + cost.lo
-                cand_hi = (
-                    UNBOUNDED
-                    if is_unbounded(hi[p]) or is_unbounded(cost.hi)
-                    else hi[p] + cost.hi
-                )
+                unbounded = is_unbounded(hi[p]) or is_unbounded(cost.hi)
+                cand_hi = UNBOUNDED if unbounded else hi[p] + cost.hi
+            else:
+                continue
             best_lo = cand_lo if best_lo is None else min(best_lo, cand_lo)
             best_hi = cand_hi if best_hi is None else max(best_hi, cand_hi)
-        lo[v] = best_lo
-        hi[v] = best_hi
+        if best_lo is not None:
+            lo[v], hi[v] = best_lo, best_hi
+        if v == n:
+            break
+    if n not in lo:
+        raise ValueError(f"no path from {a} to {n}")
     return DelayInterval._unchecked(lo[n], hi[n])  # sums of parsed, ordered endpoints
 
 
-@functools.lru_cache(maxsize=4096)
-def _section_plan(edges: tuple, a: str, n: str) -> tuple:
-    """(vertex, its parents on the section) for every vertex on some a -> n
-    path but a, in topological order."""
-    children = {}
-    parents = {}
-    for u, v in edges:
-        children.setdefault(u, []).append(v)
-        parents.setdefault(v, []).append(u)
-    fwd = _reach(children, a)
-    if n not in fwd:
+def section(flow: FlowSpec, a: str, n: str) -> list:
+    """The vertices on some a -> n path of the flow but a, in flow order: a
+    walk forward from a, then one backward from n over the same vertices."""
+    reached = {a}
+    ahead = []
+    for v in _after(flow, a):
+        if not reached.isdisjoint(flow.parents[v]):
+            reached.add(v)
+            ahead.append(v)
+        if v == n:
+            break
+    if n not in reached:
         raise ValueError(f"no path from {a} to {n}")
-    live = fwd & _reach(parents, n)
-    return tuple(
-        (v, tuple(p for p in parents[v] if p in live))
-        for v in _topo(children, live)
-        if v != a
-    )
+    live = {n}
+    for v in reversed(ahead):
+        if not live.isdisjoint(flow.children[v]):
+            live.add(v)
+    return [v for v in ahead if v in live]
 
 
 def _reach(adj: dict, start: str) -> set:

@@ -8,11 +8,11 @@ regulators' ordering question by following every path.  The eliminator
 output curve of identical parallel branches has a closed form built from the
 min-plus primitives, which the general form must reproduce.  The analyzer's
 SCC sweep order (Kosaraju) is checked against Tarjan's algorithm, and its
-schedule (each component on its own, dirty vertices only) against the global
-loop that re-runs every vertex on every sweep.  That loop solves nothing
-exactly.  It keeps the grid algorithm that the analyzer ran before every
-cyclic component was solved exactly: bursts rounded up onto a fixed grid,
-and port delays too once the curves stall.  The analyzer's bounds may only
+schedule (each component on its own) against the global loop that re-runs
+every vertex on every sweep.  That loop solves nothing exactly.  It keeps
+the grid algorithm that the analyzer ran before every cyclic component was
+solved exactly: bursts rounded up onto a fixed grid, and port delays too
+once the curves stall.  The analyzer's bounds may only
 fall below that reference.  With its rounding off, the loop is the exact
 sweep that a run with no accepted solve must match.  The exact solve's
 integer elimination is checked against Gauss-Jordan elimination in

@@ -1478,6 +1478,38 @@ class TestRelabeling:
         assert converged == 762 and passes <= 1722
 
 
+class TestModelAndLossLaws:
+    """Two monotonicity laws over the 800 runs: the eliminator model and the
+    lossless flag change only upper ends, and neither the tight model nor
+    lossless traffic raises one."""
+
+    LAWS = {  # law -> (setting whose upper ends may only be lower, the other)
+        "tight <= intuitive": [((MODEL_TIGHT, lossless), (MODEL_INTUITIVE, lossless))
+                               for lossless in (False, True)],
+        "lossless <= lossy": [((model, True), (model, False))
+                              for model in (MODEL_TIGHT, MODEL_INTUITIVE)],
+    }
+
+    def test_only_upper_ends_move_and_never_up(self):
+        counts = {}
+        for law, pairs in self.LAWS.items():
+            compared = lower = 0
+            for low, high in pairs:
+                runs = zip(_second_seed_runs(*low), _second_seed_runs(*high))
+                for i, ((a, _), (b, _)) in enumerate(runs):
+                    assert len(a.results) == len(b.results), (law, low, i)
+                    for r, s in zip(a.results, b.results):
+                        where = (law, low, i, r.flow, r.destination)
+                        assert (r.flow, r.destination) == (s.flow, s.destination), where
+                        assert r.interval.lo == s.interval.lo, where
+                        assert r.interval.hi <= s.interval.hi, where
+                        compared += 1
+                        lower += r.interval.hi < s.interval.hi
+            counts[law] = (compared, lower)
+        # (result pairs, pairs strictly lower)
+        assert counts == {"tight <= intuitive": (1838, 705), "lossless <= lossy": (1838, 552)}
+
+
 class TestDivergenceAndCutOff:
     """A component whose sweep stays on an affine piece without a finite
     fixed point is Diverged once two passes in a row read that piece, and a
@@ -1593,9 +1625,9 @@ class TestDivergenceAndCutOff:
 
 
 class TestComponentSchedule:
-    """The analyzer solves one SCC at a time and revisits only the vertices
-    whose inputs changed; the global loop that re-runs every vertex on every
-    sweep (`full_sweep_analyze`) must give the same reports."""
+    """The analyzer solves one SCC at a time, each pass over the members of
+    one component; the global loop that re-runs every vertex on every sweep
+    (`full_sweep_analyze`) must give the same reports."""
 
     @pytest.mark.parametrize("case", sorted(RINGS))
     def test_ring_reports_match_the_full_sweep(self, case):
@@ -1625,9 +1657,9 @@ class TestComponentSchedule:
         assert min(kinds[k] for k in ("pef", "pof", "per-flow", "interleaved")) >= 10
 
     def test_every_read_inside_a_component_is_a_reader_edge(self, monkeypatch):
-        # a vertex is revisited only when an output it reads changed, so each
-        # curve or port delay that processing it reads inside its component
-        # must come from a vertex that lists it as a reader
+        # a model comparison reuses a component only when no member reads a
+        # vertex that changed, so each curve or port delay that processing a
+        # vertex reads inside its component must be one of its `_inputs`
         # the same holds for each curve that the exact solve rebuilds
         reads = set()
         several = 0  # processings that read two other members or more
@@ -1639,7 +1671,7 @@ class TestComponentSchedule:
             if len(comp) == 1:
                 return 0
             read = {x if isinstance(x, str) else x[1] for x in reads} & set(comp) - {v}
-            assert read <= {x for x in comp if v in an._readers[x]}, v
+            assert read <= an._inputs(v), v
             return len(read)
 
         def logged_process(an, v):
@@ -1751,10 +1783,11 @@ class TestComponentSchedule:
         assert len(accepted) >= 20 and sum(hosts for _, hosts in accepted) >= 20
         assert [processed for processed, _ in accepted] == [hosts for _, hosts in accepted]
 
-    def test_clean_vertices_are_skipped(self, visits, monkeypatch):
-        # the solve ends each chain after its first pass; the sweep alone
-        # settles chain A in two passes and climbs on chain B, and no pass
-        # revisits a member whose inputs are unchanged
+    def test_each_component_is_swept_on_its_own(self, visits, monkeypatch):
+        # the solve ends each chain after its first pass; without it chain
+        # B, first in sweep order, climbs to the cap and is cut off, and
+        # chain A, entered cut off, gets one pass and the cut-off one.  The
+        # chains are separate components, so no pass over B sweeps A
         monkeypatch.setattr(_Analyzer, "_solve", lambda an, members: False)
         network = net(diamond_grid_network(8, 6, 4))
         rep = analyze(network, iter_cap=20)
@@ -1833,18 +1866,23 @@ class TestRegulatorVerdicts:
         assert decided >= 10
 
     def test_regulators_add_no_reader_edges(self):
-        # the readers with the regulators in place are those without them:
-        # a regulator vertex reads its flow parents and its other functions'
-        # inputs only
+        # the inputs of each cyclic member with the regulators in place are
+        # those without them: a regulator vertex reads its flow parents and
+        # its other functions' inputs only
         cut = 0  # regulator references inside the cycle, off the flow parents
         docs = [ring_sites_network()] + [doc for doc, _ in _random_cyclic_cases(60)]
+
+        def cyclic_inputs(network) -> dict:
+            an = _Analyzer(network, MODEL_TIGHT, False, DEFAULT_BURST_CAP)
+            return {v: an._inputs(v) for comp in an.components if len(comp) > 1 for v in comp}
+
         for doc in docs:
             network = net(doc)
             bare = net({**doc, "placements": [p for p in doc["placements"] if p["kind"] != "reg"]})
-            an = _Analyzer(network, MODEL_TIGHT, False, DEFAULT_BURST_CAP)
-            assert an._readers == _Analyzer(bare, MODEL_TIGHT, False, DEFAULT_BURST_CAP)._readers
+            inputs = cyclic_inputs(network)
+            assert inputs == cyclic_inputs(bare)
             for p in network.placements:
-                if p.kind == "reg" and p.reference in an._readers:
+                if p.kind == "reg" and p.reference in inputs:
                     parents = set().union(*(network.flows[g].parents[p.vertex] for g in p.flows))
                     cut += p.reference not in parents
         assert cut >= 10

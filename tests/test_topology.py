@@ -3,17 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from redcalc.minplus import UNBOUNDED, is_unbounded
+from redcalc.minplus import UNBOUNDED, ConcaveCurve, is_unbounded
 from redcalc.topology import (
     DelayInterval,
+    FlowSpec,
     SpecError,
     diamond_ancestors,
     ep_vertices,
     load_network,
     path_delay_bounds,
+    section,
 )
 from netfixtures import diamond_network, gamma, toy_network
 from oracles import all_paths, dominators_by_paths
+
+
+def _flow(edges) -> FlowSpec:
+    """A flow over `edges` alone, rooted at the tail of the first one (the
+    loader's checks are not run)."""
+    edges = tuple(edges)
+    source = edges[0][0] if edges else "a"
+    return FlowSpec("f", source, (), edges, ConcaveCurve([(1, 1)]), Fraction(1), Fraction(1), {})
 
 
 class TestDelayInterval:
@@ -44,8 +54,8 @@ class TestDelayInterval:
             DelayInterval(2, 7),
             DelayInterval(Fraction(3, 4), UNBOUNDED),
         ]
-        chain = [("s", "x"), ("x", "y"), ("y", "n")]
-        parallel = [("s", "x"), ("s", "y"), ("x", "n"), ("y", "n")]
+        chain = _flow([("s", "x"), ("x", "y"), ("y", "n")])
+        parallel = _flow([("s", "x"), ("s", "y"), ("x", "n"), ("y", "n")])
         for a in cases:
             for b in cases:
                 bounded = not is_unbounded(a.hi) and not is_unbounded(b.hi)
@@ -264,7 +274,7 @@ class TestPathDelayBounds:
 
     def test_single_path_sums(self):
         edges = [("a", "v1"), ("v1", "v2"), ("v2", "n")]
-        assert path_delay_bounds(edges, "a", "n", self.DELAYS) == DelayInterval(4, 6)
+        assert path_delay_bounds(_flow(edges), "a", "n", self.DELAYS) == DelayInterval(4, 6)
 
     def test_parallel_paths_hull(self):
         edges = [
@@ -275,33 +285,33 @@ class TestPathDelayBounds:
             ("w2", "n"),
             ("w3", "n"),
         ]
-        assert path_delay_bounds(edges, "a", "n", self.DELAYS) == DelayInterval(0, 9)
+        assert path_delay_bounds(_flow(edges), "a", "n", self.DELAYS) == DelayInterval(0, 9)
 
     def test_toy_section(self):
         net = load_network(toy_network())
         delays = {v: net.vertices[v].tech for v in net.vertices}
-        bounds = path_delay_bounds(net.flows["f"].edges, "B", "F", delays)
+        bounds = path_delay_bounds(net.flows["f"], "B", "F", delays)
         assert bounds == DelayInterval(0, 7)
 
     def test_same_vertex_is_zero(self):
-        assert path_delay_bounds([], "a", "a", {}) == DelayInterval(0, 0)
+        assert path_delay_bounds(_flow([]), "a", "a", {}) == DelayInterval(0, 0)
 
     def test_unreachable_raises(self):
         with pytest.raises(ValueError):
-            path_delay_bounds([("a", "b")], "b", "a", self.DELAYS)
+            path_delay_bounds(_flow([("a", "b")]), "b", "a", self.DELAYS)
 
     def test_unreachable_raises_on_every_call(self):
         edges = (("a", "v1"), ("v1", "n"))
         for _ in range(3):
             with pytest.raises(ValueError, match="no path"):
-                path_delay_bounds(edges, "n", "a", self.DELAYS)
+                path_delay_bounds(_flow(edges), "n", "a", self.DELAYS)
 
     def test_delays_are_read_on_every_call(self):
         edges = (("a", "v1"), ("a", "v2"), ("v1", "n"), ("v2", "n"))
         other = {"v1": DelayInterval(5, 6), "v2": DelayInterval(7, 8)}
         for _ in range(2):
-            assert path_delay_bounds(edges, "a", "n", self.DELAYS) == DelayInterval(1, 4)
-            assert path_delay_bounds(edges, "a", "n", other) == DelayInterval(5, 8)
+            assert path_delay_bounds(_flow(edges), "a", "n", self.DELAYS) == DelayInterval(1, 4)
+            assert path_delay_bounds(_flow(edges), "a", "n", other) == DelayInterval(5, 8)
 
     def test_random_dags_match_path_enumeration(self):
         rng = random.Random(0xB0B)
@@ -326,5 +336,57 @@ class TestPathDelayBounds:
                 continue
             lows = [sum((delays[v].lo for v in p[1:-1]), Fraction(0)) for p in paths]
             highs = [sum((delays[v].hi for v in p[1:-1]), Fraction(0)) for p in paths]
-            got = path_delay_bounds(edges, src, dst, delays)
+            got = path_delay_bounds(_flow(edges), src, dst, delays)
             assert got == DelayInterval(min(lows), max(highs))
+
+    def test_no_path_upstream_on_a_branch_or_outside_the_flow(self):
+        flow = _flow([("a", "v1"), ("v1", "n"), ("a", "w1")])
+        cases = [("n", "a"), ("v1", "a"), ("w1", "n"), ("n", "w1"), ("a", "x"), ("x", "n")]
+        for a, n in cases:
+            with pytest.raises(ValueError, match=f"no path from {a} to {n}"):
+                section(flow, a, n)
+            with pytest.raises(ValueError, match=f"no path from {a} to {n}"):
+                path_delay_bounds(flow, a, n, self.DELAYS)
+
+    def test_random_dags_with_several_sinks_match_path_enumeration(self):
+        # every (start, target) pair of each DAG: targets upstream of the
+        # start, on another branch, or past a sink the start also reaches.
+        # The names are shuffled, so flow order is not their sorted order
+        rng = random.Random(0x5EC7)
+        branched = 0  # pairs whose start also reaches vertices off the section
+        several_sinks = 0
+        for _ in range(40):
+            n = rng.randint(3, 10)
+            names = [f"u{i}" for i in rng.sample(range(n), n)]
+            edges = [(names[rng.randrange(j)], names[j]) for j in range(1, n)]
+            for _extra in range(rng.randint(0, n)):
+                i, j = sorted(rng.sample(range(n), 2))
+                if (names[i], names[j]) not in edges:
+                    edges.append((names[i], names[j]))
+            flow = _flow(edges)
+            several_sinks += sum(not flow.children[v] for v in names) >= 2
+            delays = {
+                v: DelayInterval(
+                    Fraction(rng.randint(0, 4)),
+                    UNBOUNDED if rng.random() < 0.1 else Fraction(rng.randint(4, 9)),
+                )
+                for v in names
+            }
+            for a in names:
+                reached = {v for v in names if all_paths(edges, a, v)} - {a}
+                for target in names:
+                    paths = all_paths(edges, a, target)
+                    if not paths:
+                        with pytest.raises(ValueError, match="no path"):
+                            section(flow, a, target)
+                        with pytest.raises(ValueError, match="no path"):
+                            path_delay_bounds(flow, a, target, delays)
+                        continue
+                    on = {v for p in paths for v in p} - {a}
+                    assert section(flow, a, target) == [v for v in flow.order if v in on]
+                    lows = [sum((delays[v].lo for v in p[1:-1]), Fraction(0)) for p in paths]
+                    highs = [sum((delays[v].hi for v in p[1:-1]), Fraction(0)) for p in paths]
+                    got = path_delay_bounds(flow, a, target, delays)
+                    assert got == DelayInterval(min(lows), max(highs))
+                    branched += bool(reached - on)
+        assert several_sinks >= 30 and branched >= 300
