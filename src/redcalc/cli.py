@@ -1,6 +1,9 @@
 """Command-line front end: analyze networks, compare eliminator models,
 replay scenario trajectories, and verify simulated delays against bounds.
 
+The analysis commands (`analyze`, `compare`, `bundled`) never load the
+trajectory simulator; `simulate` and `verify` load it on first use.
+
 Exit codes: 0 all good, 1 input or usage error, 2 at least one deadline
 violated, an unbounded verdict, or a non-converged analysis.  Input paths
 prefixed with ``bundled:`` resolve into the corpus shipped inside the
@@ -13,11 +16,25 @@ import json
 import sys
 
 from .minplus import is_unbounded, to_jsonable
-from .sim import load_scenario, run_scenario
 from .tfa import CONVERGED, MODEL_INTUITIVE, MODEL_TIGHT, analyze, compare_models
 from .topology import SpecError, bundled_dir, load_network
 
 BUNDLED_PREFIX = "bundled:"
+
+
+# The simulator is imported on first use, so the analysis commands start
+# without it.  These read the engine module, not the `redcalc.sim` package,
+# whose bindings a caller may have replaced.
+def load_scenario(source):
+    from .sim.engine import load_scenario
+
+    return load_scenario(source)
+
+
+def run_scenario(scenario):
+    from .sim.engine import run_scenario
+
+    return run_scenario(scenario)
 
 
 def bundled_names() -> list:

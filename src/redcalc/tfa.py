@@ -44,7 +44,6 @@ results over when its port delays and regulator verdicts are unchanged.
 """
 
 import copy
-import csv
 import io
 from collections import ChainMap
 from dataclasses import dataclass, fields
@@ -171,6 +170,8 @@ class AnalysisReport:
         return to_jsonable(doc)
 
     def to_csv(self) -> str:
+        import csv  # only `--format csv` needs it
+
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["flow", "destination", "model", "lower", "upper", "deadline", "verdict"])

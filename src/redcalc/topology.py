@@ -17,7 +17,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from typing import Optional, Union
 
 from .minplus import (
@@ -329,7 +328,10 @@ _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a bool
 
 def bundled_dir():
     """The directory of the network and scenario corpus shipped in the
-    package."""
+    package.  `importlib.resources` is imported here, on the first
+    `bundled:` input, so a run on filesystem paths never loads it."""
+    from importlib import resources
+
     return resources.files("redcalc").joinpath("data")
 
 

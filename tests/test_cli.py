@@ -755,3 +755,61 @@ class TestBundledCorpus:
         )
         assert proc.returncode == 0
         assert "analyze" in proc.stdout
+
+
+class TestSimulatorLoadedOnFirstUse:
+    # a fresh interpreter with only src/ on its path and without site, which
+    # may preload modules (as a .pth file can); -I drops the environment and
+    # the working directory from the path, -B writes no bytecode
+    PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from redcalc.cli import main
+
+for command in ("analyze", "compare"):
+    assert main([command, "--in", {net!r}, "--out", {out!r}]) == 0, command
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] == ["redcalc", "sim"] or m in ("csv", "importlib.resources")))
+code = main(["verify", "--scenario", "bundled:scn-toy-pfr.json",
+             "--network", "bundled:net-toy-pef-pfr.json", "--out", {out!r}])
+print(code, "redcalc.sim" in sys.modules)
+"""
+
+    def test_analysis_commands_never_load_the_simulator(self, tmp_path):
+        import redcalc
+
+        package = os.path.dirname(redcalc.__file__)
+        probe = self.PROBE.format(
+            src=os.path.dirname(package),
+            net=os.path.join(package, "data", "net-volvo-like.json"),
+            out=str(tmp_path / "out.json"),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-c", probe],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "0 True"]
+
+    def test_deferred_names_reach_the_engine(self, monkeypatch, capsys):
+        # the benchmark tracer wraps both the package's and the CLI's
+        # run_scenario; the CLI must not call through the package's
+        import redcalc.sim
+
+        simulate = ["simulate", "--scenario", bundled("scn-toy-pof-pfr.json")]
+        verify = ["verify", "--scenario", bundled("scn-toy-pfr.json"),
+                  "--network", bundled("net-toy-pef-pfr.json")]
+
+        def run_both():
+            assert main(simulate) == 0
+            assert main(verify) == 0
+            return capsys.readouterr().out
+
+        def unused(*args):
+            raise AssertionError("the CLI called through redcalc.sim")
+
+        before = run_both()
+        monkeypatch.setattr(redcalc.sim, "run_scenario", unused)
+        monkeypatch.setattr(redcalc.sim, "load_scenario", unused)
+        assert run_both() == before
