@@ -21,13 +21,11 @@ pieces come out canonical.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
 
 UNBOUNDED = math.inf
-
-Rational = Union[int, str, Fraction]
 
 
 def is_unbounded(x) -> bool:

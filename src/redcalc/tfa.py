@@ -38,9 +38,11 @@ by every diamond-ancestor curve, ``intuitive`` keeps the plain sum of the
 replicate curves as if nothing were dropped.  The model changes only the
 eliminators' outputs, so an analysis can start from one of the other model
 on the same network (`analyze(..., base=report)`, which `compare_models`
-uses): it shares the structure, keeps the state and log of each component
-whose processing the model cannot change, and takes each flow's end-to-end
-results over when its port delays and regulator verdicts are unchanged.
+uses): it shares the structure and processes again only the components
+that host an eliminator, are entered with another status, or have a flow
+parent that changed; every other component keeps the state and log of the
+other model, and each flow its end-to-end results when its port delays and
+regulator verdicts are unchanged.
 """
 
 import copy
@@ -88,7 +90,6 @@ from .topology import (
     diamond_ancestors,
     ep_vertices,
     path_delay_bounds,
-    section,
 )
 
 MODEL_TIGHT = "tight"
@@ -388,17 +389,28 @@ class _Analyzer:
         component by `settle`.  `iterations` is the largest pass count.
 
         With `base`, the analyzer this one was forked from, a component
-        keeps the base's state and log when the model cannot change its
-        processing: no member hosts an eliminator, no member reads
-        (`_inputs`) a vertex whose curves or port delay differ from the
-        base's, and the status on entry is the base's.  Any other component
-        starts again from the optimistic start."""
+        keeps the base's state and log when no member hosts an eliminator,
+        it is entered with the base's status, and no member has a flow
+        parent in `changed`.  Any other component starts again from the
+        optimistic start; all its members join `changed` when it was entered
+        for a change upstream or one of them differs from the base.
+        Processing a vertex reads only vertices upstream of it in a flow
+        that crosses it, so a change reaches it through a flow parent;
+        marking whole components covers a read through a cycle member that
+        did not itself change."""
         self.iter_cap, self._base, self._log = iter_cap, base, []
-        differs = set()  # vertices whose curves or port delay differ from the base's
+        changed = set()
         for i, comp in enumerate(self.components):
             if base is not None:
                 log = base._log[i]
-                if self._reusable(comp, log, differs):
+                upstream = bool(changed) and any(
+                    not changed.isdisjoint(self.net.flows[fid].parents[v])
+                    for v in comp
+                    for fid in self._crossing[v]
+                )
+                if not upstream and self.status == log.entry and not any(
+                    p.kind == PEF for v in comp for p, _ in self._placed[v]
+                ):
                     self.notes += log.notes
                     self.status = log.exit
                     self._log.append(log)
@@ -411,16 +423,9 @@ class _Analyzer:
                 self._process_vertex(comp[0])
                 passes = 1
             self._log.append(_ComponentLog(entry, tuple(self.notes[start:]), passes, self.status))
-            if base is not None:
-                differs.update(v for v in comp if self._differs(v, base))
+            if base is not None and (upstream or any(self._differs(v, base) for v in comp)):
+                changed.update(comp)
         self.iterations = max((log.passes for log in self._log), default=1)
-
-    def _reusable(self, members, log: _ComponentLog, differs: set) -> bool:
-        return (
-            self.status == log.entry
-            and not any(p.kind == PEF for v in members for p, _ in self._placed[v])
-            and not (differs and any(not differs.isdisjoint(self._inputs(v)) for v in members))
-        )
 
     def _differs(self, v: str, base) -> bool:
         return self.vertex_delays[v] != base.vertex_delays[v] or any(
@@ -431,41 +436,27 @@ class _Analyzer:
         """Can units of the flow reach v's regulator out of source order,
         on the paths from a's output to v?
 
-        Walking those paths downstream, a vertex lets units out of order
-        when it holds coexisting duplicates (EP), hosts an eliminator of the
-        flow, or has a parent on the paths that lets them out of order; a
-        re-sequencer of the flow there restores source order.  At v the
-        eliminator and the re-sequencer run before the regulator.
+        Walking forward from a, a vertex counts once one of its parents was
+        reached from a.  It lets units out of order when it holds coexisting
+        duplicates (EP), hosts an eliminator of the flow, or has a reached
+        parent that lets them out of order; a re-sequencer of the flow there
+        restores source order.  At v the eliminator and the re-sequencer run
+        before the regulator.
         """
-        parents = self.net.flows[fid].parents
-        disordered = set()  # section vertices only, so a parent off the paths never counts
-        for x in section(self.net.flows[fid], a, v):
+        flow = self.net.flows[fid]
+        reached, disordered = {a}, set()  # a itself never counts
+        for x in flow.order[flow.order.index(a) + 1:]:
+            parents = flow.parents[x]
+            if reached.isdisjoint(parents):
+                continue
+            reached.add(x)
             if (POF, fid, x) not in self._function and (
-                x in eps or (PEF, fid, x) in self._function or not disordered.isdisjoint(parents[x])
+                x in eps or (PEF, fid, x) in self._function or not disordered.isdisjoint(parents)
             ):
                 disordered.add(x)
+            if x == v:
+                break
         return v in disordered
-
-    def _inputs(self, v) -> set:
-        """The other vertices whose outputs processing v reads: the flow
-        parents, and the reference points of v's eliminators and
-        re-sequencers (the diamond ancestors for an eliminator) with the
-        sections from them to v.  A regulator's output is its shaping curve,
-        so it reads nothing upstream; its verdict comes from the final state."""
-        flows = self.net.flows
-        reads = set()
-        for fid in self._crossing[v]:
-            reads.update(flows[fid].parents[v])
-        for placement, pflows in self._placed[v]:
-            if placement.kind == REG:
-                continue
-            for fid in pflows:
-                refs = self._ancestors[(fid, v)] if placement.kind == PEF else [placement.reference]
-                for a in refs:
-                    reads.add(a)
-                    reads.update(section(flows[fid], a, v))
-        reads.discard(v)
-        return reads
 
     # -- structural helpers --------------------------------------------------
 
@@ -916,12 +907,15 @@ class _Analyzer:
 
 
 def _checked_caps(iter_cap, burst_cap) -> tuple:
-    """The caps with their defaults filled in; ValueError out of range."""
+    """The caps with their defaults filled in; ValueError for an iteration
+    cap that is no int (a bool is none) and for a cap out of range."""
     iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
     try:
         burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
     except (TypeError, ValueError):
         raise ValueError(f"burst cap must be a rational, not {burst_cap!r}") from None
+    if type(iter_cap) is bool or not isinstance(iter_cap, int):
+        raise ValueError(f"iteration cap must be an integer, not {iter_cap!r}")
     if iter_cap < 1:
         raise ValueError(f"iteration cap must be at least 1, not {iter_cap}")
     if burst_cap < 0:

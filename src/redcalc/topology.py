@@ -256,26 +256,6 @@ def path_delay_bounds(flow: FlowSpec, a: str, n: str, delay_of: dict) -> DelayIn
     return DelayInterval._unchecked(lo[n], hi[n])  # sums of parsed, ordered endpoints
 
 
-def section(flow: FlowSpec, a: str, n: str) -> list:
-    """The vertices on some a -> n path of the flow but a, in flow order: a
-    walk forward from a, then one backward from n over the same vertices."""
-    reached = {a}
-    ahead = []
-    for v in _after(flow, a):
-        if not reached.isdisjoint(flow.parents[v]):
-            reached.add(v)
-            ahead.append(v)
-        if v == n:
-            break
-    if n not in reached:
-        raise ValueError(f"no path from {a} to {n}")
-    live = {n}
-    for v in reversed(ahead):
-        if not live.isdisjoint(flow.children[v]):
-            live.add(v)
-    return [v for v in ahead if v in live]
-
-
 def _reach(adj: dict, start: str) -> set:
     seen = {start}
     stack = [start]

@@ -635,6 +635,38 @@ def twin_ring_network():
     return _network_doc(_with_endpoints(vertices, flows), flows, placements)
 
 
+def steady_cycle_member_network():
+    """A two-port cycle h <-> x: k1 runs h -> x, shaped at x, and k2 runs
+    x -> h.  g replicates at sg onto b1 and b2 (delay [0, 6] each) and
+    merges at h behind an eliminator.  f runs h -> x -> y, shaped at x and
+    re-sequenced at y against its curve at h.  Every curve that x offers is
+    a shaping or a source curve, so x comes out the same under both models
+    while h does not, and y reads h only through x."""
+    served = {"service": {"rate": "8", "latency": "1/2"}}
+    vertices = [{"name": v, **served} for v in ("h", "x", "y")]
+    vertices += [{"name": b, "tech": ["0", "6"]} for b in ("b1", "b2")]
+    g_edges = [("sg", "b1"), ("sg", "b2"), ("b1", "h"), ("b2", "h")]
+    flows = [
+        _path_flow("f", ["h", "x", "y"], "1/2", 1),
+        _path_flow("g", g_edges, "1/2", 1, "sg", "h"),
+        _path_flow("k1", ["h", "x"], "1/2", 1),
+        _path_flow("k2", ["x", "h"], "1/2", 1),
+    ]
+    placements = [
+        {"kind": "pef", "vertex": "h", "flows": ["g"]},
+        {
+            "kind": "reg",
+            "vertex": "x",
+            "flows": ["f", "k1"],
+            "reference": "h",
+            "mode": "per-flow",
+            "shaping": {"f": gamma("1/2", 2), "k1": gamma("1/2", 2)},
+        },
+        {"kind": "pof", "vertex": "y", "flows": ["f"], "reference": "h", "timeout": "2"},
+    ]
+    return _network_doc(_with_endpoints(vertices, flows), flows, placements)
+
+
 def random_cyclic_network(rng):
     """Random network on the chain ring (see `_chain_ring`) of three to six
     columns, whose every chain vertex lies in one cyclic component.

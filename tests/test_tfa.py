@@ -64,6 +64,7 @@ from netfixtures import (
     series_rings_network,
     shared_tail_network,
     sibling_pef_network,
+    steady_cycle_member_network,
     toy_network,
     toy_pof_pfr_placements,
     twin_ring_network,
@@ -690,6 +691,16 @@ class TestSweepBehavior:
         assert rep.status == CONVERGED and rep.iterations == 2
         assert result_for(rep, "f1", "t1").interval == DelayInterval(0, 6)
 
+    def test_an_iteration_cap_that_is_no_int_is_rejected(self):
+        network = net(random_cyclic_network(random.Random(7)))
+        for cap in (2.5, "3", True, False, Fraction(3)):
+            for run in (analyze, compare_models):
+                with pytest.raises(ValueError, match="iteration cap must be an integer"):
+                    run(network, iter_cap=cap)
+        for cap in (0, -2):
+            with pytest.raises(ValueError, match="iteration cap must be at least 1"):
+                compare_models(network, iter_cap=cap)
+
     def test_burst_cap_reports_divergence(self):
         doc = ring_network([fwd_flow("f1", 2, 1), rev_flow("f2", 2, 1)], 4)
         rep = analyze(net(doc), MODEL_TIGHT, lossless=True, burst_cap=4)
@@ -754,19 +765,32 @@ def visits(monkeypatch):
 
 
 class _LoggedReads(dict):
-    """A dict that records the keys read through [] and get()."""
+    """A dict that records the keys read through [] and get(), each as
+    `(flow, key)` when it is given the flow whose view it is."""
 
-    def __init__(self, data, log):
+    def __init__(self, data, log, flow=None):
         super().__init__(data)
         self.log = log
+        self.flow = flow
 
     def __getitem__(self, key):
-        self.log.add(key)
+        self.log.add(key if self.flow is None else (self.flow, key))
         return super().__getitem__(key)
 
     def get(self, key, default=None):
-        self.log.add(key)
+        self.log.add(key if self.flow is None else (self.flow, key))
         return super().get(key, default)
+
+
+def _upstream(flow, v) -> set:
+    """The vertices with a path to v in the flow, v left out."""
+    seen, todo = set(), [v]
+    while todo:
+        for p in flow.parents[todo.pop()]:
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return seen
 
 
 def _random_cyclic_cases(count):
@@ -1656,53 +1680,67 @@ class TestComponentSchedule:
         assert solved >= 20
         assert min(kinds[k] for k in ("pef", "pof", "per-flow", "interleaved")) >= 10
 
-    def test_every_read_inside_a_component_is_a_reader_edge(self, monkeypatch):
-        # a model comparison reuses a component only when no member reads a
-        # vertex that changed, so each curve or port delay that processing a
-        # vertex reads inside its component must be one of its `_inputs`
-        # the same holds for each curve that the exact solve rebuilds
-        reads = set()
-        several = 0  # processings that read two other members or more
-        rebuilt = 0  # curves rebuilt by the solve that read another member
+    def test_every_read_lies_upstream_in_a_crossing_flow(self, monkeypatch):
+        # a model comparison processes a vertex again only when one of its
+        # flow parents changed, so each curve or port delay that processing
+        # a vertex reads for a flow lies upstream of it in that flow; the
+        # same holds for each curve that the exact solve rebuilds.  A vertex
+        # that hosts only regulators reads only its flow parents: a
+        # regulator's output is its shaping curve
+        reads = set()  # (flow, vertex) of each curve and port delay read
+        beyond = 0  # processings that read past the flow parents
+        rebuilt = 0  # curves rebuilt by the solve that read another vertex
+        cut = 0  # processings of regulator-only vertices whose reference is no parent
+        upstream = {}  # (network id, flow, vertex) -> the vertices upstream of it in the flow
         process, post, delays = _Analyzer._process_vertex, _Analyzer._post, _Analyzer._delays
 
-        def check(an, v) -> int:
-            (comp,) = [c for c in an.components if v in c]
-            if len(comp) == 1:
-                return 0
-            read = {x if isinstance(x, str) else x[1] for x in reads} & set(comp) - {v}
-            assert read <= an._inputs(v), v
-            return len(read)
+        def check(an, v) -> set:
+            read = {(fid, x) for fid, x in reads if x != v}
+            for fid, x in read:
+                key = (id(an.net), fid, v)
+                if key not in upstream:
+                    upstream[key] = _upstream(an.net.flows[fid], v)
+                assert x in upstream[key], (fid, x, v)
+            return read
 
         def logged_process(an, v):
-            nonlocal several
+            nonlocal beyond, cut
             if not isinstance(an.curves, _LoggedReads):
                 an.curves = _LoggedReads(an.curves, reads)
             reads.clear()
             changed = process(an, v)
-            several += check(an, v) > 1
+            read = check(an, v)
+            flows = an.net.flows
+            parents = {(fid, p) for fid in an._crossing[v] for p in flows[fid].parents[v]}
+            beyond += not read <= parents
+            if an._placed[v] and all(p.kind == "reg" for p, _ in an._placed[v]):
+                assert read <= parents, v
+                cut += any(p.reference not in flows[fid].parents[v]
+                           for p, pflows in an._placed[v] for fid in pflows)
             return changed
 
         def logged_post(an, fid, v):
             nonlocal rebuilt
             reads.clear()
             curve = post(an, fid, v)
-            rebuilt += check(an, v) > 0
+            rebuilt += bool(check(an, v))
             return curve
 
         monkeypatch.setattr(_Analyzer, "_process_vertex", logged_process)
         monkeypatch.setattr(_Analyzer, "_post", logged_post)
         monkeypatch.setattr(
-            _Analyzer, "_delays", lambda an, fid: _LoggedReads(delays(an, fid), reads)
+            _Analyzer, "_delays", lambda an, fid: _LoggedReads(delays(an, fid), reads, fid)
         )
         networks = [(net(build()), _analysis_kwargs(flags)) for build, flags in RINGS.values()]
         networks += [(net(series_rings_network()), {}), (net(twin_ring_network()), {})]
+        networks += [(net(ring_sites_network()), {})]
         networks += [(net(doc), kw) for doc, kw in _random_cyclic_cases(60)]
         networks += list(_stall_cases())
         for network, kw in networks:
             analyze(network, **kw)
-        assert several > 1000
+        assert beyond >= 500
         assert rebuilt > 1000
+        assert cut >= 10
 
     def test_series_rings_match_the_full_sweep_but_iterations(self, monkeypatch):
         network = net(series_rings_network())
@@ -1865,28 +1903,6 @@ class TestRegulatorVerdicts:
             decided += len(calls)
         assert decided >= 10
 
-    def test_regulators_add_no_reader_edges(self):
-        # the inputs of each cyclic member with the regulators in place are
-        # those without them: a regulator vertex reads its flow parents and
-        # its other functions' inputs only
-        cut = 0  # regulator references inside the cycle, off the flow parents
-        docs = [ring_sites_network()] + [doc for doc, _ in _random_cyclic_cases(60)]
-
-        def cyclic_inputs(network) -> dict:
-            an = _Analyzer(network, MODEL_TIGHT, False, DEFAULT_BURST_CAP)
-            return {v: an._inputs(v) for comp in an.components if len(comp) > 1 for v in comp}
-
-        for doc in docs:
-            network = net(doc)
-            bare = net({**doc, "placements": [p for p in doc["placements"] if p["kind"] != "reg"]})
-            inputs = cyclic_inputs(network)
-            assert inputs == cyclic_inputs(bare)
-            for p in network.placements:
-                if p.kind == "reg" and p.reference in inputs:
-                    parents = set().union(*(network.flows[g].parents[p.vertex] for g in p.flows))
-                    cut += p.reference not in parents
-        assert cut >= 10
-
 
 class TestModelComparison:
     def test_tight_never_worse_randomized(self):
@@ -1993,6 +2009,20 @@ class TestDerivedAnalysis:
                     cut_then_kept += any(a is b and a.entry != CONVERGED for a, b in kept)
         assert runs == 1200
         assert cut_then_kept >= 50
+
+    def test_a_cycle_is_changed_as_a_whole(self):
+        # x comes out the same under both models and h, on its cycle, does
+        # not; y's only parent is x, but its re-sequencer reads h, so every
+        # member of the cycle counts as changed
+        network = net(steady_cycle_member_network())
+        for lossless in (False, True):
+            out = compare_models(network, lossless)
+            old = compare_models_independently(network, lossless)
+            assert _comparison_json(out) == _comparison_json(old)
+            tight, intuitive = out["tight"], out["intuitive"]
+            assert tight.vertex_delays["x"] == intuitive.vertex_delays["x"]
+            assert tight.vertex_delays["h"] != intuitive.vertex_delays["h"]
+            assert tight.pof_sites != intuitive.pof_sites
 
     def test_only_the_eliminator_hosts_are_processed_again(self, visits):
         network = net(diamond_grid_network(8, 6, 4))
