@@ -793,6 +793,36 @@ def _upstream(flow, v) -> set:
     return seen
 
 
+def _watch_reads(monkeypatch, on_process, on_post=None):
+    """Patch the analyzer so that each processing of a vertex calls
+    `on_process(an, v, read)`, and each curve the exact solve rebuilds calls
+    `on_post(an, v, read)`, with `read` the (flow, vertex) pairs of the
+    curves and port delays it read of other vertices."""
+    reads = set()
+    process, post, delays = _Analyzer._process_vertex, _Analyzer._post, _Analyzer._delays
+
+    def logged_process(an, v):
+        if not isinstance(an.curves, _LoggedReads):
+            an.curves = _LoggedReads(an.curves, reads)
+        reads.clear()
+        changed = process(an, v)
+        on_process(an, v, {(fid, x) for fid, x in reads if x != v})
+        return changed
+
+    def logged_post(an, fid, v):
+        reads.clear()
+        curve = post(an, fid, v)
+        if on_post is not None:
+            on_post(an, v, {(g, x) for g, x in reads if x != v})
+        return curve
+
+    monkeypatch.setattr(_Analyzer, "_process_vertex", logged_process)
+    monkeypatch.setattr(_Analyzer, "_post", logged_post)
+    monkeypatch.setattr(
+        _Analyzer, "_delays", lambda an, fid: _LoggedReads(delays(an, fid), reads, fid)
+    )
+
+
 def _random_cyclic_cases(count):
     """(network document, analyze keywords) of `count` seeded random cyclic
     networks; small caps cut some runs off."""
@@ -1680,57 +1710,36 @@ class TestComponentSchedule:
         assert solved >= 20
         assert min(kinds[k] for k in ("pef", "pof", "per-flow", "interleaved")) >= 10
 
-    def test_every_read_lies_upstream_in_a_crossing_flow(self, monkeypatch):
+    def test_every_read_inside_a_component_is_a_reader_edge(self, monkeypatch):
         # a model comparison processes a vertex again only when one of its
-        # flow parents changed, so each curve or port delay that processing
-        # a vertex reads for a flow lies upstream of it in that flow; the
-        # same holds for each curve that the exact solve rebuilds.  A vertex
-        # that hosts only regulators reads only its flow parents: a
-        # regulator's output is its shaping curve
-        reads = set()  # (flow, vertex) of each curve and port delay read
+        # flow parents changed, so the reader edges of a vertex are those
+        # from the vertices upstream of it in a crossing flow: each curve or
+        # port delay that processing a vertex reads for a flow lies upstream
+        # of it in that flow; the same holds for each curve that the exact
+        # solve rebuilds
         beyond = 0  # processings that read past the flow parents
         rebuilt = 0  # curves rebuilt by the solve that read another vertex
-        cut = 0  # processings of regulator-only vertices whose reference is no parent
         upstream = {}  # (network id, flow, vertex) -> the vertices upstream of it in the flow
-        process, post, delays = _Analyzer._process_vertex, _Analyzer._post, _Analyzer._delays
 
-        def check(an, v) -> set:
-            read = {(fid, x) for fid, x in reads if x != v}
+        def check(an, v, read):
             for fid, x in read:
                 key = (id(an.net), fid, v)
                 if key not in upstream:
                     upstream[key] = _upstream(an.net.flows[fid], v)
                 assert x in upstream[key], (fid, x, v)
-            return read
 
-        def logged_process(an, v):
-            nonlocal beyond, cut
-            if not isinstance(an.curves, _LoggedReads):
-                an.curves = _LoggedReads(an.curves, reads)
-            reads.clear()
-            changed = process(an, v)
-            read = check(an, v)
+        def on_process(an, v, read):
+            nonlocal beyond
+            check(an, v, read)
             flows = an.net.flows
-            parents = {(fid, p) for fid in an._crossing[v] for p in flows[fid].parents[v]}
-            beyond += not read <= parents
-            if an._placed[v] and all(p.kind == "reg" for p, _ in an._placed[v]):
-                assert read <= parents, v
-                cut += any(p.reference not in flows[fid].parents[v]
-                           for p, pflows in an._placed[v] for fid in pflows)
-            return changed
+            beyond += not read <= {(fid, p) for fid in an._crossing[v] for p in flows[fid].parents[v]}
 
-        def logged_post(an, fid, v):
+        def on_post(an, v, read):
             nonlocal rebuilt
-            reads.clear()
-            curve = post(an, fid, v)
-            rebuilt += bool(check(an, v))
-            return curve
+            check(an, v, read)
+            rebuilt += bool(read)
 
-        monkeypatch.setattr(_Analyzer, "_process_vertex", logged_process)
-        monkeypatch.setattr(_Analyzer, "_post", logged_post)
-        monkeypatch.setattr(
-            _Analyzer, "_delays", lambda an, fid: _LoggedReads(delays(an, fid), reads, fid)
-        )
+        _watch_reads(monkeypatch, on_process, on_post)
         networks = [(net(build()), _analysis_kwargs(flags)) for build, flags in RINGS.values()]
         networks += [(net(series_rings_network()), {}), (net(twin_ring_network()), {})]
         networks += [(net(ring_sites_network()), {})]
@@ -1740,7 +1749,6 @@ class TestComponentSchedule:
             analyze(network, **kw)
         assert beyond >= 500
         assert rebuilt > 1000
-        assert cut >= 10
 
     def test_series_rings_match_the_full_sweep_but_iterations(self, monkeypatch):
         network = net(series_rings_network())
@@ -1902,6 +1910,28 @@ class TestRegulatorVerdicts:
                 assert len(shared) > 1
             decided += len(calls)
         assert decided >= 10
+
+    def test_regulators_add_no_reader_edges(self, monkeypatch):
+        # a vertex that hosts only regulators reads its flow parents only: a
+        # regulator's output is its shaping curve, so its reference, even
+        # inside the cycle and off the flow parents, is no reader edge
+        cut = 0  # processings of regulator-only vertices whose reference is no parent
+
+        def on_process(an, v, read):
+            nonlocal cut
+            placed = an._placed[v]
+            if not placed or any(p.kind != "reg" for p, _ in placed):
+                return
+            flows = an.net.flows
+            assert read <= {(fid, p) for fid in an._crossing[v] for p in flows[fid].parents[v]}, v
+            cut += any(p.reference not in flows[fid].parents[v]
+                       for p, pflows in placed for fid in pflows)
+
+        _watch_reads(monkeypatch, on_process)
+        docs = [(ring_sites_network(), {})] + list(_random_cyclic_cases(60))
+        for doc, kw in docs:
+            analyze(net(doc), **kw)
+        assert cut >= 10
 
 
 class TestModelComparison:
