@@ -13,11 +13,12 @@ once, after its inputs have settled.  A cyclic component is settled by
 policy iteration: after each exact Gauss-Seidel pass over its members, its
 port delays are read as an affine map of themselves, `W' = A W + b`, and
 solved exactly by fraction-free elimination in integers, on a fork of the
-analyzer.  The solution is kept when `I - A` has a nonnegative inverse, it
-lies above the state, and the curves rebuilt from it give it back (where
-they do not, the piece read there is solved once more).  Two passes in a row
-on one `A` whose `I - A` has no nonnegative inverse make the component
-Diverged, and so does the burst cap; `iter_cap` passes make it IterationCap.
+analyzer.  The solution is kept when `A >= 0`, every leading principal
+minor of `I - A` is positive, the solution lies above the state, and the
+curves rebuilt from it give it back (where they do not, the piece read there
+is solved once more).  Two passes in a row on one `A` with a minor at or
+below zero make the component Diverged, and so does the burst cap;
+`iter_cap` passes make it IterationCap.
 A cut-off component proves no bound: its members restart from no bound for
 one more pass, and the components after it are still processed.  No value
 is rounded, so every bound is exact and none depends on how the vertices
@@ -240,49 +241,45 @@ def _total(curves: list):
 def _least_fixed_point(forms: list, point: list):
     """The solution of `W = A W + b`, where `forms[i]` is the affine form
     `(A W + b)[i]` over the unknowns 0..n-1, written at `point` (a plain
-    rational for a row of A that is zero); None unless `I - A` is invertible
-    with a nonnegative inverse, which for a nonnegative `A` means a spectral
-    radius below 1: otherwise the piece has no finite least fixed point.
+    rational for a row of A that is zero), and `A >= 0`; None unless every
+    leading principal minor of `I - A` is positive, which for such an `A`
+    means a spectral radius below 1: otherwise the piece has no finite
+    least fixed point.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on `[I - A | I | b]`,
-    each row scaled to integers by the lcm of its denominators: every row
-    but the pivot's becomes `(p x - f y) // prev`, an exact division by the
-    previous pivot, and at the end every diagonal entry is the same `d`.
-    Row scaling leaves the middle block `d (I - A)^-1`, so the inverse is
-    nonnegative when each entry there is 0 or has the sign of `d`."""
+    Fraction-free elimination (Bareiss) on `[I - A | b]`, rows scaled to
+    integers, no row exchanged: each row below the pivot's becomes
+    `(p x - f y) // prev`, an exact division by the previous pivot, and each
+    pivot is a leading principal minor times positive row scales.  The last,
+    `d`, times each unknown is an integer: back-substitution divides exactly."""
     n = len(point)
     rows = []
     for i, w in enumerate(forms):
         coeffs = w.coeffs if type(w) is Affine else {}
         value = w.value if type(w) is Affine else w
-        row = [0] * (2 * n) + [value - sum(c * point[j] for j, c in coeffs.items())]
+        row = [0] * n + [value - sum(c * point[j] for j, c in coeffs.items())]
         for j, c in coeffs.items():
             row[j] = -c
         row[i] += 1
-        row[n + i] = 1
         scale = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (scale // x.denominator) for x in row])
     prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
+    for k, top in enumerate(rows):
+        p = top[k]
+        if p <= 0:
             return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        p = top[col]
-        for r in range(n):
-            if r != col:
-                f = rows[r][col]
-                rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], top)]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
         prev = p
-    d = prev
-    if any(x and (x < 0) != (d < 0) for row in rows for x in row[n : 2 * n]):
-        return None
-    return [Fraction(row[-1], d) for row in rows]
+    d, scaled = prev, [0] * n  # scaled[j] = d * W[j]
+    for k, row in reversed(list(enumerate(rows))):
+        rest = sum(x * y for x, y in zip(row[k + 1 : n], scaled[k + 1 :]))
+        scaled[k] = (d * row[n] - rest) // row[k]
+    return [Fraction(x, d) for x in scaled]
 
 
 class _Piece(NamedTuple):
-    """An affine piece of the sweep whose `I - A` has no nonnegative inverse."""
+    """An affine piece of the sweep with a leading principal minor of `I - A` <= 0."""
 
     coeffs: list  # the rows of A, each a dict from unknown to coefficient
     growing: list  # the served members that it moves above its point, sorted
@@ -489,8 +486,8 @@ class _Analyzer:
         changes something, while the cap allows one more pass, the port
         delays are solved on the affine piece of the sweep (`_solve`); an
         accepted solve ends the sweep, its confirmation counted as a pass.
-        Two solves in a row rejected on the same `A`, for want of a
-        nonnegative inverse of `I - A`, make the component Diverged.  A
+        Two solves in a row rejected on the same `A`, for a leading principal
+        minor of `I - A` at or below zero, make the component Diverged.  A
         cut-off component holds an unfinished iterate, below the least fixed
         point, so every member restarts from no bound (`_unbound`) for one
         more pass over all of them."""
@@ -533,19 +530,20 @@ class _Analyzer:
         a point, first the state, one walk over the flows rebuilds every
         curve of the component, and the port delays read from those curves
         are `W' = A W + b`, the affine piece of the sweep at that point.
-        `(I - A) W = b` is solved when `I - A` has a nonnegative inverse (the
-        iteration from below converges to the solution), and the solution
-        must be at least the state.  The curves are then rebuilt exactly at
-        the solution; when they give other port delays back, the piece read
-        there is solved the same way, up to SOLVE_READS pieces in all.  The
-        solution is accepted, and True returned, when it confirms itself:
-        the rebuild at it keeps the status Converged and gives every member
-        back its frozen port delay, and re-processing the members that host
-        a function (their site records and notes, in sweep order) changes
-        nothing, so an exact pass would change nothing either.  The solve
-        works on a fork (`_fork`), taken over only when it is accepted.  A
-        rejected solve returns the `_Piece` whose `I - A` has no nonnegative
-        inverse, or False for any other rejection."""
+        With `A >= 0`, `(I - A) W = b` is solved when every leading principal
+        minor of `I - A` is positive (the iteration from below converges to
+        the solution), and the solution must be at least the state.  The
+        curves are then rebuilt exactly at the solution; when they give other
+        port delays back, the piece read there is solved the same way, up to
+        SOLVE_READS pieces in all.  The solution is accepted, and True
+        returned, when it confirms itself: the rebuild at it keeps the status
+        Converged and gives every member back its frozen port delay, and
+        re-processing the members that host a function (their site records
+        and notes, in sweep order) changes nothing, so an exact pass would
+        change nothing either.  The solve works on a fork (`_fork`), taken
+        over only when it is accepted.  A rejected solve returns the `_Piece`
+        with a leading principal minor of `I - A` at or below zero, or False
+        for any other rejection, a negative coefficient among them."""
         served = [v for v in members if self.net.vertices[v].service is not None]
         point = state = [self.vertex_delays[v].hi for v in served]
         if any(is_unbounded(x) for x in state):
@@ -560,11 +558,13 @@ class _Analyzer:
             if trial.status != CONVERGED or any(is_unbounded(delays[v].hi) for v in served):
                 return False
             forms = [delays[v].hi for v in served]
+            coeffs = [w.coeffs if type(w) is Affine else {} for w in forms]
+            if any(c < 0 for row in coeffs for c in row.values()):
+                return False
             solution = _least_fixed_point(forms, point)
             if solution is None:
                 values = [w.value if type(w) is Affine else w for w in forms]
-                return _Piece([w.coeffs if type(w) is Affine else {} for w in forms],
-                              [v for v, y, x in zip(served, values, point) if y > x])
+                return _Piece(coeffs, [v for v, y, x in zip(served, values, point) if y > x])
             if any(w < x for w, x in zip(solution, state)):
                 return False
             point = solution

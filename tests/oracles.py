@@ -15,9 +15,11 @@ solved exactly: bursts rounded up onto a fixed grid, and port delays too
 once the curves stall.  The analyzer's bounds may only
 fall below that reference.  With its rounding off, the loop is the exact
 sweep that a run with no accepted solve must match.  The exact solve's
-integer elimination is checked against Gauss-Jordan elimination in
-`Fraction`, and the model comparison, whose intuitive analysis starts from
-the tight one, against two independent analyses.  The simulator, which
+test of the leading principal minors, by integer elimination without row
+exchanges, is checked against Gauss-Jordan elimination in `Fraction` that
+builds the whole inverse and reads its signs, and the model comparison,
+whose intuitive analysis starts from the tight one, against two independent
+analyses.  The simulator, which
 keeps every instant as an integer tick, is checked against a replay that
 keeps every instant as a `Fraction` and orders and subtracts them on a grid
 of their denominators.
@@ -420,7 +422,9 @@ def least_fixed_point_by_fractions(forms: list, point: list):
     """`tfa._least_fixed_point` by Gauss-Jordan elimination in `Fraction` on
     `[I - A | I | b]`, each pivot row normalized to 1: the solution of
     `W = A W + b`, its forms written at `point`, or None unless `I - A` is
-    invertible with a nonnegative inverse."""
+    invertible with a nonnegative inverse.  For `A >= 0` that holds exactly
+    when every leading principal minor of `I - A` is positive, the test
+    that `tfa._least_fixed_point` makes instead of building the inverse."""
     n = len(point)
     rows = []
     for i, w in enumerate(forms):

@@ -93,6 +93,12 @@ def _below(solution: list, floor: list) -> bool:
     return any(w < x for w, x in zip(solution, floor))
 
 
+def _negative_coefficient(forms: list) -> bool:
+    """Does one of the affine forms have a negative coefficient, so that
+    the solve rejects the piece before eliminating?"""
+    return any(c < 0 for w in forms if type(w) is Affine for c in w.coeffs.values())
+
+
 def _sha256(doc) -> str:
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
@@ -1325,7 +1331,8 @@ class TestExactSolve:
         accepted; "down": the same A with the map below the floor;
         "singular": a row W_k = W_k; "negative": a row W_k = 2 W_k - 1 that
         no other row reads, so the inverse of I - A holds -1; "mixed":
-        signed coefficients.  About a third of the other rows are constants.
+        signed coefficients, which the solve rejects before eliminating
+        when one is negative.  About a third of the other rows are constants.
         Half of the systems are written at the floor, the others at a point
         near it."""
         n = rng.randint(1, 12)
@@ -1364,19 +1371,24 @@ class TestExactSolve:
         return moved, at, point
 
     def test_least_fixed_point_matches_the_fraction_elimination(self):
-        # the integer elimination gives exactly the list, or None, that
-        # Gauss-Jordan elimination in Fraction gives, on every branch
+        # for A >= 0 the test of the leading principal minors and the
+        # integer elimination give exactly the list, or None, that
+        # Gauss-Jordan elimination in Fraction gives, on every branch; a
+        # mixed system with a negative coefficient is outside that domain
         rng = random.Random(0x1A7)
         kinds = ["up", "down", "singular", "negative", "mixed"]
         outcomes = collections.Counter()
         constants = moved = 0
         for kind in kinds * 110:
             forms, point, floor = self._random_system(rng, kind)
+            if _negative_coefficient(forms):
+                assert kind == "mixed"
+                continue
             solution = tfa._least_fixed_point(forms, point)
             expected = least_fixed_point_by_fractions(forms, point)
             assert solution == expected, (forms, point, floor)
-            # None: no nonnegative inverse; a solution below the floor is
-            # rejected by the solve
+            # None: a leading principal minor at or below zero; a solution
+            # below the floor is rejected by the solve
             if kind != "mixed":
                 assert (solution is None) == (kind in ("singular", "negative")), kind
                 assert (solution is None or _below(solution, floor)) == (kind != "up"), kind
@@ -1384,8 +1396,41 @@ class TestExactSolve:
             outcomes[kind, solution is None or _below(solution, floor)] += 1
             constants += sum(type(w) is not Affine for w in forms)
             moved += point != floor
-        assert outcomes[("mixed", False)] >= 5 and outcomes[("mixed", True)] >= 50
+        # 32 of the 110 mixed systems have no negative coefficient
+        mixed = outcomes[("mixed", False)] + outcomes[("mixed", True)]
+        assert mixed >= 30 and outcomes[("mixed", False)] >= 5 and outcomes[("mixed", True)] >= 20
         assert constants >= 200 and moved >= 200
+
+    def test_the_pieces_of_real_sweeps_are_nonnegative(self, monkeypatch):
+        # the sweep is monotone, so every affine piece read from the curves
+        # has A >= 0, the domain where the leading principal minors decide,
+        # and the solve's guard never fires: every rebuild at frozen
+        # unknowns over the 200 draws of the second seed (tight, lossy), the
+        # golden rings and the diverging grid
+        pieces, solved = [], []
+        rebuild, solve = _Analyzer._rebuild, tfa._least_fixed_point
+
+        def read(an, members):
+            delays = rebuild(an, members)
+            if any(type(an.vertex_delays[v].hi) is Affine for v in members):
+                pieces.append([delays[v].hi for v in members])
+            return delays
+
+        def counted(forms, point):
+            solved.append(forms)
+            return solve(forms, point)
+
+        monkeypatch.setattr(_Analyzer, "_rebuild", read)
+        monkeypatch.setattr(tfa, "_least_fixed_point", counted)
+        cases = [(net(doc), {}) for doc in _second_seed_draws()]
+        cases += [(net(build()), _analysis_kwargs(flags)) for build, flags in RINGS.values()]
+        cases.append((net(diamond_grid_network(32, 12, 12)), {}))
+        for network, kw in cases:
+            analyze(network, **kw)
+        assert not [forms for forms in pieces if _negative_coefficient(forms)]
+        # 206 pieces read, each eliminated: 194 of the draws, 10 of the
+        # rings and 2 of the grid
+        assert len(solved) >= 200
 
     def test_iterations_never_exceed_the_cap(self):
         cases = [(doc, {**kw, "iter_cap": cap})
@@ -1587,7 +1632,7 @@ class TestDivergenceAndCutOff:
         for forms in pieces:
             assert tfa._least_fixed_point(forms, point) is None, forms
             assert least_fixed_point_by_fractions(forms, point) is None, forms
-        # a cycle of gain 1/4 has a nonnegative inverse
+        # a cycle of gain 1/4: every leading principal minor is positive
         assert tfa._least_fixed_point([y / 2, x / 2 + 1, z / 2], point) == [
             Fraction(2, 3), Fraction(4, 3), 0
         ]
@@ -1632,6 +1677,47 @@ class TestDivergenceAndCutOff:
             assert not _solved(rep)
             assert rep.to_json() == analyze(network, **kw).to_json()
         assert below[True] >= 20 and not below[False]
+
+    def test_a_piece_with_a_negative_coefficient_decides_nothing(self, monkeypatch):
+        # every piece read at frozen unknowns gets a negative coefficient in
+        # the first served member's form, on another unknown (its own when
+        # it is alone); the solve rejects that piece before eliminating, an
+        # ordinary rejection, so the run must be byte for byte that of an
+        # analysis that tries no solve, and no piece may make it Diverged
+        guarded, eliminated = [], []
+        rebuild, solve = _Analyzer._rebuild, tfa._least_fixed_point
+
+        def negated(an, members):
+            delays = rebuild(an, members)
+            served = [v for v in members if an.net.vertices[v].service is not None]
+            first = served[0]
+            w = delays[first].hi
+            if type(an.vertex_delays[first].hi) is Affine and not is_unbounded(w):
+                value, coeffs = (w.value, w.coeffs) if type(w) is Affine else (w, {})
+                form = Affine(value, {**coeffs, 1 % len(served): Fraction(-1)})
+                delays[first] = DelayInterval._unchecked(delays[first].lo, form)
+                guarded.append(form)
+            return delays
+
+        def recorded(forms, point):
+            eliminated.extend(forms)
+            return solve(forms, point)
+
+        cases = [(net(build()), _analysis_kwargs(flags)) for build, flags in RINGS.values()]
+        cases += [(net(series_rings_network()), {}), (net(twin_ring_network()), {})]
+        cases += [(net(doc), kw) for doc, kw in _random_cyclic_cases(60)]
+        cases = [(network, {**kw, "iter_cap": min(kw.get("iter_cap") or 20, 20)})
+                 for network, kw in cases]
+        with monkeypatch.context() as m:
+            m.setattr(_Analyzer, "_rebuild", negated)
+            m.setattr(tfa, "_least_fixed_point", recorded)
+            reports = [analyze(network, **kw) for network, kw in cases]
+        assert not any(w is form for w in eliminated for form in guarded)
+        monkeypatch.setattr(_Analyzer, "_solve", lambda an, members: False)
+        for (network, kw), rep in zip(cases, reports):
+            assert not any(n.startswith("no finite fixed point") for n in rep.notes)
+            assert rep.to_json() == analyze(network, **kw).to_json()
+        assert len(guarded) >= 500  # 582 measured
 
     @staticmethod
     def _cut_off_cases():
