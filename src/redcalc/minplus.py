@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import FrozenRecord
 
 UNBOUNDED = math.inf
 
@@ -152,20 +153,29 @@ def to_jsonable(value):
     return value if to_json is None else to_json()
 
 
-@dataclass(frozen=True)
-class TokenBucket:
+class TokenBucket(FrozenRecord):
     """Leaky-bucket constraint t -> rate*t + burst (for t > 0)."""
 
-    rate: Fraction
-    burst: Fraction
+    __slots__ = _fields = ("rate", "burst")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", parse_rational(self.rate))
-        object.__setattr__(self, "burst", parse_rational(self.burst))
-        if self.rate < 0:
+    def __init__(self, rate, burst):
+        rate, burst = parse_rational(rate), parse_rational(burst)
+        if rate < 0:
             raise ValueError("token bucket rate must be >= 0")
-        if self.burst < 0:
+        if burst < 0:
             raise ValueError("token bucket burst must be >= 0")
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "burst", burst)
+
+    def _key(self) -> tuple:
+        return (self.rate, self.burst)
+
+    def __eq__(self, other):  # Record.__eq__ without its two _key() calls: curves compare segments
+        if other.__class__ is self.__class__:
+            return (self.rate, self.burst) == (other.rate, other.burst)
+        return NotImplemented
+
+    __hash__ = FrozenRecord.__hash__  # a class that defines __eq__ loses the inherited one
 
     def to_json(self) -> dict:
         return {"rate": rational_str(self.rate), "burst": rational_str(self.burst)}
@@ -183,20 +193,22 @@ def _bucket(rate: Fraction, burst: Fraction) -> TokenBucket:
     return bucket
 
 
-@dataclass(frozen=True)
-class RateLatency:
+class RateLatency(FrozenRecord):
     """Rate-latency service curve t -> rate * max(0, t - latency)."""
 
-    rate: Fraction
-    latency: Fraction
+    __slots__ = _fields = ("rate", "latency")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", parse_rational(self.rate))
-        object.__setattr__(self, "latency", parse_rational(self.latency))
-        if self.rate <= 0:
+    def __init__(self, rate, latency):
+        rate, latency = parse_rational(rate), parse_rational(latency)
+        if rate <= 0:
             raise ValueError("service rate must be > 0")
-        if self.latency < 0:
+        if latency < 0:
             raise ValueError("service latency must be >= 0")
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "latency", latency)
+
+    def _key(self) -> tuple:
+        return (self.rate, self.latency)
 
     def eval(self, t) -> Fraction:
         t = parse_rational(t)

@@ -15,9 +15,7 @@ change sharply:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .minplus import (
     ConcaveCurve,
@@ -26,6 +24,7 @@ from .minplus import (
     is_unbounded,
     parse_rational,
 )
+from .record import FrozenRecord
 from .topology import DelayInterval
 
 IR_AFTER_PEF_NO_POF = "IR_AFTER_PEF_NO_POF"
@@ -33,8 +32,7 @@ RATE_OVERLOAD = "RATE_OVERLOAD"
 UNPROVEN_CONFIGURATION = "UNPROVEN_CONFIGURATION"
 
 
-@dataclass(frozen=True)
-class RegulatorVerdict:
+class RegulatorVerdict(FrozenRecord):
     """Either Bounded with a delay interval, or Unbounded with a reason code.
 
     `q_min` reports how many flows make the interleaved case provably
@@ -42,11 +40,14 @@ class RegulatorVerdict:
     configuration that merely lacks a bound.
     """
 
-    bounded: bool
-    delay: Optional[DelayInterval] = None
-    reason: Optional[str] = None
-    q_min: Optional[int] = None
-    proven: bool = True
+    __slots__ = _fields = ("bounded", "delay", "reason", "q_min", "proven")
+
+    def __init__(self, bounded: bool, delay: DelayInterval | None = None,
+                 reason: str | None = None, q_min: int | None = None, proven: bool = True):
+        self._set_fields(bounded, delay, reason, q_min, proven)
+
+    def _key(self) -> tuple:
+        return (self.bounded, self.delay, self.reason, self.q_min, self.proven)
 
     @staticmethod
     def of_interval(delay: DelayInterval) -> "RegulatorVerdict":

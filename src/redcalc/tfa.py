@@ -46,13 +46,13 @@ other model, and each flow its end-to-end results when its port delays and
 regulator verdicts are unchanged.
 """
 
+from __future__ import annotations
+
 import copy
 import io
-from collections import ChainMap
-from dataclasses import dataclass, fields
+from collections import ChainMap, namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional
 
 from .minplus import (
     UNBOUNDED,
@@ -72,6 +72,7 @@ from .redundancy import (
     pef_rto_bound,
     rbo_from_rto,
 )
+from .record import Record
 from .regulators import (
     RATE_OVERLOAD,
     UNPROVEN_CONFIGURATION,
@@ -89,7 +90,7 @@ from .topology import (
     DelayInterval,
     NetworkSpec,
     diamond_ancestors,
-    ep_vertices,
+    ep_vertices,  # unused here, but bench/tracing.py counts the calls made through this binding
     path_delay_bounds,
 )
 
@@ -112,7 +113,7 @@ UNPROVEN = RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False)
 SOLVE_READS = 2
 
 
-def vertex_delay(vertex, aggregate: Optional[ConcaveCurve]) -> DelayInterval:
+def vertex_delay(vertex, aggregate: ConcaveCurve | None) -> DelayInterval:
     """Delay interval of one output port under the given aggregate curve.
 
     A port without a service curve is a pure delay element and keeps its
@@ -133,41 +134,54 @@ def vertex_delay(vertex, aggregate: Optional[ConcaveCurve]) -> DelayInterval:
     return DelayInterval(tech.lo, tech.lo + dev)
 
 
-@dataclass
-class FlowResult:
-    flow: str
-    destination: str
-    interval: DelayInterval
-    deadline: Optional[Fraction]
-    verdict: str  # met | violated | unbounded | ok
+class FlowResult(Record):
+    """The delay interval of one flow at one destination; `deadline` is a
+    Fraction or None, `verdict` one of met, violated, unbounded and ok."""
+
+    __slots__ = _fields = ("flow", "destination", "interval", "deadline", "verdict")
+
+    def __init__(self, flow: str, destination: str, interval: DelayInterval,
+                 deadline: Fraction | None, verdict: str):
+        self._set_fields(flow, destination, interval, deadline, verdict)
+
+    def _key(self) -> tuple:
+        return (self.flow, self.destination, self.interval, self.deadline, self.verdict)
 
     def to_json(self) -> dict:
-        return to_jsonable(vars(self))  # the fields, in declaration order
+        return to_jsonable(self._asdict())
 
 
-@dataclass
-class AnalysisReport:
-    model: str
-    lossless: bool
-    status: str
-    iterations: int
-    results: list  # FlowResult
-    vertex_delays: dict  # vertex -> DelayInterval
-    # site records in sweep order, one dict per (placement, flow), except a
-    # PEF whose input is cut off: PEF/POF from each vertex's last processing,
-    # REG verdicts from the final state; to_json writes them key by key
-    pef_sites: list
-    pof_sites: list
-    reg_sites: list
-    notes: list  # cut-off notes, then the vertices' timeout notes, then overloaded ports
+class AnalysisReport(Record):
+    """What `analyze` returns.  `results` holds the FlowResults and
+    `vertex_delays` maps each vertex to its DelayInterval.  The site records
+    are in sweep order, one dict per (placement, flow), except a PEF whose
+    input is cut off: PEF/POF from each vertex's last processing, REG
+    verdicts from the final state; to_json writes them key by key.  `notes`
+    holds the cut-off notes, then the vertices' timeout notes, then the
+    overloaded ports."""
+
+    _fields = ("model", "lossless", "status", "iterations", "results", "vertex_delays",
+               "pef_sites", "pof_sites", "reg_sites", "notes")
+    # `analyze` keeps its analyzer on the report, as no field: to_json, ==
+    # and repr leave it out
+    __slots__ = _fields + ("_analyzer",)
+
+    def __init__(self, model: str, lossless: bool, status: str, iterations: int,
+                 results: list, vertex_delays: dict, pef_sites: list, pof_sites: list,
+                 reg_sites: list, notes: list):
+        self._set_fields(model, lossless, status, iterations, results, vertex_delays,
+                         pef_sites, pof_sites, reg_sites, notes)
+
+    def _key(self) -> tuple:
+        return (self.model, self.lossless, self.status, self.iterations, self.results,
+                self.vertex_delays, self.pef_sites, self.pof_sites, self.reg_sites, self.notes)
 
     def any_violation(self) -> bool:
         return any(r.verdict in ("violated", "unbounded") for r in self.results)
 
     def to_json(self) -> dict:
-        # the fields in declaration order, the port delays sorted by vertex;
-        # the analyzer that `analyze` keeps on the report is no field
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        # the fields in order, the port delays sorted by vertex
+        doc = self._asdict()
         doc["vertex_delays"] = dict(sorted(self.vertex_delays.items()))
         return to_jsonable(doc)
 
@@ -269,7 +283,10 @@ def _least_fixed_point(forms: list, point: list):
             return None
         for row in rows[k + 1 :]:
             f = row[k]
-            row[k + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
+            if f:
+                row[k + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
+            else:  # the same division with nothing to subtract
+                row[k + 1 :] = [p * x // prev for x in row[k + 1 :]]
         prev = p
     d, scaled = prev, [0] * n  # scaled[j] = d * W[j]
     for k, row in reversed(list(enumerate(rows))):
@@ -278,20 +295,16 @@ def _least_fixed_point(forms: list, point: list):
     return [Fraction(x, d) for x in scaled]
 
 
-class _Piece(NamedTuple):
-    """An affine piece of the sweep with a leading principal minor of `I - A` <= 0."""
+# an affine piece of the sweep with a leading principal minor of `I - A` <= 0:
+# `coeffs`, the rows of A, each a dict from unknown to coefficient, and
+# `growing`, the served members that it moves above its point, sorted
+_Piece = namedtuple("_Piece", "coeffs growing")
 
-    coeffs: list  # the rows of A, each a dict from unknown to coefficient
-    growing: list  # the served members that it moves above its point, sorted
-
-
-class _ComponentLog(NamedTuple):
-    """What processing one component did beyond its members' state."""
-
-    entry: str  # the status on entry
-    notes: tuple  # the cut-off and solve notes it appended
-    passes: int  # 1 for a vertex on no cycle
-    exit: str  # the status on exit, before the report's overload check
+# what processing one component did beyond its members' state: `entry`, the
+# status on entry; `notes`, a tuple of the cut-off and solve notes it
+# appended; `passes`, 1 for a vertex on no cycle; `exit`, the status on
+# exit, before the report's overload check
+_ComponentLog = namedtuple("_ComponentLog", "entry notes passes exit")
 
 
 class _Analyzer:
@@ -326,8 +339,9 @@ class _Analyzer:
         for fid in sorted(network.flows):
             flow = network.flows[fid]
             idx = {v: i for i, v in enumerate(flow.order)}
-            eps[fid] = ep_vertices(network, fid)
             dominators = diamond_ancestors(network, fid)
+            # a vertex is EP exactly when it is not its own diamond ancestor
+            eps[fid] = {v for v, anc in dominators.items() if v not in anc}
             for v in flow.order:
                 self._crossing[v].append(fid)
                 if v != flow.source:
@@ -927,10 +941,10 @@ def analyze(
     network: NetworkSpec,
     model: str = MODEL_TIGHT,
     lossless: bool = False,
-    iter_cap: Optional[int] = None,
+    iter_cap: int | None = None,
     burst_cap=None,
     *,
-    base: Optional[AnalysisReport] = None,
+    base: AnalysisReport | None = None,
 ) -> AnalysisReport:
     """Propagate curves to a fixed point and report per-destination intervals.
 
@@ -970,7 +984,7 @@ def analyze(
         an.model, an.notes, an.status = model, [], CONVERGED
     an.run(iter_cap, prior)
     report = an.report()
-    report._analyzer = an  # not a field: to_json, == and repr leave it out
+    report._analyzer = an
     return report
 
 

@@ -15,9 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
 
 from .minplus import (
     UNBOUNDED,
@@ -27,23 +25,34 @@ from .minplus import (
     parse_rational,
     rational_str,
 )
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class DelayInterval:
+class DelayInterval(FrozenRecord):
     """Closed delay interval [lo, hi]; hi may be UNBOUNDED."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", parse_rational(self.lo))
-        if not is_unbounded(self.hi):
-            object.__setattr__(self, "hi", parse_rational(self.hi))
-        if self.lo < 0:
+    def __init__(self, lo, hi):
+        lo = parse_rational(lo)
+        if not is_unbounded(hi):
+            hi = parse_rational(hi)
+        if lo < 0:
             raise ValueError("delay lower bound must be >= 0")
-        if self.hi < self.lo:
+        if hi < lo:
             raise ValueError("delay interval needs lo <= hi")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def _key(self) -> tuple:
+        return (self.lo, self.hi)
+
+    def __eq__(self, other):  # Record.__eq__ without its two _key() calls: passes compare delays
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    __hash__ = FrozenRecord.__hash__  # a class that defines __eq__ loses the inherited one
 
     @classmethod
     def _unchecked(cls, lo: Fraction, hi) -> "DelayInterval":
@@ -81,23 +90,33 @@ class DelayInterval:
         return DelayInterval(parse_rational(lo), hi)
 
 
-@dataclass(frozen=True)
-class VertexSpec:
-    name: str
-    service: Optional[Union[RateLatency, ConcaveCurve]] = None
-    tech: DelayInterval = field(default_factory=lambda: DelayInterval(0, 0))
+class VertexSpec(FrozenRecord):
+    """An output port: `service` is a RateLatency, a ConcaveCurve or None
+    for a pure delay element, `tech` its technological delay interval."""
+
+    __slots__ = _fields = ("name", "service", "tech")
+
+    def __init__(self, name: str, service=None, tech: DelayInterval = DelayInterval(0, 0)):
+        self._set_fields(name, service, tech)
+
+    def _key(self) -> tuple:
+        return (self.name, self.service, self.tech)
 
 
-@dataclass(frozen=True)
-class FlowSpec:
-    id: str
-    source: str
-    destinations: tuple
-    edges: tuple  # (src, dst) pairs forming a DAG rooted at source
-    arrival: ConcaveCurve
-    lmin: Fraction
-    lmax: Fraction
-    deadlines: dict  # destination -> Fraction
+class FlowSpec(FrozenRecord):
+    """A flow: `edges` are (src, dst) pairs forming a DAG rooted at `source`,
+    `deadlines` maps a destination to a Fraction."""
+
+    _fields = ("id", "source", "destinations", "edges", "arrival", "lmin", "lmax", "deadlines")
+    __slots__ = _fields + ("__dict__",)  # the cached properties below live in __dict__
+
+    def __init__(self, id: str, source: str, destinations: tuple, edges: tuple,
+                 arrival: ConcaveCurve, lmin: Fraction, lmax: Fraction, deadlines: dict):
+        self._set_fields(id, source, destinations, edges, arrival, lmin, lmax, deadlines)
+
+    def _key(self) -> tuple:
+        return (self.id, self.source, self.destinations, self.edges, self.arrival,
+                self.lmin, self.lmax, self.deadlines)
 
     # the flow DAG, derived from `edges` on first use and kept; every caller
     # shares the same value, so the adjacency lists are tuples
@@ -143,30 +162,42 @@ REG_INTERLEAVED = "interleaved"
 _KIND_RANK = {PEF: 0, POF: 1, REG: 2}
 
 
-@dataclass(frozen=True)
-class FunctionPlacement:
-    kind: str  # pef | pof | reg
-    vertex: str
-    flows: frozenset
-    reference: Optional[str] = None  # pof/reg: the upstream cut point o
-    timeout: Optional[Fraction] = None  # pof: None means no timeout
-    mode: Optional[str] = None  # reg: per-flow | interleaved
-    shaping: Optional[dict] = None  # reg: flow id -> ConcaveCurve
+class FunctionPlacement(FrozenRecord):
+    """A PEF, POF or REG at `vertex` for the `flows` (a frozenset).  A POF
+    or REG cuts the flow at `reference`, its upstream cut point; a POF's
+    `timeout` of None means no timeout; a REG has a `mode` (per-flow or
+    interleaved) and `shaping`, a map from flow id to ConcaveCurve."""
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown function kind {self.kind!r}")
-        if self.timeout is not None:
-            object.__setattr__(self, "timeout", parse_rational(self.timeout))
-            if self.timeout < 0:
+    __slots__ = _fields = ("kind", "vertex", "flows", "reference", "timeout", "mode", "shaping")
+
+    def __init__(self, kind: str, vertex: str, flows: frozenset, reference: str | None = None,
+                 timeout: Fraction | None = None, mode: str | None = None,
+                 shaping: dict | None = None):
+        if kind not in _KIND_RANK:
+            raise ValueError(f"unknown function kind {kind!r}")
+        if timeout is not None:
+            timeout = parse_rational(timeout)
+            if timeout < 0:
                 raise ValueError("timeout must be >= 0")
+        self._set_fields(kind, vertex, flows, reference, timeout, mode, shaping)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.vertex, self.flows, self.reference, self.timeout, self.mode,
+                self.shaping)
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    vertices: dict  # name -> VertexSpec
-    flows: dict  # id -> FlowSpec
-    placements: tuple  # FunctionPlacement, pipeline order within a vertex
+class NetworkSpec(FrozenRecord):
+    """`vertices` maps a name to its VertexSpec, `flows` an id to its
+    FlowSpec; `placements` holds the FunctionPlacements, in pipeline order
+    within a vertex."""
+
+    __slots__ = _fields = ("vertices", "flows", "placements")
+
+    def __init__(self, vertices: dict, flows: dict, placements: tuple):
+        self._set_fields(vertices, flows, placements)
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.flows, self.placements)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +575,9 @@ def _validate_semantics(network: NetworkSpec) -> None:
         for v in itertools.chain(*flow.edges, flow.destinations):  # in document order
             if v not in reachable:
                 raise SpecError(path, f"vertex {v} is not reachable from the source")
-        ep[fid] = ep_vertices(network, fid)
+        ancestors[fid] = diamond_ancestors(network, fid)
+        # a vertex is EP exactly when it is not its own diamond ancestor
+        ep[fid] = {v for v, anc in ancestors[fid].items() if v not in anc}
         for v in order:
             if v in ep[fid] and len(flow.children[v]) > 1:
                 raise SpecError(
@@ -552,7 +585,6 @@ def _validate_semantics(network: NetworkSpec) -> None:
                     f"vertex {v} re-splits the flow while duplicates are "
                     "still pending elimination",
                 )
-        ancestors[fid] = diamond_ancestors(network, fid)
 
     by_vertex = {}
     for i, p in enumerate(network.placements):

@@ -813,3 +813,39 @@ print(code, "redcalc.sim" in sys.modules)
         monkeypatch.setattr(redcalc.sim, "run_scenario", unused)
         monkeypatch.setattr(redcalc.sim, "load_scenario", unused)
         assert run_both() == before
+
+
+class TestStartUpWithoutDataclassesOrTyping:
+    # the records of the analyzer are plain classes with slots, so no command
+    # that runs only the analyzer loads `dataclasses`, the `inspect` it
+    # imports, or `typing`; the interpreter is started as in
+    # TestSimulatorLoadedOnFirstUse
+    PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from redcalc.cli import main
+
+for net in {nets!r}:
+    for command in ("analyze", "compare"):
+        # 2: the instability network has no bound
+        assert main([command, "--in", net, "--out", {out!r}]) in (0, 2), (command, net)
+print(sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules))
+"""
+
+    def test_analysis_commands_load_no_dataclasses_inspect_or_typing(self, tmp_path):
+        import redcalc
+
+        package = os.path.dirname(redcalc.__file__)
+        # rate-latency ports, eliminators, re-sequencers, both regulator kinds
+        names = ("net-volvo-like.json", "net-toy-pef-pof-pfr.json", "net-ir-instability.json")
+        nets = [os.path.join(package, "data", name) for name in names]
+        probe = self.PROBE.format(
+            src=os.path.dirname(package), nets=nets, out=str(tmp_path / "out.json")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-c", probe],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
