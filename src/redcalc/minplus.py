@@ -249,6 +249,11 @@ class ConcaveCurve:
     def __setattr__(self, name, value):
         raise AttributeError("ConcaveCurve is immutable")
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor, which
+        # sets the slot that __setattr__ refuses
+        return ConcaveCurve, (self.segments,)
+
     def __eq__(self, other):
         return isinstance(other, ConcaveCurve) and self.segments == other.segments
 

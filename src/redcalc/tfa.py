@@ -27,12 +27,12 @@ are named.
 The structure of each flow (diamond ancestors, anchors, the functions placed
 at each vertex) is computed once per analysis; a section between a reference
 and a vertex is walked in the flow's own order when its bounds are needed.
-Each vertex keeps the PEF/POF site reports and timeout notes of its last
-processing; after convergence they describe the fixed point.  A regulator's
-output is its shaping curve whatever its delay, so its verdict stays out of
-the iteration: each placement is decided once, from the final state (an
-interleaved regulator's shared queue once for all its flows), and the report
-and the end-to-end composition read the same verdicts.
+Each PEF/POF site keeps the report of its last processing; after convergence
+they describe the fixed point, and the report lists them in sweep order.  A
+regulator's output is its shaping curve whatever its delay, so its verdict
+stays out of the iteration: each placement is decided once, from the final
+state (an interleaved regulator's shared queue once for all its flows), and
+the report and the end-to-end composition read the same verdicts.
 
 Two models of the eliminator are supported: ``tight`` constrains the output
 by every diamond-ancestor curve, ``intuitive`` keeps the plain sum of the
@@ -154,11 +154,12 @@ class FlowResult(Record):
 class AnalysisReport(Record):
     """What `analyze` returns.  `results` holds the FlowResults and
     `vertex_delays` maps each vertex to its DelayInterval.  The site records
-    are in sweep order, one dict per (placement, flow), except a PEF whose
-    input is cut off: PEF/POF from each vertex's last processing, REG
-    verdicts from the final state; to_json writes them key by key.  `notes`
-    holds the cut-off notes, then the vertices' timeout notes, then the
-    overloaded ports."""
+    are in sweep order, then in the order of the vertex's placements, then
+    of their sorted flows, one dict per (placement, flow), except a PEF whose
+    input is cut off: PEF/POF from each site's last processing, REG verdicts
+    from the final state; to_json writes them key by key.  `notes` holds the
+    cut-off notes, then the re-sequencers' timeout notes in site order, then
+    the overloaded ports."""
 
     _fields = ("model", "lossless", "status", "iterations", "results", "vertex_delays",
                "pef_sites", "pof_sites", "reg_sites", "notes")
@@ -318,8 +319,9 @@ class _Analyzer:
         self.notes = []  # cut-off notes
         self.curves = {}  # (flow, vertex) -> curve | None
         self.vertex_delays = {}
-        # vertex -> site records and timeout notes of its last processing, by kind
-        self.records = {}
+        # (kind, flow, vertex) of a PEF/POF site -> its record from its last
+        # processing (None: a PEF cut off), replaced, never changed: forks share it
+        self.sites = {}
         self.iterations = 0
         self.status = CONVERGED
         self._log = []  # _ComponentLog per component, in sweep order
@@ -379,18 +381,17 @@ class _Analyzer:
 
     def _reset(self, vertices):
         """The optimistic start at `vertices`: plain source curves, ports at
-        zero queueing, no site record."""
+        zero queueing; their processing then rewrites their site records."""
         for v in vertices:
             self.vertex_delays[v] = vertex_delay(self.net.vertices[v], None)
             for fid in self._crossing[v]:
                 self.curves[(fid, v)] = self.net.flows[fid].arrival
-            self.records.pop(v, None)
 
     def _fork(self) -> "_Analyzer":
         """A copy that shares this one's structural tables and owns copies
         of its state containers (`copy.copy` keeps their types)."""
         an = copy.copy(self)
-        for name in ("curves", "vertex_delays", "records", "notes"):
+        for name in ("curves", "vertex_delays", "sites", "notes"):
             setattr(an, name, copy.copy(getattr(self, name)))
         return an
 
@@ -499,7 +500,8 @@ class _Analyzer:
         and return the pass count.  After every pass over the members that
         changes something, while the cap allows one more pass, the port
         delays are solved on the affine piece of the sweep (`_solve`); an
-        accepted solve ends the sweep, its confirmation counted as a pass.
+        accepted solve ends the sweep, its confirmation counted as a pass,
+        with every member's curves and site records at the solution.
         Two solves in a row rejected on the same `A`, for a leading principal
         minor of `I - A` at or below zero, make the component Diverged.  A
         cut-off component holds an unfinished iterate, below the least fixed
@@ -551,20 +553,18 @@ class _Analyzer:
         port delays back, the piece read there is solved the same way, up to
         SOLVE_READS pieces in all.  The solution is accepted, and True
         returned, when it confirms itself: the rebuild at it keeps the status
-        Converged and gives every member back its frozen port delay, and
-        re-processing the members that host a function (their site records
-        and notes, in sweep order) changes nothing, so an exact pass would
-        change nothing either.  The solve works on a fork (`_fork`), taken
-        over only when it is accepted.  A rejected solve returns the `_Piece`
-        with a leading principal minor of `I - A` at or below zero, or False
-        for any other rejection, a negative coefficient among them."""
+        Converged and gives every member back its frozen port delay, so an
+        exact pass would change nothing either; that rebuild has written the
+        site records of every member from the curves at the solution.  The
+        solve works on a fork (`_fork`), taken over only when it is accepted.
+        A rejected solve returns the `_Piece` with a leading principal minor
+        of `I - A` at or below zero, or False for any other rejection, a
+        negative coefficient among them."""
         served = [v for v in members if self.net.vertices[v].service is not None]
         point = state = [self.vertex_delays[v].hi for v in served]
         if any(is_unbounded(x) for x in state):
             return False
         trial = self._fork()
-        for v in members:  # the walks append to the members' site records
-            trial.records.pop(v, None)
         for _ in range(SOLVE_READS):
             for i, v in enumerate(served):
                 trial._freeze(v, Affine(point[i], {i: 1}))
@@ -590,12 +590,6 @@ class _Analyzer:
             if all(delays[v] == trial.vertex_delays[v] for v in members):
                 break
         else:
-            return False
-        # only the members that host a function keep site records: they are
-        # rewritten in sweep order, from the rebuilt curves
-        for v in members:
-            trial.records.pop(v, None)
-        if trial._pass([v for v in members if self._placed[v]]):
             return False
         vars(self).update(vars(trial))  # the trial's state
         self.notes.append(f"port delays at {', '.join(members)} solved exactly")
@@ -625,10 +619,6 @@ class _Analyzer:
             changed = self._process_vertex(v) or changed
         return changed
 
-    def _records(self, v: str, key: str) -> list:
-        """The site records or notes of one kind that v's processing leaves."""
-        return self.records.setdefault(v, {}).setdefault(key, [])
-
     def _input_curve(self, fid: str, v: str):
         """Curve offered to v's local pipeline: the arrival curve at the flow
         source, otherwise the sum over the flow parents (duplicates add up)."""
@@ -641,12 +631,7 @@ class _Analyzer:
         return _total(parts)
 
     def _process_vertex(self, v: str) -> bool:
-        self.records.pop(v, None)
-        post = {fid: self._input_curve(fid, v) for fid in self._crossing[v]}
-        for placement, flows in self._placed[v]:
-            for fid in flows:
-                post[fid] = self._transform(placement, fid, v, post[fid])
-
+        post = {fid: self._post(fid, v) for fid in self._crossing[v]}
         vdel = self._port_delay(v, post)
         changed = self.vertex_delays.get(v) != vdel
         self.vertex_delays[v] = vdel
@@ -659,23 +644,21 @@ class _Analyzer:
         return changed
 
     def _post(self, fid: str, v: str):
-        """The flow's curve after v's functions, before its port."""
+        """The flow's curve after v's functions, in pipeline order, before
+        its port; the PEF and POF write their site records."""
         cur = self._input_curve(fid, v)
-        for kind in (PEF, POF, REG):  # the pipeline order at a vertex
-            placement = self._function.get((kind, fid, v))
-            if placement is not None:
-                cur = self._transform(placement, fid, v, cur)
+        if (PEF, fid, v) in self._function:
+            cur = self._apply_pef(fid, v, cur)
+        pof = self._function.get((POF, fid, v))
+        if pof is not None:
+            cur = self._apply_pof(fid, v, pof, cur)
+        reg = self._function.get((REG, fid, v))
+        if reg is not None:
+            # the regulator output conforms to its shaping curve even when
+            # its delay admits no bound: the verdict waits for the final
+            # state (report), the curve propagates now
+            cur = self._capped(reg.shaping[fid])
         return cur
-
-    def _transform(self, placement, fid, v, cur):
-        if placement.kind == PEF:
-            return self._apply_pef(fid, v, cur)
-        if placement.kind == POF:
-            return self._apply_pof(fid, v, placement, cur)
-        # the regulator output conforms to its shaping curve even when its
-        # delay admits no bound: the verdict waits for the final state
-        # (report), the curve propagates now
-        return self._capped(placement.shaping[fid])
 
     def _port_delay(self, v: str, post: dict) -> DelayInterval:
         """v's port delay under the flows' curves `post`, unbounded at a
@@ -694,6 +677,7 @@ class _Analyzer:
 
     def _apply_pef(self, fid, v, alpha_in):
         if alpha_in is None:
+            self.sites[(PEF, fid, v)] = None
             return None
         anchor = self._anchor[(fid, v)]
         rto = rbo = UNBOUNDED
@@ -712,17 +696,15 @@ class _Analyzer:
         out = tight if self.model == MODEL_TIGHT else alpha_in
         if not is_unbounded(rto):
             rbo = rbo_from_rto(out, rto)
-        self._records(v, "pef_sites").append(
-            {
-                "vertex": v,
-                "flow": fid,
-                "reference": anchor,
-                "tight_curve": tight,
-                "intuitive_curve": alpha_in,
-                "rto_bound": rto,
-                "rbo_bound": rbo,
-            }
-        )
+        self.sites[(PEF, fid, v)] = {
+            "vertex": v,
+            "flow": fid,
+            "reference": anchor,
+            "tight_curve": tight,
+            "intuitive_curve": alpha_in,
+            "rto_bound": rto,
+            "rbo_bound": rbo,
+        }
         return out
 
     def _apply_pof(self, fid, v, placement, alpha_in):
@@ -735,28 +717,23 @@ class _Analyzer:
         rto = rbo = UNBOUNDED
         if ref_curve is not None and not is_unbounded(bounds.hi):
             # the re-sequencer restores the reference order, so its output is
-            # the reference curve spread by the section and its own wait
+            # the reference curve spread by the section and its own wait,
+            # none where the wait is unbounded (report notes it)
             section = bounds.plus(self._wait[(fid, v)])
-            if is_unbounded(section.hi):
-                self._records(v, "notes").append(
-                    f"re-sequencer for {fid} at {v}: lossy traffic needs a finite timeout"
-                )
-            else:
+            if not is_unbounded(section.hi):
                 out = lossy_jitter_output_curve(ref_curve, section)
             rto = pef_rto_bound(ref_curve, bounds, self.net.flows[fid].lmin)
             if alpha_in is not None:
                 rbo = rbo_from_rto(alpha_in, rto)
-        self._records(v, "pof_sites").append(
-            {
-                "vertex": v,
-                "flow": fid,
-                "reference": ref,
-                "timeout": placement.timeout,
-                "required_timeout": rto,
-                "required_buffer": rbo,
-                "output_curve": out,
-            }
-        )
+        self.sites[(POF, fid, v)] = {
+            "vertex": v,
+            "flow": fid,
+            "reference": ref,
+            "timeout": placement.timeout,
+            "required_timeout": rto,
+            "required_buffer": rbo,
+            "output_curve": out,
+        }
         return self._capped(out)
 
     def _reg_verdict(self, fid, v, placement):
@@ -811,27 +788,36 @@ class _Analyzer:
 
     def report(self) -> AnalysisReport:
         """The report of the current state; an otherwise converged run whose
-        ports are overloaded is Diverged.  Each regulator placement is decided
-        here, once: per flow, then its shared queue if interleaved; the
-        end-to-end composition reads the same verdicts."""
-        order = [v for comp in self.components for v in comp]
-        records = {
-            key: [r for v in order for r in self.records.get(v, {}).get(key, ())]
-            for key in ("pef_sites", "pof_sites", "notes")
-        }
+        ports are overloaded is Diverged.  A re-sequencer whose section is
+        bounded but whose wait is not (a finite required timeout, no output
+        curve) is noted.  Each regulator placement is decided here, once: per
+        flow, then its shared queue if interleaved; the end-to-end
+        composition reads the same verdicts."""
         verdicts = {}  # (flow, vertex of its REG) -> RegulatorVerdict
-        reg_sites = []  # in sweep order
-        for v in order:
+        pef_sites, pof_sites, reg_sites, timeouts = [], [], [], []
+        for v in (v for comp in self.components for v in comp):
             for placement, flows in self._placed[v]:
                 queue = None
-                for fid in flows if placement.kind == REG else ():
-                    verdict, rto = self._reg_verdict(fid, v, placement)
-                    if verdict is None:  # the interleaved queue's, taken once
-                        verdict = queue = queue or self._queue_verdict(v, placement, flows)
-                    verdicts[(fid, v)] = verdict
-                    reg_sites.append({"vertex": v, "flow": fid, "mode": placement.mode,
-                                      "rto_bound": rto, "verdict": verdict})
-        notes = self.notes + records.pop("notes")
+                for fid in flows:
+                    if placement.kind == PEF:
+                        site = self.sites[(PEF, fid, v)]
+                        if site is not None:
+                            pef_sites.append(site)
+                    elif placement.kind == POF:
+                        site = self.sites[(POF, fid, v)]
+                        pof_sites.append(site)
+                        rto = site["required_timeout"]
+                        if site["output_curve"] is None and not is_unbounded(rto):
+                            timeouts.append(f"re-sequencer for {fid} at {v}: "
+                                            "lossy traffic needs a finite timeout")
+                    else:
+                        verdict, rto = self._reg_verdict(fid, v, placement)
+                        if verdict is None:  # the interleaved queue's, taken once
+                            verdict = queue = queue or self._queue_verdict(v, placement, flows)
+                        verdicts[(fid, v)] = verdict
+                        reg_sites.append({"vertex": v, "flow": fid, "mode": placement.mode,
+                                          "rto_bound": rto, "verdict": verdict})
+        notes = self.notes + timeouts
         if self.status == CONVERGED:
             overloaded = sorted(v for v, d in self.vertex_delays.items() if is_unbounded(d.hi))
             if overloaded:
@@ -844,9 +830,10 @@ class _Analyzer:
             iterations=self.iterations,
             results=self.compose(verdicts),
             vertex_delays=dict(self.vertex_delays),
+            pef_sites=pef_sites,
+            pof_sites=pof_sites,
             reg_sites=reg_sites,
             notes=notes,
-            **records,
         )
 
     # -- end-to-end composition -----------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from redcalc.minplus import UNBOUNDED, ConcaveCurve, RateLatency, TokenBucket
 from redcalc.regulators import RATE_OVERLOAD, RegulatorVerdict
-from redcalc.tfa import AnalysisReport, FlowResult, analyze
+from redcalc.tfa import AnalysisReport, FlowResult, analyze, compare_models
 from redcalc.topology import (
     DelayInterval,
     FlowSpec,
@@ -46,9 +46,6 @@ FROZEN = [TokenBucket, RateLatency, DelayInterval, VertexSpec, FlowSpec, Functio
           NetworkSpec, RegulatorVerdict]
 MUTABLE = [FlowResult, AnalysisReport]
 ALL = FROZEN + MUTABLE
-# a ConcaveCurve can be neither deep-copied nor pickled, so these samples
-# are only copied shallowly
-HOLD_A_CURVE = [FlowSpec, NetworkSpec, AnalysisReport]
 
 
 def _hashable(value) -> bool:
@@ -117,11 +114,19 @@ class TestRecords:
 
     def test_copies_are_equal(self, cls):
         record = SAMPLES[cls]()
-        copies = [copy.copy(record)]
-        if cls not in HOLD_A_CURVE:
-            copies += [copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
-        for dup in copies:
+        for dup in copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)):
             assert type(dup) is cls and dup == record
+
+
+def test_copies_of_curves_and_reports_are_equal():
+    # a ConcaveCurve is rebuilt through its constructor, so the reports
+    # that hold curves copy deeply and pickle; the report of `analyze`
+    # copies with its analyzer, which == leaves out
+    network = _network()
+    pair = compare_models(network)
+    for record in network.flows["f"].arrival, analyze(network), pair["tight"], pair["intuitive"]:
+        for dup in copy.deepcopy(record), pickle.loads(pickle.dumps(record)):
+            assert type(dup) is type(record) and dup == record
 
 
 def test_repr_is_the_dataclass_one():

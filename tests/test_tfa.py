@@ -732,6 +732,26 @@ class TestSweepBehavior:
         timeout_notes = [n for n in rep.notes if "needs a finite timeout" in n]
         assert timeout_notes == ["re-sequencer for f3 at t1: lossy traffic needs a finite timeout"]
 
+    def test_sites_come_in_placement_order(self):
+        # the site records and timeout notes of one vertex follow its
+        # placements as listed, g's before f's, not the sorted flows
+        flows = [{"id": fid, "source": "S", "destinations": ["T"],
+                  "edges": [["S", "A"], ["S", "B"], ["A", "M"], ["B", "M"], ["M", "T"]],
+                  "arrival": gamma(1, 1), "lmin": 1, "lmax": 1} for fid in "fg"]
+        vertices = [{"name": "S"}, {"name": "A", "tech": ["0", "1"]},
+                    {"name": "B", "tech": ["6", "7"]}, {"name": "M"}, {"name": "T"}]
+        placements = [{"kind": "pef", "vertex": "M", "flows": [fid]} for fid in "gf"]
+        placements += [{"kind": "pof", "vertex": "M", "flows": [fid], "reference": "S"}
+                       for fid in "gf"]
+        doc = {"vertices": vertices, "edges": [{"from": u, "to": v} for u, v in flows[0]["edges"]],
+               "flows": flows, "placements": placements}
+        rep = analyze(net(doc), MODEL_TIGHT, lossless=False)
+        assert [s["flow"] for s in rep.pef_sites] == ["g", "f"]
+        assert [s["flow"] for s in rep.pof_sites] == ["g", "f"]
+        assert [n for n in rep.notes if "needs a finite timeout" in n] == [
+            f"re-sequencer for {fid} at M: lossy traffic needs a finite timeout" for fid in "gf"
+        ]
+
     def test_overloaded_port_diverges(self):
         doc = shared_tail_network("3/2")  # below even the eliminator-aware rate 2
         rep = analyze(net(doc), MODEL_TIGHT, lossless=True)
@@ -771,8 +791,8 @@ def visits(monkeypatch):
 
 
 class _LoggedReads(dict):
-    """A dict that records the keys read through [] and get(), each as
-    `(flow, key)` when it is given the flow whose view it is."""
+    """A dict that records the keys read through [] and get() in `log`, each
+    as `(flow, key)` when it is given the flow whose view it is."""
 
     def __init__(self, data, log, flow=None):
         super().__init__(data)
@@ -786,6 +806,26 @@ class _LoggedReads(dict):
     def get(self, key, default=None):
         self.log.add(key if self.flow is None else (self.flow, key))
         return super().get(key, default)
+
+
+class _ReadLog:
+    """The keys read during each open call: a read counts in every call
+    open at that moment, so a call nested in another counts in both."""
+
+    def __init__(self):
+        self.open = []
+
+    def add(self, key):
+        for reads in self.open:
+            reads.add(key)
+
+    def watch(self, call, *args):
+        """`call(*args)` and the keys read while it ran."""
+        self.open.append(set())
+        try:
+            return call(*args), self.open[-1]
+        finally:
+            self.open.pop()
 
 
 def _upstream(flow, v) -> set:
@@ -803,29 +843,30 @@ def _watch_reads(monkeypatch, on_process, on_post=None):
     """Patch the analyzer so that each processing of a vertex calls
     `on_process(an, v, read)`, and each curve the exact solve rebuilds calls
     `on_post(an, v, read)`, with `read` the (flow, vertex) pairs of the
-    curves and port delays it read of other vertices."""
-    reads = set()
+    curves and port delays it read of other vertices.  A processing builds
+    its curves through `_post` too; what those read counts in the
+    processing, and the solve's rebuild is the `_post` called outside one."""
+    log = _ReadLog()
     process, post, delays = _Analyzer._process_vertex, _Analyzer._post, _Analyzer._delays
 
     def logged_process(an, v):
         if not isinstance(an.curves, _LoggedReads):
-            an.curves = _LoggedReads(an.curves, reads)
-        reads.clear()
-        changed = process(an, v)
+            an.curves = _LoggedReads(an.curves, log)
+        changed, reads = log.watch(process, an, v)
         on_process(an, v, {(fid, x) for fid, x in reads if x != v})
         return changed
 
     def logged_post(an, fid, v):
-        reads.clear()
-        curve = post(an, fid, v)
-        if on_post is not None:
+        rebuilt = not log.open
+        curve, reads = log.watch(post, an, fid, v)
+        if rebuilt and on_post is not None:
             on_post(an, v, {(g, x) for g, x in reads if x != v})
         return curve
 
     monkeypatch.setattr(_Analyzer, "_process_vertex", logged_process)
     monkeypatch.setattr(_Analyzer, "_post", logged_post)
     monkeypatch.setattr(
-        _Analyzer, "_delays", lambda an, fid: _LoggedReads(delays(an, fid), reads, fid)
+        _Analyzer, "_delays", lambda an, fid: _LoggedReads(delays(an, fid), log, fid)
     )
 
 
@@ -1829,11 +1870,11 @@ class TestComponentSchedule:
         networks = [(net(build()), _analysis_kwargs(flags)) for build, flags in RINGS.values()]
         networks += [(net(series_rings_network()), {}), (net(twin_ring_network()), {})]
         networks += [(net(ring_sites_network()), {})]
-        networks += [(net(doc), kw) for doc, kw in _random_cyclic_cases(60)]
+        networks += [(net(doc), kw) for doc, kw in _random_cyclic_cases(200)]
         networks += list(_stall_cases())
         for network, kw in networks:
             analyze(network, **kw)
-        assert beyond >= 500
+        assert beyond >= 500  # 650 with these draws
         assert rebuilt > 1000
 
     def test_series_rings_match_the_full_sweep_but_iterations(self, monkeypatch):
@@ -1887,13 +1928,13 @@ class TestComponentSchedule:
         off_cycle = {"s1", "s2", "x", "t1", "t2"}
         assert {v: visits[v] for v in off_cycle} == dict.fromkeys(off_cycle, 1)
         # the ring is swept once; the rebuild of its accepted solve computes
-        # it again, and its members host no function to process once more
+        # it again, and processes none of its members
         assert visits["u"] == visits["w"] == 1
 
-    def test_an_accepted_solve_processes_only_the_function_hosts(self, visits, monkeypatch):
-        # the rebuild at the solution already computed every member; only the
-        # members hosting a function are processed again, for their site
-        # records
+    def test_an_accepted_solve_processes_no_vertex(self, visits, monkeypatch):
+        # the rebuild at the solution computes every member, the site records
+        # of the members hosting a function among them, so no member is
+        # processed again
         solves = []
         solve = _Analyzer._solve
 
@@ -1913,7 +1954,7 @@ class TestComponentSchedule:
             analyze(net(doc), **kw)
         accepted = [(processed, hosts) for ok, processed, hosts in solves if ok]
         assert len(accepted) >= 20 and sum(hosts for _, hosts in accepted) >= 20
-        assert [processed for processed, _ in accepted] == [hosts for _, hosts in accepted]
+        assert [processed for processed, _ in accepted] == [0] * len(accepted)
 
     def test_each_component_is_swept_on_its_own(self, visits, monkeypatch):
         # the solve ends each chain after its first pass; without it chain
