@@ -43,7 +43,15 @@ uses): it shares the structure and processes again only the components
 that host an eliminator, are entered with another status, or have a flow
 parent that changed; every other component keeps the state and log of the
 other model, and each flow its end-to-end results when its port delays and
-regulator verdicts are unchanged.
+regulator verdicts are unchanged.  A vertex on no cycle processed again
+only for its eliminators reads what the other model's run read, so each
+eliminator there keeps that run's record but its RBO, and takes its output
+curve from the record.
+
+Each flow is composed end to end at its destinations only, each along its
+anchor chain: from the destination to its anchor (the reference of its
+re-sequencer or regulator, its nearest diamond ancestor otherwise), and on
+from anchor to anchor back to the source.
 """
 
 from __future__ import annotations
@@ -326,6 +334,7 @@ class _Analyzer:
         self.status = CONVERGED
         self._log = []  # _ComponentLog per component, in sweep order
         self._base = None  # the analyzer this one was forked from, until compose
+        self._as_base = None  # the vertex run processes as the base did, while it does
         self._verdicts = {}  # (flow, vertex of its REG) -> RegulatorVerdict, by report
         self._results = {}  # flow -> its FlowResults, by report
         self._crossing = {v: [] for v in network.vertices}
@@ -409,10 +418,13 @@ class _Analyzer:
         Processing a vertex reads only vertices upstream of it in a flow
         that crosses it, so a change reaches it through a flow parent;
         marking whole components covers a read through a cycle member that
-        did not itself change."""
+        did not itself change.  A vertex on no cycle processed again only
+        for its eliminators reads what the base read, so each eliminator
+        there keeps the model-free part of the base's record (`_as_base`)."""
         self.iter_cap, self._base, self._log = iter_cap, base, []
         changed = set()
         for i, comp in enumerate(self.components):
+            as_base = False
             if base is not None:
                 log = base._log[i]
                 upstream = bool(changed) and any(
@@ -420,9 +432,8 @@ class _Analyzer:
                     for v in comp
                     for fid in self._crossing[v]
                 )
-                if not upstream and self.status == log.entry and not any(
-                    p.kind == PEF for v in comp for p, _ in self._placed[v]
-                ):
+                as_base = not upstream and self.status == log.entry
+                if as_base and not any(p.kind == PEF for v in comp for p, _ in self._placed[v]):
                     self.notes += log.notes
                     self.status = log.exit
                     self._log.append(log)
@@ -432,7 +443,9 @@ class _Analyzer:
             if len(comp) > 1:
                 passes = self.settle(comp, iter_cap)
             else:
+                self._as_base = comp[0] if as_base else None
                 self._process_vertex(comp[0])
+                self._as_base = None
                 passes = 1
             self._log.append(_ComponentLog(entry, tuple(self.notes[start:]), passes, self.status))
             if base is not None and (upstream or any(self._differs(v, base) for v in comp)):
@@ -646,9 +659,13 @@ class _Analyzer:
     def _post(self, fid: str, v: str):
         """The flow's curve after v's functions, in pipeline order, before
         its port; the PEF and POF write their site records."""
-        cur = self._input_curve(fid, v)
-        if (PEF, fid, v) in self._function:
-            cur = self._apply_pef(fid, v, cur)
+        pef = (PEF, fid, v)
+        if pef not in self._function:
+            cur = self._input_curve(fid, v)
+        else:
+            if v != self._as_base:  # else the base's record holds what v reads
+                self.sites[pef] = self._pef_site(fid, v, self._input_curve(fid, v))
+            cur = self._apply_pef(pef)
         pof = self._function.get((POF, fid, v))
         if pof is not None:
             cur = self._apply_pof(fid, v, pof, cur)
@@ -675,12 +692,13 @@ class _Analyzer:
 
     # -- local function transforms ---------------------------------------------
 
-    def _apply_pef(self, fid, v, alpha_in):
+    def _pef_site(self, fid, v, alpha_in):
+        """The eliminator's record but its RBO, which is the only part that
+        depends on the model; None when its input is cut off."""
         if alpha_in is None:
-            self.sites[(PEF, fid, v)] = None
             return None
         anchor = self._anchor[(fid, v)]
-        rto = rbo = UNBOUNDED
+        rto = UNBOUNDED
         ancestors = []
         for a in self._ancestors[(fid, v)]:
             curve_a = self.curves.get((fid, a))
@@ -692,19 +710,26 @@ class _Analyzer:
             ancestors.append((curve_a, bounds))
             if a == anchor:
                 rto = pef_rto_bound(curve_a, bounds, self.net.flows[fid].lmin)
-        tight = pef_output_curve(alpha_in, ancestors)
-        out = tight if self.model == MODEL_TIGHT else alpha_in
-        if not is_unbounded(rto):
-            rbo = rbo_from_rto(out, rto)
-        self.sites[(PEF, fid, v)] = {
+        return {
             "vertex": v,
             "flow": fid,
             "reference": anchor,
-            "tight_curve": tight,
+            "tight_curve": pef_output_curve(alpha_in, ancestors),
             "intuitive_curve": alpha_in,
             "rto_bound": rto,
-            "rbo_bound": rbo,
+            "rbo_bound": UNBOUNDED,
         }
+
+    def _apply_pef(self, pef):
+        """The output of the eliminator whose record `self.sites[pef]` holds,
+        under the model, its RBO written into a new record."""
+        site = self.sites[pef]
+        if site is None:
+            return None
+        out = site["tight_curve"] if self.model == MODEL_TIGHT else site["intuitive_curve"]
+        rto = site["rto_bound"]
+        if not is_unbounded(rto):
+            self.sites[pef] = {**site, "rbo_bound": rbo_from_rto(out, rto)}
         return out
 
     def _apply_pof(self, fid, v, placement, alpha_in):
@@ -839,8 +864,9 @@ class _Analyzer:
     # -- end-to-end composition -----------------------------------------------
 
     def compose(self, verdicts: dict) -> list:
-        """Per-destination results; `verdicts` maps (flow, vertex) to the
-        verdict of the flow's regulator there.  A flow whose port delays and
+        """Per-destination results, each composed along the destination's
+        anchor chain (`_flow_cumulative`); `verdicts` maps (flow, vertex) to
+        the verdict of the flow's regulator there.  A flow whose port delays and
         regulator verdicts are the base analyzer's keeps the base's results:
         its composition reads nothing else.  The base is let go here, so
         the report does not keep it alive."""
@@ -876,34 +902,41 @@ class _Analyzer:
         )
 
     def _flow_cumulative(self, fid: str, verdicts: dict) -> dict:
-        """Entry-to-output delay interval at each vertex of the flow.
+        """Entry-to-output delay interval at each destination of the flow,
+        and at each vertex on a destination's anchor chain.
 
         Each vertex is anchored to an upstream cut point: the configured
         reference for re-sequencers and regulators, the nearest diamond
         ancestor otherwise, so parallel branches are bracketed by the hull of
-        their path delays instead of a per-branch sum.
+        their path delays instead of a per-branch sum.  From a destination
+        the anchors are followed back to a vertex already composed, the
+        source at the latest, and the chain is composed forward from there;
+        a vertex on no chain is not composed.
         """
         flow = self.net.flows[fid]
         vdel = self.vertex_delays
-        cum = {}
-        for v in flow.order:
-            if v == flow.source:
-                cum[v] = vdel[v]
-                continue
-            pof = self._function.get((POF, fid, v))
-            reg = self._function.get((REG, fid, v))
-            cut = pof or reg  # a re-sequencer's reference comes first
-            anchor = self._anchor[(fid, v)] if cut is None else cut.reference
-            base = self._bounds(fid, anchor, v)
-            section = base if pof is None else base.plus(self._wait[(fid, v)])
-            if reg is not None:
-                # behind a re-sequencer the regulator is free when it admits
-                # a bound at all
-                if not verdicts[(fid, v)].bounded:
-                    section = DelayInterval(base.lo, UNBOUNDED)
-                elif pof is None:
-                    section = verdicts[(fid, v)].delay
-            cum[v] = cum[anchor].plus(section).plus(vdel[v])
+        cum = {flow.source: vdel[flow.source]}
+        for dest in flow.destinations:
+            chain = []  # (vertex, its anchor, its POF, its REG), back from dest
+            v = dest
+            while v not in cum:
+                pof = self._function.get((POF, fid, v))
+                reg = self._function.get((REG, fid, v))
+                cut = pof or reg  # a re-sequencer's reference comes first
+                anchor = self._anchor[(fid, v)] if cut is None else cut.reference
+                chain.append((v, anchor, pof, reg))
+                v = anchor
+            for v, anchor, pof, reg in reversed(chain):
+                base = self._bounds(fid, anchor, v)
+                section = base if pof is None else base.plus(self._wait[(fid, v)])
+                if reg is not None:
+                    # behind a re-sequencer the regulator is free when it
+                    # admits a bound at all
+                    if not verdicts[(fid, v)].bounded:
+                        section = DelayInterval(base.lo, UNBOUNDED)
+                    elif pof is None:
+                        section = verdicts[(fid, v)].delay
+                cum[v] = cum[anchor].plus(section).plus(vdel[v])
         return cum
 
 
@@ -978,7 +1011,9 @@ def analyze(
 def compare_models(network: NetworkSpec, lossless: bool = False, **kw) -> dict:
     """Run both eliminator models and pair the per-destination intervals.
     The intuitive analysis starts from the tight one (`analyze`'s `base`),
-    so only what the model changes is processed twice; both reports equal
+    so only what the model changes is processed twice, and an eliminator
+    that reads what it read in the tight run only takes its output from
+    the tight run's record; both reports equal
     those of two independent analyses.  Neither report keeps its analyzer,
     so neither can be the `base` of another analysis."""
     tight = analyze(network, MODEL_TIGHT, lossless, **kw)

@@ -561,6 +561,22 @@ def series_rings_network(timeout="3"):
     return _network_doc(vertices, flows, placements)
 
 
+def series_pef_network():
+    """One flow f (rate 1, burst 1, unit size 1) replicated twice in series:
+    S -> A/B -> M1, eliminated at M1, then M1 -> C/D -> M2, eliminated at
+    M2, then through the served port W to T.  The branches are pure delays
+    of unequal length, so the two models give M1 different outputs, and M2
+    reads them."""
+    tech = {"A": ["0", "1"], "B": ["6", "7"], "C": ["0", "1"], "D": ["2", "4"]}
+    vertices = [{"name": v, **({"tech": tech[v]} if v in tech else {})}
+                for v in ("S", "A", "B", "M1", "C", "D", "M2", "T")]
+    vertices.append({"name": "W", "service": {"rate": "5", "latency": "1"}})
+    edges = [("S", "A"), ("S", "B"), ("A", "M1"), ("B", "M1"),
+             ("M1", "C"), ("M1", "D"), ("C", "M2"), ("D", "M2"), ("M2", "W"), ("W", "T")]
+    placements = [{"kind": "pef", "vertex": m, "flows": ["f"]} for m in ("M1", "M2")]
+    return _network_doc(vertices, [_path_flow("f", edges, 1, 1, "S", "T")], placements)
+
+
 def diamond_grid_network(n, w, max_hops, seed=1):
     """n flows, each replicated at its own source onto the same hop range of
     two chains of served ports, A and B, and eliminated at its own merge;

@@ -19,7 +19,9 @@ test of the leading principal minors, by integer elimination without row
 exchanges, is checked against Gauss-Jordan elimination in `Fraction` that
 builds the whole inverse and reads its signs, and the model comparison,
 whose intuitive analysis starts from the tight one, against two independent
-analyses.  The simulator, which
+analyses.  The end-to-end composition, which walks only each destination's
+anchor chain, is checked against the walk over every vertex of the flow in
+its order.  The simulator, which
 keeps every instant as an integer tick, is checked against a replay that
 keeps every instant as a `Fraction` and orders and subtracts them on a grid
 of their denominators.
@@ -61,7 +63,7 @@ from redcalc.sim import (
     REG_EXIT,
     Scenario,
 )
-from redcalc.topology import REG_PER_FLOW, DelayInterval, NetworkSpec
+from redcalc.topology import POF, REG, REG_PER_FLOW, DelayInterval, NetworkSpec
 
 from netfixtures import result_for
 
@@ -462,6 +464,33 @@ def compare_models_independently(network: NetworkSpec, lossless: bool = False, *
         other = result_for(intuitive, r.flow, r.destination)
         pairs[(r.flow, r.destination)] = (r.interval, other.interval)
     return {"tight": tight, "intuitive": intuitive, "pairs": pairs}
+
+
+def flow_cumulative_by_order(an: _Analyzer, fid: str, verdicts: dict) -> dict:
+    """`_Analyzer._flow_cumulative` at every vertex of the flow, each
+    composed in flow order from the interval at its anchor (the reference of
+    its re-sequencer or regulator, its nearest diamond ancestor otherwise),
+    whether or not a destination's chain reaches it."""
+    flow = an.net.flows[fid]
+    vdel = an.vertex_delays
+    cum = {}
+    for v in flow.order:
+        if v == flow.source:
+            cum[v] = vdel[v]
+            continue
+        pof = an._function.get((POF, fid, v))
+        reg = an._function.get((REG, fid, v))
+        cut = pof or reg
+        anchor = an._anchor[(fid, v)] if cut is None else cut.reference
+        base = an._bounds(fid, anchor, v)
+        section = base if pof is None else base.plus(an._wait[(fid, v)])
+        if reg is not None:
+            if not verdicts[(fid, v)].bounded:
+                section = DelayInterval(base.lo, UNBOUNDED)
+            elif pof is None:
+                section = verdicts[(fid, v)].delay
+        cum[v] = cum[anchor].plus(section).plus(vdel[v])
+    return cum
 
 
 def _resequence(inputs: list, place: dict, timeout):

@@ -37,6 +37,8 @@ from redcalc.tfa import (
     vertex_delay,
 )
 from redcalc.topology import (
+    POF,
+    REG,
     DelayInterval,
     SpecError,
     VertexSpec,
@@ -61,6 +63,7 @@ from netfixtures import (
     rev_flow,
     ring_network,
     ring_sites_network,
+    series_pef_network,
     series_rings_network,
     shared_tail_network,
     sibling_pef_network,
@@ -73,6 +76,7 @@ from oracles import (
     compare_models_independently,
     curve_service_delay,
     disordered_by_paths,
+    flow_cumulative_by_order,
     full_sweep_analyze,
     least_fixed_point_by_fractions,
     sum_by_segment_products,
@@ -418,7 +422,7 @@ class TestRegulatorDispatch:
         counts = _count_calls(monkeypatch, "ir_after_pef_verdict", "path_delay_bounds")
         with resolve_input("bundled:net-ir-instability.json").open() as fh:
             rep = analyze(load_network(fh))
-        assert counts == {"ir_after_pef_verdict": 1, "path_delay_bounds": 28}
+        assert counts == {"ir_after_pef_verdict": 1, "path_delay_bounds": 20}
         assert len({s["verdict"] for s in rep.reg_sites}) == 1 and len(rep.reg_sites) == 4
 
     def test_queue_legs_grow_linearly_with_its_flows(self, monkeypatch):
@@ -1650,6 +1654,36 @@ class TestModelAndLossLaws:
         assert counts == {"tight <= intuitive": (1838, 705), "lossless <= lossy": (1838, 552)}
 
 
+class TestComposition:
+    """`compose` composes each destination along its anchor chain, which
+    must give what composing every vertex of the flow in its order gives
+    (`flow_cumulative_by_order`)."""
+
+    @staticmethod
+    def _check(doc, model, lossless) -> int:
+        """Check one analysis; the count of vertices composed from the
+        reference of a re-sequencer or regulator."""
+        an = analyze(net(doc), model, lossless)._analyzer
+        cut = 0
+        for fid, flow in an.net.flows.items():
+            cum = an._flow_cumulative(fid, an._verdicts)
+            every = flow_cumulative_by_order(an, fid, an._verdicts)
+            assert set(flow.destinations) <= set(cum) <= set(every), (fid, model, lossless)
+            assert cum == {v: every[v] for v in cum}, (fid, model, lossless)
+            cut += sum((kind, fid, v) in an._function for v in cum for kind in (POF, REG))
+        return cut
+
+    def test_anchor_chains_match_the_walk_in_flow_order(self):
+        rng = random.Random(0xC0C4A1)
+        pef_draws = [random_pef_network(rng) for _ in range(200)]
+        cut = 0
+        for setting in SETTINGS:
+            for doc in pef_draws + list(_second_seed_draws()):
+                cut += self._check(doc, *setting)
+        # the re-sequencers and regulators all come from the cyclic draws
+        assert cut >= 2000
+
+
 class TestDivergenceAndCutOff:
     """A component whose sweep stays on an affine piece without a finite
     fixed point is Diverged once two passes in a row read that piece, and a
@@ -2199,6 +2233,36 @@ class TestDerivedAnalysis:
         assert set(visits) == set(network.vertices) and max(visits.values()) == 2
         assert "M" in again
         assert again <= {"M", "T"} | {v for v in network.vertices if v.startswith("W")}
+
+    def test_the_eliminator_work_is_taken_from_the_tight_run(self, monkeypatch):
+        # every flow of the grid crosses one eliminator, which reads the
+        # section from each of its two diamond ancestors: the tight run
+        # computes each eliminator once and the intuitive run reuses it
+        network = net(diamond_grid_network(8, 6, 4))
+        counts = _count_calls(monkeypatch, "pef_output_curve", "pef_rto_bound", "path_delay_bounds")
+        out = compare_models(network)
+        assert counts == {"pef_output_curve": 8, "pef_rto_bound": 8, "path_delay_bounds": 16}
+        assert _comparison_json(out) == _comparison_json(compare_models_independently(network))
+
+    def test_an_eliminator_behind_a_changed_one_is_computed_again(self, monkeypatch):
+        # M2 reads M1's output, which the model changes: the intuitive run
+        # takes M1's record from the tight run and computes M2's again
+        network = net(series_pef_network())
+        counts = _count_calls(monkeypatch, "pef_output_curve")
+        model_free = ("reference", "tight_curve", "intuitive_curve", "rto_bound")
+        for lossless in (False, True):
+            counts.clear()
+            out = compare_models(network, lossless)
+            assert counts == {"pef_output_curve": 3}
+            old = compare_models_independently(network, lossless)
+            assert _comparison_json(out) == _comparison_json(old)
+            m1, m2 = ([site_record(out[model], "pef_sites", m, "f") for model in ("tight", "intuitive")]
+                      for m in ("M1", "M2"))
+            assert all(m1[0][key] is m1[1][key] for key in model_free)
+            assert m1[0]["rbo_bound"] != m1[1]["rbo_bound"]
+            assert m2[0]["intuitive_curve"] != m2[1]["intuitive_curve"]
+            assert out["pairs"][("f", "T")] == (DelayInterval(0, Fraction(72, 5)),
+                                                DelayInterval(0, Fraction(74, 5)))
 
     def test_a_base_of_another_analysis_is_rejected(self):
         doc = random_pef_network(random.Random(3))
