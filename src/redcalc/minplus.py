@@ -167,9 +167,6 @@ class TokenBucket(FrozenRecord):
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "burst", burst)
 
-    def _key(self) -> tuple:
-        return (self.rate, self.burst)
-
     def __eq__(self, other):  # Record.__eq__ without its two _key() calls: curves compare segments
         if other.__class__ is self.__class__:
             return (self.rate, self.burst) == (other.rate, other.burst)
@@ -207,9 +204,6 @@ class RateLatency(FrozenRecord):
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "latency", latency)
 
-    def _key(self) -> tuple:
-        return (self.rate, self.latency)
-
     def eval(self, t) -> Fraction:
         t = parse_rational(t)
         return self.rate * max(Fraction(0), t - self.latency)
@@ -230,8 +224,6 @@ class ConcaveCurve:
         for s in segments:
             if isinstance(s, TokenBucket):
                 segs.append(s)
-            elif isinstance(s, dict):
-                segs.append(TokenBucket(s["rate"], s["burst"]))
             else:
                 rate, burst = s
                 segs.append(TokenBucket(rate, burst))
@@ -299,10 +291,6 @@ class ConcaveCurve:
 
     def to_json(self) -> dict:
         return {"segments": [s.to_json() for s in self.segments]}
-
-    @staticmethod
-    def from_json(data: dict) -> "ConcaveCurve":
-        return ConcaveCurve(data["segments"])
 
 
 def _cross_point(hi: TokenBucket, lo: TokenBucket) -> Fraction:

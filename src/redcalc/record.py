@@ -1,13 +1,16 @@
-"""Records with slots: the data classes of the network model and the reports.
+"""Records with slots: the data classes of the network model, the reports and
+the simulator's scenarios.
 
-A record lists its fields, in order, in `_fields` and returns their values
-as a tuple from `_key()`.  Two records are equal when they are of the same
-class and their keys are equal, as with a dataclass, and a frozen record
-hashes its key.  Each subclass writes its own `__init__`, which checks its
+A record lists its fields, in order, in `_fields`; `_key()` returns their
+values as a tuple.  Two records are equal when they are of the same class
+and their keys are equal, as with a dataclass, and a frozen record hashes
+its key.  Each subclass writes its own `__init__`, which checks its
 arguments and sets the fields through `_set_fields`, or one by one through
-`object.__setattr__` on a hot path.  `dataclasses` would build the same
-methods with `exec` when each class is defined, and it imports `inspect`:
-together they cost more start-up than the analysis of a small network.
+`object.__setattr__` on a hot path; `_replace` builds a changed copy
+through that constructor, so the copy is checked too.  `dataclasses` would
+build the same methods with `exec` when each class is defined, and it
+imports `inspect`: together they cost more start-up than the analysis of a
+small network.
 """
 
 
@@ -18,7 +21,7 @@ class Record:
     _fields = ()
 
     def _key(self) -> tuple:
-        raise NotImplementedError
+        return tuple(getattr(self, name) for name in self._fields)
 
     def _set_fields(self, *values):
         """Set the fields, in `_fields` order, to `values` (also where
@@ -29,6 +32,11 @@ class Record:
     def _asdict(self) -> dict:
         """The fields by name, in order."""
         return dict(zip(self._fields, self._key()))
+
+    def _replace(self, **changes):
+        """A copy with the fields named in `changes` set to new values,
+        built and checked by the constructor."""
+        return type(self)(**{**self._asdict(), **changes})
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -46,9 +46,6 @@ class RegulatorVerdict(FrozenRecord):
                  reason: str | None = None, q_min: int | None = None, proven: bool = True):
         self._set_fields(bounded, delay, reason, q_min, proven)
 
-    def _key(self) -> tuple:
-        return (self.bounded, self.delay, self.reason, self.q_min, self.proven)
-
     @staticmethod
     def of_interval(delay: DelayInterval) -> "RegulatorVerdict":
         return RegulatorVerdict(bounded=True, delay=delay)

@@ -51,11 +51,10 @@ import functools
 import gc
 import io
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import NamedTuple, Optional, Union
 
 from ..minplus import (
     ConcaveCurve,
@@ -63,11 +62,13 @@ from ..minplus import (
     parse_rational,
     rational_str,
 )
+from ..record import FrozenRecord, Record
 from ..topology import (
     REG_INTERLEAVED,
     REG_PER_FLOW,
     DelayInterval,
     SpecError,
+    _known,
     _parsed,
     _rational,
     _read_document,
@@ -106,40 +107,34 @@ class ScenarioError(ValueError):
     """A scenario is inconsistent with its own declarations."""
 
 
-@dataclass(frozen=True)
-class SourceUnit:
-    flow: str
-    unit: str
-    time: Fraction
-    size: Fraction
+class SourceUnit(FrozenRecord):
+    __slots__ = _fields = ("flow", "unit", "time", "size")
 
-    def __post_init__(self):
-        object.__setattr__(self, "time", parse_rational(self.time))
-        object.__setattr__(self, "size", parse_rational(self.size))
-        if self.time.numerator < 0:
-            raise ScenarioError(f"unit {self.flow}/{self.unit}: negative emission time")
-        if self.size.numerator < 0:
-            raise ScenarioError(f"unit {self.flow}/{self.unit}: negative size")
+    def __init__(self, flow: str, unit: str, time: Fraction, size: Fraction):
+        time, size = parse_rational(time), parse_rational(size)
+        if time.numerator < 0:
+            raise ScenarioError(f"unit {flow}/{unit}: negative emission time")
+        if size.numerator < 0:
+            raise ScenarioError(f"unit {flow}/{unit}: negative size")
+        self._set_fields(flow, unit, time, size)
 
     @property
     def key(self):
         return (self.flow, self.unit)
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(FrozenRecord):
     """One replicated branch: declared delay bounds plus the fate of each unit.
 
     ``schedule`` maps (flow, unit) to a delay or to DROP; ``default`` applies
     to units without an explicit entry (None means every unit needs one).
     """
 
-    name: str
-    bounds: DelayInterval
-    schedule: dict
-    default: Union[Fraction, str, None] = None
-    lossy: bool = True
-    fifo: bool = True
+    __slots__ = _fields = ("name", "bounds", "schedule", "default", "lossy", "fifo")
+
+    def __init__(self, name: str, bounds: DelayInterval, schedule: dict,
+                 default: Fraction | str | None = None, lossy: bool = True, fifo: bool = True):
+        self._set_fields(name, bounds, schedule, default, lossy, fifo)
 
     def action_for(self, key):
         if key in self.schedule:
@@ -149,87 +144,80 @@ class PathSpec:
         return self.default
 
 
-@dataclass(frozen=True)
-class PofSpec:
-    timeout: Optional[Fraction] = None
-    flows: Optional[frozenset] = None  # None = every flow in the scenario
+class PofSpec(FrozenRecord):
+    __slots__ = _fields = ("timeout", "flows")
 
-    def __post_init__(self):
-        if self.timeout is not None:
-            t = parse_rational(self.timeout)
-            if t < 0:
+    def __init__(self, timeout: Fraction | None = None, flows: frozenset | None = None):
+        # flows None = every flow in the scenario
+        if timeout is not None:
+            timeout = parse_rational(timeout)
+            if timeout < 0:
                 raise ScenarioError("re-sequencer timeout must be >= 0")
-            object.__setattr__(self, "timeout", t)
-        if self.flows is not None:
-            object.__setattr__(self, "flows", frozenset(self.flows))
+        if flows is not None:
+            flows = frozenset(flows)
+        self._set_fields(timeout, flows)
 
 
-@dataclass(frozen=True)
-class RegSpec:
-    mode: str
-    shaping: dict  # flow id -> ConcaveCurve
+class RegSpec(FrozenRecord):
+    __slots__ = _fields = ("mode", "shaping")
 
-    def __post_init__(self):
-        if self.mode not in (REG_PER_FLOW, REG_INTERLEAVED):
-            raise ScenarioError(f"unknown regulator mode {self.mode!r}")
-        for fid, sigma in self.shaping.items():
+    def __init__(self, mode: str, shaping: dict):  # flow id -> ConcaveCurve
+        if mode not in (REG_PER_FLOW, REG_INTERLEAVED):
+            raise ScenarioError(f"unknown regulator mode {mode!r}")
+        for fid, sigma in shaping.items():
             if not isinstance(sigma, ConcaveCurve):
                 raise ScenarioError(f"regulator shaping for {fid} must be a curve")
-        object.__setattr__(self, "shaping", dict(self.shaping))
+        self._set_fields(mode, dict(shaping))
 
 
-@dataclass(frozen=True)
-class Pipeline:
-    pef: bool = True
-    pof: Optional[PofSpec] = None
-    reg: Optional[RegSpec] = None
+class Pipeline(FrozenRecord):
+    __slots__ = _fields = ("pef", "pof", "reg")
+
+    def __init__(self, pef: bool = True, pof: PofSpec | None = None, reg: RegSpec | None = None):
+        self._set_fields(pef, pof, reg)
 
 
-@dataclass(frozen=True)
-class FlowProfile:
+class FlowProfile(FrozenRecord):
     """A flow's declared arrival curve and unit sizes, each None if not
     given; given sizes pass the network loader's checks (lmax >= lmin > 0),
     and an lmax given alone must be > 0."""
 
-    arrival: Optional[ConcaveCurve] = None
-    lmin: Optional[Fraction] = None
-    lmax: Optional[Fraction] = None
+    __slots__ = _fields = ("arrival", "lmin", "lmax")
 
-    def __post_init__(self):
-        for name in ("lmin", "lmax"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, parse_rational(getattr(self, name)))
-        if self.lmin is not None and self.lmin <= 0:
+    def __init__(self, arrival: ConcaveCurve | None = None, lmin: Fraction | None = None,
+                 lmax: Fraction | None = None):
+        if lmin is not None:
+            lmin = parse_rational(lmin)
+        if lmax is not None:
+            lmax = parse_rational(lmax)
+        if lmin is not None and lmin <= 0:
             raise ScenarioError("minimum data unit size must be > 0")
-        if None not in (self.lmin, self.lmax) and self.lmax < self.lmin:
+        if None not in (lmin, lmax) and lmax < lmin:
             raise ScenarioError("lmax must be >= lmin")
-        if self.lmax is not None and self.lmax <= 0:
+        if lmax is not None and lmax <= 0:
             raise ScenarioError("maximum data unit size must be > 0")
+        self._set_fields(arrival, lmin, lmax)
 
 
-@dataclass
-class Scenario:
-    name: str
-    sources: list
-    paths: list
-    pipeline: Pipeline
-    flows: dict = field(default_factory=dict)  # flow id -> FlowProfile
-    allow_zero_size: bool = False
-    meta: dict = field(default_factory=dict)
+class Scenario(Record):
+    __slots__ = _fields = ("name", "sources", "paths", "pipeline", "flows", "allow_zero_size",
+                           "meta")
+
+    def __init__(self, name: str, sources: list, paths: list, pipeline: Pipeline,
+                 flows: dict | None = None, allow_zero_size: bool = False,
+                 meta: dict | None = None):
+        # flows maps a flow id to its FlowProfile; a flows or meta of None is a new {}
+        self._set_fields(name, sources, paths, pipeline, {} if flows is None else flows,
+                         allow_zero_size, {} if meta is None else meta)
 
 
-class TraceEvent(NamedTuple):
+class TraceEvent(namedtuple("TraceEvent", "tick grid kind flow unit size branch",
+                            defaults=(None,))):
     """One stage crossing.  The instant is `tick` ticks of 1/`grid` time
     units, the grid of the run that made the event; `time` is the same
     instant as a Fraction."""
 
-    tick: int
-    grid: int
-    kind: str
-    flow: str
-    unit: str
-    size: Fraction
-    branch: Optional[str] = None
+    __slots__ = ()
 
     @property
     def time(self) -> Fraction:
@@ -675,7 +663,7 @@ def scenario_from_json(doc) -> Scenario:
         for key in ("lmin", "lmax"):
             if key in raw:
                 profile = _parsed(
-                    lambda v: replace(profile, **{key: v}), raw[key], f"{path}.{key}"
+                    lambda v: profile._replace(**{key: v}), raw[key], f"{path}.{key}"
                 )
         flows[fid] = profile
     sources = []
@@ -697,6 +685,7 @@ def scenario_from_json(doc) -> Scenario:
         if sources[-1].key in units:
             raise SpecError(path, f"duplicate source unit {fid}/{unit}")
         units.add(sources[-1].key)
+    emitted = {fid for fid, _unit in units}  # the only flows a pipeline stage may name
     paths = []
     entries = _typed(_required(doc, "paths", "paths"), list, "paths")
     for i, raw in enumerate(entries):
@@ -742,10 +731,11 @@ def scenario_from_json(doc) -> Scenario:
                 raise SpecError("pipeline.pof.timeout", "timeout must be >= 0")
         pof_flows = raw.get("flows")
         if pof_flows is not None:  # absent or null: every flow
-            pof_flows = frozenset(
-                _typed(fid, str, f"pipeline.pof.flows[{i}]")
-                for i, fid in enumerate(_typed(pof_flows, list, "pipeline.pof.flows"))
-            )
+            names = _typed(pof_flows, list, "pipeline.pof.flows")
+            pof_flows = set()
+            for i, fid in enumerate(names):
+                at = f"pipeline.pof.flows[{i}]"
+                pof_flows.add(_known(_typed(fid, str, at), emitted, at, "flow"))
             if not pof_flows:
                 raise SpecError("pipeline.pof.flows", "re-sequencer needs at least one flow")
         pof = PofSpec(timeout=timeout, flows=pof_flows)
@@ -753,10 +743,11 @@ def scenario_from_json(doc) -> Scenario:
     if pdoc.get("reg") is not None:
         raw = _typed(pdoc["reg"], dict, "pipeline.reg")
         shaping = _required(raw, "shaping", "pipeline.reg.shaping")
-        curves = {
-            fid: parse_curve(c, f"pipeline.reg.shaping.{fid}")
-            for fid, c in _typed(shaping, dict, "pipeline.reg.shaping").items()
-        }
+        curves = {}
+        for fid, c in _typed(shaping, dict, "pipeline.reg.shaping").items():
+            at = f"pipeline.reg.shaping.{fid}"
+            curves[fid] = parse_curve(c, at)
+            _known(fid, emitted, at, "flow")
         reg = _parsed(
             lambda mode: RegSpec(mode, curves), raw.get("mode", REG_PER_FLOW), "pipeline.reg.mode"
         )

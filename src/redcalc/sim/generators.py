@@ -15,7 +15,6 @@ Three families:
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from ..minplus import ConcaveCurve, parse_rational
@@ -50,9 +49,9 @@ def toy_scenario(variant: str, timeout=None) -> Scenario:
     scenario = load_scenario(bundled_dir().joinpath(name))
     pipe = scenario.pipeline
     if variant == "pof":
-        pipe = replace(pipe, pof=PofSpec(timeout))
+        pipe = pipe._replace(pof=PofSpec(timeout))
     elif timeout is not None and pipe.pof is not None:
-        pipe = replace(pipe, pof=replace(pipe.pof, timeout=timeout))
+        pipe = pipe._replace(pof=pipe.pof._replace(timeout=timeout))
     scenario.name = f"toy-{variant}"
     scenario.pipeline = pipe
     scenario.meta = {"variant": variant}

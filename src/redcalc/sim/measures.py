@@ -9,7 +9,6 @@ events already carry their instants as ticks of one grid.
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from ..minplus import ConcaveCurve, parse_rational
 from .engine import GENERATED, _no_gc
@@ -21,7 +20,7 @@ def _grid(values) -> int:
 
 
 @_no_gc
-def check_compliance(events, curve: ConcaveCurve) -> Optional[dict]:
+def check_compliance(events, curve: ConcaveCurve) -> dict | None:
     """Earliest window where a timed size sequence exceeds its arrival curve.
 
     ``events`` is an iterable of (time, size) pairs.  A window [s, t] is

@@ -152,9 +152,6 @@ class FlowResult(Record):
                  deadline: Fraction | None, verdict: str):
         self._set_fields(flow, destination, interval, deadline, verdict)
 
-    def _key(self) -> tuple:
-        return (self.flow, self.destination, self.interval, self.deadline, self.verdict)
-
     def to_json(self) -> dict:
         return to_jsonable(self._asdict())
 
@@ -180,10 +177,6 @@ class AnalysisReport(Record):
                  reg_sites: list, notes: list):
         self._set_fields(model, lossless, status, iterations, results, vertex_delays,
                          pef_sites, pof_sites, reg_sites, notes)
-
-    def _key(self) -> tuple:
-        return (self.model, self.lossless, self.status, self.iterations, self.results,
-                self.vertex_delays, self.pef_sites, self.pof_sites, self.reg_sites, self.notes)
 
     def any_violation(self) -> bool:
         return any(r.verdict in ("violated", "unbounded") for r in self.results)

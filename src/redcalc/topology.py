@@ -21,6 +21,7 @@ from .minplus import (
     UNBOUNDED,
     ConcaveCurve,
     RateLatency,
+    TokenBucket,
     is_unbounded,
     parse_rational,
     rational_str,
@@ -43,9 +44,6 @@ class DelayInterval(FrozenRecord):
             raise ValueError("delay interval needs lo <= hi")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def _key(self) -> tuple:
-        return (self.lo, self.hi)
 
     def __eq__(self, other):  # Record.__eq__ without its two _key() calls: passes compare delays
         if other.__class__ is self.__class__:
@@ -82,10 +80,14 @@ class DelayInterval(FrozenRecord):
 
     @staticmethod
     def from_json(data) -> "DelayInterval":
-        if isinstance(data, (list, tuple)):
+        """The interval of a `[lo, hi]` pair or a `{"lo", "hi"}` object; a
+        `hi` of "unbounded" or null is UNBOUNDED."""
+        if isinstance(data, (list, tuple)) and len(data) == 2:
             lo, hi = data
-        else:
+        elif isinstance(data, dict) and "lo" in data and "hi" in data:
             lo, hi = data["lo"], data["hi"]
+        else:
+            raise ValueError('expected a [lo, hi] pair or a {"lo", "hi"} object')
         hi = UNBOUNDED if hi in ("unbounded", None) else hi
         return DelayInterval(parse_rational(lo), hi)
 
@@ -99,9 +101,6 @@ class VertexSpec(FrozenRecord):
     def __init__(self, name: str, service=None, tech: DelayInterval = DelayInterval(0, 0)):
         self._set_fields(name, service, tech)
 
-    def _key(self) -> tuple:
-        return (self.name, self.service, self.tech)
-
 
 class FlowSpec(FrozenRecord):
     """A flow: `edges` are (src, dst) pairs forming a DAG rooted at `source`,
@@ -113,10 +112,6 @@ class FlowSpec(FrozenRecord):
     def __init__(self, id: str, source: str, destinations: tuple, edges: tuple,
                  arrival: ConcaveCurve, lmin: Fraction, lmax: Fraction, deadlines: dict):
         self._set_fields(id, source, destinations, edges, arrival, lmin, lmax, deadlines)
-
-    def _key(self) -> tuple:
-        return (self.id, self.source, self.destinations, self.edges, self.arrival,
-                self.lmin, self.lmax, self.deadlines)
 
     # the flow DAG, derived from `edges` on first use and kept; every caller
     # shares the same value, so the adjacency lists are tuples
@@ -181,10 +176,6 @@ class FunctionPlacement(FrozenRecord):
                 raise ValueError("timeout must be >= 0")
         self._set_fields(kind, vertex, flows, reference, timeout, mode, shaping)
 
-    def _key(self) -> tuple:
-        return (self.kind, self.vertex, self.flows, self.reference, self.timeout, self.mode,
-                self.shaping)
-
 
 class NetworkSpec(FrozenRecord):
     """`vertices` maps a name to its VertexSpec, `flows` an id to its
@@ -195,9 +186,6 @@ class NetworkSpec(FrozenRecord):
 
     def __init__(self, vertices: dict, flows: dict, placements: tuple):
         self._set_fields(vertices, flows, placements)
-
-    def _key(self) -> tuple:
-        return (self.vertices, self.flows, self.placements)
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +387,27 @@ def _known(value, names, path, what="vertex"):
     return value
 
 
-def _curve(data: dict) -> ConcaveCurve:
-    if "segments" in data:
-        return ConcaveCurve.from_json(data)
-    return ConcaveCurve([(data["rate"], data["burst"])])
+def _segment(data, path) -> TokenBucket:
+    """The token bucket of a `{"rate", "burst"}` object."""
+    if not isinstance(data, dict) or "rate" not in data or "burst" not in data:
+        raise SpecError(path, 'bad curve: expected a {"rate", "burst"} object')
+    return _parsed(lambda d: TokenBucket(d["rate"], d["burst"]), data, path, "bad curve: ")
 
 
 def parse_curve(data, path) -> ConcaveCurve:
-    """Curve from `{"segments": [...]}` or `{"rate", "burst"}`; a bad one
-    raises a SpecError that names `path`."""
+    """Curve from `{"segments": [...]}`, a non-empty list of `{"rate",
+    "burst"}` objects, or from one `{"rate", "burst"}` object; a bad one
+    raises a SpecError that names `path`, or `<path>.segments[i]` for a bad
+    segment."""
     if not isinstance(data, dict) or ("segments" not in data and "rate" not in data):
         raise SpecError(path, "expected a curve object")
-    return _parsed(_curve, data, path, "bad curve: ")
+    if "segments" not in data:
+        return ConcaveCurve((_segment(data, path),))
+    at = f"{path}.segments"
+    segments = _typed(data["segments"], list, at)
+    if not segments:
+        raise SpecError(at, "bad curve: a concave curve needs at least one segment")
+    return ConcaveCurve([_segment(s, f"{at}[{i}]") for i, s in enumerate(segments)])
 
 
 def _parse_service(data, path):

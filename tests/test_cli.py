@@ -309,6 +309,23 @@ MALFORMED = {
         {**_two_vertex_net(), "flows": _two_vertex_net()["flows"] * 2}, "flows[1]"
     ),
     "lmax below lmin": (_two_vertex_net(lmin="2", lmax="1"), "flows[0].lmax"),
+    # a curve's segments are a non-empty list of {"rate", "burst"} objects
+    "curve segment a string": (
+        _two_vertex_net(arrival={"segments": ["12"]}), "flows[0].arrival.segments[0]"
+    ),
+    "curve segment a pair": (
+        _two_vertex_net(arrival={"segments": [[3, 4]]}), "flows[0].arrival.segments[0]"
+    ),
+    "curve segment without a burst": (
+        _two_vertex_net(arrival={"segments": [{"rate": 1, "burst": 1}, {"rate": 1}]}),
+        "flows[0].arrival.segments[1]",
+    ),
+    "curve segments an object": (
+        _two_vertex_net(arrival={"segments": {"rate": 1}}), "flows[0].arrival.segments"
+    ),
+    "curve without segments": (
+        _two_vertex_net(arrival={"segments": []}), "flows[0].arrival.segments"
+    ),
     "placement without flows": (
         _with_placement(kind="pef", vertex="B", flows=[]), "placements[0].flows"
     ),
@@ -459,6 +476,14 @@ MALFORMED_SCENARIOS = {
     "minimum unit size not a rational": (
         _toy_scenario(lambda d: d["flows"]["f"].update(lmin="big")), "flows.f.lmin"
     ),
+    # a pipeline stage names only flows that a source emits
+    "resequenced flow no source emits": (_set_pof(flows=["f", "zz"]), "pipeline.pof.flows[1]"),
+    "shaped flow no source emits": (
+        _toy_scenario(
+            lambda d: d["pipeline"]["reg"]["shaping"].update(zz={"rate": "1", "burst": "1"})
+        ),
+        "pipeline.reg.shaping.zz",
+    ),
     # the network loader's lmin defaults to 1; a scenario flow may give lmax alone
     "negative maximum unit size, no minimum": (
         _toy_scenario(lambda d: d["flows"].update(f={"lmax": "-3"})), "flows.f.lmax"
@@ -521,6 +546,24 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "interval", ["x", [1, 2, 3], {"lo": 1}], ids=["a string", "three numbers", "no hi"]
+    )
+    def test_malformed_delay_interval_says_what_it_expected(self, interval, tmp_path, capsys):
+        expected = 'expected a [lo, hi] pair or a {"lo", "hi"} object'
+        network = _two_vertex_net()
+        network["vertices"][0]["tech"] = interval
+        scenario = _toy_scenario(lambda d: d["paths"][1].update(bounds=interval))
+        for argv, doc, message in (
+            (["analyze", "--in"], network, f"error: vertices[0].tech: {expected}\n"),
+            (["simulate", "--scenario"], scenario,
+             f"error: paths[1].bounds: bad delay interval: {expected}\n"),
+        ):
+            target = tmp_path / "bad.json"
+            target.write_text(json.dumps(doc))
+            assert main(argv + [str(target)]) == 1
+            assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_deeply_nested_document_exits_1(self, command, tmp_path, capsys):
@@ -816,12 +859,11 @@ print(code, "redcalc.sim" in sys.modules)
 
 
 class TestStartUpWithoutDataclassesOrTyping:
-    # the records of the analyzer are plain classes with slots, so no command
-    # that runs only the analyzer loads `dataclasses`, the `inspect` it
-    # imports, or `typing`; the interpreter is started as in
-    # TestSimulatorLoadedOnFirstUse
+    # the records of the analyzer and of the simulator are plain classes with
+    # slots, so no command loads `dataclasses`, the `inspect` it imports, or
+    # `typing`; the interpreter is started as in TestSimulatorLoadedOnFirstUse
     PROBE = """
-import sys
+import json, os, sys
 sys.path.insert(0, {src!r})
 from redcalc.cli import main
 
@@ -829,6 +871,15 @@ for net in {nets!r}:
     for command in ("analyze", "compare"):
         # 2: the instability network has no bound
         assert main([command, "--in", net, "--out", {out!r}]) in (0, 2), (command, net)
+with open(os.path.join({data!r}, "pairs.json")) as fh:
+    pairs = json.load(fh)
+for pair in pairs:
+    scenario = os.path.join({data!r}, pair["scenario"])
+    network = os.path.join({data!r}, pair["network"])
+    assert main(["simulate", "--scenario", scenario, "--trace-out", {out!r}]) == 0, pair
+    flags = ["--model", pair["model"]] + (["--lossless"] if pair["lossless"] else [])
+    argv = ["verify", "--scenario", scenario, "--network", network, "--out", {out!r}]
+    assert main(argv + flags) == 0, pair
 print(sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules))
 """
 
@@ -838,9 +889,10 @@ print(sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules
         package = os.path.dirname(redcalc.__file__)
         # rate-latency ports, eliminators, re-sequencers, both regulator kinds
         names = ("net-volvo-like.json", "net-toy-pef-pof-pfr.json", "net-ir-instability.json")
-        nets = [os.path.join(package, "data", name) for name in names]
+        data = os.path.join(package, "data")
+        nets = [os.path.join(data, name) for name in names]
         probe = self.PROBE.format(
-            src=os.path.dirname(package), nets=nets, out=str(tmp_path / "out.json")
+            src=os.path.dirname(package), nets=nets, data=data, out=str(tmp_path / "out.json")
         )
         proc = subprocess.run(
             [sys.executable, "-I", "-S", "-B", "-c", probe],

@@ -21,6 +21,7 @@ from redcalc.minplus import (
     rational_str,
     v_dev,
 )
+from redcalc.topology import parse_curve
 from oracles import (
     convolution_value,
     curve_value,
@@ -99,11 +100,11 @@ class TestCurveModel:
 
     def test_json_round_trip(self):
         c = curve((Fraction(3, 2), Fraction(1, 3)), (1, 8))
-        assert ConcaveCurve.from_json(c.to_json()) == c
+        assert parse_curve(c.to_json(), "curve") == c
 
     def test_json_accepts_pq_and_decimal_strings(self):
-        c = ConcaveCurve.from_json(
-            {"segments": [{"rate": "3/2", "burst": "0.25"}]}
+        c = parse_curve(
+            {"segments": [{"rate": "3/2", "burst": "0.25"}]}, "curve"
         )
         assert c.segments[0].rate == Fraction(3, 2)
         assert c.segments[0].burst == Fraction(1, 4)

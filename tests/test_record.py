@@ -1,6 +1,7 @@
-"""The records of the network model and the reports: equality and hash over
-their fields and only within one class, immutability where frozen, the
-dataclass repr, copies, and the constructors' checks."""
+"""The records of the network model, the reports and the simulator's
+scenarios: equality and hash over their fields and only within one class,
+immutability where frozen, the dataclass repr, copies, changed copies, and
+the constructors' checks."""
 
 import copy
 import pickle
@@ -10,8 +11,22 @@ import pytest
 
 from redcalc.minplus import UNBOUNDED, ConcaveCurve, RateLatency, TokenBucket
 from redcalc.regulators import RATE_OVERLOAD, RegulatorVerdict
+from redcalc.sim import (
+    DROP,
+    PathSpec,
+    Pipeline,
+    PofSpec,
+    RegSpec,
+    Scenario,
+    ScenarioError,
+    SourceUnit,
+    TraceEvent,
+    load_scenario,
+)
+from redcalc.sim.engine import FlowProfile
 from redcalc.tfa import AnalysisReport, FlowResult, analyze, compare_models
 from redcalc.topology import (
+    REG_INTERLEAVED,
     DelayInterval,
     FlowSpec,
     FunctionPlacement,
@@ -41,10 +56,19 @@ SAMPLES = {
     RegulatorVerdict: lambda: RegulatorVerdict.unbounded(RATE_OVERLOAD, q_min=3),
     FlowResult: lambda: FlowResult("f", "C", DelayInterval(1, 4), Fraction(5), "met"),
     AnalysisReport: lambda: AnalysisReport(*analyze(_network())._key()),  # no analyzer kept
+    SourceUnit: lambda: SourceUnit("f", "1", "1/2", 3),
+    PathSpec: lambda: PathSpec("short", DelayInterval(0, 1), {("f", "1"): Fraction(1)}, DROP,
+                               True, False),
+    PofSpec: lambda: PofSpec("3/2", ["f"]),
+    RegSpec: lambda: RegSpec(REG_INTERLEAVED, {"f": ConcaveCurve([(1, 2)])}),
+    Pipeline: lambda: Pipeline(False, PofSpec(1), None),
+    FlowProfile: lambda: FlowProfile(ConcaveCurve([(1, 1)]), 1, "3/2"),
+    Scenario: lambda: load_scenario(bundled_dir().joinpath("scn-toy-lossy.json")),
 }
 FROZEN = [TokenBucket, RateLatency, DelayInterval, VertexSpec, FlowSpec, FunctionPlacement,
-          NetworkSpec, RegulatorVerdict]
-MUTABLE = [FlowResult, AnalysisReport]
+          NetworkSpec, RegulatorVerdict, SourceUnit, PathSpec, PofSpec, RegSpec, Pipeline,
+          FlowProfile]
+MUTABLE = [FlowResult, AnalysisReport, Scenario]
 ALL = FROZEN + MUTABLE
 
 
@@ -116,6 +140,39 @@ class TestRecords:
         record = SAMPLES[cls]()
         for dup in copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)):
             assert type(dup) is cls and dup == record
+
+    def test_replace_without_changes_gives_an_equal_copy(self, cls):
+        record = SAMPLES[cls]()
+        same = record._replace()
+        assert type(same) is cls and same is not record and same == record
+        with pytest.raises(TypeError):
+            record._replace(unknown=1)
+
+
+def test_replace_runs_the_constructors_checks():
+    assert PofSpec(1)._replace(timeout="5/2") == PofSpec("5/2")
+    with pytest.raises(ScenarioError, match="re-sequencer timeout must be >= 0"):
+        PofSpec(1)._replace(timeout=-1)
+    with pytest.raises(ValueError, match="token bucket burst must be >= 0"):
+        TokenBucket(1, 2)._replace(burst=-1)
+    with pytest.raises(ScenarioError, match="lmax must be >= lmin"):
+        FlowProfile(None, 2)._replace(lmax=1)
+    # the copy is parsed as the constructor parses its arguments
+    assert SourceUnit("f", "1", 0, 1)._replace(time="1/2").time == Fraction(1, 2)
+
+
+def test_trace_events_are_named_tuples():
+    event = TraceEvent(3, 2, "generated", "f", "1", Fraction(1))
+    assert event.branch is None and event.time == Fraction(3, 2)
+    assert event == (3, 2, "generated", "f", "1", Fraction(1), None)
+    assert TraceEvent._fields == ("tick", "grid", "kind", "flow", "unit", "size", "branch")
+    assert repr(event) == (
+        "TraceEvent(tick=3, grid=2, kind='generated', flow='f', unit='1', "
+        "size=Fraction(1, 1), branch=None)"
+    )
+    assert event._replace(branch="short").branch == "short"
+    assert not hasattr(event, "__dict__")
+    assert pickle.loads(pickle.dumps(event)) == event
 
 
 def test_copies_of_curves_and_reports_are_equal():

@@ -9,7 +9,6 @@ re-sequencer, and token-bucket release at the regulators.
 import gc
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -617,7 +616,7 @@ class TestSerialization:
                 elif timeout is None:
                     assert pipe.pof == base.pipeline.pof, variant
                 else:
-                    assert pipe.pof == replace(base.pipeline.pof, timeout=timeout), variant
+                    assert pipe.pof == base.pipeline.pof._replace(timeout=timeout), variant
         # the bundled timeouts that a given one replaces
         assert bundled("lossy").pipeline.pof.timeout == 6
         assert bundled("pof-pfr").pipeline.pof.timeout is None
