@@ -58,7 +58,59 @@ def _emit(text: str, out_path):
 
 
 def _emit_json(doc, out_path):
-    _emit(json.dumps(to_jsonable(doc), indent=2), out_path)
+    _emit(_json_text(doc), out_path)
+
+
+def _json_text(doc) -> str:
+    """`json.dumps(to_jsonable(doc), indent=2)`, written in one walk: with
+    an indent, `json.dumps` on Python 3.11 and earlier falls back to its
+    pure-Python encoder."""
+    parts = []
+    _write(to_jsonable(doc), parts, "\n")
+    return "".join(parts)
+
+
+_quote = json.encoder.encode_basestring_ascii  # the quoting of json.dumps
+
+
+def _write(value, parts: list, newline: str):
+    """Append the text of `value` to `parts` as `json.dumps(value, indent=2)`
+    writes it, with `newline` before each of its lines but the first.  Keys
+    are strings, as in every report; a leaf that is not a string, None, a
+    bool or an int goes through `json.dumps`."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            parts += (sep, _quote(key), ": ")
+            _write(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    else:
+        parts.append(json.dumps(value))
 
 
 def _report_exit(report) -> int:

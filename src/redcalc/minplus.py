@@ -10,12 +10,16 @@ Unbounded results (a horizontal deviation against an overloaded server, the
 pseudo-inverse of a capped curve) are returned as the `UNBOUNDED` sentinel,
 which compares correctly against any Fraction.
 
-The public constructors (`TokenBucket`, `ConcaveCurve`) parse and normalize
-their input.  The operations build their results from `Fraction`s they
-already hold, so they skip the parsing (`_bucket`) and, where the result is
-canonical by construction, the normalization (`ConcaveCurve._canonical`):
+The public constructors (`TokenBucket`, `ConcaveCurve`) parse, check and
+normalize their input.  The operations build their results from `Fraction`s
+they already hold, which are nonnegative by construction, so they skip the
+parsing and the sign checks (`_bucket` checks nothing) and, where the result
+is canonical by construction, the normalization (`ConcaveCurve._canonical`):
 `add` sums any number of curves in one merge of their breakpoints, and its
-pieces come out canonical.
+pieces come out canonical.  Each of its rates and bursts is summed over the
+common denominator of its terms and normalized once (`_exact_sum`), and so
+is each burst that `deconvolve_delay` spreads (`_plus_product`); an `Affine`
+term is summed as a form.
 """
 
 from __future__ import annotations
@@ -179,11 +183,8 @@ class TokenBucket(FrozenRecord):
 
 
 def _bucket(rate: Fraction, burst: Fraction) -> TokenBucket:
-    """TokenBucket from two Fractions, without parsing them again."""
-    if rate < 0:
-        raise ValueError("token bucket rate must be >= 0")
-    if burst < 0:
-        raise ValueError("token bucket burst must be >= 0")
+    """TokenBucket from two Fractions, without parsing or checking them: the
+    callers build them nonnegative."""
     bucket = object.__new__(TokenBucket)
     object.__setattr__(bucket, "rate", rate)
     object.__setattr__(bucket, "burst", burst)
@@ -362,11 +363,24 @@ def add(a: ConcaveCurve, b: ConcaveCurve, *more: ConcaveCurve) -> ConcaveCurve:
 
 def _sum_active(operands: list, active: list) -> TokenBucket:
     segs = [ops[i] for ops, i in zip(operands, active)]
-    first, rest = segs[0], segs[1:]
-    return _bucket(
-        sum((s.rate for s in rest), first.rate),
-        sum((s.burst for s in rest), first.burst),
-    )
+    return _bucket(_exact_sum([s.rate for s in segs]), _exact_sum([s.burst for s in segs]))
+
+
+def _exact_sum(terms: list):
+    """The sum of the terms: Fractions on their integer grid, normalized
+    once; with an `Affine` term (the solve's bursts), term by term."""
+    if any(type(x) is Affine for x in terms):
+        return sum(terms[1:], terms[0])
+    grid, ticks = _on_grid(terms)
+    return Fraction(sum(ticks), grid)
+
+
+def _on_grid(values: list):
+    """The integer grid of rationals: the lcm of their denominators, and
+    each value as a whole number of its ticks."""
+    ratios = [x.as_integer_ratio() for x in values]
+    grid = math.lcm(*{d for _n, d in ratios})
+    return grid, [n * (grid // d) for n, d in ratios]
 
 
 def convolve(a: ConcaveCurve, b: ConcaveCurve) -> ConcaveCurve:
@@ -379,13 +393,22 @@ def deconvolve_delay(a: ConcaveCurve, delay) -> ConcaveCurve:
     """a deconvolved by a bounded-delay element: each burst grows by rate*J."""
     a = _coerce(a)
     j = parse_rational(delay)
-    if j < 0:
+    sign = (j.value if type(j) is Affine else j).numerator
+    if sign < 0:
         raise ValueError("jitter must be >= 0")
-    if j == 0:
+    if sign == 0:
         return a
-    return ConcaveCurve._canonical(
-        _normalize([_bucket(s.rate, s.burst + s.rate * j) for s in a.segments])
-    )
+    segs = [_bucket(s.rate, _plus_product(s.burst, s.rate, j)) for s in a.segments]
+    return ConcaveCurve._canonical(_normalize(segs) if len(segs) > 1 else (segs[0],))
+
+
+def _plus_product(x, r: Fraction, j):
+    """x + r * j: for Fractions, over one common denominator and normalized
+    once; with an `Affine` burst or jitter (the solve's), as forms."""
+    if type(x) is Affine or type(j) is Affine:
+        return x + r * j
+    (xn, xd), (rn, rd), (jn, jd) = x.as_integer_ratio(), r.as_integer_ratio(), j.as_integer_ratio()
+    return Fraction(xn * rd * jd + rn * jn * xd, xd * rd * jd)
 
 
 def lower_pseudo_inverse(a: ConcaveCurve, y):

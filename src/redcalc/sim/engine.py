@@ -685,7 +685,9 @@ def scenario_from_json(doc) -> Scenario:
         if sources[-1].key in units:
             raise SpecError(path, f"duplicate source unit {fid}/{unit}")
         units.add(sources[-1].key)
-    emitted = {fid for fid, _unit in units}  # the only flows a pipeline stage may name
+    emitted = {fid for fid, _unit in units}  # the only flows a profile or a stage may name
+    for fid in flows:
+        _known(fid, emitted, f"flows.{fid}", "flow")
     paths = []
     entries = _typed(_required(doc, "paths", "paths"), list, "paths")
     for i, raw in enumerate(entries):

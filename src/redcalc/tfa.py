@@ -135,11 +135,9 @@ def vertex_delay(vertex, aggregate: ConcaveCurve | None) -> DelayInterval:
     if vertex.service is None:
         return tech
     if aggregate is None:
-        return DelayInterval(tech.lo, tech.lo)
-    dev = h_dev(aggregate, vertex.service)
-    if is_unbounded(dev):
-        return DelayInterval(tech.lo, UNBOUNDED)
-    return DelayInterval(tech.lo, tech.lo + dev)
+        return DelayInterval._unchecked(tech.lo, tech.lo)
+    dev = h_dev(aggregate, vertex.service)  # >= 0
+    return DelayInterval._unchecked(tech.lo, UNBOUNDED if is_unbounded(dev) else tech.lo + dev)
 
 
 class FlowResult(Record):

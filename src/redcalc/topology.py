@@ -19,9 +19,12 @@ from fractions import Fraction
 
 from .minplus import (
     UNBOUNDED,
+    Affine,
     ConcaveCurve,
     RateLatency,
     TokenBucket,
+    _on_grid,
+    _value,
     is_unbounded,
     parse_rational,
     rational_str,
@@ -32,7 +35,8 @@ from .record import FrozenRecord
 class DelayInterval(FrozenRecord):
     """Closed delay interval [lo, hi]; hi may be UNBOUNDED."""
 
-    __slots__ = _fields = ("lo", "hi")
+    _fields = ("lo", "hi")
+    __slots__ = _fields + ("_width",)  # `width`, kept from its first use
 
     def __init__(self, lo, hi):
         lo = parse_rational(lo)
@@ -63,9 +67,14 @@ class DelayInterval(FrozenRecord):
 
     @property
     def width(self):
-        if is_unbounded(self.hi):
-            return UNBOUNDED
-        return self.hi - self.lo
+        """hi - lo, UNBOUNDED when hi is; worked out once per interval, as
+        each flow crossing a port spreads its curve by the port's width."""
+        try:
+            return self._width
+        except AttributeError:
+            width = UNBOUNDED if is_unbounded(self.hi) else self.hi - self.lo
+            object.__setattr__(self, "_width", width)
+            return width
 
     def plus(self, other: "DelayInterval") -> "DelayInterval":
         hi = (
@@ -244,35 +253,72 @@ def path_delay_bounds(flow: FlowSpec, a: str, n: str, delay_of: dict) -> DelayIn
 
     The endpoints themselves do not contribute: the bounds cover the section
     between the output of `a` and the input of `n`'s local functions.
-    `delay_of` maps each vertex reached from `a` to its DelayInterval.  One
-    walk in flow order from `a` to `n` bounds each vertex it reaches over its
-    reached parents, so every a -> n path is summed on the way.
+    `delay_of` maps each vertex reached from `a` to its DelayInterval.  A
+    pass in flow order from `a` to `n` finds the vertices reached from `a`
+    and their reached parents; one walk over them bounds each vertex over
+    its reached parents, so every a -> n path is summed on the way.
+
+    The walk sums integers: the delay ends of the inner vertices go on one
+    grid, the lcm of their denominators (an `Affine` end by its value), and
+    an UNBOUNDED end counts more ticks than all finite ends together.  Each
+    vertex keeps the parent its bounds came from, the first among equals, so
+    an `Affine` bound is summed again along its own path.
     """
     if a == n:
         return DelayInterval(0, 0)
-    zero = Fraction(0)
-    lo, hi = {}, {}
+    reached = {a: ()}  # each vertex reached from a, up to n -> its reached parents
     for v in _after(flow, a):
-        best_lo = best_hi = None
-        for p in flow.parents[v]:
-            if p == a:
-                cand_lo, cand_hi = zero, zero
-            elif p in lo:
-                cost = delay_of[p]
-                cand_lo = lo[p] + cost.lo
-                unbounded = is_unbounded(hi[p]) or is_unbounded(cost.hi)
-                cand_hi = UNBOUNDED if unbounded else hi[p] + cost.hi
-            else:
-                continue
-            best_lo = cand_lo if best_lo is None else min(best_lo, cand_lo)
-            best_hi = cand_hi if best_hi is None else max(best_hi, cand_hi)
-        if best_lo is not None:
-            lo[v], hi[v] = best_lo, best_hi
+        parents = [p for p in flow.parents[v] if p in reached]
+        if parents:
+            reached[v] = parents
         if v == n:
             break
-    if n not in lo:
+    if n not in reached:
         raise ValueError(f"no path from {a} to {n}")
-    return DelayInterval._unchecked(lo[n], hi[n])  # sums of parsed, ordered endpoints
+    order = list(reached)
+    inner = order[1:-1]
+    los = [delay_of[v].lo for v in inner]
+    his = [delay_of[v].hi for v in inner]
+    ends = los + [0 if is_unbounded(x) else x for x in his]
+    affine = any(type(x) is Affine for x in ends)
+    grid, ticks = _on_grid([_value(x) for x in ends] if affine else ends)
+    # the ends are >= 0: a path through an UNBOUNDED end, counted as `over`
+    # ticks, sums more than every path of finite ends
+    over = 1 + sum(ticks)
+    hi_ticks = [over if is_unbounded(x) else t for x, t in zip(his, ticks[len(los):])]
+    cost = dict(zip(inner, zip(ticks, hi_ticks)))
+    cost[a] = (0, 0)
+    lo, hi = {a: 0}, {a: 0}
+    lo_from, hi_from = {}, {}
+    for v in order[1:]:
+        for p in reached[v]:
+            p_lo, p_hi = cost[p]
+            cand_lo, cand_hi = lo[p] + p_lo, hi[p] + p_hi
+            if v not in lo or cand_lo < lo[v]:
+                lo[v], lo_from[v] = cand_lo, p
+            if v not in hi or cand_hi > hi[v]:
+                hi[v], hi_from[v] = cand_hi, p
+    if not affine:
+        lo_end = Fraction(lo[n], grid)
+        hi_end = UNBOUNDED if hi[n] >= over else Fraction(hi[n], grid)
+    else:  # the forms, summed again along the paths of the bounds
+        lo_end = sum((delay_of[v].lo for v in _traced(lo_from, a, n)), Fraction(0))
+        hi_end = UNBOUNDED if hi[n] >= over else sum(
+            (delay_of[v].hi for v in _traced(hi_from, a, n)), Fraction(0)
+        )
+    return DelayInterval._unchecked(lo_end, hi_end)  # sums of parsed, ordered endpoints
+
+
+def _traced(came_from: dict, a: str, n: str) -> list:
+    """The vertices strictly between a and n on the path that `came_from`
+    traces back from n, in flow order."""
+    path = []
+    v = came_from[n]
+    while v != a:
+        path.append(v)
+        v = came_from[v]
+    path.reverse()
+    return path
 
 
 def _reach(adj: dict, start: str) -> set:

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+from redcalc import cli
 from redcalc.cli import bundled_dir, bundled_names, main
-from redcalc.minplus import parse_rational
+from redcalc.minplus import UNBOUNDED, parse_rational, to_jsonable
 from redcalc.sim import load_scenario, run_scenario
 from redcalc.tfa import analyze
 from redcalc.topology import load_network, network_from_json
@@ -901,3 +902,79 @@ print(sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]"]
+
+
+def test_scenario_profile_of_a_flow_no_source_emits_is_rejected(tmp_path, capsys):
+    doc = _toy_scenario(lambda d: d["flows"].update(zz={"lmin": "1", "lmax": "2"}))
+    target = tmp_path / "extra-profile.json"
+    target.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flows.zz: unknown flow 'zz'")
+    assert "Traceback" not in err
+
+
+class TestJsonWriter:
+    """`cli._json_text` writes `to_jsonable(doc)` in one walk; its bytes must be
+    those of `json.dumps(to_jsonable(doc), indent=2)`."""
+
+    @staticmethod
+    def _same(doc):
+        want = json.dumps(to_jsonable(doc), indent=2)
+        assert cli._json_text(doc) == want
+        return want
+
+    def _reports(self, monkeypatch, argv, tmp_path):
+        """Run the command and check each document it writes; returns how
+        many it wrote."""
+        written = []
+        text_of = cli._json_text
+
+        def checked(doc):
+            text = text_of(doc)
+            assert text == json.dumps(to_jsonable(doc), indent=2)
+            written.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "_json_text", checked)
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) in (0, 2)
+        assert written and out.read_text(encoding="utf-8") == written[-1]
+        return len(written)
+
+    def test_every_bundled_analyze_and_compare_report(self, monkeypatch, tmp_path):
+        nets = [n for n in bundled_names() if n.startswith("net-")]
+        assert len(nets) >= 6
+        for name in nets:
+            for argv in (
+                ["analyze", "--in", bundled(name)],
+                ["analyze", "--in", bundled(name), "--model", "intuitive", "--lossless"],
+                ["compare", "--in", bundled(name)],
+            ):
+                assert self._reports(monkeypatch, argv, tmp_path) == 1
+
+    def test_every_bundled_verify_report(self, monkeypatch, tmp_path):
+        with bundled_dir().joinpath("pairs.json").open() as fh:
+            pairs = json.load(fh)
+        for pair in pairs:
+            argv = ["verify", "--scenario", bundled(pair["scenario"]),
+                    "--network", bundled(pair["network"]), "--model", pair["model"]]
+            argv += ["--lossless"] if pair["lossless"] else []
+            assert self._reports(monkeypatch, argv, tmp_path) == 1
+
+    def test_empty_and_nested_empty_containers(self):
+        for doc in ({}, [], (), {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[]]],
+                    {"a": {"b": {}}, "c": [[], [{}]]}):
+            self._same(doc)
+
+    def test_names_with_non_ascii_quote_and_control_characters(self):
+        names = ["plain", "é-port", "日本", "a\"b", "back\\slash", "tab\there", "nl\nx",
+                 "\x00\x1f\x7f", "emoji \U0001f600", ""]
+        self._same({name: [name, {name: name}] for name in names})
+
+    def test_leaves(self):
+        self._same({"t": True, "f": False, "n": None, "i": [0, -3, 10**30], "x": 0.1,
+                    "big": 1e300, "u": UNBOUNDED, "q": Fraction(-7, 3), "s": "unbounded"})
+        for leaf in (True, False, None, 0, 7, 2.5, "unbounded", UNBOUNDED, Fraction(1, 3)):
+            self._same(leaf)
+            self._same([leaf])

@@ -348,3 +348,79 @@ class TestAffine:
             value, slope = (form.value, form.coeffs.get(0, 0)) if isinstance(form, Affine) else (form, 0)
             assert value == delay(Fraction(0))
             assert delay(step) == value + slope * step
+
+
+class TestUncheckedKernels:
+    """`add`, `convolve` and `deconvolve_delay` build their token buckets
+    without the sign checks, `add` and `deconvolve_delay` sum on an integer
+    grid, and `add` and a one-segment `deconvolve_delay` skip the
+    normalization: each result must be the checked, normalized curve of its
+    own segments, and equal to the curve of Fraction sums."""
+
+    @staticmethod
+    def _fraction(rng):
+        return Fraction(rng.randint(0, 30), rng.choice([1, 2, 3, 5, 7, 12, 35, 1001]))
+
+    def _curve(self, rng):
+        return ConcaveCurve(
+            [tb(self._fraction(rng), self._fraction(rng)) for _ in range(rng.randint(1, 5))]
+        )
+
+    @staticmethod
+    def _canonical(c):
+        checked = ConcaveCurve([(s.rate, s.burst) for s in c.segments])
+        assert c.segments == checked.segments
+        assert all(type(s) is TokenBucket for s in c.segments)
+        assert all(type(s.rate) is Fraction and type(s.burst) is Fraction for s in c.segments)
+        assert all(s.rate >= 0 and s.burst >= 0 for s in c.segments)
+
+    def test_results_are_checked_canonical_curves(self):
+        rng = random.Random(0x5EED)
+        one_segment = 0
+        for _ in range(300):
+            curves = [self._curve(rng) for _ in range(rng.randint(2, 5))]
+            a = curves[0]
+            jitter = Fraction(0) if rng.random() < 0.1 else self._fraction(rng)
+            total = add(*curves)
+            self._canonical(total)
+            if len(curves) <= 3:
+                assert total == sum_by_segment_products(*curves)
+            self._canonical(convolve(a, curves[1]))
+            spread = deconvolve_delay(a, jitter)
+            self._canonical(spread)
+            assert spread == ConcaveCurve([(s.rate, s.burst + s.rate * jitter) for s in a.segments])
+            one_segment += len(a.segments) == 1
+        assert one_segment >= 30
+
+    def test_deconvolve_rejects_a_negative_jitter(self):
+        a = curve((2, 3), (1, 5))
+        for jitter in (-1, Fraction(-1, 7), "-1/3", Affine(Fraction(-1, 2), {0: Fraction(1)})):
+            with pytest.raises(ValueError, match="jitter must be >= 0"):
+                deconvolve_delay(a, jitter)
+
+    def test_deconvolve_by_zero_returns_its_input(self):
+        for a in (curve((2, 3), (1, 5)), curve((1, 2))):
+            for jitter in (0, Fraction(0), "0", Affine(Fraction(0), {0: Fraction(1)})):
+                assert deconvolve_delay(a, jitter) is a
+
+    def test_affine_burst_or_jitter_spreads_as_a_form(self):
+        x = Affine(Fraction(1, 3), {0: Fraction(1)})
+        a = ConcaveCurve._canonical((TokenBucket(Fraction(3, 2), 0)._replace(burst=x),))
+        (s,) = deconvolve_delay(a, Fraction(2, 5)).segments
+        assert type(s.burst) is Affine and s.burst.value == Fraction(14, 15)
+        assert s.burst.coeffs == {0: 1}
+        (s,) = deconvolve_delay(curve((Fraction(3, 2), Fraction(1, 3))), x).segments
+        assert type(s.burst) is Affine and s.burst.value == Fraction(5, 6)
+        assert s.burst.coeffs == {0: Fraction(3, 2)}
+
+    def test_affine_bursts_sum_term_by_term(self):
+        # the solve's curves have Affine bursts: add sums them as forms
+        x = Affine(Fraction(1, 3), {0: Fraction(1)})
+        y = Affine(Fraction(1, 2), {1: Fraction(2)})
+        a = ConcaveCurve._canonical((TokenBucket(1, 0)._replace(burst=x),))
+        b = ConcaveCurve._canonical((TokenBucket(2, 0)._replace(burst=y),))
+        (total,) = add(a, b, curve((Fraction(1, 7), 1))).segments
+        assert total.rate == Fraction(22, 7)
+        assert type(total.burst) is Affine
+        assert total.burst.value == Fraction(11, 6)
+        assert total.burst.coeffs == {0: 1, 1: 2}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from redcalc.minplus import UNBOUNDED, ConcaveCurve, is_unbounded
+from redcalc.minplus import UNBOUNDED, Affine, ConcaveCurve, _value, is_unbounded
 from redcalc.topology import (
     DelayInterval,
     FlowSpec,
@@ -384,3 +384,121 @@ class TestPathDelayBounds:
                     assert got == DelayInterval(min(lows), max(highs))
                     branched += bool(reached - on)
         assert several_sinks >= 30 and branched >= 300
+
+
+class TestPathDelayBoundsOnTheGrid:
+    """`path_delay_bounds` sums on the integer grid of the delay ends'
+    common denominator; against every a -> n path summed in Fractions."""
+
+    @staticmethod
+    def _dag(rng, names):
+        n = len(names)
+        edges = [(names[rng.randrange(j)], names[j]) for j in range(1, n)]
+        for _extra in range(rng.randint(0, n)):
+            i, j = sorted(rng.sample(range(n), 2))
+            if (names[i], names[j]) not in edges:
+                edges.append((names[i], names[j]))
+        return edges
+
+    @staticmethod
+    def _end(rng):
+        return Fraction(rng.randint(0, 40), rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 12, 35, 1001]))
+
+    def test_random_dags_with_mixed_denominators_and_unbounded_ends(self):
+        rng = random.Random(0x6E1D)
+        unbounded = 0
+        for _ in range(60):
+            names = [f"u{i}" for i in rng.sample(range(9), rng.randint(2, 9))]
+            edges = self._dag(rng, names)
+            flow = _flow(edges)
+            delays = {}
+            for v in names:
+                lo = self._end(rng)
+                hi = UNBOUNDED if rng.random() < 0.15 else lo + self._end(rng)
+                delays[v] = DelayInterval(lo, hi)
+            for a in names:
+                for target in names:
+                    if a == target:
+                        assert path_delay_bounds(flow, a, a, delays) == DelayInterval(0, 0)
+                        continue
+                    paths = all_paths(edges, a, target)
+                    if not paths:
+                        with pytest.raises(ValueError, match=f"no path from {a} to {target}"):
+                            path_delay_bounds(flow, a, target, delays)
+                        continue
+                    lows = [sum((delays[v].lo for v in p[1:-1]), Fraction(0)) for p in paths]
+                    highs = []
+                    for p in paths:
+                        ends = [delays[v].hi for v in p[1:-1]]
+                        finite = not any(is_unbounded(x) for x in ends)
+                        highs.append(sum(ends, Fraction(0)) if finite else UNBOUNDED)
+                    got = path_delay_bounds(flow, a, target, delays)
+                    assert got == DelayInterval(min(lows), max(highs))
+                    assert type(got.lo) is Fraction
+                    assert type(got.hi) is Fraction or got.hi is UNBOUNDED
+                    unbounded += is_unbounded(got.hi)
+        assert unbounded >= 20
+
+    def test_affine_ends_are_summed_along_an_extreme_path(self):
+        # every inner vertex has its own unknowns, so the coefficients of a
+        # bound name the vertices with Affine ends on the path it was summed
+        # along
+        rng = random.Random(0xAFF1)
+        checked = 0
+        for _ in range(60):
+            names = [f"u{i}" for i in range(rng.randint(3, 8))]
+            edges = self._dag(rng, names)
+            flow = _flow(edges)
+            delays = {}
+            for i, v in enumerate(names):
+                lo = self._end(rng)
+                hi = Affine(lo + self._end(rng), {("hi", i): Fraction(1)})
+                if rng.random() < 0.5:
+                    lo = Affine(lo, {("lo", i): Fraction(1)})
+                delays[v] = DelayInterval(lo, hi)
+            src, dst = names[0], names[-1]
+            paths = all_paths(edges, src, dst)
+            if not paths:
+                continue
+            got = path_delay_bounds(flow, src, dst, delays)
+            for end, pick in (("lo", min), ("hi", max)):
+                sums = [
+                    sum((getattr(delays[v], end) for v in p[1:-1]), Fraction(0)) for p in paths
+                ]
+                best = pick(_value(x) for x in sums)
+                form = getattr(got, end)
+                assert _value(form) == best
+                coeffs = form.coeffs if type(form) is Affine else {}
+                assert any(
+                    _value(x) == best and (x.coeffs if type(x) is Affine else {}) == coeffs
+                    for x in sums
+                )
+                checked += bool(coeffs)
+        assert checked >= 40
+
+    def test_affine_end_with_an_unbounded_path(self):
+        edges = [("a", "x"), ("a", "y"), ("x", "n"), ("y", "n")]
+        delays = {
+            "x": DelayInterval(Fraction(1, 3), Affine(Fraction(5, 2), {0: Fraction(1)})),
+            "y": DelayInterval(Fraction(1, 7), UNBOUNDED),
+        }
+        got = path_delay_bounds(_flow(edges), "a", "n", delays)
+        assert got.lo == Fraction(1, 7) and type(got.lo) is Fraction
+        assert got.hi is UNBOUNDED
+        delays["y"] = DelayInterval(Fraction(1, 7), Fraction(3))
+        got = path_delay_bounds(_flow(edges), "a", "n", delays)
+        assert got.hi == Fraction(3) and type(got.hi) is Fraction
+        delays["y"] = DelayInterval(Fraction(1, 7), Fraction(2))
+        got = path_delay_bounds(_flow(edges), "a", "n", delays)
+        assert type(got.hi) is Affine and got.hi.value == Fraction(5, 2)
+        assert got.hi.coeffs == {0: 1}
+
+    def test_first_parent_among_equal_affine_bounds(self):
+        # equal values, other forms: the bound keeps the form of the path
+        # through the first of n's parents, as Fraction max and min do
+        x = DelayInterval(Affine(Fraction(1), {"x": 1}), Affine(Fraction(5, 2), {"x": 1}))
+        y = DelayInterval(Affine(Fraction(1), {"y": 1}), Affine(Fraction(5, 2), {"y": 1}))
+        for first, second in (("x", "y"), ("y", "x")):
+            edges = [("a", first), ("a", second), (first, "n"), (second, "n")]
+            got = path_delay_bounds(_flow(edges), "a", "n", {"x": x, "y": y})
+            assert got.lo.coeffs == {first: 1} and got.hi.coeffs == {first: 1}
