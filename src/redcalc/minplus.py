@@ -171,13 +171,6 @@ class TokenBucket(FrozenRecord):
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "burst", burst)
 
-    def __eq__(self, other):  # Record.__eq__ without its two _key() calls: curves compare segments
-        if other.__class__ is self.__class__:
-            return (self.rate, self.burst) == (other.rate, other.burst)
-        return NotImplemented
-
-    __hash__ = FrozenRecord.__hash__  # a class that defines __eq__ loses the inherited one
-
     def to_json(self) -> dict:
         return {"rate": rational_str(self.rate), "burst": rational_str(self.burst)}
 

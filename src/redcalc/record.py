@@ -2,8 +2,9 @@
 the simulator's scenarios.
 
 A record lists its fields, in order, in `_fields`; `_key()` returns their
-values as a tuple.  Two records are equal when they are of the same class
-and their keys are equal, as with a dataclass, and a frozen record hashes
+values as a tuple, through one getter that each class builds from its
+`_fields`.  Two records are equal when they are of the same class and
+their keys are equal, as with a dataclass, and a frozen record hashes
 its key.  Each subclass writes its own `__init__`, which checks its
 arguments and sets the fields through `_set_fields`, or one by one through
 `object.__setattr__` on a hot path; `_replace` builds a changed copy
@@ -13,15 +14,30 @@ imports `inspect`: together they cost more start-up than the analysis of a
 small network.
 """
 
+import operator
+
+
+def _key_getter(fields: tuple):
+    """The function from a record to the tuple of its `fields`."""
+    if len(fields) == 1:  # the attrgetter of one name gives the bare value
+        value = operator.attrgetter(fields[0])
+        return lambda record: (value(record),)
+    return operator.attrgetter(*fields) if fields else lambda record: ()
+
 
 class Record:
     """A mutable record: its fields can be reassigned, and it has no hash."""
 
     __slots__ = ()
     _fields = ()
+    _key_of = staticmethod(_key_getter(_fields))
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key_of = staticmethod(_key_getter(cls._fields))
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return self._key_of(self)
 
     def _set_fields(self, *values):
         """Set the fields, in `_fields` order, to `values` (also where
@@ -40,7 +56,7 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key_of(self) == other._key_of(other)
         return NotImplemented
 
     __hash__ = None

@@ -533,7 +533,7 @@ def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int
 
     `inputs` are (tick, index, rank) in arrival order."""
     shaped = [item for item in inputs if sources[item[2]].flow in spec.shaping]
-    caps = {fid: min(seg.burst for seg in sigma.segments) for fid, sigma in spec.shaping.items()}
+    caps = {fid: sigma.min_burst for fid, sigma in spec.shaping.items()}
     sized = set()  # (flow, size) pairs checked so far; a failed check raises at once
     for _t, _idx, rank in shaped:
         u = sources[rank]

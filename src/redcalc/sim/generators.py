@@ -17,7 +17,7 @@ Three families:
 import math
 from fractions import Fraction
 
-from ..minplus import ConcaveCurve, parse_rational
+from ..minplus import ConcaveCurve, _on_grid, parse_rational
 from ..regulators import ir_q_min
 from ..topology import REG_INTERLEAVED, DelayInterval, bundled_dir
 from .engine import (
@@ -34,6 +34,27 @@ from .engine import (
 )
 
 TOY_VARIANTS = ("double-rate", "rto", "pof", "pfr", "pof-pfr", "lossy")
+
+# the units `gen_tightness_trajectory` sends on the fast branch after the
+# front, so the worst burst is followed by traffic at the source's rate
+TAIL = 3
+
+
+def _two_branches(rate, burst, d1, D1, d2, D2) -> tuple:
+    """The rate, the burst and the bounds [d1, D1], [d2, D2] of two branches,
+    parsed and checked, the branch of the smaller upper bound (then lower
+    bound) first."""
+    r = parse_rational(rate)
+    b = parse_rational(burst)
+    d1, D1, d2, D2 = (parse_rational(v) for v in (d1, D1, d2, D2))
+    if r <= 0 or b <= 0:
+        raise ValueError("need a positive rate and burst")
+    for lo, hi in ((d1, D1), (d2, D2)):
+        if lo < 0 or lo > hi:
+            raise ValueError("branch bounds must satisfy 0 <= min <= max")
+    if (D1, d1) > (D2, d2):
+        return r, b, d2, D2, d1, D1
+    return r, b, d1, D1, d2, D2
 
 
 def toy_scenario(variant: str, timeout=None) -> Scenario:
@@ -58,7 +79,7 @@ def toy_scenario(variant: str, timeout=None) -> Scenario:
     return scenario
 
 
-def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scenario:
+def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2) -> Scenario:
     """Worst-burst schedule for an eliminator fed by two lossy branches.
 
     The source stays exactly on the token-bucket envelope (rate, burst) and
@@ -66,16 +87,7 @@ def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scen
     units reach the eliminator at one instant.  The scenario meta records the
     expected burst and the instant it lands at.
     """
-    r = parse_rational(rate)
-    b = parse_rational(burst)
-    d1, D1, d2, D2 = (parse_rational(v) for v in (d1, D1, d2, D2))
-    if r <= 0 or b <= 0:
-        raise ValueError("need a positive rate and burst")
-    for lo, hi in ((d1, D1), (d2, D2)):
-        if lo < 0 or lo > hi:
-            raise ValueError("branch bounds must satisfy 0 <= min <= max")
-    if (D1, d1) > (D2, d2):
-        d1, D1, d2, D2 = d2, D2, d1, D1
+    r, b, d1, D1, d2, D2 = _two_branches(rate, burst, d1, D1, d2, D2)
 
     units = []  # (name, gen, size, path_index, delay)
 
@@ -106,7 +118,7 @@ def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scen
             emit(f"s1_{k}", (D2 - d1) + k * step, b, 0, d1)
         if psi >= 1:
             emit(f"s1_{psi}", D2 + d2 - D1 - d1 - step, r * (d2 - D1) - psi * b, 0, d1)
-        for n in range(tail):
+        for n in range(TAIL):
             emit(f"x_{n + 1}", (D2 + d2 - D1 - d1) + n * step, b, 0, d1)
         expected = 2 * b + r * (D1 - d1) + r * (D2 - d2)
     else:
@@ -141,7 +153,7 @@ def gen_tightness_trajectory(rate, burst, d1, D1, d2, D2, tail: int = 3) -> Scen
                     size = b if k < kk else extra - (kk - 1) * b
                     delay = D2 - off
                     emit(f"c_{k}", off, size, 1 if delay >= d2 else 0, delay)
-        for n in range(tail):
+        for n in range(TAIL):
             emit(f"x_{n + 1}", (D2 - d1) + (n + 1) * step, b, 0, d1)
         expected = b + r * (D2 - d1)
 
@@ -180,17 +192,8 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
     flows between consecutive units of flow 1.  Requires q at least the
     instability threshold for the branch bounds; smaller q is rejected.
     """
-    r = parse_rational(rate)
-    b = parse_rational(burst)
-    d1, D1, d2, D2 = (parse_rational(v) for v in (d1, D1, d2, D2))
+    r, b, d1, D1, d2, D2 = _two_branches(rate, burst, d1, D1, d2, D2)
     x1 = parse_rational(x1)
-    if r <= 0 or b <= 0:
-        raise ValueError("need a positive rate and burst")
-    for lo, hi in ((d1, D1), (d2, D2)):
-        if lo < 0 or lo > hi:
-            raise ValueError("branch bounds must satisfy 0 <= min <= max")
-    if (D1, d1) > (D2, d2):
-        d1, D1, d2, D2 = d2, D2, d1, D1
     q_min = ir_q_min(r, b, DelayInterval(d1, D1), DelayInterval(d2, D2))
     if q < q_min:
         raise ValueError(f"need at least {q_min} flows to destabilize these branches")
@@ -230,9 +233,8 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
     tau = q * phi
 
     # unit k of flow i is emitted at x1 + (i - 1) phi + k tau (+ I for m2):
-    # add the numerators over one common denominator
-    den = math.lcm(x1.denominator, phi.denominator, tau.denominator, big_i.denominator)
-    x1_n, phi_n, tau_n, i_n = (v.numerator * (den // v.denominator) for v in (x1, phi, tau, big_i))
+    # add the numerators on their integer grid
+    den, (x1_n, phi_n, tau_n, i_n) = _on_grid([x1, phi, tau, big_i])
     sources = []
     sched = [{}, {}]
     flows = {}

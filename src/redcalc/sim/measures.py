@@ -1,22 +1,16 @@
 """Exact trajectory measurements: curve compliance, reordering, FIFO checks.
 
-Each measure puts its times (and sizes) on one integer grid, the least
-common multiple of their denominators, and works on those integers; results
-are converted back to Fractions, so they are exact and equal to what
-Fraction arithmetic would give.  `is_fifo_per_flow` reads a trace, whose
-events already carry their instants as ticks of one grid.
+Each measure puts its times (and sizes) on their integer grid through
+`minplus._on_grid`, and works on those integers; results are converted
+back to Fractions, so they are exact and equal to what Fraction arithmetic
+would give.  `is_fifo_per_flow` reads a trace, whose events already carry
+their instants as ticks of one grid.
 """
 
-import math
 from fractions import Fraction
 
-from ..minplus import ConcaveCurve, parse_rational
+from ..minplus import ConcaveCurve, _on_grid, parse_rational
 from .engine import GENERATED, _no_gc
-
-
-def _grid(values) -> int:
-    """Least common multiple of the denominators of `values` (1 if none)."""
-    return math.lcm(*{v.denominator for v in values})
 
 
 @_no_gc
@@ -31,12 +25,11 @@ def check_compliance(events, curve: ConcaveCurve) -> dict | None:
     pts = [(parse_rational(t), parse_rational(sz)) for t, sz in events]
     if not pts:
         return None
-    tden = _grid(t for t, _sz in pts)
-    sden = _grid(sz for _t, sz in pts)
-    pts = sorted(
-        (t.numerator * (tden // t.denominator), sz.numerator * (sden // sz.denominator))
-        for t, sz in pts
-    )
+    tden, times = _on_grid([t for t, _sz in pts])
+    sden, sizes = _on_grid([sz for _t, sz in pts])
+    del pts
+    pts = sorted(zip(times, sizes))
+    del times, sizes
     prefix = [0]
     for _, sz in pts:
         prefix.append(prefix[-1] + sz)
@@ -81,11 +74,10 @@ def measure_reordering(units) -> tuple:
     )
     if len(items) < 2:
         return Fraction(0), Fraction(0)
-    tden = _grid(t for _r, t, _sz in items)
-    sden = _grid(sz for _r, _t, sz in items)
-    times = [t.numerator * (tden // t.denominator) for _r, t, _sz in items]
-    sizes = [sz.numerator * (sden // sz.denominator) for _r, _t, sz in items]
-    del items
+    _ranks, times, sizes = zip(*items)
+    del items, _ranks
+    tden, times = _on_grid(times)
+    sden, sizes = _on_grid(sizes)
 
     rto = 0
     suffix_min = times[-1]

@@ -60,12 +60,13 @@ import copy
 import io
 from collections import ChainMap, namedtuple
 from fractions import Fraction
-from math import lcm
 
 from .minplus import (
     UNBOUNDED,
     Affine,
     ConcaveCurve,
+    _on_grid,
+    _value,
     add,
     curve_leq,
     h_dev,
@@ -269,13 +270,11 @@ def _least_fixed_point(forms: list, point: list):
     rows = []
     for i, w in enumerate(forms):
         coeffs = w.coeffs if type(w) is Affine else {}
-        value = w.value if type(w) is Affine else w
-        row = [0] * n + [value - sum(c * point[j] for j, c in coeffs.items())]
+        row = [0] * n + [_value(w) - sum(c * point[j] for j, c in coeffs.items())]
         for j, c in coeffs.items():
             row[j] = -c
         row[i] += 1
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        rows.append(_on_grid(row)[1])
     prev = 1
     for k, top in enumerate(rows):
         p = top[k]
@@ -581,8 +580,7 @@ class _Analyzer:
                 return False
             solution = _least_fixed_point(forms, point)
             if solution is None:
-                values = [w.value if type(w) is Affine else w for w in forms]
-                return _Piece(coeffs, [v for v, y, x in zip(served, values, point) if y > x])
+                return _Piece(coeffs, [v for v, w, x in zip(served, forms, point) if _value(w) > x])
             if any(w < x for w, x in zip(solution, state)):
                 return False
             point = solution

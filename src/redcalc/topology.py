@@ -49,13 +49,6 @@ class DelayInterval(FrozenRecord):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def __eq__(self, other):  # Record.__eq__ without its two _key() calls: passes compare delays
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) == (other.lo, other.hi)
-        return NotImplemented
-
-    __hash__ = FrozenRecord.__hash__  # a class that defines __eq__ loses the inherited one
-
     @classmethod
     def _unchecked(cls, lo: Fraction, hi) -> "DelayInterval":
         """The interval of endpoints already parsed and ordered, 0 <= lo <=

@@ -10,6 +10,7 @@ from redcalc.minplus import (
     ConcaveCurve,
     RateLatency,
     TokenBucket,
+    _on_grid,
     add,
     convolve,
     curve_leq,
@@ -424,3 +425,36 @@ class TestUncheckedKernels:
         assert type(total.burst) is Affine
         assert total.burst.value == Fraction(11, 6)
         assert total.burst.coeffs == {0: 1, 1: 2}
+
+
+class TestOnGrid:
+    """`_on_grid`, the one conversion from rationals to integer ticks: of
+    `add`, `path_delay_bounds`, the solve's rows, the simulator's measures
+    and `gen_adversarial_ir`."""
+
+    def test_no_values(self):
+        assert _on_grid([]) == (1, [])
+
+    def test_ints_are_their_own_ticks(self):
+        assert _on_grid([3, 0, -4]) == (1, [3, 0, -4])
+
+    def test_negative_fractions(self):
+        # a row of the solve: -A with 1 on the diagonal and b last
+        assert _on_grid([Fraction(-1, 2), 1, Fraction(-5, 3), Fraction(7, 4)]) == (
+            12, [-6, 12, -20, 21]
+        )
+
+    def test_ints_and_fractions(self):
+        assert _on_grid([2, Fraction(1, 6), Fraction(3, 4), 0]) == (12, [24, 2, 9, 0])
+
+    def test_random_rationals(self):
+        rng = random.Random(0x5EED)
+        for _ in range(200):
+            values = [
+                Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                for _ in range(rng.randint(1, 8))
+            ]
+            grid, ticks = _on_grid(values)
+            assert grid == math.lcm(*(x.denominator for x in values))
+            assert all(type(t) is int for t in ticks)
+            assert [Fraction(t, grid) for t in ticks] == values

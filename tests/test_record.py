@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+import redcalc.cli  # noqa: F401  (loads every module that defines a record)
+import redcalc.sim  # noqa: F401
 from redcalc.minplus import UNBOUNDED, ConcaveCurve, RateLatency, TokenBucket
+from redcalc.record import FrozenRecord, Record
 from redcalc.regulators import RATE_OVERLOAD, RegulatorVerdict
 from redcalc.sim import (
     DROP,
@@ -246,3 +249,57 @@ class TestConstructorChecks:
         assert type(DelayInterval(0, "7").hi) is Fraction
         assert FunctionPlacement("pof", "v", frozenset(), "o", "5/2").timeout == Fraction(5, 2)
         assert FunctionPlacement("pof", "v", frozenset(), "o").timeout is None
+
+
+def test_all_names_every_record_class_of_the_package():
+    # ALL names them all, so TestRecords runs on each class's key getter
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("redcalc."):
+                found.add(sub)
+    assert found - {FrozenRecord} == set(ALL)
+
+
+# throwaway records of one field and of none: `operator.attrgetter` of one
+# name gives the bare value, and of none it cannot be built
+class OneFrozen(FrozenRecord):
+    __slots__ = _fields = ("x",)
+
+    def __init__(self, x):
+        self._set_fields(x)
+
+
+class NoneFrozen(FrozenRecord):
+    __slots__ = _fields = ()
+
+
+class OneMutable(Record):
+    __slots__ = _fields = ("x",)
+
+    def __init__(self, x):
+        self._set_fields(x)
+
+
+class NoneMutable(Record):
+    __slots__ = _fields = ()
+
+
+@pytest.mark.parametrize("cls", [OneFrozen, NoneFrozen, OneMutable, NoneMutable],
+                         ids=lambda c: c.__name__)
+def test_records_of_one_field_and_of_none(cls):
+    args = (Fraction(1, 3),) if cls._fields else ()
+    a, b = cls(*args), cls(*args)
+    assert a._key() == args and type(a._key()) is tuple
+    assert a._asdict() == dict(zip(cls._fields, args))
+    assert a == b and not a != b and a != args
+    if cls._fields:
+        assert a != a._replace(x=2) and a._replace(x=2)._key() == (2,)
+    if issubclass(cls, FrozenRecord):
+        assert hash(a) == hash(b) == hash(args)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    for dup in a._replace(), copy.deepcopy(a), pickle.loads(pickle.dumps(a)):
+        assert type(dup) is cls and dup is not a and dup == a

@@ -506,6 +506,38 @@ class TestAdversarialGenerator:
         assert trace.delays()[("f1", "m1_5")] >= -sc.meta["D"] + 5 * sc.meta["divergence_step"]
 
 
+# the two generators, each on two branches, as a function of their
+# (rate, burst, d1, D1, d2, D2)
+GENERATORS = {
+    "tightness": gen_tightness_trajectory,
+    "adversarial": lambda *params: gen_adversarial_ir(*params, q=13, periods=2, x1=F(1, 3)),
+}
+
+
+@pytest.mark.parametrize("generator", GENERATORS.values(), ids=GENERATORS.keys())
+class TestGeneratorArguments:
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((0, 1, 0, 1, 6, 7), "need a positive rate and burst"),
+            ((1, -1, 0, 1, 6, 7), "need a positive rate and burst"),
+            ((1, 1, 2, 1, 6, 7), "branch bounds must satisfy 0 <= min <= max"),
+            ((1, 1, 0, 1, 8, 7), "branch bounds must satisfy 0 <= min <= max"),
+            ((1, 1, -1, 1, 6, 7), "branch bounds must satisfy 0 <= min <= max"),
+        ],
+        ids=["rate-0", "burst-negative", "lo-above-hi-first", "lo-above-hi-second", "lo-negative"],
+    )
+    def test_rejected(self, generator, params, message):
+        with pytest.raises(ValueError) as info:
+            generator(*params)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("params", [(1, 1, 0, 1, 6, 7), (1, 2, 0, 5, 1, 6), (1, 2, 1, 3, 0, 3)])
+    def test_the_order_of_the_branches_does_not_matter(self, generator, params):
+        r, b, d1, D1, d2, D2 = params
+        assert generator(r, b, d1, D1, d2, D2) == generator(r, b, d2, D2, d1, D1)
+
+
 TIGHTNESS_CASES = [
     (1, 1, 0, 1, 6, 7),
     (1, 2, 1, 3, 2, 4),
