@@ -35,6 +35,18 @@ Stage semantics:
   Per-flow mode keeps one queue per flow; interleaved mode keeps a single
   FIFO queue where the head blocks everyone behind it.
 
+Shared values: many units share one value (a path's delay object, a flow's
+size, a shaping curve), and the work on a value is done once per run.  Each
+action object of a path is parsed, put on the grid and checked against the
+path's bounds at the first unit it applies to; actions are told apart by
+identity, and each (flow, size) pair by the size's integer ratio, so no
+Fraction is hashed per unit.  A (flow, size) pair is checked against the
+flow's profile and shaping burst, and its token-bucket fills worked out,
+once.  Each fault is still raised at the first unit in order that has it.
+Events are built as `tuple.__new__(TraceEvent, fields)`, without the
+namedtuple's Python-level constructor, and `gen_adversarial_ir` builds its
+units through `SourceUnit._unchecked` after checking the earliest one.
+
 Garbage collection: the functions that build one object per unit or per
 event (`run_scenario`, `Trace.delays`, `gen_adversarial_ir` and the measures
 `check_compliance` and `measure_reordering`) pause CPython's cyclic garbage
@@ -117,6 +129,17 @@ class SourceUnit(FrozenRecord):
         if size.numerator < 0:
             raise ScenarioError(f"unit {flow}/{unit}: negative size")
         self._set_fields(flow, unit, time, size)
+
+    @classmethod
+    def _unchecked(cls, flow: str, unit: str, time: Fraction, size: Fraction) -> "SourceUnit":
+        """The unit of a time and a size already parsed and nonnegative,
+        built without the checks of the public constructor."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "flow", flow)
+        object.__setattr__(u, "unit", unit)
+        object.__setattr__(u, "time", time)
+        object.__setattr__(u, "size", size)
+        return u
 
     @property
     def key(self):
@@ -224,6 +247,11 @@ class TraceEvent(namedtuple("TraceEvent", "tick grid kind flow unit size branch"
         return Fraction(self.tick, self.grid)
 
 
+# the stages build each event as _tuple_new(TraceEvent, (all seven fields)):
+# the namedtuple's constructor is a Python function that costs as much again
+_tuple_new = tuple.__new__
+
+
 class Trace:
     """Ordered event record of one run.
 
@@ -300,14 +328,18 @@ class Trace:
 
 def _validate_sources(scenario: Scenario):
     seen = set()
-    sized = set()  # (flow, size) pairs checked so far; a failed check raises at once
+    # (flow, size as an integer ratio) checked so far, a failed check raising
+    # at once; no Fraction is hashed, as its hash costs a modular inverse
+    sized = set()
     for u in scenario.sources:
-        if u.key in seen:
+        key = (u.flow, u.unit)
+        if key in seen:
             raise ScenarioError(f"duplicate source unit {u.flow}/{u.unit}")
-        seen.add(u.key)
-        if (u.flow, u.size) in sized:
+        seen.add(key)
+        key = (u.flow, u.size.as_integer_ratio())
+        if key in sized:
             continue
-        sized.add((u.flow, u.size))
+        sized.add(key)
         prof = scenario.flows.get(u.flow)
         if u.size == 0 and not scenario.allow_zero_size:
             raise ScenarioError(f"unit {u.flow}/{u.unit}: zero size not allowed here")
@@ -325,10 +357,12 @@ def _is_drop(action) -> bool:
 
 def _path_grid(path: PathSpec) -> int:
     """Least common multiple of the denominators of the delays `path` may
-    apply.  A literal that does not parse is left out: it fails where it is
-    used, in unit order."""
+    apply, each action object parsed once.  A literal that does not parse is
+    left out: it fails where it is used, in unit order."""
+    actions = path.schedule.values()
+    distinct = dict(zip(map(id, actions), actions))  # told apart without hashing a Fraction
     dens = set()
-    for action in (*path.schedule.values(), path.default):
+    for action in (*distinct.values(), path.default):
         if action is None or _is_drop(action):
             continue
         try:
@@ -351,36 +385,55 @@ def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int):
 
     `units` are the scenario's sources, `ticks` their emission ticks and
     `rank` their places in emission order.  An arrival is (exit tick, path
-    index, rank)."""
+    index, rank).
+
+    Each action object of a path is parsed, put on the grid and checked
+    against the path's bounds once, at the first unit it applies to, so a
+    fault is still raised at the first unit in order that has it."""
     events = []
     arrivals = []
     for pidx, path in enumerate(paths):
+        name = path.name
         lo, hi = _tick_bounds(path.bounds, grid)
+        scheduled = path.schedule.get
+        # id(action) -> its delay in ticks, or DROP; the path holds every
+        # action, so no id is reused during the run
+        decided = {}
         exit_by_rank = [None] * len(units)
         for j, u in enumerate(units):
-            action = path.action_for(u.key)
-            if _is_drop(action):
-                if not path.lossy:
-                    raise ScenarioError(f"path {path.name}: drop on a lossless path")
+            flow, unit = u.flow, u.unit
+            action = scheduled((flow, unit))
+            if action is None:  # the default, or the error of a unit without an action
+                action = path.action_for((flow, unit))
+            d = decided.get(id(action))
+            if d is None:
+                if _is_drop(action):
+                    if not path.lossy:
+                        raise ScenarioError(f"path {name}: drop on a lossless path")
+                    d = DROP
+                else:
+                    delay = parse_rational(action)
+                    d = delay.numerator * (grid // delay.denominator)
+                    if d < lo or (hi is not None and d > hi):
+                        raise ScenarioError(
+                            f"path {name}: delay {rational_str(delay)} for "
+                            f"{flow}/{unit} outside declared bounds"
+                        )
+                decided[id(action)] = d
+            if d is DROP:
                 continue
-            delay = parse_rational(action)
-            d = delay.numerator * (grid // delay.denominator)
-            if d < lo or (hi is not None and d > hi):
-                raise ScenarioError(
-                    f"path {path.name}: delay {rational_str(delay)} for "
-                    f"{u.flow}/{u.unit} outside declared bounds"
-                )
             exit_t = ticks[j] + d
-            events.append(TraceEvent(exit_t, grid, BRANCH_EXIT, u.flow, u.unit, u.size, path.name))
-            exit_by_rank[rank[j]] = exit_t
-            arrivals.append((exit_t, pidx, rank[j]))
+            events.append(_tuple_new(TraceEvent, (exit_t, grid, BRANCH_EXIT, flow, unit, u.size, name)))
+            r = rank[j]
+            exit_by_rank[r] = exit_t
+            arrivals.append((exit_t, pidx, r))
         if path.fifo:
             last = None
             for exit_t in exit_by_rank:
                 if exit_t is None:
                     continue
                 if last is not None and exit_t < last:
-                    raise ScenarioError(f"path {path.name}: schedule violates FIFO order")
+                    raise ScenarioError(f"path {name}: schedule violates FIFO order")
                 last = exit_t
     arrivals.sort()
     return arrivals, events
@@ -399,7 +452,7 @@ def _pef_stage(arrivals: list, sources: list, grid: int):
         seen.add(rank)
         out.append((exit_t, rank))
         u = sources[rank]
-        events.append(TraceEvent(exit_t, grid, PEF_EXIT, u.flow, u.unit, u.size))
+        events.append(_tuple_new(TraceEvent, (exit_t, grid, PEF_EXIT, u.flow, u.unit, u.size, None)))
     return out, events
 
 
@@ -471,7 +524,7 @@ def _pof_stage(inputs: list, spec: PofSpec, sources: list, timeout, grid: int):
     events = []
     for t, _idx, rank in released:
         u = sources[rank]
-        events.append(TraceEvent(t, grid, POF_EXIT, u.flow, u.unit, u.size))
+        events.append(_tuple_new(TraceEvent, (t, grid, POF_EXIT, u.flow, u.unit, u.size, None)))
     bypass.sort()
     n = len(released)
     released.extend((t, n + k, rank) for k, (t, rank) in enumerate(bypass))
@@ -503,7 +556,6 @@ class _BucketState:
 
     def __init__(self, curve: ConcaveCurve, start: int, grid: int):
         segments = [seg for seg in curve.segments if seg.rate]
-        # size / r is size.numerator * scale // (size.denominator * r.numerator) ticks
         self.rates = [(seg.rate.denominator * grid, seg.rate.numerator) for seg in segments]
         self.spans = [
             seg.burst.numerator * seg.rate.denominator * grid
@@ -512,18 +564,25 @@ class _BucketState:
         ]
         self.marks = [start - span for span in self.spans]
 
-    def release(self, size: Fraction, not_before: int) -> int:
-        """Take `size` from every bucket at the earliest tick >= not_before
-        where each holds that much, and return that tick."""
-        num, den = size.numerator, size.denominator
+    def draws(self, num: int, den: int) -> tuple:
+        """What a size of num / den draws from the buckets: for each, its
+        index, b / r and size / r, the last two in ticks."""
+        # size / r is size.numerator * scale // (size.denominator * r.numerator) ticks
+        return tuple(
+            (i, span, num * scale // (den * rn))
+            for i, (span, (scale, rn)) in enumerate(zip(self.spans, self.rates))
+        )
+
+    def release(self, draws: tuple, not_before: int) -> int:
+        """Take a size of `draws` (see `draws`) from every bucket at the
+        earliest tick >= not_before where each holds that much, and return
+        that tick."""
         marks = self.marks
-        fills = []
         t = not_before
-        for (scale, rn), mark in zip(self.rates, marks):
-            fill = num * scale // (den * rn)
-            fills.append(fill)
-            t = max(t, mark + fill)
-        for i, (span, fill) in enumerate(zip(self.spans, fills)):
+        for i, _span, fill in draws:
+            if marks[i] + fill > t:
+                t = marks[i] + fill
+        for i, span, fill in draws:
             marks[i] = max(t - span, marks[i]) + fill
         return t
 
@@ -534,12 +593,13 @@ def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int
     `inputs` are (tick, index, rank) in arrival order."""
     shaped = [item for item in inputs if sources[item[2]].flow in spec.shaping]
     caps = {fid: sigma.min_burst for fid, sigma in spec.shaping.items()}
-    sized = set()  # (flow, size) pairs checked so far; a failed check raises at once
+    sized = set()  # as in `_validate_sources`
     for _t, _idx, rank in shaped:
         u = sources[rank]
-        if (u.flow, u.size) in sized:
+        key = (u.flow, u.size.as_integer_ratio())
+        if key in sized:
             continue
-        sized.add((u.flow, u.size))
+        sized.add(key)
         if u.size > caps[u.flow]:
             raise ScenarioError(
                 f"unit {u.flow}/{u.unit}: larger than its shaping burst, can never release"
@@ -555,23 +615,32 @@ def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int
                 raise ScenarioError("regulator starves: bucket can never refill enough")
 
     states = {fid: _BucketState(sigma, start, grid) for fid, sigma in spec.shaping.items()}
+    # each checked (flow, size) -> its flow's buckets and what the size draws
+    # from them, worked out once
+    draws = {}
+    for flow, ratio in sized:
+        draws[(flow, ratio)] = states[flow], states[flow].draws(*ratio)
     # per-flow mode keeps one queue per flow, interleaved mode a single one
-    queues = {}
-    for item in shaped:
-        queue = sources[item[2]].flow if spec.mode == REG_PER_FLOW else None
-        queues.setdefault(queue, []).append(item)
+    if spec.mode == REG_PER_FLOW:
+        queues = {}
+        for item in shaped:
+            queues.setdefault(sources[item[2]].flow, []).append(item)
+        queues = queues.values()
+    else:
+        queues = [shaped]
     exits = []  # (release tick, index, rank)
-    for items in queues.values():
+    for items in queues:
         prev = None
         for t, idx, rank in items:
             u = sources[rank]
-            prev = states[u.flow].release(u.size, t if prev is None else max(t, prev))
+            state, drawn = draws[(u.flow, u.size.as_integer_ratio())]
+            prev = state.release(drawn, t if prev is None else max(t, prev))
             exits.append((prev, idx, rank))
     exits.sort()
     events = []
     for t, _idx, rank in exits:
         u = sources[rank]
-        events.append(TraceEvent(t, grid, REG_EXIT, u.flow, u.unit, u.size))
+        events.append(_tuple_new(TraceEvent, (t, grid, REG_EXIT, u.flow, u.unit, u.size, None)))
     return events
 
 
@@ -602,7 +671,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     start = ticks[by_rank[0]] if units else 0
 
     events = [
-        TraceEvent(ticks[j], grid, GENERATED, u.flow, u.unit, u.size)
+        _tuple_new(TraceEvent, (ticks[j], grid, GENERATED, u.flow, u.unit, u.size, None))
         for j, u in zip(by_rank, sources)
     ]
     del by_rank

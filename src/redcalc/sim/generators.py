@@ -235,6 +235,12 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
     # unit k of flow i is emitted at x1 + (i - 1) phi + k tau (+ I for m2):
     # add the numerators on their integer grid
     den, (x1_n, phi_n, tau_n, i_n) = _on_grid([x1, phi, tau, big_i])
+    # phi, tau and I are positive, so the first unit is the earliest: its
+    # checks cover every unit, and the loop builds them unchecked
+    SourceUnit("f1", "m1_0", x1, b)
+    names = [(f"m1_{k}", f"m2_{k}") for k in range(periods)]  # each period's units
+    legs = ((0, m1_path, m1_delay), (i_n, m2_path, m2_delay))
+    unit = SourceUnit._unchecked
     sources = []
     sched = [{}, {}]
     flows = {}
@@ -243,13 +249,10 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
         fid = f"f{i}"
         flows[fid] = FlowProfile(arrival=curve, lmin=b, lmax=b)
         x_i = x1_n + (i - 1) * phi_n
-        for k in range(periods):
-            for tag, offset, pidx, delay in (
-                ("m1", 0, m1_path, m1_delay),
-                ("m2", i_n, m2_path, m2_delay),
-            ):
-                name = f"{tag}_{k}"
-                sources.append(SourceUnit(fid, name, Fraction(x_i + k * tau_n + offset, den), b))
+        for k, pair in enumerate(names):
+            at = x_i + k * tau_n
+            for name, (offset, pidx, delay) in zip(pair, legs):
+                sources.append(unit(fid, name, Fraction(at + offset, den), b))
                 sched[pidx][(fid, name)] = delay
                 sched[1 - pidx][(fid, name)] = DROP
 

@@ -615,11 +615,25 @@ class _Analyzer:
 
     def _pass(self, vertices) -> bool:
         """One Gauss-Seidel pass: each of `vertices` processed in turn, each
-        reading the outputs of those before it; True when one changes."""
+        reading the outputs of those before it; True when one changes its
+        port delay or an output curve.  Once one has, the rest are not
+        compared."""
         changed = False
         for v in vertices:
-            changed = self._process_vertex(v) or changed
+            if changed:
+                self._process_vertex(v)
+                continue
+            before = self._state(v)
+            self._process_vertex(v)
+            changed = self._state(v) != before
         return changed
+
+    def _state(self, v: str) -> tuple:
+        """v's port delay and output curves, None where not yet computed."""
+        return (
+            self.vertex_delays.get(v),
+            *(self.curves.get((fid, v)) for fid in self._crossing[v]),
+        )
 
     def _input_curve(self, fid: str, v: str):
         """Curve offered to v's local pipeline: the arrival curve at the flow
@@ -632,18 +646,11 @@ class _Analyzer:
             return None
         return _total(parts)
 
-    def _process_vertex(self, v: str) -> bool:
+    def _process_vertex(self, v: str):
         post = {fid: self._post(fid, v) for fid in self._crossing[v]}
-        vdel = self._port_delay(v, post)
-        changed = self.vertex_delays.get(v) != vdel
-        self.vertex_delays[v] = vdel
-
+        vdel = self.vertex_delays[v] = self._port_delay(v, post)
         for fid, cur in post.items():
-            out = self._output(cur, vdel)
-            if self.curves.get((fid, v)) != out:
-                changed = True
-            self.curves[(fid, v)] = out
-        return changed
+            self.curves[(fid, v)] = self._output(cur, vdel)
 
     def _post(self, fid: str, v: str):
         """The flow's curve after v's functions, in pipeline order, before

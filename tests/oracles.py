@@ -382,10 +382,7 @@ def full_sweep_analyze(
     order = [v for comp in an.components for v in comp]
 
     def sweep():
-        changed = False
-        for v in order:
-            changed |= an._process_vertex(v)
-        return changed
+        return an._pass(order)
 
     if all(len(comp) == 1 for comp in an.components):  # feed-forward
         sweep()

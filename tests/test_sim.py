@@ -203,6 +203,120 @@ class TestEngineValidation:
         sc.sources = units[:1]
         assert unit_delays(run_scenario(sc)) == {1: 0}
 
+    # the engine decides each shared value once per run; these pin what
+    # that must not change: each path's own bounds, each flow's own limits,
+    # one trace for one delay however it is given, and the first fault in
+    # unit order
+
+    def test_one_delay_object_is_checked_against_each_path(self):
+        delay = F(3)  # within a's bounds, outside b's
+        units = [SourceUnit("f", str(i), i, 1) for i in (1, 2)]
+        paths = [
+            PathSpec("a", DelayInterval(0, 5), {}, default=delay),
+            PathSpec("b", DelayInterval(0, 2), {("f", "1"): F(1), ("f", "2"): delay}),
+        ]
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(one_flow(units, paths, Pipeline()))
+        assert str(info.value) == "path b: delay 3 for f/2 outside declared bounds"
+
+    def test_one_size_object_is_checked_against_each_flow(self):
+        size = F(3)  # within f's limits, beyond g's
+        units = [SourceUnit("f", "1", 0, size), SourceUnit("g", "1", 1, size)]
+        path = PathSpec("p", DelayInterval(0, 1), {}, default=F(0))
+        sc = one_flow(
+            units, [path], Pipeline(), flows={"f": FlowProfile(lmax=4), "g": FlowProfile(lmax=2)}
+        )
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(sc)
+        assert str(info.value) == "unit g/1: size above flow maximum"
+        sc.flows = {}
+        curves = {"f": ConcaveCurve([(1, 4)]), "g": ConcaveCurve([(1, 2)])}
+        sc.pipeline = Pipeline(reg=RegSpec("per-flow", curves))
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(sc)
+        assert str(info.value) == "unit g/1: larger than its shaping burst, can never release"
+        curves["g"] = ConcaveCurve([(1, 3)])
+        sc.pipeline = Pipeline(reg=RegSpec("per-flow", curves))
+        assert run_scenario(sc).delays() == {("f", "1"): 0, ("g", "1"): 0}
+
+    def test_a_delay_gives_one_trace_however_it_is_given(self):
+        units = [SourceUnit("f", str(i), F(i, 3), 1) for i in (1, 2, 3, 4)]
+        shared = F(3, 2)
+
+        def trace(delays):
+            # the delays on p, a drop on q between each of them
+            actions = dict(zip((u.key for u in units), delays))
+            paths = [
+                PathSpec("p", DelayInterval(1, 2), actions),
+                PathSpec("q", DelayInterval(0, 9), {}, default=DROP),
+            ]
+            return run_scenario(one_flow(units, paths, Pipeline()))
+
+        traces = [
+            trace(delays)
+            for delays in (
+                ["3/2"] * 4,
+                ["3/2", "".join(["3/", "2"]), "3/2", "6/4"],
+                [shared] * 4,
+                [F(3, 2), F(3, 2), F(6, 4), shared],
+                ["3/2", shared, F(3, 2), "3/2"],
+            )
+        ]
+        expected = traces[0]
+        assert expected.grid == 6
+        assert set(expected.delays().values()) == {shared}
+        for other in traces[1:]:
+            assert other.events == expected.events
+            assert other.to_csv() == expected.to_csv()
+
+    def test_the_first_fault_in_unit_order_is_raised(self):
+        # unit order is the order of the sources, not of their emissions
+        units = [SourceUnit("f", str(i), t, 1) for i, t in ((1, 5), (2, 0), (3, 9))]
+        too_long = F(2)
+
+        def error(actions):
+            path = PathSpec("p", DelayInterval(0, 1), dict(zip((u.key for u in units), actions)),
+                            lossy=False)
+            with pytest.raises(ScenarioError) as info:
+                run_scenario(one_flow(units, [path], Pipeline()))
+            return str(info.value)
+
+        assert error([F(0), DROP, too_long]) == "path p: drop on a lossless path"
+        assert error([F(0), too_long, DROP]) == "path p: delay 2 for f/2 outside declared bounds"
+        assert error([too_long, DROP, too_long]) == "path p: delay 2 for f/1 outside declared bounds"
+        assert error([DROP, too_long, DROP]) == "path p: drop on a lossless path"
+
+
+class TestExactWork:
+    """A run does its exact work once per distinct value: the Fractions
+    it makes, hashes and compares do not grow with the number of units."""
+
+    COUNTED = ("__new__", "__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+    @classmethod
+    def counts(cls, monkeypatch, periods: int) -> dict:
+        sc = gen_adversarial_ir(1, 1, 0, 1, 6, 7, q=13, periods=periods)
+        counts = dict.fromkeys(cls.COUNTED, 0)
+
+        def counting(name, method):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+
+            return counted
+
+        with monkeypatch.context() as m:
+            for name in cls.COUNTED:
+                m.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+            trace = run_scenario(sc)
+        assert len(trace.events) == 4 * len(sc.sources) == 4 * 13 * 2 * periods
+        return counts
+
+    def test_exact_work_does_not_grow_with_the_unit_count(self, monkeypatch):
+        few, many = (self.counts(monkeypatch, periods) for periods in (2, 7))
+        assert few == many
+        assert sum(few.values()) > 0  # the counters are in place
+
 
 class TestToyRuns:
     def test_double_rate_output(self):
@@ -462,6 +576,17 @@ class TestAdversarialGenerator:
     def test_identical_constant_branches_rejected(self):
         with pytest.raises(ValueError, match="same constant delay"):
             gen_adversarial_ir(1, 1, 2, 2, 2, 2, q=5)
+
+    def test_negative_start_is_named_at_the_first_unit(self):
+        with pytest.raises(ScenarioError) as info:
+            gen_adversarial_ir(1, 1, 0, 1, 6, 7, q=13, x1=-1)
+        assert str(info.value) == "unit f1/m1_0: negative emission time"
+
+    def test_units_are_those_of_the_checked_constructor(self):
+        for params, q, periods, x1 in ADVERSARIAL_CASES:
+            for u in gen_adversarial_ir(*params, q=q, periods=periods, x1=x1).sources:
+                assert type(u.time) is Fraction and type(u.size) is Fraction
+                assert u == SourceUnit(u.flow, u.unit, u.time, u.size)
 
     def test_backlog_diverges_at_the_threshold(self):
         sc = gen_adversarial_ir(1, 2, 0, 0, 1, 1, q=4, periods=8)
