@@ -203,7 +203,7 @@ class RateLatency(FrozenRecord):
         return self.rate * max(Fraction(0), t - self.latency)
 
 
-class ConcaveCurve:
+class ConcaveCurve(FrozenRecord):
     """Finite minimum of token buckets, normalized to a canonical form.
 
     The value is 0 at t = 0 and min over segments of rate*t + burst for t > 0.
@@ -211,7 +211,7 @@ class ConcaveCurve:
     on some open interval, so equal curves have equal segment tuples.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = _fields = ("segments",)
 
     def __init__(self, segments: Iterable):
         segs = []
@@ -231,24 +231,6 @@ class ConcaveCurve:
         curve = object.__new__(cls)
         object.__setattr__(curve, "segments", segments)
         return curve
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConcaveCurve is immutable")
-
-    def __reduce__(self):
-        # copies and pickles are rebuilt through the constructor, which
-        # sets the slot that __setattr__ refuses
-        return ConcaveCurve, (self.segments,)
-
-    def __eq__(self, other):
-        return isinstance(other, ConcaveCurve) and self.segments == other.segments
-
-    def __hash__(self):
-        return hash(self.segments)
-
-    def __repr__(self):
-        inner = ", ".join(f"({s.rate}, {s.burst})" for s in self.segments)
-        return f"ConcaveCurve([{inner}])"
 
     def eval(self, t) -> Fraction:
         t = parse_rational(t)

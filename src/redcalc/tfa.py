@@ -45,8 +45,8 @@ parent that changed; every other component keeps the state and log of the
 other model, and each flow its end-to-end results when its port delays and
 regulator verdicts are unchanged.  A vertex on no cycle processed again
 only for its eliminators reads what the other model's run read, so each
-eliminator there keeps that run's record but its RBO, and takes its output
-curve from the record.
+eliminator there keeps that run's record, which holds the output curves of
+both models, and takes its output curve from the record.
 
 Each flow is composed end to end at its destinations only, each along its
 anchor chain: from the destination to its anchor (the reference of its
@@ -99,12 +99,15 @@ from .topology import (
     DelayInterval,
     NetworkSpec,
     diamond_ancestors,
+    _reached,
     ep_vertices,  # unused here, but bench/tracing.py counts the calls made through this binding
     path_delay_bounds,
 )
 
 MODEL_TIGHT = "tight"
 MODEL_INTUITIVE = "intuitive"
+# the key of each model's output curve in an eliminator's record
+PEF_OUTPUT = {MODEL_TIGHT: "tight_curve", MODEL_INTUITIVE: "intuitive_curve"}
 
 CONVERGED = "Converged"
 DIVERGED = "Diverged"
@@ -410,7 +413,7 @@ class _Analyzer:
         marking whole components covers a read through a cycle member that
         did not itself change.  A vertex on no cycle processed again only
         for its eliminators reads what the base read, so each eliminator
-        there keeps the model-free part of the base's record (`_as_base`)."""
+        there keeps the base's record (`_as_base`)."""
         self.iter_cap, self._base, self._log = iter_cap, base, []
         changed = set()
         for i, comp in enumerate(self.components):
@@ -451,26 +454,19 @@ class _Analyzer:
         """Can units of the flow reach v's regulator out of source order,
         on the paths from a's output to v?
 
-        Walking forward from a, a vertex counts once one of its parents was
-        reached from a.  It lets units out of order when it holds coexisting
-        duplicates (EP), hosts an eliminator of the flow, or has a reached
-        parent that lets them out of order; a re-sequencer of the flow there
-        restores source order.  At v the eliminator and the re-sequencer run
-        before the regulator.
+        Along the forward walk from a (`_reached`), a vertex lets units out
+        of order when it holds coexisting duplicates (EP), hosts an
+        eliminator of the flow, or has a reached parent that lets them out
+        of order; a re-sequencer of the flow there restores source order.
+        At v the eliminator and the re-sequencer run before the regulator.
         """
-        flow = self.net.flows[fid]
-        reached, disordered = {a}, set()  # a itself never counts
-        for x in flow.order[flow.order.index(a) + 1:]:
-            parents = flow.parents[x]
-            if reached.isdisjoint(parents):
-                continue
-            reached.add(x)
-            if (POF, fid, x) not in self._function and (
+        disordered = set()
+        for x, parents in _reached(self.net.flows[fid], a, v).items():
+            # a, the one vertex without a reached parent, never counts
+            if parents and (POF, fid, x) not in self._function and (
                 x in eps or (PEF, fid, x) in self._function or not disordered.isdisjoint(parents)
             ):
                 disordered.add(x)
-            if x == v:
-                break
         return v in disordered
 
     # -- structural helpers --------------------------------------------------
@@ -661,7 +657,8 @@ class _Analyzer:
         else:
             if v != self._as_base:  # else the base's record holds what v reads
                 self.sites[pef] = self._pef_site(fid, v, self._input_curve(fid, v))
-            cur = self._apply_pef(pef)
+            site = self.sites[pef]
+            cur = None if site is None else site[PEF_OUTPUT[self.model]]
         pof = self._function.get((POF, fid, v))
         if pof is not None:
             cur = self._apply_pof(fid, v, pof, cur)
@@ -689,8 +686,9 @@ class _Analyzer:
     # -- local function transforms ---------------------------------------------
 
     def _pef_site(self, fid, v, alpha_in):
-        """The eliminator's record but its RBO, which is the only part that
-        depends on the model; None when its input is cut off."""
+        """The eliminator's record, which holds the output curve of either
+        model; None when its input is cut off.  Its RBO, the one part that
+        depends on the model, is added by `report`."""
         if alpha_in is None:
             return None
         anchor = self._anchor[(fid, v)]
@@ -713,20 +711,7 @@ class _Analyzer:
             "tight_curve": pef_output_curve(alpha_in, ancestors),
             "intuitive_curve": alpha_in,
             "rto_bound": rto,
-            "rbo_bound": UNBOUNDED,
         }
-
-    def _apply_pef(self, pef):
-        """The output of the eliminator whose record `self.sites[pef]` holds,
-        under the model, its RBO written into a new record."""
-        site = self.sites[pef]
-        if site is None:
-            return None
-        out = site["tight_curve"] if self.model == MODEL_TIGHT else site["intuitive_curve"]
-        rto = site["rto_bound"]
-        if not is_unbounded(rto):
-            self.sites[pef] = {**site, "rbo_bound": rbo_from_rto(out, rto)}
-        return out
 
     def _apply_pof(self, fid, v, placement, alpha_in):
         """`alpha_in` is the curve at the re-sequencer input, after any
@@ -823,7 +808,9 @@ class _Analyzer:
                     if placement.kind == PEF:
                         site = self.sites[(PEF, fid, v)]
                         if site is not None:
-                            pef_sites.append(site)
+                            rto, out = site["rto_bound"], site[PEF_OUTPUT[self.model]]
+                            rbo = rto if is_unbounded(rto) else rbo_from_rto(out, rto)
+                            pef_sites.append({**site, "rbo_bound": rbo})
                     elif placement.kind == POF:
                         site = self.sites[(POF, fid, v)]
                         pof_sites.append(site)

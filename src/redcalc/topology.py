@@ -96,7 +96,9 @@ class DelayInterval(FrozenRecord):
 
 class VertexSpec(FrozenRecord):
     """An output port: `service` is a RateLatency, a ConcaveCurve or None
-    for a pure delay element, `tech` its technological delay interval."""
+    for a pure delay element, `tech` its technological delay interval.  A
+    pure delay element delays by `tech`; a served port delays by `tech.lo`
+    plus its queueing term, and never reads `tech.hi`."""
 
     __slots__ = _fields = ("name", "service", "tech")
 
@@ -233,11 +235,20 @@ def diamond_ancestors(network: NetworkSpec, flow_id: str) -> dict:
     return ancestors
 
 
-def _after(flow: FlowSpec, a: str) -> tuple:
-    """The vertices that follow a in the flow's order; none when the flow
-    does not cross a."""
-    order = flow.order
-    return order[order.index(a) + 1:] if a in flow.vertices else ()
+def _reached(flow: FlowSpec, a: str, n: str) -> dict:
+    """The forward walk of the section a -> n: each vertex reached from a,
+    in the flow's order up to n, mapped to its reached parents, a first
+    with none; a alone when the flow does not cross a."""
+    reached = {a: ()}
+    if a in flow.vertices:
+        order = flow.order
+        for v in order[order.index(a) + 1:]:
+            parents = [p for p in flow.parents[v] if p in reached]
+            if parents:
+                reached[v] = parents
+            if v == n:
+                break
+    return reached
 
 
 def path_delay_bounds(flow: FlowSpec, a: str, n: str, delay_of: dict) -> DelayInterval:
@@ -246,10 +257,10 @@ def path_delay_bounds(flow: FlowSpec, a: str, n: str, delay_of: dict) -> DelayIn
 
     The endpoints themselves do not contribute: the bounds cover the section
     between the output of `a` and the input of `n`'s local functions.
-    `delay_of` maps each vertex reached from `a` to its DelayInterval.  A
-    pass in flow order from `a` to `n` finds the vertices reached from `a`
-    and their reached parents; one walk over them bounds each vertex over
-    its reached parents, so every a -> n path is summed on the way.
+    `delay_of` maps each vertex reached from `a` to its DelayInterval.  One
+    walk over the vertices that the forward walk from `a` to `n` reaches
+    (`_reached`) bounds each over its reached parents, so every a -> n path
+    is summed on the way.
 
     The walk sums integers: the delay ends of the inner vertices go on one
     grid, the lcm of their denominators (an `Affine` end by its value), and
@@ -259,13 +270,7 @@ def path_delay_bounds(flow: FlowSpec, a: str, n: str, delay_of: dict) -> DelayIn
     """
     if a == n:
         return DelayInterval(0, 0)
-    reached = {a: ()}  # each vertex reached from a, up to n -> its reached parents
-    for v in _after(flow, a):
-        parents = [p for p in flow.parents[v] if p in reached]
-        if parents:
-            reached[v] = parents
-        if v == n:
-            break
+    reached = _reached(flow, a, n)
     if n not in reached:
         raise ValueError(f"no path from {a} to {n}")
     order = list(reached)
@@ -498,6 +503,8 @@ def network_from_json(doc: dict) -> NetworkSpec:
             if tech is None
             else _parsed(DelayInterval.from_json, tech, f"{path}.tech")
         )
+        if is_unbounded(tech_iv.hi):
+            raise SpecError(f"{path}.tech", "a technological delay needs a finite upper end")
         vertices[name] = VertexSpec(name, service, tech_iv)
 
     edge_set = set()
@@ -582,6 +589,11 @@ def network_from_json(doc: dict) -> NetworkSpec:
                 )
             shaping = {}
             raw = _typed(p.get("shaping") or {}, dict, f"{path}.shaping")
+            for fid in raw:
+                if fid not in pflows:
+                    raise SpecError(
+                        f"{path}.shaping.{fid}", f"the regulator does not list flow {fid}"
+                    )
             for fid in sorted(pflows):
                 if fid not in raw:
                     raise SpecError(

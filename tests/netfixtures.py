@@ -420,6 +420,21 @@ def sibling_pef_network():
     )
 
 
+def shaped_after_overload_network():
+    """S -> B1 (delay [0, 1]) -> M and S -> X -> R -> M for one flow f (rate
+    1, burst 1) with a PEF at M.  X serves at rate 1/2, so its delay and the
+    section S -> M have no upper bound; the per-flow regulator at R
+    (reference S) reshapes f all the same, so M's input keeps a curve: the
+    eliminator has a record, and its RTO is unbounded."""
+    path = [("S", "B1"), ("B1", "M"), ("S", "X"), ("X", "R"), ("R", "M")]
+    vertices = [{"name": "S"}, {"name": "B1", "tech": ["0", "1"]},
+                {"name": "X", "service": {"rate": "1/2", "latency": "0"}},
+                {"name": "R"}, {"name": "M"}]
+    flow = _path_flow("f", path, 1, 1, source="S", destination="M")
+    return _network_doc(vertices, [flow], [{"kind": "pef", "vertex": "M", "flows": ["f"]},
+                                           _pfr("R", "S")])
+
+
 def lossy_pof_network(destinations=("V",)):
     """A -> B1/B2 -> M -> V with a PEF and a re-sequencer at M (reference A,
     timeout 6) and a per-flow regulator at V (reference A).  Without

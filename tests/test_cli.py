@@ -341,6 +341,21 @@ MALFORMED = {
         ),
         "placements[0].mode",
     ),
+    # a regulator's shaping names only the flows it lists
+    "shaping curve for a flow the regulator does not list": (
+        _with_placement(
+            kind="reg", vertex="B", flows=["f"], reference="A", mode="per-flow",
+            shaping={"f": {"rate": "1", "burst": "1"}, "zz": {"rate": "1", "burst": "1"}},
+        ),
+        "placements[0].shaping.zz",
+    ),
+    # a technological delay has a finite upper end
+    "unbounded technological delay": (
+        {"vertices": [{"name": "A", "tech": ["0", "unbounded"]}]}, "vertices[0].tech"
+    ),
+    "technological delay without an upper end": (
+        {"vertices": [{"name": "A", "tech": {"lo": "0", "hi": None}}]}, "vertices[0].tech"
+    ),
     "placement off the flow": (
         {
             **_second_flow_net([["A", "C"]], ["C"]),
@@ -565,6 +580,37 @@ class TestInputErrors:
             target.write_text(json.dumps(doc))
             assert main(argv + [str(target)]) == 1
             assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("hi", ["unbounded", None])
+    def test_unbounded_delay_is_rejected_in_a_network_only(self, hi, tmp_path, capsys):
+        # on a pure-delay vertex it would make every flow through it
+        # unbounded; a scenario path's bounds may still be open-ended
+        network = _two_vertex_net()
+        network["vertices"][1]["tech"] = ["0", hi]
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(network))
+        assert main(["analyze", "--in", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            "error: vertices[1].tech: a technological delay needs a finite upper end\n"
+        )
+        scenario = load_scenario(_toy_scenario(lambda d: d["paths"][1].update(bounds=["0", hi])))
+        assert scenario.paths[1].bounds.hi == UNBOUNDED
+
+    def test_shaping_of_a_flow_the_regulator_does_not_list_is_rejected(self, tmp_path, capsys):
+        # g is a flow of the network, but this regulator shapes f alone
+        doc = _second_flow_net([["A", "B"]], ["B"])
+        shaping = {fid: {"rate": "1", "burst": "1"} for fid in "fg"}
+        doc["placements"] = [{"kind": "reg", "vertex": "B", "flows": ["f"], "reference": "A",
+                              "mode": "per-flow", "shaping": shaping}]
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(doc))
+        assert main(["analyze", "--in", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            "error: placements[0].shaping.g: the regulator does not list flow g\n"
+        )
+        del shaping["g"]
+        target.write_text(json.dumps(doc))
+        assert main(["analyze", "--in", str(target)]) == 0
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_deeply_nested_document_exits_1(self, command, tmp_path, capsys):

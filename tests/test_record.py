@@ -47,6 +47,7 @@ def _network() -> NetworkSpec:
 # one record of each class, built afresh on every call
 SAMPLES = {
     TokenBucket: lambda: TokenBucket(1, "5/2"),
+    ConcaveCurve: lambda: ConcaveCurve([(2, 1), (1, "5/2")]),
     RateLatency: lambda: RateLatency(2, "1/3"),
     DelayInterval: lambda: DelayInterval(1, UNBOUNDED),
     VertexSpec: lambda: VertexSpec("p", RateLatency(2, 0), DelayInterval(0, 1)),
@@ -68,9 +69,9 @@ SAMPLES = {
     FlowProfile: lambda: FlowProfile(ConcaveCurve([(1, 1)]), 1, "3/2"),
     Scenario: lambda: load_scenario(bundled_dir().joinpath("scn-toy-lossy.json")),
 }
-FROZEN = [TokenBucket, RateLatency, DelayInterval, VertexSpec, FlowSpec, FunctionPlacement,
-          NetworkSpec, RegulatorVerdict, SourceUnit, PathSpec, PofSpec, RegSpec, Pipeline,
-          FlowProfile]
+FROZEN = [TokenBucket, ConcaveCurve, RateLatency, DelayInterval, VertexSpec, FlowSpec,
+          FunctionPlacement, NetworkSpec, RegulatorVerdict, SourceUnit, PathSpec, PofSpec,
+          RegSpec, Pipeline, FlowProfile]
 MUTABLE = [FlowResult, AnalysisReport, Scenario]
 ALL = FROZEN + MUTABLE
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from redcalc import tfa
-from redcalc.cli import resolve_input
+from redcalc.cli import bundled_names, resolve_input
 from redcalc.minplus import (
     UNBOUNDED,
     Affine,
@@ -22,6 +22,7 @@ from redcalc.minplus import (
     rational_str,
     to_jsonable,
 )
+from redcalc.redundancy import rbo_from_rto
 from redcalc.tfa import (
     CONVERGED,
     DEFAULT_BURST_CAP,
@@ -65,6 +66,7 @@ from netfixtures import (
     ring_sites_network,
     series_pef_network,
     series_rings_network,
+    shaped_after_overload_network,
     shared_tail_network,
     sibling_pef_network,
     steady_cycle_member_network,
@@ -2153,6 +2155,32 @@ class TestModelComparison:
         a.pop("model"), b.pop("model")
         assert a == b
 
+    def test_each_rbo_is_the_rto_through_the_models_output_curve(self):
+        # an eliminator's record holds the output curves of both models;
+        # the report's RBO is its RTO through the curve of the report's model
+        rng = random.Random(0x2B0)
+        networks = [load_network(resolve_input(f"bundled:{name}"))
+                    for name in bundled_names() if name.startswith("net-")]
+        networks += [net(random_pef_network(rng)) for _ in range(40)]
+        networks += [net(random_cyclic_network(rng)) for _ in range(40)]
+        networks.append(net(shaped_after_overload_network()))  # an unbounded RTO
+        counts = collections.Counter()
+        for network in networks:
+            for lossless in (False, True):
+                out = compare_models(network, lossless)
+                for model in (MODEL_TIGHT, MODEL_INTUITIVE):
+                    for site in out[model].pef_sites:
+                        rto, curve = site["rto_bound"], site[f"{model}_curve"]
+                        bounded = not is_unbounded(rto)
+                        expected = rbo_from_rto(curve, rto) if bounded else UNBOUNDED
+                        assert site["rbo_bound"] == expected, (network, lossless, model, site)
+                        assert list(site)[-1] == "rbo_bound"
+                        if not bounded:
+                            assert to_jsonable(site)["rbo_bound"] == "unbounded"
+                        counts[model, bounded] += 1
+        for model in (MODEL_TIGHT, MODEL_INTUITIVE):
+            assert counts[model, True] >= 200 and counts[model, False] >= 2, counts
+
     def test_removing_traffic_never_hurts(self):
         rng = random.Random(99)
         for _ in range(15):
@@ -2263,6 +2291,11 @@ class TestDerivedAnalysis:
             assert m2[0]["intuitive_curve"] != m2[1]["intuitive_curve"]
             assert out["pairs"][("f", "T")] == (DelayInterval(0, Fraction(72, 5)),
                                                 DelayInterval(0, Fraction(74, 5)))
+            # the intuitive run keeps the tight run's record of M1 itself
+            tight = analyze(network, MODEL_TIGHT, lossless)
+            intuitive = analyze(network, MODEL_INTUITIVE, lossless, base=tight)
+            site = ("pef", "f", "M1")
+            assert intuitive._analyzer.sites[site] is tight._analyzer.sites[site]
 
     def test_a_base_of_another_analysis_is_rejected(self):
         doc = random_pef_network(random.Random(3))
