@@ -58,7 +58,23 @@ def _emit(text: str, out_path):
 
 
 def _emit_json(doc, out_path):
-    _emit(_json_text(doc), out_path)
+    _emit(_written(_json_text, doc), out_path)
+
+
+def _written(build, *args) -> str:
+    """`build(*args)`, the text of an output, built with Python's limit on
+    the digits of an int converted to a string lifted, then restored: an
+    exact bound may have more than 4,300 digits.  Input parsing keeps the
+    limit, which guards it against huge literals (CVE-2020-10735)."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # 3.10.7 and later
+    if set_limit is None:
+        return build(*args)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return build(*args)
+    finally:
+        set_limit(limit)
 
 
 def _json_text(doc) -> str:
@@ -119,15 +135,11 @@ def _report_exit(report) -> int:
     return 0
 
 
-def _caps(args) -> dict:
-    return {"iter_cap": args.iter_cap, "burst_cap": args.burst_cap}
-
-
 def cmd_analyze(args) -> int:
     network = load_network(resolve_input(args.input))
-    report = analyze(network, model=args.model, lossless=args.lossless, **_caps(args))
+    report = analyze(network, model=args.model, lossless=args.lossless, iter_cap=args.iter_cap)
     if args.format == "csv":
-        _emit(report.to_csv(), args.out)
+        _emit(_written(report.to_csv), args.out)
     else:
         _emit_json(report, args.out)
     return _report_exit(report)
@@ -135,7 +147,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     network = load_network(resolve_input(args.input))
-    out = compare_models(network, lossless=args.lossless, **_caps(args))
+    out = compare_models(network, lossless=args.lossless, iter_cap=args.iter_cap)
     doc = {
         "tight": out["tight"],
         "intuitive": out["intuitive"],
@@ -151,14 +163,14 @@ def cmd_compare(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(resolve_input(args.scenario))
     trace = run_scenario(scenario)
-    _emit(trace.to_csv(), args.trace_out)
+    _emit(_written(trace.to_csv), args.trace_out)
     return 0
 
 
 def cmd_verify(args) -> int:
     scenario = load_scenario(resolve_input(args.scenario))
     network = load_network(resolve_input(args.network))
-    report = analyze(network, model=args.model, lossless=args.lossless, **_caps(args))
+    report = analyze(network, model=args.model, lossless=args.lossless, iter_cap=args.iter_cap)
     trace = run_scenario(scenario)
     delays = trace.delays()
 
@@ -227,7 +239,6 @@ def _add_analysis_flags(p):
         help="assume no data unit is ever lost on the analyzed paths",
     )
     p.add_argument("--iter-cap", type=int, default=None, help="fixed-point passes per cyclic SCC")
-    p.add_argument("--burst-cap", default=None, help="burst divergence cap (rational)")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 

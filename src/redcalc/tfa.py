@@ -17,8 +17,9 @@ analyzer.  The solution is kept when `A >= 0`, every leading principal
 minor of `I - A` is positive, the solution lies above the state, and the
 curves rebuilt from it give it back (where they do not, the piece read there
 is solved once more).  Two passes in a row on one `A` with a minor at or
-below zero make the component Diverged, and so does the burst cap;
-`iter_cap` passes make it IterationCap.
+below zero make the component Diverged, and `iter_cap` passes make it
+IterationCap; no other rule cuts a component off, and a vertex on no
+cycle, processed once, keeps whatever finite bound it reads.
 A cut-off component proves no bound: its members restart from no bound for
 one more pass, and the components after it are still processed.  No value
 is rounded, so every bound is exact and none depends on how the vertices
@@ -71,7 +72,6 @@ from .minplus import (
     curve_leq,
     h_dev,
     is_unbounded,
-    parse_rational,
     rational_str,
     to_jsonable,
 )
@@ -114,7 +114,6 @@ DIVERGED = "Diverged"
 ITERATION_CAP = "IterationCap"
 
 DEFAULT_ITER_CAP = 1000
-DEFAULT_BURST_CAP = Fraction(10**9)
 
 NO_DELAY = DelayInterval(0, 0)
 # a regulator configuration that admits no bound without proving divergence
@@ -310,11 +309,10 @@ _ComponentLog = namedtuple("_ComponentLog", "entry notes passes exit")
 
 
 class _Analyzer:
-    def __init__(self, network, model, lossless, burst_cap):
+    def __init__(self, network, model, lossless):
         self.net = network
         self.model = model
         self.lossless = lossless
-        self.burst_cap = burst_cap
         self.iter_cap = None  # set by run
         self.components = _sweep_order(network)
         self.notes = []  # cut-off notes
@@ -484,14 +482,6 @@ class _Analyzer:
     def _bounds(self, fid: str, a: str, v: str) -> DelayInterval:
         return path_delay_bounds(self.net.flows[fid], a, v, self._delays(fid))
 
-    def _capped(self, curve):
-        if curve is not None and curve.min_burst > self.burst_cap:
-            if self.status == CONVERGED:
-                self.status = DIVERGED
-                self.notes.append("burst cap exceeded during iteration")
-            return None
-        return curve
-
     # -- policy iteration over one cyclic component --------------------------
 
     def settle(self, members, iter_cap: int) -> int:
@@ -522,9 +512,8 @@ class _Analyzer:
                 break
             last = outcome and outcome.coeffs
         else:
-            if self.status == CONVERGED:
-                self.status = ITERATION_CAP
-                self.notes.append(f"no fixed point within {iter_cap} sweeps")
+            self.status = ITERATION_CAP
+            self.notes.append(f"no fixed point within {iter_cap} sweeps")
         if self.status != CONVERGED:
             for v in members:
                 self._unbound(v)
@@ -551,12 +540,12 @@ class _Analyzer:
         curves are then rebuilt exactly at the solution; when they give other
         port delays back, the piece read there is solved the same way, up to
         SOLVE_READS pieces in all.  The solution is accepted, and True
-        returned, when it confirms itself: the rebuild at it keeps the status
-        Converged and gives every member back its frozen port delay, so an
-        exact pass would change nothing either; that rebuild has written the
-        site records of every member from the curves at the solution.  The
-        solve works on a fork (`_fork`), taken over only when it is accepted.
-        A rejected solve returns the `_Piece` with a leading principal minor
+        returned, when it confirms itself: the rebuild at it gives every
+        member back its frozen port delay, so an exact pass would change
+        nothing either; that rebuild has written the site records of every
+        member from the curves at the solution.  The solve works on a fork
+        (`_fork`), taken over only when it is accepted.  A rejected solve
+        returns the `_Piece` with a leading principal minor
         of `I - A` at or below zero, or False for any other rejection, a
         negative coefficient among them."""
         served = [v for v in members if self.net.vertices[v].service is not None]
@@ -568,7 +557,7 @@ class _Analyzer:
             for i, v in enumerate(served):
                 trial._freeze(v, Affine(point[i], {i: 1}))
             delays = trial._rebuild(members)
-            if trial.status != CONVERGED or any(is_unbounded(delays[v].hi) for v in served):
+            if any(is_unbounded(delays[v].hi) for v in served):
                 return False
             forms = [delays[v].hi for v in served]
             coeffs = [w.coeffs if type(w) is Affine else {} for w in forms]
@@ -583,8 +572,6 @@ class _Analyzer:
             for v, w in zip(served, point):
                 trial._freeze(v, w)
             delays = trial._rebuild(members)
-            if trial.status != CONVERGED:
-                return False
             if all(delays[v] == trial.vertex_delays[v] for v in members):
                 break
         else:
@@ -667,7 +654,7 @@ class _Analyzer:
             # the regulator output conforms to its shaping curve even when
             # its delay admits no bound: the verdict waits for the final
             # state (report), the curve propagates now
-            cur = self._capped(reg.shaping[fid])
+            cur = reg.shaping[fid]
         return cur
 
     def _port_delay(self, v: str, post: dict) -> DelayInterval:
@@ -681,7 +668,7 @@ class _Analyzer:
     def _output(self, cur, vdel: DelayInterval):
         if cur is None or is_unbounded(vdel.hi):
             return None
-        return self._capped(lossy_jitter_output_curve(cur, vdel))
+        return lossy_jitter_output_curve(cur, vdel)
 
     # -- local function transforms ---------------------------------------------
 
@@ -740,7 +727,7 @@ class _Analyzer:
             "required_buffer": rbo,
             "output_curve": out,
         }
-        return self._capped(out)
+        return out
 
     def _reg_verdict(self, fid, v, placement):
         """Through-delay verdict for the section reference -> regulator
@@ -923,21 +910,15 @@ class _Analyzer:
         return cum
 
 
-def _checked_caps(iter_cap, burst_cap) -> tuple:
-    """The caps with their defaults filled in; ValueError for an iteration
-    cap that is no int (a bool is none) and for a cap out of range."""
+def _checked_cap(iter_cap) -> int:
+    """The iteration cap with its default filled in; ValueError for a cap
+    that is no int (a bool is none) or below 1."""
     iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
-    try:
-        burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
-    except (TypeError, ValueError):
-        raise ValueError(f"burst cap must be a rational, not {burst_cap!r}") from None
     if type(iter_cap) is bool or not isinstance(iter_cap, int):
         raise ValueError(f"iteration cap must be an integer, not {iter_cap!r}")
     if iter_cap < 1:
         raise ValueError(f"iteration cap must be at least 1, not {iter_cap}")
-    if burst_cap < 0:
-        raise ValueError(f"burst cap must not be negative, not {rational_str(burst_cap)}")
-    return iter_cap, burst_cap
+    return iter_cap
 
 
 def analyze(
@@ -945,7 +926,6 @@ def analyze(
     model: str = MODEL_TIGHT,
     lossless: bool = False,
     iter_cap: int | None = None,
-    burst_cap=None,
     *,
     base: AnalysisReport | None = None,
 ) -> AnalysisReport:
@@ -955,34 +935,35 @@ def analyze(
     which sharpens the re-sequencer transforms; without it a re-sequencer
     needs a configured timeout for the flow to keep a bounded delay.
     Each cyclic component is swept over all its members until its port
-    delays are solved exactly or a pass changes nothing; its passes,
-    the confirmation of a solve included, are capped by `iter_cap` (default
-    1000, at least 1), and growing states are cut off once a curve's burst
-    exceeds `burst_cap` (default 10^9, not negative); a cap out of range
-    raises ValueError.  `iterations` is the largest pass count of a cyclic
-    component, and 1 on a feed-forward network.
+    delays are solved exactly, a pass changes nothing, or two passes in a
+    row read one affine piece without a finite fixed point (Diverged); its
+    passes, the confirmation of a solve included, are capped by `iter_cap`
+    (default 1000, at least 1; ValueError otherwise), the one bound on the
+    passes (IterationCap).  A vertex on no cycle is processed once, so any
+    finite bound it reads is its bound.  `iterations` is the largest pass
+    count of a cyclic component, and 1 on a feed-forward network.
 
     `base`, a report that `analyze` returned for this network object with
-    the same `lossless` flag and caps (ValueError otherwise), normally of
-    the other model, lets the analysis start from that one: it re-processes
-    only the components the model can change and composes again only the
-    flows whose port delays or regulator verdicts differ.  The report is
-    the one the analysis without `base` returns.
+    the same `lossless` flag and iteration cap (ValueError otherwise),
+    normally of the other model, lets the analysis start from that one: it
+    re-processes only the components the model can change and composes
+    again only the flows whose port delays or regulator verdicts differ.
+    The report is the one the analysis without `base` returns.
     """
     if model not in (MODEL_TIGHT, MODEL_INTUITIVE):
         raise ValueError(f"unknown analysis model {model!r}")
-    iter_cap, burst_cap = _checked_caps(iter_cap, burst_cap)
+    iter_cap = _checked_cap(iter_cap)
     prior = None
     if base is None:
-        an = _Analyzer(network, model, lossless, burst_cap)
+        an = _Analyzer(network, model, lossless)
     else:
         prior = getattr(base, "_analyzer", None)
         if prior is None or prior.net is not network:
             raise ValueError("the base report is not an analysis of this network")
         if prior.lossless != lossless:
             raise ValueError("the base report was analyzed with another lossless flag")
-        if (prior.iter_cap, prior.burst_cap) != (iter_cap, burst_cap):
-            raise ValueError("the base report was analyzed with other caps")
+        if prior.iter_cap != iter_cap:
+            raise ValueError("the base report was analyzed with another iteration cap")
         an = prior._fork()
         an.model, an.notes, an.status = model, [], CONVERGED
     an.run(iter_cap, prior)

@@ -40,12 +40,9 @@ from redcalc.minplus import (
     convolve,
     deconvolve_delay,
     is_unbounded,
-    parse_rational,
 )
-from redcalc.redundancy import lossy_jitter_output_curve
 from redcalc.tfa import (
     CONVERGED,
-    DEFAULT_BURST_CAP,
     DEFAULT_ITER_CAP,
     DIVERGED,
     ITERATION_CAP,
@@ -73,6 +70,9 @@ BURST_QUANTUM = Fraction(1, 2**20)
 # sweeps in a row that change port delays but no curve, after which every
 # cyclic component's port delays go on the grid too
 STALL_PASSES = 5
+# the reference's stop rule on a sweep that climbs without bound: an output
+# curve whose burst exceeds it is cut off, and so is the run
+BURST_CAP = 10**9
 
 
 def curve_value(curve: ConcaveCurve, t: Fraction) -> Fraction:
@@ -339,21 +339,31 @@ def _round_up(x: Fraction) -> Fraction:
 
 
 class _GridAnalyzer(_Analyzer):
-    """The analyzer with the grid of the reference iteration: on a network
-    with a cycle and `grid` on, every output curve's bursts are rounded up
-    before the burst cap is checked, and so are the upper port delays of
-    the vertices in `delay_grid`.  Rounding up keeps every state a bound."""
+    """The analyzer with the grid and the stop rule of the reference
+    iteration: on a network with a cycle and `grid` on, every output curve's
+    bursts are rounded up before BURST_CAP is checked, and so are the upper
+    port delays of the vertices in `delay_grid`.  Rounding up keeps every
+    state a bound.  An output curve beyond BURST_CAP makes the run Diverged,
+    grid or not."""
 
-    def __init__(self, network, model, lossless, burst_cap, grid):
-        super().__init__(network, model, lossless, burst_cap)
+    def __init__(self, network, model, lossless, grid):
+        super().__init__(network, model, lossless)
         self.grid = grid and any(len(comp) > 1 for comp in self.components)
         self.delay_grid = set()
 
     def _output(self, cur, vdel):
-        if not self.grid or cur is None or is_unbounded(vdel.hi):
-            return super()._output(cur, vdel)
-        out = lossy_jitter_output_curve(cur, vdel)
-        return self._capped(ConcaveCurve((s.rate, _round_up(s.burst)) for s in out.segments))
+        out = super()._output(cur, vdel)
+        if self.grid and out is not None:
+            out = ConcaveCurve((s.rate, _round_up(s.burst)) for s in out.segments)
+        return self._capped(out)
+
+    def _capped(self, curve):
+        if curve is not None and curve.min_burst > BURST_CAP:
+            if self.status == CONVERGED:
+                self.status = DIVERGED
+                self.notes.append("burst cap exceeded during iteration")
+            return None
+        return curve
 
     def _port_delay(self, v, post):
         vdel = super()._port_delay(v, post)
@@ -362,12 +372,10 @@ class _GridAnalyzer(_Analyzer):
         return vdel
 
 
-def full_sweep_analyze(
-    network, model=MODEL_TIGHT, lossless=False, iter_cap=None, burst_cap=None, *, grid=True
-):
+def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None, *, grid=True):
     """`tfa.analyze` by a global Gauss-Seidel loop: every vertex, in sweep
-    order, on every sweep, until a sweep changes nothing, the burst cap is
-    exceeded or `iter_cap` sweeps have run; a cut-off run sweeps once more.
+    order, on every sweep, until a sweep changes nothing, a burst exceeds
+    BURST_CAP or `iter_cap` sweeps have run; a cut-off run sweeps once more.
     The stop rules apply to the whole network, so `iterations` counts its
     sweeps.  No port delay is solved exactly.  With `grid` (the default) a
     network with a cycle runs on the burst grid, and after STALL_PASSES
@@ -377,8 +385,7 @@ def full_sweep_analyze(
     vertex on a cycle restarts from no bound (`_unbound`) before the last
     sweep."""
     iter_cap = DEFAULT_ITER_CAP if iter_cap is None else iter_cap
-    burst_cap = DEFAULT_BURST_CAP if burst_cap is None else parse_rational(burst_cap)
-    an = _GridAnalyzer(network, model, lossless, burst_cap, grid)
+    an = _GridAnalyzer(network, model, lossless, grid)
     order = [v for comp in an.components for v in comp]
 
     def sweep():

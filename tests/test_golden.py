@@ -57,12 +57,10 @@ RINGS = {
     "ring-converged": (_contractive_ring, []),
     "ring-iter-cap-1": (_growing_ring, ["--lossless", "--iter-cap", "1"]),
     "ring-iter-cap-2": (_growing_ring, ["--lossless", "--iter-cap", "2"]),
-    "ring-burst-cap-4": (_growing_ring, ["--lossless", "--burst-cap", "4"]),
     "ring-sites-lossy": (ring_sites_network, []),
     "ring-sites-lossless": (ring_sites_network, ["--lossless"]),
     "ring-sites-timeout": (lambda: ring_sites_network("3"), []),
     "ring-sites-iter-cap-3": (ring_sites_network, ["--iter-cap", "3"]),
-    "ring-sites-burst-cap-3": (ring_sites_network, ["--burst-cap", "3"]),
     "ring-two-segment": (_two_segment_ring, []),
     "ring-two-segment-lossless": (_two_segment_ring, ["--lossless"]),
 }
@@ -120,10 +118,6 @@ GOLDEN = {
         0,
         "bfe3d107261f89e6649eeed7e0fb7df35ec5c8559ea15199506b204272fd71f4",
     ),
-    "analyze:ring-burst-cap-4": (
-        2,
-        "b764c2dca9e052d4d340c7d89cf65c4c5f831d99abc2c5bdd32b40bea4281ec6",
-    ),
     "analyze:ring-converged": (
         0,
         "bd69aed33e483424959e09dde362773e0982ff06dc596d3adf08a0b450c08a88",
@@ -135,10 +129,6 @@ GOLDEN = {
     "analyze:ring-iter-cap-2": (
         2,
         "910dff37c7b3aa0a971aa4d61b9a8056ce5734b9e960d3e54d16e3a4a88aa9b1",
-    ),
-    "analyze:ring-sites-burst-cap-3": (
-        2,
-        "a6427b029a4a52d0995646fda3d83969a28dad7a5b71c44c812427d907dc5cb0",
     ),
     "analyze:ring-sites-iter-cap-3": (
         2,
