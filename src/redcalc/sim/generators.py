@@ -190,7 +190,8 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
     Builds q flows, each sending a pair of replicated units per period; branch
     losses are arranged so the regulator keeps paying one full burst of other
     flows between consecutive units of flow 1.  Requires q at least the
-    instability threshold for the branch bounds; smaller q is rejected.
+    instability threshold for the branch bounds; smaller q is rejected.  The
+    sources come in emission order, flow by flow at one instant.
     """
     r, b, d1, D1, d2, D2 = _two_branches(rate, burst, d1, D1, d2, D2)
     x1 = parse_rational(x1)
@@ -242,6 +243,7 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
     legs = ((0, m1_path, m1_delay), (i_n, m2_path, m2_delay))
     unit = SourceUnit._unchecked
     sources = []
+    ticks = []  # each source's emission time, in 1/den time units
     sched = [{}, {}]
     flows = {}
     curve = ConcaveCurve([(r, b)])
@@ -252,9 +254,14 @@ def gen_adversarial_ir(rate, burst, d1, D1, d2, D2, q: int, periods: int = 3, x1
         for k, pair in enumerate(names):
             at = x_i + k * tau_n
             for name, (offset, pidx, delay) in zip(pair, legs):
-                sources.append(unit(fid, name, Fraction(at + offset, den), b))
+                ticks.append(at + offset)
+                sources.append(unit(fid, name, Fraction(ticks[-1], den), b))
                 sched[pidx][(fid, name)] = delay
                 sched[1 - pidx][(fid, name)] = DROP
+    # list the sources in emission order, flow by flow at one instant, so
+    # that whoever ranks them by time sorts a sorted list
+    sources = [sources[j] for j in sorted(range(len(ticks)), key=ticks.__getitem__)]
+    del ticks
 
     return Scenario(
         name="adversarial-ir",

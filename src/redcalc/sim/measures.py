@@ -5,9 +5,20 @@ Each measure puts its times (and sizes) on their integer grid through
 back to Fractions, so they are exact and equal to what Fraction arithmetic
 would give.  `is_fifo_per_flow` reads a trace, whose events already carry
 their instants as ticks of one grid.
+
+`measure_reordering` needs no per-unit search structure.  If a unit v
+ranked before u arrives no earlier than u, every unit ranked after u that is
+present at u's arrival is ranked after v and present at v's arrival too, so
+with sizes that are not negative, v holds at least u's bytes.  The largest
+reordering byte offset is then held by a unit that arrives strictly after
+every earlier-ranked one, and each such unit's count is a difference of two
+prefix sums.  Both offsets come from sorts and running sums.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate, chain, compress, islice
+from operator import eq, itemgetter, sub
 
 from ..minplus import ConcaveCurve, _on_grid, parse_rational
 from .engine import GENERATED, _no_gc
@@ -67,41 +78,50 @@ def measure_reordering(units) -> tuple:
     longest wait between a unit's arrival and the arrival of a later-ranked
     unit that overtook it; the byte offset is the largest volume of
     later-ranked data already present when a unit arrives.
+
+    Ranks must be distinct ints (a bool is not one), else a TypeError or a
+    ValueError; sizes must not be negative.  In rank order, the time offset
+    is the largest t_k - min(t_k, t_k+1, ...), one suffix-minimum pass.  For
+    the byte offset, if an earlier-ranked unit v arrives no earlier than u,
+    every later-ranked unit present at u's arrival is present at v's too, so
+    v holds at least u's bytes: the maximum is held by a unit that arrives
+    strictly after every earlier-ranked one.  Such a unit finds present all
+    the bytes that arrived strictly before it, less the bytes ranked before
+    it, which all did: two prefix sums and one bisection per such unit.
     """
-    items = sorted(
-        ((int(r), parse_rational(t), parse_rational(sz)) for r, t, sz in units),
-        key=lambda it: it[0],
-    )
+    items = [(r, parse_rational(t), parse_rational(sz)) for r, t, sz in units]
+    if set(map(type, map(itemgetter(0), items))) - {int}:
+        for r, _t, _sz in items:
+            if not isinstance(r, int) or isinstance(r, bool):
+                raise TypeError(f"rank {r!r} is not an int")
+    items.sort(key=itemgetter(0))
     if len(items) < 2:
         return Fraction(0), Fraction(0)
-    _ranks, times, sizes = zip(*items)
-    del items, _ranks
+    ranks, times, sizes = zip(*items)
+    del items
+    # ranks are sorted: a duplicate sits next to its twin
+    dup = next(compress(ranks, map(eq, ranks, islice(ranks, 1, None))), None)
+    if dup is not None:
+        raise ValueError(f"duplicate rank {dup}")
+    del ranks
     tden, times = _on_grid(times)
     sden, sizes = _on_grid(sizes)
+    if min(sizes) < 0:
+        raise ValueError("negative size")
 
-    rto = 0
-    suffix_min = times[-1]
-    for k in range(len(times) - 2, -1, -1):
-        rto = max(rto, times[k] - suffix_min)
-        suffix_min = min(suffix_min, times[k])
+    # in reverse rank order, each arrival less the earliest one at or after it
+    rto = max(map(sub, reversed(times), accumulate(reversed(times), min)))
 
-    # Fenwick tree over arrival instants: tree[i] sums the sizes of the
-    # later-ranked units seen so far in a range of instants ending at i - 1
-    slot = {t: i for i, t in enumerate(sorted(set(times)))}
-    tree = [0] * (len(slot) + 1)
-    rbo = 0
-    for rank in range(len(times) - 1, -1, -1):
-        i = slot[times[rank]]
-        total = 0  # strictly earlier arrivals only: instants [0, i)
-        j = i
-        while j > 0:
-            total += tree[j]
-            j -= j & -j
-        rbo = max(rbo, total)
-        j = i + 1
-        while j < len(tree):
-            tree[j] += sizes[rank]
-            j += j & -j
+    order = sorted(range(len(times)), key=times.__getitem__)
+    arrived = [times[i] for i in order]
+    # by_arrival[i]: the bytes of the i earliest arrivals
+    by_arrival = list(accumulate(map(sizes.__getitem__, order), initial=0))
+    del order
+    # each unit with the bytes ranked before it and the latest arrival
+    # among them; rank 0 has none, so it counts
+    latest = chain((times[0] - 1,), accumulate(times, max))
+    ranked = zip(times, accumulate(sizes, initial=0), latest)
+    rbo = max(by_arrival[bisect_left(arrived, t)] - before for t, before, last in ranked if t > last)
     return Fraction(rto, tden), Fraction(rbo, sden)
 
 

@@ -424,6 +424,70 @@ class TestMeasures:
         rto, rbo = measure_reordering(units)
         assert rto == 2 and rbo == 6
 
+    @pytest.mark.parametrize(
+        "rank", [F(3, 2), 1.5, True, False, "1", None],
+        ids=["fraction", "float", "true", "false", "string", "none"],
+    )
+    def test_reordering_rejects_a_rank_that_is_not_an_int(self, rank):
+        with pytest.raises(TypeError, match=r"^rank .* is not an int$"):
+            measure_reordering([(0, 1, 1), (rank, 0, 1)])
+        with pytest.raises(TypeError):
+            measure_reordering([(rank, 0, 1)])
+
+    def test_reordering_rejects_a_duplicate_rank(self):
+        # a tie in rank is no reordering to the pairwise definition, and
+        # counting it as one would be wrong: such a sequence is refused
+        assert reordering_by_pairs([(0, 5, 1), (0, 3, 1)]) == (0, 0)
+        with pytest.raises(ValueError, match="^duplicate rank 0$"):
+            measure_reordering([(0, 5, 1), (0, 3, 1)])
+        with pytest.raises(ValueError, match="^duplicate rank 7$"):
+            measure_reordering([(7, 1, 1), (2, 2, 1), (9, 0, 1), (7, 3, 1)])
+
+    def test_reordering_rejects_a_negative_size(self):
+        with pytest.raises(ValueError, match="^negative size$"):
+            measure_reordering([(0, 1, 1), (1, 0, -1)])
+
+    def test_reordering_of_reversed_shuffled_and_tied_sequences(self):
+        n = 40
+        sizes = [F(k % 5, 1 + k % 3) for k in range(n)]
+        # rank k arrives at n - 1 - k: every unit overtakes every earlier one
+        reversed_units = [(k, n - 1 - k, sizes[k]) for k in range(n)]
+        assert measure_reordering(reversed_units) == (n - 1, sum(sizes[1:]))
+        in_order = [(k, k, sizes[k]) for k in range(n)]
+        assert measure_reordering(in_order) == (0, 0)
+        tied = [(k, F(7, 3), sizes[k]) for k in range(n)]
+        assert measure_reordering(tied) == (0, 0)
+        rng = random.Random(37)
+        for units in (reversed_units, in_order):
+            for _ in range(5):
+                shuffled = [(r, t, sz) for (r, _t, sz), (_r, t, _sz) in
+                            zip(units, rng.sample(units, n))]
+                got = measure_reordering(shuffled)
+                assert got == reordering_by_pairs(shuffled)
+                # the input's order is not read: only ranks say who is first
+                assert measure_reordering(rng.sample(shuffled, n)) == got
+
+    def test_reordering_matches_oracle_on_long_tied_sequences(self):
+        rng = random.Random(4242)
+        for n in (120, 200, 300):
+            for _ in range(2):
+                ranks = rng.sample(range(2 * n), n)
+                # few instants and many zero sizes
+                instants = [F(rng.randint(0, 40), rng.choice((1, 2, 3))) for _ in range(n // 10)]
+                units = [
+                    (r, rng.choice(instants), rng.choice((F(0), F(0), F(rng.randint(1, 9), 4))))
+                    for r in ranks
+                ]
+                assert measure_reordering(units) == reordering_by_pairs(units)
+
+    def test_reordering_of_the_benchmark_trajectory(self):
+        sc = gen_adversarial_ir(1, 1, 0, 1, 6, 7, q=13, periods=51)
+        trace = run_scenario(sc)
+        rank = {u.key: i for i, u in enumerate(sorted(sc.sources, key=lambda u: u.time))}
+        assert measure_reordering(
+            (rank[(e.flow, e.unit)], e.time, e.size) for e in trace.of_kind(PEF_EXIT)
+        ) == (F(53, 11), 6)
+
     def test_compliance_exact_envelope_passes(self):
         curve = ConcaveCurve([(2, 3)])
         events = [(0, 3), (1, 2), (2, 2), (F(5, 2), 1)]
@@ -722,13 +786,28 @@ class TestFractionReplay:
     def test_adversarial_emissions_follow_the_schedule(self, params, q, periods, x1):
         sc = gen_adversarial_ir(*params, q=q, periods=periods, x1=x1)
         meta = sc.meta
-        expected = [
+        flow_by_flow = [
             (f"f{i}", f"{tag}_{k}", x1 + (i - 1) * meta["phi"] + k * meta["tau"] + offset)
             for i in range(1, q + 1)
             for k in range(periods)
             for tag, offset in (("m1", 0), ("m2", meta["I"]))
         ]
+        # in emission order; units of one instant flow by flow
+        expected = sorted(flow_by_flow, key=lambda e: e[2])
         assert [(u.flow, u.unit, u.time) for u in sc.sources] == expected
+
+    @pytest.mark.parametrize("params, q, periods, x1", ADVERSARIAL_CASES)
+    def test_adversarial_trace_does_not_depend_on_the_order_of_sources(self, params, q, periods, x1):
+        sc = gen_adversarial_ir(*params, q=q, periods=periods, x1=x1)
+        position = {(f"f{i}", f"{tag}_{k}"): (i, k, tag)
+                    for i in range(1, q + 1) for k in range(periods) for tag in ("m1", "m2")}
+        flow_by_flow = sorted(sc.sources, key=lambda u: position[u.key])
+        assert flow_by_flow != sc.sources
+        other = Scenario(sc.name, flow_by_flow, sc.paths, sc.pipeline, sc.flows,
+                         sc.allow_zero_size, sc.meta)
+        trace, other_trace = run_scenario(sc), run_scenario(other)
+        assert trace.to_csv() == other_trace.to_csv()
+        assert list(trace.delays().items()) == list(other_trace.delays().items())
 
     def test_trace_event_is_immutable_and_derives_its_time(self):
         trace = run_scenario(toy_scenario("lossy", timeout=F(13, 3)))
