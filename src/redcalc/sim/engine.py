@@ -42,7 +42,9 @@ path's bounds at the first unit it applies to; actions are told apart by
 identity, and each (flow, size) pair by the size's integer ratio, so no
 Fraction is hashed per unit.  A (flow, size) pair is checked against the
 flow's profile and shaping burst, and its token-bucket fills worked out,
-once.  Each fault is still raised at the first unit in order that has it.
+once.  The sources are sorted into emission order once, units emitted at
+one instant in their listed order; their checks and each path walk them in
+that order, so each fault there is raised at the first unit that has it.
 Events are built as `tuple.__new__(TraceEvent, fields)`, without the
 namedtuple's Python-level constructor, and `gen_adversarial_ir` builds its
 units through `SourceUnit._unchecked` after checking the earliest one.
@@ -326,12 +328,12 @@ class Trace:
         return buf.getvalue()
 
 
-def _validate_sources(scenario: Scenario):
+def _validate_sources(sources: list, scenario: Scenario):
     seen = set()
     # (flow, size as an integer ratio) checked so far, a failed check raising
     # at once; no Fraction is hashed, as its hash costs a modular inverse
     sized = set()
-    for u in scenario.sources:
+    for u in sources:
         key = (u.flow, u.unit)
         if key in seen:
             raise ScenarioError(f"duplicate source unit {u.flow}/{u.unit}")
@@ -380,16 +382,17 @@ def _tick_bounds(bounds: DelayInterval, grid: int):
     return lo, bounds.hi.numerator * grid // bounds.hi.denominator
 
 
-def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int):
+def _branch_stage(paths: list, sources: list, ticks: list, grid: int):
     """Apply each path's schedule; returns the sorted arrivals and the events.
 
-    `units` are the scenario's sources, `ticks` their emission ticks and
-    `rank` their places in emission order.  An arrival is (exit tick, path
-    index, rank).
+    `sources` are the scenario's units in emission order and `ticks` their
+    emission ticks, so a unit's rank is its index.  An arrival is (exit
+    tick, path index, rank).
 
     Each action object of a path is parsed, put on the grid and checked
-    against the path's bounds once, at the first unit it applies to, so a
-    fault is still raised at the first unit in order that has it."""
+    against the path's bounds once, at the first unit it applies to, and a
+    FIFO path checks each exit against the last, so each path's first fault
+    in emission order is raised."""
     events = []
     arrivals = []
     for pidx, path in enumerate(paths):
@@ -399,8 +402,8 @@ def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int):
         # id(action) -> its delay in ticks, or DROP; the path holds every
         # action, so no id is reused during the run
         decided = {}
-        exit_by_rank = [None] * len(units)
-        for j, u in enumerate(units):
+        fifo, last = path.fifo, None  # last: the exit tick of the last unit forwarded
+        for rank, u in enumerate(sources):
             flow, unit = u.flow, u.unit
             action = scheduled((flow, unit))
             if action is None:  # the default, or the error of a unit without an action
@@ -422,19 +425,13 @@ def _branch_stage(paths: list, units: list, ticks: list, rank: list, grid: int):
                 decided[id(action)] = d
             if d is DROP:
                 continue
-            exit_t = ticks[j] + d
-            events.append(_tuple_new(TraceEvent, (exit_t, grid, BRANCH_EXIT, flow, unit, u.size, name)))
-            r = rank[j]
-            exit_by_rank[r] = exit_t
-            arrivals.append((exit_t, pidx, r))
-        if path.fifo:
-            last = None
-            for exit_t in exit_by_rank:
-                if exit_t is None:
-                    continue
+            exit_t = ticks[rank] + d
+            if fifo:
                 if last is not None and exit_t < last:
                     raise ScenarioError(f"path {name}: schedule violates FIFO order")
                 last = exit_t
+            events.append(_tuple_new(TraceEvent, (exit_t, grid, BRANCH_EXIT, flow, unit, u.size, name)))
+            arrivals.append((exit_t, pidx, rank))
     arrivals.sort()
     return arrivals, events
 
@@ -647,9 +644,6 @@ def _reg_stage(inputs: list, spec: RegSpec, sources: list, start: int, grid: int
 @_no_gc
 def run_scenario(scenario: Scenario) -> Trace:
     """Replay one trajectory and return the full stage-crossing trace."""
-    _validate_sources(scenario)
-    if not scenario.paths:
-        raise ScenarioError("scenario needs at least one path")
     units = scenario.sources
     pipe = scenario.pipeline
     timeout = pipe.pof.timeout if pipe.pof is not None else None
@@ -663,20 +657,20 @@ def run_scenario(scenario: Scenario) -> Trace:
         1 if pipe.reg is None else _reg_grid(pipe.reg, units),
     )
     ticks = [u.time.numerator * (grid // u.time.denominator) for u in units]
-    by_rank = sorted(range(len(units)), key=ticks.__getitem__)
-    rank = [0] * len(units)
-    for r, j in enumerate(by_rank):
-        rank[j] = r
-    sources = [units[j] for j in by_rank]
-    start = ticks[by_rank[0]] if units else 0
+    # emission order, once: each stage walks the units in it
+    order = sorted(range(len(units)), key=ticks.__getitem__)
+    sources, ticks = [units[j] for j in order], [ticks[j] for j in order]
+    start = ticks[0] if ticks else 0
+    _validate_sources(sources, scenario)
+    if not scenario.paths:
+        raise ScenarioError("scenario needs at least one path")
 
     events = [
-        _tuple_new(TraceEvent, (ticks[j], grid, GENERATED, u.flow, u.unit, u.size, None))
-        for j, u in zip(by_rank, sources)
+        _tuple_new(TraceEvent, (t, grid, GENERATED, u.flow, u.unit, u.size, None))
+        for t, u in zip(ticks, sources)
     ]
-    del by_rank
-    arrivals, branch_events = _branch_stage(scenario.paths, units, ticks, rank, grid)
-    del ticks, rank
+    arrivals, branch_events = _branch_stage(scenario.paths, sources, ticks, grid)
+    del ticks
     events.extend(branch_events)
 
     if pipe.pef:

@@ -19,11 +19,11 @@ curves rebuilt from it give it back (where they do not, the piece read there
 is solved once more).  Two passes in a row on one `A` with a minor at or
 below zero make the component Diverged, and `iter_cap` passes make it
 IterationCap; no other rule cuts a component off, and a vertex on no
-cycle, processed once, keeps whatever finite bound it reads.
+cycle, processed once, keeps whatever finite bound it reads.  Each
+component decides its own status; the run's is the worst of theirs.
 A cut-off component proves no bound: its members restart from no bound for
-one more pass, and the components after it are still processed.  No value
-is rounded, so every bound is exact and none depends on how the vertices
-are named.
+one more pass, which the components after it read.  No value is rounded,
+so every bound is exact and none depends on how the vertices are named.
 
 The structure of each flow (diamond ancestors, anchors, the functions placed
 at each vertex) is computed once per analysis; a section between a reference
@@ -41,13 +41,13 @@ replicate curves as if nothing were dropped.  The model changes only the
 eliminators' outputs, so an analysis can start from one of the other model
 on the same network (`analyze(..., base=report)`, which `compare_models`
 uses): it shares the structure and processes again only the components
-that host an eliminator, are entered with another status, or have a flow
-parent that changed; every other component keeps the state and log of the
-other model, and each flow its end-to-end results when its port delays and
-regulator verdicts are unchanged.  A vertex on no cycle processed again
-only for its eliminators reads what the other model's run read, so each
-eliminator there keeps that run's record, which holds the output curves of
-both models, and takes its output curve from the record.
+that host an eliminator or have a flow parent that changed; every other
+component keeps the state and log of the other model, and each flow its
+end-to-end results when its port delays and regulator verdicts are
+unchanged.  A vertex on no cycle processed again only for its eliminators
+reads what the other model's run read, so each eliminator there keeps that
+run's record, which holds the output curves of both models, and takes its
+output curve from the record.
 
 Each flow is composed end to end at its destinations only, each along its
 anchor chain: from the destination to its anchor (the reference of its
@@ -301,11 +301,10 @@ def _least_fixed_point(forms: list, point: list):
 # `growing`, the served members that it moves above its point, sorted
 _Piece = namedtuple("_Piece", "coeffs growing")
 
-# what processing one component did beyond its members' state: `entry`, the
-# status on entry; `notes`, a tuple of the cut-off and solve notes it
-# appended; `passes`, 1 for a vertex on no cycle; `exit`, the status on
-# exit, before the report's overload check
-_ComponentLog = namedtuple("_ComponentLog", "entry notes passes exit")
+# what processing one component did beyond its members' state: `notes`, a
+# tuple of the cut-off and solve notes it appended; `passes`, 1 for a vertex
+# on no cycle; `status`, its own, before the report's overload check
+_ComponentLog = namedtuple("_ComponentLog", "notes passes status")
 
 
 class _Analyzer:
@@ -398,50 +397,51 @@ class _Analyzer:
     def run(self, iter_cap: int, base=None):
         """Process the components in sweep order, logging each: a vertex on
         no cycle once, after its inputs have settled upstream, a cyclic
-        component by `settle`.  `iterations` is the largest pass count.
+        component by `settle`.  `status` is the worst of the components'
+        own, whatever their order; `iterations` the largest pass count.
 
         With `base`, the analyzer this one was forked from, a component
-        keeps the base's state and log when no member hosts an eliminator,
-        it is entered with the base's status, and no member has a flow
-        parent in `changed`.  Any other component starts again from the
-        optimistic start; all its members join `changed` when it was entered
-        for a change upstream or one of them differs from the base.
-        Processing a vertex reads only vertices upstream of it in a flow
-        that crosses it, so a change reaches it through a flow parent;
-        marking whole components covers a read through a cycle member that
-        did not itself change.  A vertex on no cycle processed again only
-        for its eliminators reads what the base read, so each eliminator
-        there keeps the base's record (`_as_base`)."""
+        keeps the base's state and log when no member hosts an eliminator
+        and no member has a flow parent in `changed`.  Any other component
+        starts again from the optimistic start; all its members join
+        `changed` when it was entered for a change upstream or one of them
+        differs from the base.  Processing a vertex reads only vertices
+        upstream of it in a flow that crosses it, so a change reaches it
+        through a flow parent; marking whole components covers a read
+        through a cycle member that did not itself change.  A vertex on no
+        cycle processed again only for its eliminators reads what the base
+        read, so each eliminator there keeps the base's record
+        (`_as_base`)."""
         self.iter_cap, self._base, self._log = iter_cap, base, []
         changed = set()
         for i, comp in enumerate(self.components):
             as_base = False
             if base is not None:
                 log = base._log[i]
-                upstream = bool(changed) and any(
-                    not changed.isdisjoint(self.net.flows[fid].parents[v])
+                as_base = not changed or all(
+                    changed.isdisjoint(self.net.flows[fid].parents[v])
                     for v in comp
                     for fid in self._crossing[v]
                 )
-                as_base = not upstream and self.status == log.entry
                 if as_base and not any(p.kind == PEF for v in comp for p, _ in self._placed[v]):
                     self.notes += log.notes
-                    self.status = log.exit
                     self._log.append(log)
                     continue
                 self._reset(comp)
-            entry, start = self.status, len(self.notes)
+            start = len(self.notes)
             if len(comp) > 1:
-                passes = self.settle(comp, iter_cap)
+                passes, status = self.settle(comp, iter_cap)
             else:
                 self._as_base = comp[0] if as_base else None
                 self._process_vertex(comp[0])
                 self._as_base = None
-                passes = 1
-            self._log.append(_ComponentLog(entry, tuple(self.notes[start:]), passes, self.status))
-            if base is not None and (upstream or any(self._differs(v, base) for v in comp)):
+                passes, status = 1, CONVERGED
+            self._log.append(_ComponentLog(tuple(self.notes[start:]), passes, status))
+            if base is not None and (not as_base or any(self._differs(v, base) for v in comp)):
                 changed.update(comp)
         self.iterations = max((log.passes for log in self._log), default=1)
+        self.status = min((log.status for log in self._log),
+                          key=(DIVERGED, ITERATION_CAP, CONVERGED).index, default=CONVERGED)
 
     def _differs(self, v: str, base) -> bool:
         return self.vertex_delays[v] != base.vertex_delays[v] or any(
@@ -484,9 +484,10 @@ class _Analyzer:
 
     # -- policy iteration over one cyclic component --------------------------
 
-    def settle(self, members, iter_cap: int) -> int:
+    def settle(self, members, iter_cap: int) -> tuple:
         """Find a cyclic component's least fixed point by policy iteration,
-        and return the pass count.  After every pass over the members that
+        and return the pass count and the component's status, decided from
+        its own passes alone.  After every pass over the members that
         changes something, while the cap allows one more pass, the port
         delays are solved on the affine piece of the sweep (`_solve`); an
         accepted solve ends the sweep, its confirmation counted as a pass,
@@ -496,29 +497,29 @@ class _Analyzer:
         cut-off component holds an unfinished iterate, below the least fixed
         point, so every member restarts from no bound (`_unbound`) for one
         more pass over all of them."""
-        passes = 0
+        status, passes = CONVERGED, 0
         last = None  # the rows of A of the last pass's piece without a finite fixed point
         for passes in range(1, iter_cap + 1):
-            if not self._pass(members) or self.status != CONVERGED:
+            if not self._pass(members):
                 break
             outcome = passes < iter_cap and self._solve(members)
             if outcome is True:
                 passes += 1  # the confirmation of the solve
                 break
             if outcome and outcome.coeffs == last:
-                self.status = DIVERGED
+                status = DIVERGED
                 self.notes.append(f"no finite fixed point: port delays at "
                                   f"{', '.join(outcome.growing)} grow on one affine piece")
                 break
             last = outcome and outcome.coeffs
         else:
-            self.status = ITERATION_CAP
+            status = ITERATION_CAP
             self.notes.append(f"no fixed point within {iter_cap} sweeps")
-        if self.status != CONVERGED:
+        if status != CONVERGED:
             for v in members:
                 self._unbound(v)
             self._pass(members)
-        return passes
+        return passes, status
 
     def _unbound(self, v: str):
         """No curve out of v, and v's port delay under no bound."""
@@ -939,9 +940,11 @@ def analyze(
     row read one affine piece without a finite fixed point (Diverged); its
     passes, the confirmation of a solve included, are capped by `iter_cap`
     (default 1000, at least 1; ValueError otherwise), the one bound on the
-    passes (IterationCap).  A vertex on no cycle is processed once, so any
-    finite bound it reads is its bound.  `iterations` is the largest pass
-    count of a cyclic component, and 1 on a feed-forward network.
+    passes (IterationCap).  The run's status is the worst of the
+    components' (Diverged, then IterationCap).  A vertex on no cycle is
+    processed once, so any finite bound it reads is its bound.
+    `iterations` is the largest pass count of a cyclic component, and 1 on
+    a feed-forward network.
 
     `base`, a report that `analyze` returned for this network object with
     the same `lossless` flag and iteration cap (ValueError otherwise),
@@ -965,7 +968,7 @@ def analyze(
         if prior.iter_cap != iter_cap:
             raise ValueError("the base report was analyzed with another iteration cap")
         an = prior._fork()
-        an.model, an.notes, an.status = model, [], CONVERGED
+        an.model, an.notes = model, []
     an.run(iter_cap, prior)
     report = an.report()
     report._analyzer = an

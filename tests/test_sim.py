@@ -206,7 +206,7 @@ class TestEngineValidation:
     # the engine decides each shared value once per run; these pin what
     # that must not change: each path's own bounds, each flow's own limits,
     # one trace for one delay however it is given, and the first fault in
-    # unit order
+    # emission order
 
     def test_one_delay_object_is_checked_against_each_path(self):
         delay = F(3)  # within a's bounds, outside b's
@@ -269,8 +269,24 @@ class TestEngineValidation:
             assert other.events == expected.events
             assert other.to_csv() == expected.to_csv()
 
+    def test_the_sources_give_one_trace_in_any_listing(self):
+        # f/1 and f/2 leave the path at one instant; each path is walked in
+        # emission order, so the listing decides no order of their events
+        units = [SourceUnit("f", "1", 0, 1), SourceUnit("f", "2", 1, 1)]
+        path = PathSpec("p", DelayInterval(0, 5), {("f", "1"): F(5), ("f", "2"): F(4)})
+        traces = [run_scenario(one_flow(listing, [path], Pipeline()))
+                  for listing in (units, units[::-1])]
+        assert [e.unit for e in traces[0].of_kind(BRANCH_EXIT)] == ["1", "2"]
+        assert traces[0].to_csv() == traces[1].to_csv()
+        # and one fault, at the first unit in emission order that has it
+        units = [SourceUnit("f", u.unit, u.time, 2) for u in units]
+        for listing in (units, units[::-1]):
+            sc = one_flow(listing, [path], Pipeline(), flows={"f": FlowProfile(lmax=1)})
+            with pytest.raises(ScenarioError, match="^unit f/1: size above flow maximum$"):
+                run_scenario(sc)
+
     def test_the_first_fault_in_unit_order_is_raised(self):
-        # unit order is the order of the sources, not of their emissions
+        # unit order is the order of the emissions, not of the listing
         units = [SourceUnit("f", str(i), t, 1) for i, t in ((1, 5), (2, 0), (3, 9))]
         too_long = F(2)
 
@@ -283,8 +299,8 @@ class TestEngineValidation:
 
         assert error([F(0), DROP, too_long]) == "path p: drop on a lossless path"
         assert error([F(0), too_long, DROP]) == "path p: delay 2 for f/2 outside declared bounds"
-        assert error([too_long, DROP, too_long]) == "path p: delay 2 for f/1 outside declared bounds"
-        assert error([DROP, too_long, DROP]) == "path p: drop on a lossless path"
+        assert error([too_long, DROP, too_long]) == "path p: drop on a lossless path"
+        assert error([DROP, too_long, DROP]) == "path p: delay 2 for f/2 outside declared bounds"
 
 
 class TestExactWork:

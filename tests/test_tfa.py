@@ -920,20 +920,35 @@ def _random_cyclic_cases(count):
         yield doc, kw
 
 
-def _ring_beside_the_grid() -> tuple:
-    """(a contractive ring, the diverging grid with that ring beside it):
-    `diamond_grid_network(32, 12, 12)`, Diverged on chain B's affine piece,
-    and a disjoint copy of the ring, its vertices and flows renamed with a
-    prefix `z`, which puts it first in sweep order."""
+def _beside_the_grid(doc, prefix: str) -> dict:
+    """`diamond_grid_network(32, 12, 12)`, Diverged on the affine piece of
+    each chain, with a disjoint copy of `doc` beside it, each vertex name
+    and flow id of the copy prefixed with `prefix`."""
+    p = prefix
+    grid = diamond_grid_network(32, 12, 12)
+    grid["vertices"] += [{**v, "name": p + v["name"]} for v in doc["vertices"]]
+    grid["edges"] += [{"from": p + e["from"], "to": p + e["to"]} for e in doc["edges"]]
+    grid["flows"] += [{**f, "id": p + f["id"], "source": p + f["source"],
+                       "destinations": [p + d for d in f["destinations"]],
+                       "edges": [[p + u, p + v] for u, v in f["edges"]]}
+                      for f in doc["flows"]]
+    for placement in doc["placements"]:
+        placement = {**placement, "vertex": p + placement["vertex"],
+                     "flows": [p + fid for fid in placement["flows"]]}
+        if "reference" in placement:
+            placement["reference"] = p + placement["reference"]
+        if "shaping" in placement:
+            placement["shaping"] = {p + fid: c for fid, c in placement["shaping"].items()}
+        grid["placements"].append(placement)
+    return grid
+
+
+def _ring_beside_the_grid(prefix: str = "z") -> tuple:
+    """(a contractive ring, the diverging grid with that ring beside it,
+    renamed with `prefix`): the prefix `z` puts the ring first in sweep
+    order, `0` puts it after both chains."""
     ring = ring_network([fwd_flow("f1", "2/3", 1), rev_flow("f2", "2/3", 1)], 4)
-    doc = diamond_grid_network(32, 12, 12)
-    doc["vertices"] += [{**v, "name": "z" + v["name"]} for v in ring["vertices"]]
-    doc["edges"] += [{"from": "z" + e["from"], "to": "z" + e["to"]} for e in ring["edges"]]
-    doc["flows"] += [{**f, "id": "z" + f["id"], "source": "z" + f["source"],
-                      "destinations": ["z" + d for d in f["destinations"]],
-                      "edges": [["z" + u, "z" + v] for u, v in f["edges"]]}
-                     for f in ring["flows"]]
-    return ring, doc
+    return ring, _beside_the_grid(ring, prefix)
 
 
 def _solved(rep) -> bool:
@@ -1698,6 +1713,33 @@ class TestRelabeling:
         # makes Diverged
         assert statuses[CONVERGED] >= 180 and (lossless or statuses[DIVERGED] >= 10)
 
+    @pytest.mark.parametrize("prefix", ["z", "C", "Ba", "0", "Aa"])
+    def test_a_ring_keeps_its_bound_wherever_its_names_sort(self, prefix):
+        # the ring reads nothing of the grid, so its bound is the same
+        # whether it is swept before, between or after the cut-off chains
+        rep = analyze(net(_ring_beside_the_grid(prefix)[1]))
+        assert rep.status == DIVERGED
+        for flow, sink in (("f1", "t1"), ("f2", "t2")):
+            assert result_for(rep, prefix + flow, prefix + sink).interval.hi == Fraction(18, 5)
+
+    @pytest.mark.parametrize("lossless", [False, True], ids=["lossy", "lossless"])
+    def test_renaming_beside_a_cut_off_grid_changes_no_bound(self, lossless):
+        # draws of the second seed beside the diverging grid, whose two
+        # chains are cut off: renaming sweeps a draw's component before,
+        # between or after them, and each component decides its own status
+        names = random.Random(5)
+        for i, draw in enumerate(_second_seed_draws()[:10]):
+            doc = _beside_the_grid(draw, "r")
+            rep = analyze(net(doc), lossless=lossless)
+            assert rep.status == DIVERGED, i
+            renamed, old_name = relabeled(doc, names)
+            other = analyze(net(renamed), lossless=lossless)
+            assert other.status == rep.status, i
+            assert {(r.flow, old_name[r.destination]): r.interval for r in other.results} == {
+                (r.flow, r.destination): r.interval for r in rep.results
+            }, i
+            assert {old_name[v]: d for v, d in other.vertex_delays.items()} == rep.vertex_delays, i
+
     def test_the_800_runs_keep_their_bounds_in_two_passes(self):
         # every status and interval as recorded; each converging run is one
         # sweep and the confirmation of its solve
@@ -1806,22 +1848,24 @@ class TestDivergenceAndCutOff:
         ]
 
     def test_a_grid_diverges_on_its_piece_in_two_passes(self, monkeypatch):
-        # odd flows run the chains in reverse; on chain B the sweep stays on
-        # one affine piece whose spectral radius is at least 1
+        # odd flows run the chains in reverse; on each chain the sweep stays
+        # on one affine piece whose spectral radius is at least 1, and each
+        # chain, its own component, notes its own divergence, B first in
+        # sweep order
         network = net(diamond_grid_network(32, 12, 12))
         rep = analyze(network)
         assert rep.status == DIVERGED and rep.iterations == 2
-        chain = ", ".join(sorted(f"B{j}" for j in range(12)))
         assert rep.notes == [
             f"no finite fixed point: port delays at {chain} grow on one affine piece"
+            for chain in (", ".join(sorted(f"{c}{j}" for j in range(12))) for c in "BA")
         ]
         assert all(r.verdict == "unbounded" for r in rep.results)
-        # the sweep alone, without the solve, climbs until the iteration cap
-        # stops it
+        # the sweep alone, without the solve, climbs on each chain until the
+        # iteration cap stops it
         monkeypatch.setattr(_Analyzer, "_solve", lambda an, members: False)
         rep = analyze(network, iter_cap=12)
         assert rep.status == ITERATION_CAP and rep.iterations == 12
-        assert rep.notes == ["no fixed point within 12 sweeps"]
+        assert rep.notes == ["no fixed point within 12 sweeps"] * 2
 
     def test_a_solution_below_the_state_decides_nothing(self, monkeypatch):
         # solutions moved below the state are rejected; the run must be byte
@@ -2023,14 +2067,15 @@ class TestComponentSchedule:
         assert rep.status == old.status == CONVERGED
         # two cyclic components, each solved with its own pass count
         assert sum("solved exactly" in n for n in rep.notes) == 2
-        assert len(passes) == 2 and rep.iterations == max(passes)
+        assert [status for _, status in passes] == [CONVERGED] * 2
+        assert rep.iterations == max(count for count, _ in passes)
 
     def test_series_rings_cut_off_status_matches_the_full_sweep(self):
         network = net(series_rings_network())
         rep = analyze(network, iter_cap=1)
         assert rep.status == full_sweep_analyze(network, iter_cap=1).status == ITERATION_CAP
-        # the first cut-off is noted once, whatever the components after it
-        assert sum("fixed point" in n for n in rep.notes) == 1
+        # each ring is cut off on its own and notes it
+        assert rep.notes == ["no fixed point within 1 sweeps"] * 2
         # two passes are one sweep and the exact one of a solve,
         # which ends each ring where the global loop is cut off mid-climb
         rep = analyze(network, iter_cap=2)
@@ -2100,10 +2145,10 @@ class TestComponentSchedule:
         assert [processed for processed, _ in accepted] == [0] * len(accepted)
 
     def test_each_component_is_swept_on_its_own(self, visits, monkeypatch):
-        # the solve ends each chain after its first pass; without it chain
-        # B, first in sweep order, climbs to the cap and is cut off, and
-        # chain A, entered cut off, gets one pass and the cut-off one.  The
-        # chains are separate components, so no pass over B sweeps A
+        # the solve ends each chain after its first pass; without it each
+        # chain climbs to the cap on its own and is cut off, whatever the
+        # other's status.  The chains are separate components, so no pass
+        # over B sweeps A
         monkeypatch.setattr(_Analyzer, "_solve", lambda an, members: False)
         network = net(diamond_grid_network(8, 6, 4))
         rep = analyze(network, iter_cap=20)
@@ -2111,8 +2156,8 @@ class TestComponentSchedule:
         assert sum(visits.values()) < rep.iterations * len(network.vertices)
         for i in range(8):
             assert visits[f"S{i}"] == visits[f"M{i}"] == 1
-        # chain B: 20 passes and the one after its cut-off
-        assert {visits[f"A{j}"] for j in range(6)} == {2}
+        # each chain: 20 passes and the one after its cut-off
+        assert {visits[f"A{j}"] for j in range(6)} == {21}
         assert {visits[f"B{j}"] for j in range(6)} == {21}
 
 
@@ -2330,9 +2375,9 @@ class TestDerivedAnalysis:
                     assert _comparison_json(out) == _comparison_json(old), (doc, lossless, kw)
                     assert list(out["pairs"]) == list(old["pairs"])
                     runs += 1
-                    # a component kept from a tight run already cut off
-                    kept = zip(tight_log, intuitive_log)
-                    cut_then_kept += any(a is b and a.entry != CONVERGED for a, b in kept)
+                    # a component kept from a tight run that is cut off
+                    kept = any(a is b for a, b in zip(tight_log, intuitive_log))
+                    cut_then_kept += kept and out["tight"].status != CONVERGED
         assert runs == 1200
         assert cut_then_kept >= 50
 
