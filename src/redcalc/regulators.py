@@ -14,6 +14,7 @@ change sharply:
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -126,38 +127,21 @@ def ir_after_pef_verdict(shaping: dict, branch_bounds, lmin: dict) -> RegulatorV
         raise ValueError("an interleaved regulator needs two or more flows")
 
     sigmas = list(shaping.values())
-    homogeneous = all(s == sigmas[0] for s in sigmas[1:])
-    single_bucket = len(sigmas[0].segments) == 1
-    if not (homogeneous and single_bucket):
-        return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False)
-
     seg = sigmas[0].segments[0]
-    if seg.rate <= 0 or seg.burst <= 0:
+    homogeneous = all(s == sigmas[0] for s in sigmas[1:])
+    if not homogeneous or len(sigmas[0].segments) > 1 or seg.rate <= 0 or seg.burst <= 0:
         return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, proven=False)
 
-    threshold = None
-    for i in range(len(branch_bounds)):
-        for j in range(i + 1, len(branch_bounds)):
-            q_pair = ir_q_min(seg.rate, seg.burst, branch_bounds[i], branch_bounds[j])
-            threshold = q_pair if threshold is None else min(threshold, q_pair)
+    # None exactly when there are fewer than two branches
+    threshold = min((ir_q_min(seg.rate, seg.burst, a, b)
+                     for a, b in itertools.combinations(branch_bounds, 2)), default=None)
 
-    two_branches = len(branch_bounds) >= 2
-    unequal = len({(b.lo, b.hi) for b in branch_bounds}) > 1 or any(
-        b.lo != b.hi for b in branch_bounds
-    )
+    unequal = any(b != branch_bounds[0] or b.lo != b.hi for b in branch_bounds)
     packet_fits = all(seg.burst >= l for l in lmin.values())
 
-    if two_branches and unequal and packet_fits and threshold is not None:
-        if q >= threshold:
-            return RegulatorVerdict.unbounded(
-                IR_AFTER_PEF_NO_POF, q_min=threshold, proven=True
-            )
-        return RegulatorVerdict.unbounded(
-            IR_AFTER_PEF_NO_POF, q_min=threshold, proven=False
-        )
-    return RegulatorVerdict.unbounded(
-        UNPROVEN_CONFIGURATION, q_min=threshold, proven=False
-    )
+    if unequal and packet_fits and threshold is not None:
+        return RegulatorVerdict.unbounded(IR_AFTER_PEF_NO_POF, q_min=threshold, proven=q >= threshold)
+    return RegulatorVerdict.unbounded(UNPROVEN_CONFIGURATION, q_min=threshold, proven=False)
 
 
 def preof_for_free_bounds(bounds: DelayInterval, wait: DelayInterval) -> DelayInterval:

@@ -10,20 +10,22 @@ re-sequencing, or shaping.
 The vertices are taken one strongly connected component (SCC) of the union
 graph at a time, in topological order.  A vertex on no cycle is processed
 once, after its inputs have settled.  A cyclic component is settled by
-policy iteration: after each exact Gauss-Seidel pass over its members, its
-port delays are read as an affine map of themselves, `W' = A W + b`, and
-solved exactly by fraction-free elimination in integers, on a fork of the
-analyzer.  The solution is kept when `A >= 0`, every leading principal
-minor of `I - A` is positive, the solution lies above the state, and the
-curves rebuilt from it give it back (where they do not, the piece read there
-is solved once more).  Two passes in a row on one `A` with a minor at or
-below zero make the component Diverged, and `iter_cap` passes make it
+policy iteration on `F`, which maps its port delays `W` to those read from
+the curves that `W` gives, each flow walked in its own order: after each
+pass, which writes `F(W)`, the port delays are read as an affine map of
+themselves, `W' = A W + b`, and solved exactly by fraction-free elimination
+in integers, on a fork of the analyzer.  The solution is kept when `A >= 0`,
+every leading principal minor of `I - A` is positive, the solution lies
+above the state, and `F` gives it back (where it does not, the piece read
+there is solved once more).  Two passes in a row on one `A` with a minor at
+or below zero make the component Diverged, and `iter_cap` passes make it
 IterationCap; no other rule cuts a component off, and a vertex on no
 cycle, processed once, keeps whatever finite bound it reads.  Each
 component decides its own status; the run's is the worst of theirs.
 A cut-off component proves no bound: its members restart from no bound for
-one more pass, which the components after it read.  No value is rounded,
-so every bound is exact and none depends on how the vertices are named.
+one more pass, which the components after it read.  No value is rounded and
+`F` reads no order of the members, so every bound is exact and no status,
+bound or pass count depends on how the vertices are named.
 
 The structure of each flow (diamond ancestors, anchors, the functions placed
 at each vertex) is computed once per analysis; a section between a reference
@@ -296,7 +298,7 @@ def _least_fixed_point(forms: list, point: list):
     return [Fraction(x, d) for x in scaled]
 
 
-# an affine piece of the sweep with a leading principal minor of `I - A` <= 0:
+# an affine piece of a pass with a leading principal minor of `I - A` <= 0:
 # `coeffs`, the rows of A, each a dict from unknown to coefficient, and
 # `growing`, the served members that it moves above its point, sorted
 _Piece = namedtuple("_Piece", "coeffs growing")
@@ -487,11 +489,11 @@ class _Analyzer:
     def settle(self, members, iter_cap: int) -> tuple:
         """Find a cyclic component's least fixed point by policy iteration,
         and return the pass count and the component's status, decided from
-        its own passes alone.  After every pass over the members that
-        changes something, while the cap allows one more pass, the port
-        delays are solved on the affine piece of the sweep (`_solve`); an
-        accepted solve ends the sweep, its confirmation counted as a pass,
-        with every member's curves and site records at the solution.
+        its own passes alone.  After every pass (`_pass`) that changes a
+        port delay, while the cap allows one more pass, the port delays are
+        solved on the affine piece of the pass (`_solve`); an accepted solve
+        ends the iteration, its confirmation counted as a pass, with every
+        member's curves and site records at the solution.
         Two solves in a row rejected on the same `A`, for a leading principal
         minor of `I - A` at or below zero, make the component Diverged.  A
         cut-off component holds an unfinished iterate, below the least fixed
@@ -532,21 +534,17 @@ class _Analyzer:
         only if it is the least fixed point above the current state.
 
         With the served members' upper delay ends frozen as unknowns `W` at
-        a point, first the state, one walk over the flows rebuilds every
-        curve of the component, and the port delays read from those curves
-        are `W' = A W + b`, the affine piece of the sweep at that point.
+        a point, first the state, the port delays that `_rebuild` reads are
+        `W' = A W + b`, the affine piece of the pass at that point.
         With `A >= 0`, `(I - A) W = b` is solved when every leading principal
         minor of `I - A` is positive (the iteration from below converges to
-        the solution), and the solution must be at least the state.  The
-        curves are then rebuilt exactly at the solution; when they give other
-        port delays back, the piece read there is solved the same way, up to
-        SOLVE_READS pieces in all.  The solution is accepted, and True
-        returned, when it confirms itself: the rebuild at it gives every
-        member back its frozen port delay, so an exact pass would change
-        nothing either; that rebuild has written the site records of every
-        member from the curves at the solution.  The solve works on a fork
-        (`_fork`), taken over only when it is accepted.  A rejected solve
-        returns the `_Piece` with a leading principal minor
+        the solution), and the solution must be at least the state.  A pass
+        is then made at the solution; when it changes a port delay, the
+        piece read there is solved the same way, up to SOLVE_READS pieces in
+        all.  When it changes none, the solution is accepted and True
+        returned, with every curve and site record written at it.  The solve
+        works on a fork (`_fork`), taken over only when it is accepted.  A
+        rejected solve returns the `_Piece` with a leading principal minor
         of `I - A` at or below zero, or False for any other rejection, a
         negative coefficient among them."""
         served = [v for v in members if self.net.vertices[v].service is not None]
@@ -572,8 +570,7 @@ class _Analyzer:
             point = solution
             for v, w in zip(served, point):
                 trial._freeze(v, w)
-            delays = trial._rebuild(members)
-            if all(delays[v] == trial.vertex_delays[v] for v in members):
+            if not trial._pass(members):
                 break
         else:
             return False
@@ -585,9 +582,10 @@ class _Analyzer:
         self.vertex_delays[v] = DelayInterval._unchecked(self.vertex_delays[v].lo, hi)
 
     def _rebuild(self, members) -> dict:
-        """Every curve of the component from the frozen port delays, each
-        crossing flow walked in its order, so each curve follows the ones it
-        reads; returns the members' port delays under the new curves."""
+        """Every curve and site record of the component from the members'
+        port delays, each crossing flow walked in its order, so each curve
+        follows the ones it reads; returns, without writing them, the
+        members' port delays under the new curves."""
         inside = set(members)
         post = {v: {} for v in members}
         for fid in sorted({fid for v in members for fid in self._crossing[v]}):
@@ -597,27 +595,15 @@ class _Analyzer:
                     self.curves[(fid, v)] = self._output(cur, self.vertex_delays[v])
         return {v: self._port_delay(v, post[v]) for v in members}
 
-    def _pass(self, vertices) -> bool:
-        """One Gauss-Seidel pass: each of `vertices` processed in turn, each
-        reading the outputs of those before it; True when one changes its
-        port delay or an output curve.  Once one has, the rest are not
-        compared."""
-        changed = False
-        for v in vertices:
-            if changed:
-                self._process_vertex(v)
-                continue
-            before = self._state(v)
-            self._process_vertex(v)
-            changed = self._state(v) != before
-        return changed
-
-    def _state(self, v: str) -> tuple:
-        """v's port delay and output curves, None where not yet computed."""
-        return (
-            self.vertex_delays.get(v),
-            *(self.curves.get((fid, v)) for fid in self._crossing[v]),
-        )
+    def _pass(self, members) -> bool:
+        """One pass over a cyclic component, `W -> F(W)`: every curve rebuilt
+        from the members' port delays (`_rebuild`), then the port delays read
+        from them written; True when one changed.  The curves depend on the
+        port delays alone, so when none changed they are the curves there."""
+        before = [self.vertex_delays[v] for v in members]
+        delays = self._rebuild(members)
+        self.vertex_delays.update(delays)
+        return list(delays.values()) != before
 
     def _input_curve(self, fid: str, v: str):
         """Curve offered to v's local pipeline: the arrival curve at the flow
@@ -935,9 +921,10 @@ def analyze(
     `lossless` asserts that no data unit is ever lost on the analyzed paths,
     which sharpens the re-sequencer transforms; without it a re-sequencer
     needs a configured timeout for the flow to keep a bounded delay.
-    Each cyclic component is swept over all its members until its port
-    delays are solved exactly, a pass changes nothing, or two passes in a
-    row read one affine piece without a finite fixed point (Diverged); its
+    Each cyclic component is passed over, each pass rebuilding all its
+    curves from its port delays, until its port delays are solved exactly,
+    a pass changes none of them, or two passes in a row read one affine
+    piece without a finite fixed point (Diverged); its
     passes, the confirmation of a solve included, are capped by `iter_cap`
     (default 1000, at least 1; ValueError otherwise), the one bound on the
     passes (IterationCap).  The run's status is the worst of the

@@ -379,10 +379,38 @@ def bundled_dir():
 
 
 def _json_load(fh):
+    text = fh.read()
     try:
-        return json.load(fh)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # a bare integer beyond the limit on digits
+            raise SpecError(_too_long_at(text), str(exc)) from None
     except RecursionError:
         raise SpecError("$", "the document nests too deeply") from None
+
+
+def _too_long_at(text: str) -> str:
+    """The JSON path of the first bare integer in `text`, in document
+    order, that is too long to convert; "$" where there is none."""
+    too_long = object()  # such an integer, where it stood
+
+    def parse_int(literal):
+        try:
+            return int(literal)
+        except ValueError:
+            return too_long
+
+    work = [("$", json.loads(text, parse_int=parse_int, object_pairs_hook=tuple))]
+    while work:
+        path, value = work.pop()
+        if value is too_long:
+            return path.removeprefix("$.")
+        if isinstance(value, (tuple, list)):  # an object as a tuple of its (key, value) pairs
+            items = value if isinstance(value, tuple) else enumerate(value)
+            work += reversed([(f"{path}[{k}]" if type(k) is int else f"{path}.{k}", v) for k, v in items])
+    return "$"
 
 
 def _read_document(source, parse):

@@ -388,8 +388,22 @@ def full_sweep_analyze(network, model=MODEL_TIGHT, lossless=False, iter_cap=None
     an = _GridAnalyzer(network, model, lossless, grid)
     order = [v for comp in an.components for v in comp]
 
+    def state(v):
+        return an.vertex_delays.get(v), *(an.curves.get((fid, v)) for fid in an._crossing[v])
+
     def sweep():
-        return an._pass(order)
+        # Gauss-Seidel: each vertex reads the outputs of those before it;
+        # True when one changes its port delay or an output curve, after
+        # which the rest are not compared
+        changed = False
+        for v in order:
+            if changed:
+                an._process_vertex(v)
+                continue
+            before = state(v)
+            an._process_vertex(v)
+            changed = state(v) != before
+        return changed
 
     if all(len(comp) == 1 for comp in an.components):  # feed-forward
         sweep()

@@ -766,6 +766,25 @@ class TestInputErrors:
         assert main(["analyze", "--in", str(target)]) == 1
         assert capsys.readouterr().err.startswith("error: vertices[2].tech: ")
 
+    @pytest.mark.parametrize("bare", [True, False], ids=["bare", "string"])
+    def test_a_number_beyond_the_digit_limit_names_its_path(self, bare, tmp_path, capsys):
+        # a bare number that long stops the JSON decoder itself, which is
+        # then run again to find the first one in document order; the same
+        # value as a string is read, and refused, by the field that holds it
+        huge = "1" + "0" * 5000
+        literal = huge if bare else f'"{huge}"'
+        doc, _ = _prime_chain_net(3)
+        doc["vertices"][2]["tech"] = ["0", "HUGE"]
+        doc["flows"][0]["lmax"] = "HUGE"
+        scenario = _toy_scenario(lambda d: d["sources"][0].update(time="HUGE"))
+        runs = [(doc, "analyze", "--in", "vertices[2].tech[1]" if bare else "vertices[2].tech"),
+                (scenario, "simulate", "--scenario", "sources[0].time")]
+        for doc, command, flag, path in runs:
+            target = tmp_path / f"{command}.json"
+            target.write_text(json.dumps(doc).replace('"HUGE"', literal))
+            assert main([command, flag, str(target)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: Exceeds the limit")
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "--in", "/tmp/no-such-net.json"]) == 1
         assert "error:" in capsys.readouterr().err
